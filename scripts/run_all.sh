@@ -24,19 +24,21 @@ ctest --test-dir build-tsan -L "runtime|chaos|server|scale|replication" --output
   -j "${JOBS}" 2>&1 | tee -a test_output.txt
 
 # Memory-safety pass: ASan + UBSan (fail-fast on UB) over the charging
-# ledgers and the runtime + chaos engines — the subsystems with hand-rolled
-# pointer structures (the order-statistic treap) and cross-thread handoff.
+# ledgers, the runtime + chaos engines and the linalg/LP kernels — the
+# subsystems with hand-rolled pointer structures (the order-statistic
+# treap), cross-thread handoff and index-driven scratch arrays (the
+# hyper-sparse LU solves and simplex pivots).
 cmake --preset asan
 cmake --build build-asan -j "${JOBS}"
-ctest --test-dir build-asan -L "charging|runtime|chaos|audit|server|scale|replication" \
+ctest --test-dir build-asan -L "charging|runtime|chaos|linalg|lp|audit|server|scale|replication" \
   --output-on-failure -j "${JOBS}" 2>&1 | tee -a test_output.txt
 
 # Standalone UBSan pass (works under GCC; +float-divide-by-zero, which the
-# combined ASan preset does not enable): charging, runtime, chaos, the LP
-# kernels, and the plan-audit suites.
+# combined ASan preset does not enable): charging, runtime, chaos, the
+# linalg and LP kernels, and the plan-audit suites.
 cmake --preset ubsan
 cmake --build build-ubsan -j "${JOBS}"
-ctest --test-dir build-ubsan -L "charging|runtime|chaos|lp|audit|server|scale|replication" \
+ctest --test-dir build-ubsan -L "charging|runtime|chaos|linalg|lp|audit|server|scale|replication" \
   --output-on-failure -j "${JOBS}" 2>&1 | tee -a test_output.txt
 
 # Project-invariant lint (tools/postcard_lint): determinism, layering,

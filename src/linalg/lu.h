@@ -13,6 +13,23 @@
 // column whose FTRAN image is w multiplies B by the elementary matrix E that
 // is the identity with column p replaced by w. FTRAN/BTRAN apply the eta file
 // after/before the triangular solves.
+//
+// Two kinds of solve share the factors:
+//   * dense ftran(x)/btran(x): one pass over every row per triangular factor
+//     — the reference, and the right tool for dense right-hand sides;
+//   * hyper-sparse ftran(x, pattern)/btran(x, pattern) (Hall & McKinnon,
+//     "Hyper-sparsity in the revised simplex method", COAP 2005): the rows a
+//     solve can touch are collected by a graph search over L and U (and
+//     their row-wise copies, for the transposed solves), sorted, and only
+//     those are processed, so the work follows the nonzeros instead of the
+//     dimension. Every nonzero of the result is bit-identical to the dense
+//     solve's: the reach is processed in the dense loops' pivotal order
+//     (ascending for L and U^T, descending for U and L^T), the transposed
+//     solves keep their dot products over each stored column in stored
+//     order, and the eta file is applied in application order. Only the sign
+//     of entries that are structurally zero can differ. When the results
+//     turn dense — a right-hand side or a reach past 10% of the rows — the
+//     call finishes with the dense loops and scans the pattern out.
 #pragma once
 
 #include <vector>
@@ -49,10 +66,23 @@ class LuFactorization {
   /// Solves B^T x = rhs in place.
   void btran(Vector& rhs) const;
 
+  /// Hyper-sparse FTRAN. On entry `rhs` is zero outside `pattern` (distinct
+  /// positions, any order); on return `rhs` holds B^{-1} rhs, zero outside
+  /// `pattern`, which then lists the result's nonzero positions in
+  /// ascending order. Nonzeros are bit-identical to ftran(rhs).
+  void ftran(Vector& rhs, std::vector<Index>& pattern) const;
+
+  /// Hyper-sparse BTRAN, with the same contract as the FTRAN above.
+  void btran(Vector& rhs, std::vector<Index>& pattern) const;
+
   /// Applies a PFI update: the basic column at position `pos` is replaced by
-  /// a column whose FTRAN image (B^{-1} a_entering) is `w`. Returns false if
-  /// |w[pos]| is below the eta pivot tolerance, in which case the caller must
-  /// refactorize instead.
+  /// a column whose FTRAN image (B^{-1} a_entering) is `w`, nonzero only at
+  /// the ascending positions `pattern`. Returns false if |w[pos]| is below
+  /// the eta pivot tolerance, in which case the caller must refactorize
+  /// instead.
+  bool update(const Vector& w, const std::vector<Index>& pattern, Index pos);
+
+  /// The same update for a dense `w` (its pattern is scanned out first).
   bool update(const Vector& w, Index pos);
 
   /// Number of eta updates applied since the last factorize().
@@ -76,6 +106,22 @@ class LuFactorization {
 
   void base_ftran(Vector& x) const;   // (LU, P, Q) solve without etas
   void base_btran(Vector& x) const;
+  // One step of each triangular solve on work_ (pivotal space): column j
+  // of L or U, or row j of U^T or L^T.
+  void l_step(Index j) const;
+  void u_step(Index j) const;
+  void ut_step(Index j) const;
+  void lt_step(Index j) const;
+  // The same solves over every row, in pivotal order (ascending for L and
+  // U^T, descending for U and L^T).
+  void dense_l() const;
+  void dense_u() const;
+  void dense_ut() const;
+  void dense_lt() const;
+  // Eta file, dense: inverses in application order (FTRAN) or transposes
+  // newest first (BTRAN).
+  void dense_etas(Vector& x) const;
+  void dense_etas_transposed(Vector& x) const;
 
   Options options_;
   Index n_ = 0;
@@ -88,13 +134,24 @@ class LuFactorization {
   std::vector<Index> u_ptr_, u_idx_;
   std::vector<double> u_val_;
 
+  // Row-wise copies of L and U, patterns only and without the diagonals:
+  // the graphs the transposed solves search (row i of L lists the columns
+  // j < i with L(i, j) != 0, row i of U the columns j > i with U(i, j) != 0).
+  std::vector<Index> lr_ptr_, lr_idx_;
+  std::vector<Index> ur_ptr_, ur_idx_;
+
   std::vector<Index> pinv_;   // pinv_[original row] = pivotal position
+  std::vector<Index> p_;      // p_[pivotal position] = original row
   std::vector<Index> q_;      // q_[pivotal col] = original column
+  std::vector<Index> qinv_;   // qinv_[original column] = pivotal col
 
   std::vector<Eta> etas_;
 
-  // Scratch reused across solves (sized n_).
+  // Scratch reused across solves (sized n_). work_ and mark_ are all zero
+  // between calls; reach_ holds the rows a hyper-sparse pass processes.
   mutable Vector work_;
+  mutable std::vector<char> mark_;
+  mutable std::vector<Index> reach_;
 };
 
 }  // namespace postcard::linalg

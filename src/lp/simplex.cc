@@ -1,6 +1,7 @@
 #include "lp/simplex.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <random>
@@ -56,6 +57,7 @@ void RevisedSimplex::cold_start() {
   }
 
   basis_.assign(static_cast<std::size_t>(m_), -1);
+  row_art_.assign(static_cast<std::size_t>(m_), -1);
   for (int i = 0; i < m_; ++i) {
     const int lj = n_ + i;
     const double g = activity[i];
@@ -86,6 +88,7 @@ void RevisedSimplex::cold_start() {
       sign = 1.0;
       value = lo - g;
     }
+    row_art_[i] = static_cast<int>(art_row_.size());
     art_row_.push_back(i);
     art_sign_.push_back(sign);
     const int aj = n_ + m_ + static_cast<int>(art_row_.size()) - 1;
@@ -273,6 +276,8 @@ Solution RevisedSimplex::solve(const LpModel& model, const WarmStart* warm,
   work_w_.assign(static_cast<std::size_t>(m_), 0.0);
   work_rho_.assign(static_cast<std::size_t>(m_), 0.0);
   work_rhs_.assign(static_cast<std::size_t>(m_), 0.0);
+  work_alpha_.assign(static_cast<std::size_t>(total), 0.0);
+  in_row_.assign(static_cast<std::size_t>(n_), 0);
 
   stat_degenerate_ = stat_flips_ = 0;
   recompute_basic_values();
@@ -475,6 +480,8 @@ Solution RevisedSimplex::resolve(const LpModel& model, SolveBudget* budget) {
   base_cost_.assign(static_cast<std::size_t>(total), 0.0);
   d_.assign(static_cast<std::size_t>(total), 0.0);
   devex_.assign(static_cast<std::size_t>(total), 1.0);
+  work_alpha_.assign(static_cast<std::size_t>(total), 0.0);
+  in_row_.assign(static_cast<std::size_t>(n_), 0);
   for (int j = 0; j < n_; ++j) base_cost_[j] = model.objective()[j];
 
   stat_degenerate_ = stat_flips_ = 0;
@@ -536,15 +543,25 @@ void RevisedSimplex::rebuild_rows() {
 }
 
 bool RevisedSimplex::refactorize() {
-  std::vector<linalg::Triplet> triplets;
+  // The basis columns in basis order, straight into CSC: a_'s columns are
+  // row-sorted and duplicate-free and logicals and artificials are
+  // singletons, so no triplet sort is needed and the matrix is the one
+  // from_triplets would build.
+  std::vector<linalg::Index> col_ptr(static_cast<std::size_t>(m_) + 1, 0);
+  std::vector<linalg::Index> row_idx;
+  std::vector<double> values;
+  row_idx.reserve(static_cast<std::size_t>(m_));
+  values.reserve(static_cast<std::size_t>(m_));
   for (int i = 0; i < m_; ++i) {
     for_column(basis_[i], [&](int row, double v) {
-      triplets.push_back({static_cast<linalg::Index>(row),
-                          static_cast<linalg::Index>(i), v});
+      row_idx.push_back(static_cast<linalg::Index>(row));
+      values.push_back(v);
     });
+    col_ptr[i + 1] = static_cast<linalg::Index>(row_idx.size());
   }
-  const auto b = linalg::SparseMatrix::from_triplets(
-      static_cast<linalg::Index>(m_), static_cast<linalg::Index>(m_), triplets);
+  const auto b = linalg::SparseMatrix::from_csc(
+      static_cast<linalg::Index>(m_), static_cast<linalg::Index>(m_),
+      std::move(col_ptr), std::move(row_idx), std::move(values));
   return lu_.factorize(b) == linalg::FactorStatus::kOk;
 }
 
@@ -570,6 +587,17 @@ void RevisedSimplex::recompute_reduced_costs() {
                                            : cost_[j] - column_dot(j, work_y_);
   }
   dual_tol_ = options_.opt_tol * cost_scale;
+  infeasible_.assign((static_cast<std::size_t>(total) + 63) / 64, 0);
+  for (int j = 0; j < total; ++j) refresh_price(j);
+}
+
+void RevisedSimplex::refresh_price(int j) {
+  const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+  if (violation(j) > dual_tol_) {
+    infeasible_[j / 64] |= bit;
+  } else {
+    infeasible_[j / 64] &= ~bit;
+  }
 }
 
 double RevisedSimplex::violation(int j) const {
@@ -589,18 +617,22 @@ int RevisedSimplex::price() const {
   // Devex score is v^2 / devex_j; the argmax is taken division-free by
   // cross-multiplying (weights are positive), which keeps the scan at one
   // multiply per candidate.
+  // Candidates are exactly the set bits of infeasible_ (violation above
+  // dual_tol_), visited in ascending index, so the first strict maximum
+  // wins as it would in a scan over every variable.
   int best = -1;
   double best_v2 = 0.0;
   double best_w = 1.0;
-  const int total = total_variables();
-  for (int j = 0; j < total; ++j) {
-    const double v = violation(j);
-    if (v <= dual_tol_) continue;
-    const double v2 = v * v;
-    if (v2 * best_w > best_v2 * devex_[j]) {
-      best_v2 = v2;
-      best_w = devex_[j];
-      best = j;
+  for (std::size_t w = 0; w < infeasible_.size(); ++w) {
+    for (std::uint64_t bits = infeasible_[w]; bits != 0; bits &= bits - 1) {
+      const int j = static_cast<int>(w * 64) + std::countr_zero(bits);
+      const double v = violation(j);
+      const double v2 = v * v;
+      if (v2 * best_w > best_v2 * devex_[j]) {
+        best_v2 = v2;
+        best_w = devex_[j];
+        best = j;
+      }
     }
   }
   return best;
@@ -624,10 +656,19 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
     default: sigma = dq < 0.0 ? 1.0 : -1.0; break;
   }
 
-  // w = B^{-1} a_q.
-  work_w_.assign(static_cast<std::size_t>(m_), 0.0);
-  for_column(q, [&](int i, double v) { work_w_[i] = v; });
-  lu_.ftran(work_w_);
+  // w = B^{-1} a_q and its nonzero positions, ascending. Every pass over
+  // basis positions below walks this pattern instead of all m rows; the
+  // ascending order keeps pass 2's first-wins tie-break and the eta's entry
+  // order those of a scan over every row.
+  w_pattern_.clear();
+  for_column(q, [&](int i, double v) {
+    work_w_[i] = v;
+    w_pattern_.push_back(i);
+  });
+  lu_.ftran(work_w_, w_pattern_);
+  auto clear_w = [&] {
+    for (const linalg::Index i : w_pattern_) work_w_[i] = 0.0;
+  };
 
   // ---- Harris two-pass ratio test.
   double t_flip = kInfinity;
@@ -636,7 +677,7 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
   }
   // Pass 1: step limit with bounds relaxed by the feasibility tolerance.
   double t_max = t_flip;
-  for (int i = 0; i < m_; ++i) {
+  for (const linalg::Index i : w_pattern_) {
     const double wbar = sigma * work_w_[i];
     if (std::abs(wbar) <= options_.pivot_tol) continue;
     const int bj = basis_[i];
@@ -657,7 +698,7 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
   int leave_pos = -1;
   double leave_pivot = 0.0;
   double t_exact_chosen = kInfinity;
-  for (int i = 0; i < m_; ++i) {
+  for (const linalg::Index i : w_pattern_) {
     const double wbar = sigma * work_w_[i];
     if (std::abs(wbar) <= options_.pivot_tol) continue;
     const int bj = basis_[i];
@@ -677,7 +718,10 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
     }
   }
 
-  if (leave_pos < 0 && !std::isfinite(t_flip)) return StepResult::kUnbounded;
+  if (leave_pos < 0 && !std::isfinite(t_flip)) {
+    clear_w();
+    return StepResult::kUnbounded;
+  }
 
   // Bound flip when it binds strictly before the best pivot candidate. On
   // an exact tie the pivot wins: in phase 1 the tie is structural (an
@@ -687,13 +731,15 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
   // cold/warm trajectory equivalence.
   if (leave_pos < 0 || t_flip < t_exact_chosen) {
     const double t = t_flip;
-    for (int i = 0; i < m_; ++i) {
-      if (work_w_[i] != 0.0) x_[basis_[i]] -= sigma * t * work_w_[i];
+    for (const linalg::Index i : w_pattern_) {
+      x_[basis_[i]] -= sigma * t * work_w_[i];
     }
     x_[q] = vstat_[q] == VarStatus::kAtLower ? upper_[q] : lower_[q];
     vstat_[q] = vstat_[q] == VarStatus::kAtLower ? VarStatus::kAtUpper
                                                  : VarStatus::kAtLower;
+    refresh_price(q);
     ++stat_flips_;
+    clear_w();
     return StepResult::kStep;
   }
 
@@ -709,8 +755,8 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
       std::min(std::max(t_exact_chosen, min_step), std::max(t_max, 0.0));
   if (t_exact_chosen <= 1e-12) ++stat_degenerate_;
   if (t != 0.0) {
-    for (int i = 0; i < m_; ++i) {
-      if (work_w_[i] != 0.0) x_[basis_[i]] -= sigma * t * work_w_[i];
+    for (const linalg::Index i : w_pattern_) {
+      x_[basis_[i]] -= sigma * t * work_w_[i];
     }
   }
 
@@ -727,34 +773,43 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
 
   // ---- Pivot-row pass: update reduced costs and Devex weights.
   const double alpha_q = work_w_[leave_pos];
-  work_rho_.assign(static_cast<std::size_t>(m_), 0.0);
   work_rho_[leave_pos] = 1.0;
-  lu_.btran(work_rho_);
+  rho_pattern_.assign(1, static_cast<linalg::Index>(leave_pos));
+  lu_.btran(work_rho_, rho_pattern_);
   const double d_ratio = dq / alpha_q;
   const double devex_q = devex_[q];
   bool reset_devex = false;
-  const int total = total_variables();
   // Assemble the pivot row alpha = rho^T [A | -I | art] by scattering the
-  // nonzeros of rho across the matrix rows they touch — O(nnz of the rows
-  // rho hits) instead of a dot product against every column. Rows scatter
-  // in ascending index, so each alpha_j accumulates its terms in exactly
-  // the order column_dot would: the results are bit-for-bit identical.
-  work_alpha_.assign(static_cast<std::size_t>(total), 0.0);
-  for (int i = 0; i < m_; ++i) {
+  // nonzeros of rho across the matrix rows they touch, listing each
+  // variable reached once in touched_. rho's pattern is ascending, so each
+  // alpha_j accumulates its terms in exactly the order a dot product down
+  // column j would: the results are bit-for-bit identical.
+  touched_.clear();
+  for (const linalg::Index i : rho_pattern_) {
     const double rho = work_rho_[i];
-    if (rho == 0.0) continue;
+    work_rho_[i] = 0.0;
     for (int p = row_ptr_[i]; p < row_ptr_[i + 1]; ++p) {
-      work_alpha_[row_col_[p]] += row_val_[p] * rho;
+      const int j = row_col_[p];
+      if (!in_row_[j]) {
+        in_row_[j] = 1;
+        touched_.push_back(j);
+      }
+      work_alpha_[j] += row_val_[p] * rho;
     }
     work_alpha_[n_ + i] = -rho;
+    touched_.push_back(n_ + static_cast<int>(i));
+    if (!art_row_.empty() && row_art_[i] >= 0) {
+      const int k = row_art_[i];
+      work_alpha_[n_ + m_ + k] = art_sign_[k] * rho;
+      touched_.push_back(n_ + m_ + k);
+    }
   }
-  for (std::size_t k = 0; k < art_row_.size(); ++k) {
-    work_alpha_[n_ + m_ + k] = art_sign_[k] * work_rho_[art_row_[k]];
-  }
-  for (int j = 0; j < total; ++j) {
-    if (vstat_[j] == VarStatus::kBasic || j == q) continue;
+  // Every other variable has alpha_j == 0 and keeps its d_j and weight.
+  for (const int j : touched_) {
     const double alpha_j = work_alpha_[j];
-    if (alpha_j == 0.0) continue;
+    work_alpha_[j] = 0.0;
+    if (j < n_) in_row_[j] = 0;
+    if (vstat_[j] == VarStatus::kBasic || j == q || alpha_j == 0.0) continue;
     d_[j] -= d_ratio * alpha_j;
     const double candidate = (alpha_j * alpha_j) / (alpha_q * alpha_q) * devex_q;
     if (candidate > devex_[j]) devex_[j] = candidate;
@@ -771,8 +826,15 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
   x_[q] = xq_new;
 
   if (reset_devex) std::fill(devex_.begin(), devex_.end(), 1.0);
+  // Reduced costs and statuses changed only on the pivot row, r and q.
+  for (const int j : touched_) refresh_price(j);
+  refresh_price(r);
+  refresh_price(q);
 
-  if (!lu_.update(work_w_, static_cast<linalg::Index>(leave_pos))) {
+  const bool updated = lu_.update(work_w_, w_pattern_,
+                                  static_cast<linalg::Index>(leave_pos));
+  clear_w();
+  if (!updated) {
     if (!refactorize()) return StepResult::kNumericalFailure;
     recompute_basic_values();
     recompute_reduced_costs();

@@ -8,19 +8,29 @@
 //
 // Techniques (the network LPs Postcard produces are massively degenerate,
 // so the textbook Dantzig iteration stalls):
-//   * Devex pricing (Forrest-Goldfarb reference weights), with reduced
-//     costs maintained incrementally from the pivot row and recomputed at
-//     every refactorization,
+//   * full Devex pricing (Forrest-Goldfarb reference weights) over every
+//     dual-infeasible column, kept as a bitset that each pivot refreshes
+//     only where a reduced cost or a status changed; reduced costs are
+//     maintained incrementally from the pivot row and recomputed at every
+//     refactorization,
 //   * two-pass Harris ratio test: pass one relaxes bounds by the feasibility
 //     tolerance to find the step limit, pass two picks the largest pivot
 //     among the candidates within it,
 //   * deterministic cost perturbation per phase (removed before reporting;
 //     optimality is re-verified against the true costs and iterations resume
 //     if the perturbation changed the answer),
-//   * sparse LU basis (linalg::LuFactorization) with product-form updates
-//     and periodic refactorization.
+//   * sparse LU basis (linalg::LuFactorization: Gilbert-Peierls with
+//     column-count ordering and partial pivoting) with product-form (PFI)
+//     eta updates and periodic refactorization,
+//   * hyper-sparse pivots: FTRAN and BTRAN return their nonzero patterns,
+//     and the ratio test, the basic-value update, the pivot-row scatter and
+//     the reduced-cost/Devex updates walk those patterns (and the columns
+//     the pivot row touches) instead of every row and column. Patterns are
+//     ascending, so tie-breaks, eta entries and pivot-row sums keep the
+//     dense loops' order and the pivot sequence is unchanged bit for bit.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -138,8 +148,11 @@ class RevisedSimplex {
   bool warm_point_feasible();
   void cold_start();
   void recompute_basic_values();
-  /// Recomputes duals y and the full reduced-cost vector d from scratch.
+  /// Recomputes duals y and the full reduced-cost vector d from scratch,
+  /// and rebuilds the dual-infeasibility bitset from them.
   void recompute_reduced_costs();
+  /// Sets bit j of infeasible_ exactly when violation(j) > dual_tol_.
+  void refresh_price(int j);
   /// Devex-scored entering variable, or -1 when dual-feasible.
   int price() const;
   StepResult iterate();
@@ -182,6 +195,9 @@ class RevisedSimplex {
   int m_ = 0;                          // row count
   std::vector<int> art_row_;           // artificial -> row
   std::vector<double> art_sign_;       // artificial column value (+/-1)
+  // row -> its artificial (or -1); built by cold_start(), the only place
+  // artificials are created, and read only while art_row_ is non-empty.
+  std::vector<int> row_art_;
   std::vector<double> cost_;           // current-phase (perturbed) costs
   std::vector<double> base_cost_;      // current-phase true costs
   std::vector<double> lower_, upper_;  // bounds, all variables
@@ -197,6 +213,11 @@ class RevisedSimplex {
   std::vector<double> d_;       // reduced costs, maintained incrementally
   std::vector<double> devex_;   // Devex reference weights
   double dual_tol_ = 1e-7;
+  // Bit j set exactly when violation(j) > dual_tol_: the candidates price()
+  // scans, in ascending index. Rebuilt by recompute_reduced_costs();
+  // iterate() refreshes the bits of the variables whose reduced cost or
+  // status it changed.
+  std::vector<std::uint64_t> infeasible_;
   // Set during phase 1: run_phase() returns optimal as soon as every
   // artificial is exactly zero (feasibility is phase 1's only goal).
   bool phase1_stop_when_feasible_ = false;
@@ -204,9 +225,13 @@ class RevisedSimplex {
   /// Rebuilds the CSR row view (row_ptr_/row_col_/row_val_) from a_.
   void rebuild_rows();
 
-  // Scratch.
+  // Scratch. work_w_, work_rho_ and work_alpha_ are all zero between
+  // pivots: each is cleared through its pattern.
   linalg::Vector work_y_, work_w_, work_rho_, work_rhs_;
+  std::vector<linalg::Index> w_pattern_, rho_pattern_;  // ascending
   linalg::Vector work_alpha_;  // pivot-row values, all variables
+  std::vector<int> touched_;   // variables the pivot row reached
+  std::vector<char> in_row_;   // structural j already in touched_
   long stat_degenerate_ = 0;
   long stat_flips_ = 0;
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <random>
 
 namespace postcard::linalg {
@@ -186,6 +188,201 @@ TEST(LuFactorization, ShouldRefactorizeAfterBudget) {
   EXPECT_TRUE(lu.should_refactorize());
   ASSERT_EQ(lu.factorize(eye), FactorStatus::kOk);
   EXPECT_EQ(lu.updates(), 0);
+}
+
+// ---- Hyper-sparse solves against the dense reference.
+
+// A simplex-shaped basis: mostly logical (-1) singletons, a share of
+// network-like structural columns (a +-4 entry on their own row plus up to
+// three +-1 entries elsewhere: strictly column diagonally dominant, so
+// nonsingular), rows shuffled so pivoting has work to do. The +-1 entries
+// make exact cancellations common.
+SparseMatrix simplex_like_basis(int n, double structural_share,
+                                std::mt19937& rng) {
+  std::uniform_real_distribution<double> unif(0.0, 1.0);
+  std::uniform_int_distribution<int> row(0, n - 1);
+  std::uniform_int_distribution<int> extra(1, 3);
+  std::vector<Index> perm(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) perm[i] = i;
+  std::shuffle(perm.begin(), perm.end(), rng);
+  auto sign = [&] { return unif(rng) < 0.5 ? -1.0 : 1.0; };
+  std::vector<Triplet> ts;
+  for (Index j = 0; j < n; ++j) {
+    if (unif(rng) >= structural_share) {
+      ts.push_back({perm[j], j, -1.0});
+      continue;
+    }
+    ts.push_back({perm[j], j, 4.0 * sign()});
+    std::vector<int> used = {j};
+    for (int k = extra(rng); k > 0; --k) {
+      const int i = row(rng);
+      if (std::find(used.begin(), used.end(), i) != used.end()) continue;
+      used.push_back(i);
+      ts.push_back({perm[i], j, sign()});
+    }
+  }
+  return SparseMatrix::from_triplets(n, n, ts);
+}
+
+// A sparse right-hand side with `count` nonzeros (+-1 and random values).
+Vector sparse_rhs(int n, int count, std::mt19937& rng) {
+  std::uniform_int_distribution<int> row(0, n - 1);
+  std::uniform_real_distribution<double> val(-2.0, 2.0);
+  Vector x(static_cast<std::size_t>(n), 0.0);
+  for (int k = 0; k < count; ++k) {
+    x[row(rng)] = k % 2 == 0 ? (val(rng) < 0.0 ? -1.0 : 1.0) : val(rng);
+  }
+  return x;
+}
+
+std::vector<Index> nonzeros_of(const Vector& x) {
+  std::vector<Index> p;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] != 0.0) p.push_back(static_cast<Index>(i));
+  }
+  return p;
+}
+
+// The pattern solve's contract against the dense result: every entry that
+// is nonzero in either is bit-identical, the pattern is ascending and
+// duplicate-free, and it covers every nonzero.
+void expect_matches_dense(const Vector& dense, const Vector& sparse,
+                          const std::vector<Index>& pattern,
+                          const std::string& what) {
+  ASSERT_EQ(dense.size(), sparse.size()) << what;
+  for (std::size_t k = 1; k < pattern.size(); ++k) {
+    ASSERT_LT(pattern[k - 1], pattern[k]) << what << ": pattern not ascending";
+  }
+  std::vector<char> listed(dense.size(), 0);
+  for (Index i : pattern) listed[i] = 1;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    if (dense[i] == 0.0 && sparse[i] == 0.0) continue;
+    ASSERT_EQ(std::memcmp(&dense[i], &sparse[i], sizeof(double)), 0)
+        << what << ": entry " << i << " dense " << dense[i] << " sparse "
+        << sparse[i];
+    ASSERT_TRUE(listed[i]) << what << ": nonzero " << i << " not in pattern";
+  }
+}
+
+// Solves a batch of sparse and dense right-hand sides both ways on `lu`.
+void compare_solves(const LuFactorization& lu, int n, std::mt19937& rng,
+                    const std::string& what) {
+  for (int count : {1, 2, 5, n / 4, n}) {
+    const Vector rhs = sparse_rhs(n, count, rng);
+    Vector dense = rhs;
+    lu.ftran(dense);
+    Vector sparse = rhs;
+    std::vector<Index> pattern = nonzeros_of(rhs);
+    lu.ftran(sparse, pattern);
+    expect_matches_dense(dense, sparse, pattern,
+                         what + " ftran nnz=" + std::to_string(count));
+
+    dense = rhs;
+    lu.btran(dense);
+    sparse = rhs;
+    pattern = nonzeros_of(rhs);
+    // Pattern order is free on input.
+    std::shuffle(pattern.begin(), pattern.end(), rng);
+    lu.btran(sparse, pattern);
+    expect_matches_dense(dense, sparse, pattern,
+                         what + " btran nnz=" + std::to_string(count));
+  }
+}
+
+// Factorizes `b` twice, then applies up to `updates` eta updates, one LU
+// fed dense FTRAN images and the dense update, the other the pattern FTRAN
+// and the pattern update; after each, both solve the same right-hand sides
+// and the pattern solves of the second must match the dense solves of the
+// first bit for bit.
+void run_differential(const SparseMatrix& b, int updates, double share,
+                      std::mt19937& rng, const std::string& what) {
+  const int n = b.rows();
+  LuFactorization::Options opts;
+  opts.max_updates = updates;
+  LuFactorization reference(opts), hyper(opts);
+  ASSERT_EQ(reference.factorize(b), FactorStatus::kOk) << what;
+  ASSERT_EQ(hyper.factorize(b), FactorStatus::kOk) << what;
+  compare_solves(hyper, n, rng, what + " base");
+  for (int step = 0; step < updates; ++step) {
+    // An entering column shaped like the basis's own structurals.
+    const SparseMatrix col = simplex_like_basis(n, share, rng);
+    Vector a(static_cast<std::size_t>(n), 0.0);
+    const Index j = static_cast<Index>(rng() % static_cast<unsigned>(n));
+    for (Index p = col.col_begin(j); p < col.col_end(j); ++p) {
+      a[col.row_idx()[p]] = col.values()[p];
+    }
+    Vector w_dense = a;
+    reference.ftran(w_dense);
+    Vector w = a;
+    std::vector<Index> pattern = nonzeros_of(a);
+    hyper.ftran(w, pattern);
+    expect_matches_dense(w_dense, w, pattern,
+                         what + " entering step " + std::to_string(step));
+    // Leave at the largest |w| (ties: lowest position), as a ratio test
+    // would favour a large pivot.
+    Index pos = -1;
+    for (Index i : pattern) {
+      if (pos < 0 || std::abs(w[i]) > std::abs(w[pos])) pos = i;
+    }
+    ASSERT_GE(pos, 0) << what;
+    ASSERT_TRUE(reference.update(w_dense, pos)) << what;
+    ASSERT_TRUE(hyper.update(w, pattern, pos)) << what;
+    compare_solves(hyper, n, rng, what + " step " + std::to_string(step));
+    // The reference LU's dense solves agree with the hyper LU's as well:
+    // the pattern-built eta equals the densely built one.
+    const Vector rhs = sparse_rhs(n, 3, rng);
+    Vector x = rhs, y = rhs;
+    reference.ftran(x);
+    hyper.ftran(y);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(std::memcmp(&x[i], &y[i], sizeof(double)), 0)
+          << what << " eta file diverged at step " << step;
+    }
+  }
+  EXPECT_EQ(hyper.updates(), updates);
+}
+
+TEST(LuFactorization, PatternSolvesMatchDenseOnSimplexShapedBases) {
+  std::mt19937 rng(2005);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int n = 100 + 80 * trial;
+    const double share = 0.1 + 0.05 * trial;
+    run_differential(simplex_like_basis(n, share, rng), 100, share, rng,
+                     "simplex-shaped n=" + std::to_string(n));
+  }
+}
+
+TEST(LuFactorization, PatternSolvesMatchDenseAboveDenseSwitch) {
+  // Dense bases fill the factors in: the pattern solves' results exceed
+  // the density switch and finish with the dense loops.
+  std::mt19937 rng(2006);
+  for (int trial = 0; trial < 4; ++trial) {
+    const int n = 40 + 20 * trial;
+    run_differential(random_nonsingular(n, rng, 0.3), 30, 0.5, rng,
+                     "dense n=" + std::to_string(n));
+  }
+}
+
+TEST(LuFactorization, PatternSolvesOnTinyAndIdentityBases) {
+  // n below ten makes the dense switch's row budget zero; identity bases
+  // make every reach exactly the right-hand side's own pattern.
+  std::mt19937 rng(2007);
+  for (int n : {1, 2, 5, 9, 64}) {
+    std::vector<Triplet> eye;
+    for (Index i = 0; i < n; ++i) eye.push_back({i, i, 1.0});
+    run_differential(SparseMatrix::from_triplets(n, n, eye), 10, 0.3, rng,
+                     "identity n=" + std::to_string(n));
+  }
+  LuFactorization lu;
+  const auto eye = SparseMatrix::from_triplets(3, 3, {{0, 0, 1.0}, {1, 1, 1.0},
+                                                      {2, 2, 1.0}});
+  ASSERT_EQ(lu.factorize(eye), FactorStatus::kOk);
+  Vector x(3, 0.0);
+  std::vector<Index> pattern;
+  lu.ftran(x, pattern);  // empty right-hand side: empty result
+  EXPECT_TRUE(pattern.empty());
+  lu.btran(x, pattern);
+  EXPECT_TRUE(pattern.empty());
 }
 
 }  // namespace

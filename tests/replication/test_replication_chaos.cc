@@ -185,7 +185,12 @@ TEST(ReplicationChaos, StandbyTurnoverReseedsEachNewFollower) {
                             {BackendSpec::make_postcard()},
                             test_standby_options(pair.primary->port()));
   second.start();
-  ASSERT_TRUE(poll_until([&] { return pair.primary->standby_connected(); }));
+  // Wait for the primary to accept the second follower itself: until its
+  // I/O loop notices the first one left, standby_connected() still reports
+  // the departed connection, and a commit shipped into it never reaches
+  // the second follower.
+  ASSERT_TRUE(poll_until(
+      [&] { return pair.primary->stats().standbys_accepted >= 2; }));
   client.submit_batch(w.batch(2));
   client.advance(1);
   ASSERT_TRUE(second.wait_for_commit(2, kWaitMs));
