@@ -55,8 +55,6 @@ sim::WorkloadParams repl_bench_workload(std::uint64_t seed, int slots) {
 
 runtime::RuntimeOptions replicated_options() {
   runtime::RuntimeOptions o;
-  o.worker_threads = 0;  // the standby mirror requires deterministic mode
-  o.parallel_groups = 1;
   o.dedup_submissions = true;
   return o;
 }

@@ -1,26 +1,17 @@
 // Throughput and latency of the online controller runtime (src/runtime).
 //
-// Two questions, two benchmark families:
+// Three benchmark families:
 //
 //   * IngressAdmission/threads:N — how many requests per second can the
 //     thread-safe ingress admit with 1..16 concurrent producers hammering
 //     submit()? Pure admission-control throughput: no LP solves.
-//   * RuntimeReplay/workers:W — end-to-end slot engine with a real Postcard
-//     backend replaying a seeded workload. W = 0 is the deterministic
-//     inline mode; W >= 1 dispatches split-batch group solves onto the
-//     worker pool (parallel_groups = max(2, W)). Counters report the mean
-//     requests/sec and the p99 slot latency; `conflicts` counts group plans
-//     the single writer had to re-solve against live state.
-//   * RuntimeMultiPolicy/workers:W — Postcard + flow baseline on the same
-//     slot clock; the pool solves the two policies concurrently, so slot
-//     wall time drops from sum to max of the per-policy solve times.
-//
-// Interpreting worker scaling: google-benchmark's header prints the host's
-// core count. On a single-core host (such as the CI container this repo is
-// developed in) every worker count necessarily lands within a few percent
-// of the inline mode — that parity is the expected result there, and the
-// benchmark's value is confirming the pool adds no more than that overhead.
-// Speedup claims require the multi-core readings.
+//   * RuntimeReplay — end-to-end slot engine with a real Postcard backend
+//     replaying a seeded workload; every solve runs on the driver thread.
+//     Reports the mean and p99 slot latency (replay_w0_*: the key names
+//     predate the removal of the runtime's worker pool and are kept so the
+//     trajectory gate keeps comparing them).
+//   * RuntimeWarmStart/warm:{0,1} — the same replay with the cross-slot
+//     basis cache off vs on.
 //
 // Build & run:  cmake --build build && ./build/bench/bench_runtime_throughput
 #include <benchmark/benchmark.h>
@@ -42,9 +33,7 @@ sim::WorkloadParams runtime_params(std::uint64_t seed) {
   p.num_datacenters = 6;
   p.link_capacity = 400.0;
   // Batches large enough that the per-slot LP work dominates the slot
-  // budget, so worker scaling (not queue bookkeeping) is what's measured.
-  // Capacity is generous: a congested workload makes split-batch groups
-  // oversubscribe links and the conflict re-solves drown the parallelism.
+  // budget, so the solves (not queue bookkeeping) are what's measured.
   p.files_per_slot_min = 8;
   p.files_per_slot_max = 20;
   p.size_min = 10.0;
@@ -95,36 +84,27 @@ void IngressAdmission(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * threads * kPerThread);
 }
 
-/// Full engine: replay a seeded workload through a Postcard backend with W
-/// worker threads. Wall time is dominated by the per-slot LP solves, which
-/// is exactly what the worker pool parallelises in split-batch mode.
+/// Full engine: replay a seeded workload through a Postcard backend. Wall
+/// time is dominated by the per-slot LP solves.
 void RuntimeReplay(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
   const sim::UniformWorkload workload(runtime_params(17));
   long requests = 0;
   double p99_slot = 0.0;
   double mean_slot = 0.0;
-  double conflicts = 0.0;
 
   for (auto _ : state) {
-    runtime::RuntimeOptions options;
-    options.worker_threads = workers;
-    options.parallel_groups = workers <= 1 ? 1 : std::max(2, workers);
     runtime::ControllerRuntime engine{net::Topology(workload.topology()),
-                                      options};
+                                      runtime::RuntimeOptions{}};
     engine.add_postcard_backend();
     const runtime::RuntimeStats stats = engine.replay(workload);
     requests += stats.submitted;
     p99_slot = stats.slot_latency.quantile(0.99);
     mean_slot = stats.slot_latency.mean_seconds();
-    conflicts = static_cast<double>(stats.backends[0].conflict_resolves);
   }
   state.SetItemsProcessed(requests);
   state.counters["p99_slot_ms"] = 1e3 * p99_slot;
-  state.counters["conflicts"] = conflicts;
-  const std::string key = "replay_w" + std::to_string(workers);
-  record_json_metric(key + "_p99_slot_ms", 1e3 * p99_slot);
-  record_json_metric(key + "_mean_slot_ms", 1e3 * mean_slot);
+  record_json_metric("replay_w0_p99_slot_ms", 1e3 * p99_slot);
+  record_json_metric("replay_w0_mean_slot_ms", 1e3 * mean_slot);
 }
 
 /// RuntimeWarmStart/warm:{0,1} — the same deterministic replay with the
@@ -165,41 +145,16 @@ void RuntimeWarmStart(benchmark::State& state) {
   }
 }
 
-/// Per-policy dispatch: Postcard and the flow baseline ride the same slot
-/// clock; with workers the pool solves them concurrently, so the slot wall
-/// time drops from sum to max of the two solve times.
-void RuntimeMultiPolicy(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  const sim::UniformWorkload workload(runtime_params(17));
-  long requests = 0;
-  double p99_slot = 0.0;
-
-  for (auto _ : state) {
-    runtime::RuntimeOptions options;
-    options.worker_threads = workers;
-    runtime::ControllerRuntime engine{net::Topology(workload.topology()),
-                                      options};
-    engine.add_postcard_backend();
-    engine.add_flow_backend();
-    const runtime::RuntimeStats stats = engine.replay(workload);
-    requests += stats.submitted;
-    p99_slot = stats.slot_latency.quantile(0.99);
-  }
-  state.SetItemsProcessed(requests);
-  state.counters["p99_slot_ms"] = 1e3 * p99_slot;
-}
-
-// UseRealTime: rate counters must reflect wall clock — with worker threads
-// the driver's CPU time is near zero while the pool does the solving.
+// UseRealTime: rate counters must reflect wall clock, including the
+// producer threads of IngressAdmission.
 BENCHMARK(IngressAdmission)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->UseRealTime();
-BENCHMARK(RuntimeReplay)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(RuntimeReplay)->UseRealTime();
 BENCHMARK(RuntimeWarmStart)
     ->Arg(0)->Arg(1)
     ->ArgName("warm")
     ->UseRealTime();
-BENCHMARK(RuntimeMultiPolicy)->Arg(0)->Arg(2)->Arg(4)->UseRealTime();
 
 }  // namespace
 }  // namespace postcard::bench

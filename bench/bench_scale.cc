@@ -3,9 +3,9 @@
 // — complete graph, Fat-Trees, leaf-spine (l2_switch), and random_sparse.
 //
 // Each configuration replays a seeded workload through the full runtime —
-// sparse incremental time-expanded graph, split-batch sharding floor, the
-// fail-fast plan auditor armed — under a fixed per-slot pivot budget, the
-// production watchdog posture. Reported per config:
+// sparse incremental time-expanded graph, the fail-fast plan auditor
+// armed — under a fixed per-slot pivot budget, the production watchdog
+// posture. Reported per config:
 //
 //   scale_<cfg>_slot_p50_ms / _slot_p99_ms   whole-slot latency
 //   scale_<cfg>_degraded_slots               slots the ladder fired in
@@ -121,9 +121,6 @@ void BM_Scale(benchmark::State& state) {
   for (auto _ : state) {
     runtime::RuntimeOptions options;
     options.slot_pivot_budget = kPivotBudget;
-    // At this scale every group clone copies a 100+ DC charge ledger and
-    // graph arena; the sharding floor keeps tiny stripes from paying it.
-    options.min_group_files = 64;
     runtime::ControllerRuntime engine{net::Topology(workload->topology()),
                                       options};
     engine.add_postcard_backend();

@@ -25,10 +25,8 @@ int main() {
         return 1.0 + static_cast<double>((3 * i + 5 * j) % 10);
       });
 
-  runtime::RuntimeOptions options;
-  options.worker_threads = 4;   // LP solves run on a pool of 4 workers
-  options.parallel_groups = 2;  // split each slot batch into 2 group solves
-  runtime::ControllerRuntime engine{std::move(topology), options};
+  runtime::ControllerRuntime engine{std::move(topology),
+                                    runtime::RuntimeOptions{}};
   engine.add_postcard_backend();
 
   // Two producer threads submit 40 requests each, release slots spread over

@@ -39,10 +39,8 @@ int main(int argc, char** argv) {
   replication::StandbyOptions options;
   options.primary_port = 0;
   options.promoted_snapshot_path = "postcard_standby.psnp";
-  // The mirror must replay deterministically or its fingerprints would
-  // diverge from the primary's on every slot.
-  options.runtime.worker_threads = 0;
-  options.runtime.parallel_groups = 1;
+  // The mirror replays every slot; the default options (no wall-clock slot
+  // deadline) keep its fingerprints equal to the primary's.
   options.runtime.dedup_submissions = true;
   for (int i = 1; i + 1 < argc; i += 2) {
     if (std::strcmp(argv[i], "--primary-repl-port") == 0) {

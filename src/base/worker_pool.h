@@ -1,15 +1,14 @@
-// Fixed-size worker pool shared by the runtime dispatcher and the LP
-// pricing layer.
+// Fixed-size worker pool behind the column-generation pricing DP
+// (PostcardOptions::pricing_threads), its only user.
 //
 // The owner creates the pool once and reuses it for every slot; tasks are
-// independent units (per-policy LP solves, per-batch-group solves, pricing
-// shards), so the pool needs nothing fancier than a locked queue and a
-// condition variable. A pool with zero threads runs every task inline on
-// the caller in submission order — the deterministic single-threaded mode.
+// independent pricing shards merged in file-index order by the caller, so
+// the pool needs nothing fancier than a locked queue and a condition
+// variable. A pool with zero threads runs every task inline on the caller
+// in submission order.
 //
-// Lives in src/base (not src/runtime) so layers below the runtime — in
-// particular src/core's column-generation pricing — can depend on it
-// without a circular library edge.
+// Lives in src/base so src/core can use it without a dependency on any
+// layer above.
 #pragma once
 
 #include <condition_variable>

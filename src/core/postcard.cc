@@ -26,21 +26,15 @@ PostcardController::PostcardController(net::Topology topology,
         "the online controller");
   }
   if (options_.pricing_threads > 0) {
-    pricing_pool_ = std::make_shared<base::WorkerPool>(options_.pricing_threads);
+    pricing_pool_ = std::make_unique<base::WorkerPool>(options_.pricing_threads);
   }
 }
+
+PostcardController::~PostcardController() = default;
 
 bool PostcardController::set_link_capacity(int link, double capacity) {
   topology_.set_capacity(link, capacity);
   return true;
-}
-
-void PostcardController::commit_plans(const std::vector<FilePlan>& plans) {
-  for (const FilePlan& plan : plans) {
-    for (const Transfer& t : plan.transfers) {
-      if (!t.storage()) charge_.commit(t.link, t.slot, t.volume);
-    }
-  }
 }
 
 void PostcardController::uncommit_future(const FilePlan& plan, int from_slot) {

@@ -89,6 +89,7 @@ class PostcardController : public sim::SchedulingPolicy {
  public:
   explicit PostcardController(net::Topology topology,
                               PostcardOptions options = PostcardOptions{});
+  ~PostcardController() override;  // out of line: WorkerPool is incomplete here
 
   sim::ScheduleOutcome schedule(
       int slot, const std::vector<net::FileRequest>& files) override;
@@ -133,16 +134,6 @@ class PostcardController : public sim::SchedulingPolicy {
     return true;
   }
 
-  /// Deep copy sharing nothing with *this: the runtime's parallel
-  /// split-batch mode solves sub-batches on snapshot clones while the live
-  /// controller keeps sole write ownership of the charge state.
-  PostcardController snapshot_clone() const { return *this; }
-
-  /// Commits plans produced on a snapshot clone into the live charge
-  /// state. The caller (the runtime's single writer) is responsible for
-  /// validating residual capacity before committing.
-  void commit_plans(const std::vector<FilePlan>& plans);
-
   /// Rolls the committed tail of `plan` (transfers at slots >= from_slot)
   /// back out of the charge state — a link failure invalidated the plan
   /// before that traffic flowed.
@@ -160,12 +151,10 @@ class PostcardController : public sim::SchedulingPolicy {
     charge_ = std::move(state);
   }
 
-  /// Cross-slot warm-start cache (diagnostics, and the runtime's per-group
-  /// cache hand-off: snapshot clones are transient, so the runtime moves
-  /// the cache out of a finished clone and back into the next slot's).
+  /// Cross-slot warm-start cache (diagnostics, and snapshot capture and
+  /// restore in src/runtime).
   const MasterWarmCache& warm_cache() const { return warm_cache_; }
   void set_warm_cache(MasterWarmCache cache) { warm_cache_ = std::move(cache); }
-  MasterWarmCache release_warm_cache() { return std::move(warm_cache_); }
 
  private:
   /// Attempts to schedule the whole batch. On infeasibility, fills
@@ -191,14 +180,10 @@ class PostcardController : public sim::SchedulingPolicy {
   std::vector<FilePlan> last_plans_;
   MasterWarmCache warm_cache_;
   // Persistent arena for the incremental time-expanded graph; advanced in
-  // place by each solve. Copied by snapshot_clone with everything else, so
-  // clones keep their own arena (plain vectors, nothing shared).
+  // place by each solve.
   net::SparseTimeGraph sparse_graph_;
-  // Pricing worker pool (pricing_threads > 0). Shared — not deep-copied —
-  // by snapshot_clone: the pool is stateless between run_all() calls and
-  // its queue is internally locked, so clones solving in parallel reuse the
-  // same threads instead of each spawning their own.
-  std::shared_ptr<base::WorkerPool> pricing_pool_;
+  // Pricing worker pool (pricing_threads > 0), null when pricing is serial.
+  std::unique_ptr<base::WorkerPool> pricing_pool_;
   sim::SolveControls controls_;
   sim::AuditControls audit_controls_;
 };

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <stdexcept>
 
 #include "server/snapshot.h"
 
@@ -28,6 +29,13 @@ ReplicationPrimary::ReplicationPrimary(PrimaryOptions options)
 ReplicationPrimary::~ReplicationPrimary() { stop(); }
 
 void ReplicationPrimary::attach(server::PostcardServer& server) {
+  if (server.runtime_options().slot_deadline_seconds > 0.0) {
+    // The standby replays every slot; a wall-clock cut would land on
+    // different pivots there, so every commit would look diverged.
+    throw std::invalid_argument(
+        "replication primary cannot ship a wall-clock slot deadline "
+        "(slot_deadline_seconds must be 0)");
+  }
   server_ = &server;
   // The tap runs under the queue lock and takes only buf_mu_ (leaf lock) —
   // see the lock-order note in the header. SlotTicks are filtered out

@@ -75,7 +75,9 @@ class ReplicationPrimary {
   ReplicationPrimary& operator=(const ReplicationPrimary&) = delete;
 
   /// Installs the queue tap and post-tick hook on `server`. Must run
-  /// before server.start() (and before any submission exists).
+  /// before server.start() (and before any submission exists). Throws
+  /// std::invalid_argument when the server's runtime options cannot be
+  /// replayed on a standby (slot_deadline_seconds > 0).
   void attach(server::PostcardServer& server);
 
   /// Binds the replication listener and spawns the io + heartbeat

@@ -44,7 +44,6 @@ std::uint64_t runtime_fingerprint(const runtime::RuntimeStats& s) {
     h.f64(b.failed_volume);
     h.i64(b.replans);
     h.f64(b.replanned_volume);
-    h.i64(b.conflict_resolves);
     h.i32(b.lp_solves);
     h.i64(b.lp_iterations);
     h.i64(b.warm_accepts);

@@ -43,14 +43,13 @@ ReplicationStandby::ReplicationStandby(net::Topology topology,
     : topology_(std::move(topology)),
       backends_(std::move(backends)),
       options_(std::move(options)) {
-  if (options_.runtime.worker_threads != 0 ||
-      options_.runtime.parallel_groups != 1) {
-    // Failover correctness IS replay determinism; a parallel mirror could
-    // legitimately produce a different (still valid) cost series and every
-    // commit would look diverged.
+  if (options_.runtime.slot_deadline_seconds > 0.0) {
+    // Failover correctness IS replay determinism; a wall-clock cut lands on
+    // different pivots here and on the primary, so every commit would look
+    // diverged.
     throw std::invalid_argument(
-        "replication standby requires deterministic runtime options "
-        "(worker_threads == 0, parallel_groups == 1)");
+        "replication standby cannot replay a wall-clock slot deadline "
+        "(slot_deadline_seconds must be 0)");
   }
   if (backends_.empty()) {
     throw std::invalid_argument("replication standby needs at least one backend");

@@ -68,10 +68,11 @@ struct StandbyOptions {
   std::string serve_host = "127.0.0.1";
   int serve_port = 0;
   /// Runtime options for the mirror AND the promoted server. Must be
-  /// deterministic (worker_threads == 0, parallel_groups == 1) — replay
-  /// equivalence is what failover correctness rests on; the constructor
-  /// throws otherwise. dedup_submissions is forced on so client retries
-  /// across the failover apply exactly once.
+  /// replayable (slot_deadline_seconds == 0: a wall-clock cut lands on
+  /// different pivots on each side) — replay equivalence is what failover
+  /// correctness rests on; the constructor throws otherwise.
+  /// dedup_submissions is forced on so client retries across the failover
+  /// apply exactly once.
   runtime::RuntimeOptions runtime;
   /// Silence longer than this on the replication socket counts as a
   /// missed heartbeat (SO_RCVTIMEO).

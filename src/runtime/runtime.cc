@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
-
-#include "audit/audit.h"
 
 namespace postcard::runtime {
 namespace {
@@ -35,14 +32,7 @@ ControllerRuntime::ControllerRuntime(net::Topology topology,
     : options_(options),
       live_topology_(std::move(topology)),
       queue_(),
-      ingress_(live_topology_, queue_),
-      pool_(options.worker_threads) {
-  if (options_.parallel_groups < 1) {
-    throw std::invalid_argument("parallel_groups must be at least 1");
-  }
-  if (options_.min_group_files < 1) {
-    throw std::invalid_argument("min_group_files must be at least 1");
-  }
+      ingress_(live_topology_, queue_) {
   base_capacity_.reserve(static_cast<std::size_t>(live_topology_.num_links()));
   for (const net::Link& l : live_topology_.links()) {
     base_capacity_.push_back(l.capacity);
@@ -297,43 +287,19 @@ void ControllerRuntime::tick() {
 
 void ControllerRuntime::solve_slot(int slot,
                                    const std::vector<net::FileRequest>& arrivals) {
-  struct TaskResult {
-    sim::ScheduleOutcome outcome;
-    std::vector<core::FilePlan> plans;
-    std::vector<net::FileRequest> files;  // the group actually solved
-    core::MasterWarmCache cache;  // split mode: the group's cache, updated
-    double seconds = 0.0;
-  };
-  struct BackendWork {
-    Backend* backend = nullptr;
-    std::vector<net::FileRequest> batch;
-    int groups = 1;          // 1 = live sequential solve
-    std::size_t first = 0;   // index of the first TaskResult
-    double cost_before = 0.0;  // cost per interval entering the slot
-    bool degraded = false;     // any rung below full LP fired this slot
-  };
-
-  std::vector<BackendWork> work;
-  work.reserve(backends_.size());
-  std::size_t num_tasks = 0;
   for (auto& bp : backends_) {
-    BackendWork w;
-    w.backend = bp.get();
-    w.batch = arrivals;
-    w.batch.insert(w.batch.end(), bp->replan_batch.begin(),
-                   bp->replan_batch.end());
-    bp->replan_batch.clear();
-    w.batch.insert(w.batch.end(), bp->carry_batch.begin(),
-                   bp->carry_batch.end());
-    bp->prior_carry_ids.clear();
-    for (const net::FileRequest& f : bp->carry_batch) {
-      bp->prior_carry_ids.insert(f.id);
+    Backend& b = *bp;
+    std::vector<net::FileRequest> batch = arrivals;
+    batch.insert(batch.end(), b.replan_batch.begin(), b.replan_batch.end());
+    b.replan_batch.clear();
+    batch.insert(batch.end(), b.carry_batch.begin(), b.carry_batch.end());
+    b.prior_carry_ids.clear();
+    for (const net::FileRequest& f : b.carry_batch) {
+      b.prior_carry_ids.insert(f.id);
     }
-    bp->carry_batch.clear();
-    // Arm the slot watchdog BEFORE any snapshot clone is taken below:
-    // clones copy the controls, so split-batch groups and conflict
-    // re-solves run budgeted too. Called every slot (even when inactive)
-    // so one-shot chaos overrides from the previous slot are cleared.
+    b.carry_batch.clear();
+    // Arm the slot watchdog. Called every slot (even when inactive) so
+    // one-shot chaos overrides from the previous slot are cleared.
     sim::SolveControls controls;
     if (options_.slot_pivot_budget > 0) {
       controls.max_pivots = options_.slot_pivot_budget;
@@ -341,170 +307,42 @@ void ControllerRuntime::solve_slot(int slot,
     if (options_.slot_deadline_seconds > 0.0) {
       controls.deadline_seconds = options_.slot_deadline_seconds;
     }
-    if (bp->injected_stall >= 0) controls.max_pivots = bp->injected_stall;
-    if (bp->injected_fault > 0) controls.disable_rungs = bp->injected_fault;
-    bp->injected_stall = -1;
-    bp->injected_fault = 0;
-    bp->policy->set_solve_controls(controls);
-    w.cost_before = bp->policy->cost_per_interval();
-    w.groups = 1;
-    if (bp->postcard != nullptr && options_.parallel_groups > 1 &&
-        w.batch.size() >= 2) {
-      // Cap the split so every stripe keeps at least min_group_files files
-      // (clone overhead only amortizes over a meaty stripe).
-      const int by_floor = static_cast<int>(
-          w.batch.size() / static_cast<std::size_t>(options_.min_group_files));
-      w.groups = std::max(
-          1, std::min({options_.parallel_groups,
-                       static_cast<int>(w.batch.size()), by_floor}));
-    }
-    w.first = num_tasks;
-    num_tasks += static_cast<std::size_t>(w.groups);
-    work.push_back(std::move(w));
-  }
+    if (b.injected_stall >= 0) controls.max_pivots = b.injected_stall;
+    if (b.injected_fault > 0) controls.disable_rungs = b.injected_fault;
+    b.injected_stall = -1;
+    b.injected_fault = 0;
+    b.policy->set_solve_controls(controls);
+    const double cost_before = b.policy->cost_per_interval();
 
-  std::vector<TaskResult> results(num_tasks);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(num_tasks);
-  for (BackendWork& w : work) {
-    if (w.groups == 1) {
-      Backend* b = w.backend;
-      TaskResult* out = &results[w.first];
-      const std::vector<net::FileRequest>* batch = &w.batch;
-      tasks.push_back([b, out, batch, slot] {
-        // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-        const auto t0 = std::chrono::steady_clock::now();
-        out->outcome = b->policy->schedule(slot, *batch);
-        if (b->postcard != nullptr) out->plans = b->postcard->last_plans();
-        out->files = *batch;
-        out->seconds = elapsed_seconds(t0);
-      });
-      continue;
-    }
-    // Split-batch mode: each group solves against a snapshot clone; the
-    // single writer validates and commits after the barrier. Each group
-    // keeps its own warm cache across slots (group g always sees the batch
-    // stripe g, so its masters drift slowly): the driver moves it into the
-    // transient clone here and back out of the result after the barrier.
-    if (w.backend->group_caches.size() < static_cast<std::size_t>(w.groups)) {
-      w.backend->group_caches.resize(static_cast<std::size_t>(w.groups));
-    }
-    for (int g = 0; g < w.groups; ++g) {
-      std::vector<net::FileRequest> group;
-      for (std::size_t i = static_cast<std::size_t>(g); i < w.batch.size();
-           i += static_cast<std::size_t>(w.groups)) {
-        group.push_back(w.batch[i]);
-      }
-      core::PostcardController clone = w.backend->postcard->snapshot_clone();
-      clone.set_warm_cache(std::move(
-          w.backend->group_caches[static_cast<std::size_t>(g)]));
-      TaskResult* out = &results[w.first + static_cast<std::size_t>(g)];
-      out->files = std::move(group);
-      tasks.push_back([clone = std::move(clone), out, slot]() mutable {
-        // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-        const auto t0 = std::chrono::steady_clock::now();
-        out->outcome = clone.schedule(slot, out->files);
-        out->plans = clone.last_plans();
-        out->cache = clone.release_warm_cache();
-        out->seconds = elapsed_seconds(t0);
-      });
-    }
-  }
+    // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
+    const auto t0 = std::chrono::steady_clock::now();
+    const sim::ScheduleOutcome outcome = b.policy->schedule(slot, batch);
+    const double seconds = elapsed_seconds(t0);
 
-  pool_.run_all(std::move(tasks));
-
-  // Did this outcome reach any rung below the full LP optimum?
-  auto outcome_degraded = [](const sim::ScheduleOutcome& o) {
-    return o.rung_truncated + o.rung_dcroute + o.rung_greedy > 0 ||
-           !o.deferred_ids.empty();
-  };
-
-  // Single-writer phase: merge results in deterministic (backend, group)
-  // order; grouped plans are validated against live residual capacity and
-  // re-solved on the live controller when they no longer fit.
-  for (BackendWork& w : work) {
-    Backend& b = *w.backend;
-    if (w.groups == 1) {
-      TaskResult& r = results[w.first];
-      record_outcome(b, slot, r.files, r.outcome);
-      w.degraded = outcome_degraded(r.outcome);
-      if (b.postcard != nullptr) track_plans(b, slot, r.plans, r.files);
-      if (b.flowbase != nullptr) {
-        base::MutexLock ledger(ledger_mu_);
-        for (const flow::FlowAssignment& a : b.flowbase->last_assignments()) {
-          auto it = std::find_if(r.files.begin(), r.files.end(),
-                                 [&](const net::FileRequest& f) {
-                                   return f.id == a.file_id;
-                                 });
-          if (it != r.files.end()) b.flows[a.file_id] = {*it, a};
-        }
-      }
-      base::MutexLock lock(stats_mu_);
-      add_solve_latency(r.outcome, r.seconds);
-      const double cost_after = b.policy->cost_per_interval();
-      if (w.degraded) {
-        ++b.stats.degraded_slots;
-        b.stats.degraded_cost_delta += cost_after - w.cost_before;
-      }
-      b.stats.cost_series.push_back(cost_after);
-      b.stats.charge_reduce_violations =
-          b.policy->charge_state().recorder().reduce_violations();
-      continue;
+    record_outcome(b, slot, batch, outcome);
+    if (b.postcard != nullptr) {
+      track_plans(b, slot, b.postcard->last_plans(), batch);
     }
-    for (int g = 0; g < w.groups; ++g) {
-      TaskResult& r = results[w.first + static_cast<std::size_t>(g)];
-      bool fits = true;
-      std::map<std::pair<int, int>, double> delta;  // (link, slot) -> GB
-      const charging::ChargeState& charge = b.postcard->charge_state();
-      for (const core::FilePlan& plan : r.plans) {
-        for (const core::Transfer& t : plan.transfers) {
-          if (t.storage()) continue;
-          double& d = delta[{t.link, t.slot}];
-          const double capacity = b.postcard->topology().link(t.link).capacity;
-          if (charge.committed(t.link, t.slot) + d + t.volume >
-              capacity + options_.capacity_tolerance) {
-            fits = false;
-            break;
-          }
-          d += t.volume;
-        }
-        if (!fits) break;
+    if (b.flowbase != nullptr) {
+      base::MutexLock ledger(ledger_mu_);
+      for (const flow::FlowAssignment& a : b.flowbase->last_assignments()) {
+        auto it = std::find_if(batch.begin(), batch.end(),
+                               [&](const net::FileRequest& f) {
+                                 return f.id == a.file_id;
+                               });
+        if (it != batch.end()) b.flows[a.file_id] = {*it, a};
       }
-      // The group's cache is updated whether its plans were committed or
-      // conflicted away — it reflects the master the group solved, which
-      // is what stripe g resembles again next slot.
-      b.group_caches[static_cast<std::size_t>(g)] = std::move(r.cache);
-      if (fits) {
-        b.postcard->commit_plans(r.plans);
-        record_outcome(b, slot, r.files, r.outcome);
-        w.degraded = w.degraded || outcome_degraded(r.outcome);
-        track_plans(b, slot, r.plans, r.files);
-        if (options_.audit.active()) {
-          audit_group_commit(b, slot, r.plans, r.files);
-        }
-      } else {
-        // Conflict: the groups' snapshot solves oversubscribed a link.
-        // The writer re-solves this group exactly, against live state
-        // (warm-started from the live controller's own cache).
-        // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-        const auto t0 = std::chrono::steady_clock::now();
-        const sim::ScheduleOutcome live = b.postcard->schedule(slot, r.files);
-        const double live_seconds = elapsed_seconds(t0);
-        record_outcome(b, slot, r.files, live);
-        w.degraded = w.degraded || outcome_degraded(live);
-        track_plans(b, slot, b.postcard->last_plans(), r.files);
-        base::MutexLock lock(stats_mu_);
-        ++b.stats.conflict_resolves;
-        add_solve_latency(live, live_seconds);
-      }
-      base::MutexLock lock(stats_mu_);
-      add_solve_latency(r.outcome, r.seconds);
     }
+    // Did this outcome reach any rung below the full LP optimum?
+    const int lower_rungs =
+        outcome.rung_truncated + outcome.rung_dcroute + outcome.rung_greedy;
+    const bool degraded = lower_rungs > 0 || !outcome.deferred_ids.empty();
     base::MutexLock lock(stats_mu_);
+    add_solve_latency(outcome, seconds);
     const double cost_after = b.policy->cost_per_interval();
-    if (w.degraded) {
+    if (degraded) {
       ++b.stats.degraded_slots;
-      b.stats.degraded_cost_delta += cost_after - w.cost_before;
+      b.stats.degraded_cost_delta += cost_after - cost_before;
     }
     b.stats.cost_series.push_back(cost_after);
     b.stats.charge_reduce_violations =
@@ -520,52 +358,6 @@ void ControllerRuntime::add_solve_latency(const sim::ScheduleOutcome& o,
   (warm ? solve_latency_warm_ : solve_latency_cold_).add(seconds);
 }
 
-void ControllerRuntime::audit_group_commit(
-    Backend& b, int slot, const std::vector<core::FilePlan>& plans,
-    const std::vector<net::FileRequest>& files) {
-  // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-  const auto t0 = std::chrono::steady_clock::now();
-  audit::AuditOptions opts;
-  opts.tolerance = options_.audit.tolerance;
-  opts.check_charge_consistency = options_.audit.check_charge_consistency;
-
-  std::vector<audit::PlannedFile> planned;
-  planned.reserve(plans.size());
-  for (const core::FilePlan& plan : plans) {
-    const auto it = std::find_if(files.begin(), files.end(),
-                                 [&](const net::FileRequest& f) {
-                                   return f.id == plan.file_id;
-                                 });
-    if (it == files.end()) continue;
-    planned.push_back({*it, &plan});
-  }
-  audit::AuditReport report = audit::audit_slot_plans(
-      slot, planned, b.postcard->topology(), b.postcard->charge_state(), opts);
-  report.merge(audit::audit_charge_state(b.postcard->charge_state(),
-                                         b.postcard->topology(), opts));
-  const double seconds = elapsed_seconds(t0);
-  {
-    base::MutexLock lock(stats_mu_);
-    ++b.stats.audit_checks;
-    b.stats.audit_violations += static_cast<long>(report.violations.size());
-    b.stats.audit_seconds += seconds;
-    for (const audit::Violation& v : report.violations) {
-      if (static_cast<int>(b.stats.audit_reports.size()) >=
-          options_.audit.max_reports) {
-        break;
-      }
-      b.stats.audit_reports.push_back(v.format());
-    }
-  }
-  if (report.ok()) return;
-  if (options_.audit.mode == sim::AuditControls::Mode::kFailFast) {
-    throw std::logic_error(b.stats.name + " writer commit at slot " +
-                           std::to_string(slot) + " " + report.summary());
-  }
-  std::fprintf(stderr, "[audit] %s writer commit at slot %d %s\n",
-               b.stats.name.c_str(), slot, report.summary().c_str());
-}
-
 void ControllerRuntime::record_outcome(
     Backend& b, int slot, const std::vector<net::FileRequest>& batch,
     const sim::ScheduleOutcome& outcome) {
@@ -576,7 +368,7 @@ void ControllerRuntime::record_outcome(
     return it != by_id.end() ? it->second->size : 0.0;
   };
   // Store-in-place carryover (outside the stats lock: carry_batch is only
-  // touched by the single writer). A deferred file was neither accepted nor
+  // touched by the driver thread). A deferred file was neither accepted nor
   // rejected; it re-enters the next slot's batch under the same id with one
   // slot less deadline slack — or fails loudly when no slack remains.
   long carried = 0, carry_failed = 0, entered = 0;
@@ -803,7 +595,6 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
     bs.charged = charge.charged_all();
     if (b.postcard != nullptr) {
       bs.warm_cache = b.postcard->warm_cache();
-      bs.group_caches = b.group_caches;
     }
     {
       base::MutexLock ledger(ledger_mu_);
@@ -908,7 +699,6 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
     if (b.postcard != nullptr) {
       b.postcard->restore_charge_state(std::move(charge));
       b.postcard->set_warm_cache(bs.warm_cache);
-      b.group_caches = bs.group_caches;
     } else {
       b.flowbase->restore_charge_state(std::move(charge));
     }

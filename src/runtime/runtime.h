@@ -6,35 +6,30 @@
 //   producers --> RequestIngress --> EventQueue <-- fail_link()/...
 //                                        |
 //                                  tick() driver          (single thread)
-//                                   |        |
-//                            WorkerPool   single writer
-//                        (per-policy and  (validates + commits plans,
-//                         split-batch     updates in-flight ledger,
-//                         LP solves)      triggers LinkDown replans)
+//                                        |
+//                       per backend, in registration order:
+//                       build batch -> schedule() -> commit plans,
+//                       update in-flight ledger, record cost;
+//                       LinkDown events trigger replans
 //
 // Threading & ownership rules:
 //   * Any number of threads may call RequestIngress::submit() and the
 //     event-injection helpers; they touch only the locked event queue and
 //     the ingress's own capacity view.
 //   * Exactly one driver thread calls tick()/run()/replay(). It owns the
-//     policies, the in-flight ledger and the stats.
-//   * Worker tasks touch either a snapshot clone (Postcard split-batch
-//     mode) or one backend exclusively (per-policy dispatch); the driver
-//     joins all tasks before reading their results, so no result is read
-//     concurrently with its write.
+//     policies, the in-flight ledger and the stats, and runs every solve
+//     itself; a backend's PostcardOptions::pricing_threads may shard its
+//     pricing DP, bit-identically, inside that solve.
 //   * stats() may be called from any thread; it copies under the stats
 //     lock which the driver takes only while merging, never while solving.
 //
-// Determinism guarantee: with worker_threads == 0 and parallel_groups == 1
-// (or any time no failure events fire and batches arrive in workload
-// order), each backend receives exactly the schedule() call sequence that
-// sim::run_simulation would issue, so its cost series is bit-for-bit
-// identical to the offline replay. With parallel_groups > 1 results are
-// still reproducible for a fixed submission order (groups are partitioned
-// and committed in deterministic order) but generally differ from the
-// joint solve: sub-batches priced against the same snapshot may combine
-// suboptimally, and the single writer re-solves any group whose plans no
-// longer fit live residual capacity (a "conflict resolve").
+// Determinism guarantee: when no failure events fire and batches arrive in
+// workload order, each backend receives exactly the schedule() call
+// sequence that sim::run_simulation would issue, so with the watchdog
+// unarmed its cost series is bit-for-bit identical to the offline replay.
+// Event-driven runs (failures, chaos, pivot budgets) are reproducible for a
+// fixed submission order. The one exception is slot_deadline_seconds, a
+// wall-clock cut that lands on different pivots from run to run.
 #pragma once
 
 #include <map>
@@ -51,46 +46,27 @@
 #include "runtime/ingress.h"
 #include "runtime/snapshot_state.h"
 #include "runtime/stats.h"
-#include "runtime/worker_pool.h"
 #include "sim/policy.h"
 #include "sim/workload.h"
 
 namespace postcard::runtime {
 
 struct RuntimeOptions {
-  /// 0 = run every solve inline on the driver (deterministic mode).
-  int worker_threads = 0;
-  /// Split each Postcard backend's slot batch into up to this many groups
-  /// solved concurrently against a charge-state snapshot; 1 = the exact
-  /// joint solve of the offline controller.
-  int parallel_groups = 1;
-  /// Split-batch sharding floor: never split below this many files per
-  /// group. Each group pays a snapshot clone (charge ledger + sparse graph
-  /// arena copy) per slot; at 100+ DC scale that overhead only amortizes
-  /// over a meaty stripe. 1 (the default) reproduces the legacy "always
-  /// split when parallel_groups allows" behavior exactly.
-  int min_group_files = 1;
   /// Replan committed in-flight work invalidated by LinkDown events.
   bool replan_on_link_down = true;
-  /// Slack allowed when the writer validates group plans against residual
-  /// capacity.
-  double capacity_tolerance = 1e-6;
   /// Holdings below this volume are dust and not replanned.
   double volume_epsilon = 1e-9;
   /// Slot watchdog (degradation ladder; see DESIGN.md §9). A positive
   /// pivot budget caps the total simplex pivots each backend may spend per
   /// slot — deterministic, so replays degrade identically. A positive
   /// deadline caps wall-clock seconds per slot solve (production mode; NOT
-  /// deterministic). 0 disables. In split-batch mode every group task and
-  /// conflict re-solve gets its own budget of this size, bounding each
-  /// task rather than their sum.
+  /// deterministic, so replication refuses it). 0 disables.
   long slot_pivot_budget = 0;
   double slot_deadline_seconds = 0.0;
-  /// Plan auditor (src/audit), armed on every backend at registration and
-  /// run by the single writer after each split-batch group commit. Fail-fast
-  /// by default: an operational engine must never run on an invalid plan,
-  /// and the audit's cost is a few percent of a slot solve. Set
-  /// audit.mode = kOff to benchmark the bare solver.
+  /// Plan auditor (src/audit), armed on every backend at registration.
+  /// Fail-fast by default: an operational engine must never run on an
+  /// invalid plan, and the audit's cost is a few percent of a slot solve.
+  /// Set audit.mode = kOff to benchmark the bare solver.
   sim::AuditControls audit{sim::AuditControls::Mode::kFailFast};
   /// Idempotent submissions: a SubmitFile whose id was already admitted is
   /// acknowledged without re-enqueuing (AdmissionResult.duplicate). Needed
@@ -109,17 +85,17 @@ class ControllerRuntime {
 
   // --- Backend registration (before the first tick) ---------------------
 
-  /// Postcard backend: split-batch parallel solving and LinkDown
-  /// replanning via the committed FilePlan ledger. Returns the backend id.
+  /// Postcard backend: LinkDown replanning via the committed FilePlan
+  /// ledger. Returns the backend id.
   int add_postcard_backend(core::PostcardOptions options = {});
 
-  /// Flow-based baseline backend: sequential solve, LinkDown replanning
-  /// via the committed FlowAssignment ledger.
+  /// Flow-based baseline backend: LinkDown replanning via the committed
+  /// FlowAssignment ledger.
   int add_flow_backend(flow::FlowBaselineOptions options = {});
 
-  /// Any other SchedulingPolicy: sequential solve; capacity events are
-  /// forwarded when the policy supports them, but committed work is not
-  /// replanned (the generic interface exposes no plan ledger).
+  /// Any other SchedulingPolicy: capacity events are forwarded when the
+  /// policy supports them, but committed work is not replanned (the
+  /// generic interface exposes no plan ledger).
   int add_backend(std::unique_ptr<sim::SchedulingPolicy> policy);
 
   // --- Event injection (any thread) -------------------------------------
@@ -146,8 +122,8 @@ class ControllerRuntime {
   // --- Driving (one thread) ---------------------------------------------
 
   /// Processes the next slot: pushes its SlotTick, drains every due event
-  /// in (slot, phase, seq) order, solves the accumulated batch on the
-  /// worker pool and commits the plans under the single writer.
+  /// in (slot, phase, seq) order, then solves the accumulated batch on each
+  /// backend in registration order and commits its plans.
   void tick() EXCLUDES(stats_mu_);
 
   /// Ticks slots [current, num_slots) and then flushes the in-flight
@@ -179,8 +155,9 @@ class ControllerRuntime {
   /// shape and the backend registration sequence (kinds and names, in
   /// order) must match the captured runtime's; anything else throws
   /// std::invalid_argument and leaves the runtime unusable. Must run
-  /// before the first tick. A restored runtime in deterministic mode
-  /// reproduces the captured run's remaining cost series bit for bit.
+  /// before the first tick. A restored runtime without a wall-clock slot
+  /// deadline reproduces the captured run's remaining cost series bit for
+  /// bit.
   void restore_snapshot(const RuntimeSnapshot& snapshot)
       EXCLUDES(stats_mu_, ledger_mu_);
 
@@ -239,10 +216,6 @@ class ControllerRuntime {
     // consumed (reset) by the next solve_slot.
     long injected_stall = -1;  // pivot budget, -1 = none
     int injected_fault = 0;    // disable_rungs, 0 = none
-    // Split-batch mode: per-group cross-slot warm caches. Snapshot clones
-    // are transient, so the driver moves cache g into group g's clone
-    // before the solve and back out of its result after the barrier.
-    std::vector<core::MasterWarmCache> group_caches;
   };
 
   void apply_capacity(int link, double capacity);
@@ -261,15 +234,6 @@ class ControllerRuntime {
   void record_outcome(Backend& b, int slot,
                       const std::vector<net::FileRequest>& batch,
                       const sim::ScheduleOutcome& outcome) EXCLUDES(stats_mu_);
-  /// Writer-side audit of a split-batch group's plans against the LIVE
-  /// charge state, after commit_plans. Group clones self-audit against
-  /// their snapshot; only this pass sees the combined commitments of all
-  /// groups, so only it can catch cross-group oversubscription the
-  /// conflict check missed. Counters land in `b.stats.audit_*`.
-  void audit_group_commit(Backend& b, int slot,
-                          const std::vector<core::FilePlan>& plans,
-                          const std::vector<net::FileRequest>& files)
-      EXCLUDES(stats_mu_);
   void track_plans(Backend& b, int slot,
                    const std::vector<core::FilePlan>& plans,
                    const std::vector<net::FileRequest>& batch)
@@ -285,7 +249,6 @@ class ControllerRuntime {
   std::vector<bool> link_down_;
   EventQueue queue_;
   RequestIngress ingress_;
-  WorkerPool pool_;
   std::vector<std::unique_ptr<Backend>> backends_;
   int next_slot_ = 0;
   int next_synthetic_id_ = kSyntheticIdBase;

@@ -7,8 +7,9 @@
 // format — versioned header, bounds-checked decoding, checksum, atomic
 // replace — lives in src/server/snapshot.h, which serializes exactly the
 // fields below. Every volume and cost is carried as the exact double the
-// live engine held, so a restored run in deterministic mode reproduces the
-// remaining cost series bit for bit (tested in tests/server).
+// live engine held, so a restored run without a wall-clock slot deadline
+// reproduces the remaining cost series bit for bit (tested in
+// tests/server).
 #pragma once
 
 #include <cstdint>
@@ -54,10 +55,8 @@ struct BackendSnapshot {
   long reduce_violations = 0;
   std::vector<double> charged;
 
-  // Cross-slot warm-start caches: the live controller's and, in split-batch
-  // mode, one per group stripe.
+  // Cross-slot warm-start cache of the controller's master.
   core::MasterWarmCache warm_cache;
-  std::vector<core::MasterWarmCache> group_caches;
 
   // Committed in-flight work and files queued for the next solve.
   std::vector<PlanLedgerEntry> plans;

@@ -66,7 +66,6 @@ struct BackendStats {
   double replanned_volume = 0.0;
   long failed_files = 0;         // accepted, then unsalvageable after failure
   double failed_volume = 0.0;
-  long conflict_resolves = 0;    // parallel group plans redone by the writer
   long lp_iterations = 0;
   int lp_solves = 0;
   // Cross-slot warm starts: master solves whose seeded basis was verified
@@ -123,9 +122,8 @@ struct BackendStats {
   double gave_up_volume = 0.0;
   // ---- Plan audits (src/audit; armed via RuntimeOptions::audit). Whether
   // the backend accepted the audit controls at registration, how many
-  // commits were re-verified (policy-side self-audits plus the writer's
-  // post-commit audits in split-batch mode), violations found, wall time
-  // spent auditing, and the first violation reports (capped by
+  // commits were re-verified (policy-side self-audits), violations found,
+  // wall time spent auditing, and the first violation reports (capped by
   // AuditControls::max_reports). In kFailFast mode violations throw before
   // reaching these counters, so a completed run shows zero.
   bool audit_armed = false;

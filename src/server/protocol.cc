@@ -129,7 +129,6 @@ void encode_backend_stats(ByteWriter& w, const runtime::BackendStats& s) {
   w.f64(s.replanned_volume);
   w.i64(s.failed_files);
   w.f64(s.failed_volume);
-  w.i64(s.conflict_resolves);
   w.i64(s.lp_iterations);
   w.i32(s.lp_solves);
   w.i64(s.warm_accepts);
@@ -177,7 +176,6 @@ runtime::BackendStats decode_backend_stats(ByteReader& r) {
   s.replanned_volume = r.f64();
   s.failed_files = r.i64();
   s.failed_volume = r.f64();
-  s.conflict_resolves = r.i64();
   s.lp_iterations = r.i64();
   s.lp_solves = r.i32();
   s.warm_accepts = r.i64();

@@ -123,6 +123,9 @@ class PostcardServer {
   /// Direct runtime access for tests and --metrics-dump on the server side.
   /// stats() is thread-safe; anything else must respect the driver contract.
   runtime::ControllerRuntime& runtime() { return runtime_; }
+  const runtime::RuntimeOptions& runtime_options() const {
+    return options_.runtime;
+  }
 
   /// RuntimeStats with the server's session counters folded in.
   runtime::RuntimeStats stats() const;

@@ -79,8 +79,6 @@ void encode_backend(ByteWriter& w, const runtime::BackendSnapshot& b) {
   w.u32(static_cast<std::uint32_t>(b.charged.size()));
   for (double c : b.charged) w.f64(c);
   encode_warm_cache(w, b.warm_cache);
-  w.u32(static_cast<std::uint32_t>(b.group_caches.size()));
-  for (const core::MasterWarmCache& c : b.group_caches) encode_warm_cache(w, c);
   w.u32(static_cast<std::uint32_t>(b.plans.size()));
   for (const runtime::PlanLedgerEntry& p : b.plans) {
     encode_file_request(w, p.request);
@@ -125,11 +123,6 @@ runtime::BackendSnapshot decode_backend(ByteReader& r) {
   b.charged.reserve(charged);
   for (std::size_t i = 0; i < charged; ++i) b.charged.push_back(r.f64());
   b.warm_cache = decode_warm_cache(r);
-  const std::size_t groups = r.length(1 + 8 + 4);
-  b.group_caches.reserve(groups);
-  for (std::size_t i = 0; i < groups; ++i) {
-    b.group_caches.push_back(decode_warm_cache(r));
-  }
   const std::size_t plans = r.length(4 * 4 + 8 + 4 + 4 + 4 + 4);
   b.plans.reserve(plans);
   for (std::size_t i = 0; i < plans; ++i) {

@@ -30,7 +30,9 @@ namespace postcard::server {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x50534E50;  // "PSNP"
 // v4: idempotent-submission dedup ids + event-seq watermark (replication).
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+// v5: split-batch solving removed — no per-group warm caches, and the
+// embedded BackendStats lost its conflict re-solve counter.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// FNV-1a 64-bit over a byte range.
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);

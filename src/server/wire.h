@@ -28,7 +28,8 @@
 
 namespace postcard::server {
 
-inline constexpr std::uint16_t kProtocolVersion = 4;
+// v5: BackendStats lost the split-batch conflict re-solve counter.
+inline constexpr std::uint16_t kProtocolVersion = 5;
 
 /// Default cap on a single frame's payload. SubmitBatch with tens of
 /// thousands of files and a full stats reply both fit comfortably.

@@ -1,7 +1,7 @@
 // No-false-positive guarantee for the plan auditor: with fail-fast audits
 // armed (the runtime default) every legitimate Fig. 4-shaped run — both
-// backends, chaos injections, every forced degradation rung, split-batch
-// parallel mode — must complete with audit_checks > 0 and zero violations.
+// backends, chaos injections, every forced degradation rung — must
+// complete with audit_checks > 0 and zero violations.
 // A single false positive would throw std::logic_error and fail the replay.
 #include <gtest/gtest.h>
 
@@ -83,23 +83,6 @@ TEST(AuditRuntime, CleanAcrossEveryForcedDegradationRung) {
     expect_audited_clean(stats);
     EXPECT_GE(stats.backends[0].degraded_slots, 1) << "scenario " << scenario;
   }
-}
-
-TEST(AuditRuntime, WriterAuditsSplitBatchGroupCommits) {
-  sim::WorkloadParams p = fig4_shaped(9);
-  p.files_per_slot_min = 4;  // enough files that split mode actually splits
-  p.files_per_slot_max = 8;
-  const sim::UniformWorkload w(p);
-  RuntimeOptions options;
-  options.worker_threads = 2;
-  options.parallel_groups = 2;
-  ControllerRuntime runtime{net::Topology(w.topology()), options};
-  runtime.add_postcard_backend();
-  const RuntimeStats stats = runtime.replay(w);
-  expect_audited_clean(stats);
-  // The writer audits each committed group on top of the clones'
-  // self-audits, so there are more checks than slots.
-  EXPECT_GT(stats.backends[0].audit_checks, stats.slots_processed);
 }
 
 TEST(AuditRuntime, AuditOffDisarmsAndSkipsChecks) {

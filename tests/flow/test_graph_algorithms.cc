@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "flow/graph.h"
-#include "flow/maxflow.h"
-#include "flow/mincost.h"
 #include "flow/shortest_path.h"
 
 namespace postcard::flow {
@@ -65,100 +63,6 @@ TEST(Dijkstra, UnreachableNodes) {
   const auto tree = dijkstra(g, 0);
   EXPECT_FALSE(tree.reached(2));
   EXPECT_TRUE(tree_path(g, tree, 2).empty());
-}
-
-TEST(MaxFlow, ClassicDiamond) {
-  // 0->1 (3), 0->2 (2), 1->3 (2), 2->3 (3), 1->2 (1): max flow 0->3 is 5.
-  FlowGraph g(4);
-  g.add_arc(0, 1, 3.0);
-  g.add_arc(0, 2, 2.0);
-  g.add_arc(1, 3, 2.0);
-  g.add_arc(2, 3, 3.0);
-  g.add_arc(1, 2, 1.0);
-  EXPECT_DOUBLE_EQ(max_flow(g, 0, 3), 5.0);
-}
-
-TEST(MaxFlow, BottleneckSingleEdge) {
-  FlowGraph g(3);
-  g.add_arc(0, 1, 100.0);
-  g.add_arc(1, 2, 7.5);
-  EXPECT_DOUBLE_EQ(max_flow(g, 0, 2), 7.5);
-}
-
-TEST(MaxFlow, DisconnectedSinkGivesZero) {
-  FlowGraph g(3);
-  g.add_arc(0, 1, 10.0);
-  EXPECT_DOUBLE_EQ(max_flow(g, 0, 2), 0.0);
-}
-
-TEST(MaxFlow, FlowConservationHolds) {
-  FlowGraph g(5);
-  g.add_arc(0, 1, 4.0);
-  g.add_arc(0, 2, 3.0);
-  g.add_arc(1, 3, 2.0);
-  g.add_arc(2, 3, 5.0);
-  g.add_arc(1, 4, 3.0);
-  g.add_arc(3, 4, 4.0);
-  const double value = max_flow(g, 0, 4);
-  EXPECT_DOUBLE_EQ(value, 7.0);
-  // Net outflow at each internal node is zero.
-  for (int node = 1; node <= 3; ++node) {
-    double net = 0.0;
-    for (int arc = 0; arc < g.num_arcs(); arc += 2) {
-      if (g.tail(arc) == node) net += g.flow(arc);
-      if (g.head(arc) == node) net -= g.flow(arc);
-    }
-    EXPECT_NEAR(net, 0.0, 1e-12) << "node " << node;
-  }
-}
-
-TEST(MinCostFlow, PrefersCheapPathUntilSaturated) {
-  // Two parallel paths 0->1->3 (cost 2, cap 2) and 0->2->3 (cost 6, cap 10).
-  FlowGraph g(4);
-  g.add_arc(0, 1, 2.0, 1.0);
-  g.add_arc(1, 3, 2.0, 1.0);
-  g.add_arc(0, 2, 10.0, 3.0);
-  g.add_arc(2, 3, 10.0, 3.0);
-  const auto r = min_cost_flow(g, 0, 3, 5.0);
-  EXPECT_TRUE(r.satisfied);
-  EXPECT_DOUBLE_EQ(r.flow, 5.0);
-  EXPECT_DOUBLE_EQ(r.cost, 2.0 * 2.0 + 3.0 * 6.0);
-}
-
-TEST(MinCostFlow, StopsAtCapacityWhenDemandTooLarge) {
-  FlowGraph g(2);
-  g.add_arc(0, 1, 4.0, 2.0);
-  const auto r = min_cost_flow(g, 0, 1, 10.0);
-  EXPECT_FALSE(r.satisfied);
-  EXPECT_DOUBLE_EQ(r.flow, 4.0);
-  EXPECT_DOUBLE_EQ(r.cost, 8.0);
-}
-
-TEST(MinCostFlow, ReroutesThroughResidualArcs) {
-  // Classic instance where the second augmentation must undo part of the
-  // first: 0->1 (cap 1, cost 1), 0->2 (1, 10), 1->2 (1, 1), 1->3 (1, 10),
-  // 2->3 (1, 1). Demand 2: optimal cost = 1+1+1 + 10+10 ... compute:
-  // path A: 0->1->2->3 cost 3; path B: 0->2 ... 0->2 saturated? cap 1 each.
-  // Optimal: unit on 0->1->3 (11) + unit on 0->2->3 (11) = 22, or
-  // 0->1->2->3 (3) + 0->2->3 blocked (2->3 saturated) -> 0->2? then 2->3 full
-  // -> B must use 0->2..2->3 full => B: 0->2 then stuck unless rerouting
-  // pushes 1->2 back: SSP finds 0->2, reverse 2->1 (-1), 1->3: 10+(-1)+10=19?
-  // no: second path cost = 10 - 1 + 10 = 19, total 3 + 19 = 22. Same optimum.
-  FlowGraph g(4);
-  g.add_arc(0, 1, 1.0, 1.0);
-  g.add_arc(0, 2, 1.0, 10.0);
-  g.add_arc(1, 2, 1.0, 1.0);
-  g.add_arc(1, 3, 1.0, 10.0);
-  g.add_arc(2, 3, 1.0, 1.0);
-  const auto r = min_cost_flow(g, 0, 3, 2.0);
-  EXPECT_TRUE(r.satisfied);
-  EXPECT_DOUBLE_EQ(r.cost, 22.0);
-}
-
-TEST(MinCostFlow, RejectsNegativeCosts) {
-  FlowGraph g(2);
-  g.add_arc(0, 1, 1.0, -2.0);
-  EXPECT_THROW(min_cost_flow(g, 0, 1, 1.0), std::invalid_argument);
 }
 
 }  // namespace

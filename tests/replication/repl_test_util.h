@@ -33,11 +33,9 @@ inline sim::WorkloadParams repl_workload(std::uint64_t seed) {
 }
 
 /// Runtime options both sides of a replicated pair must share:
-/// deterministic mode plus idempotent submissions.
+/// idempotent submissions (and no wall-clock slot deadline, the default).
 inline runtime::RuntimeOptions replicated_runtime_options() {
   runtime::RuntimeOptions options;
-  options.worker_threads = 0;
-  options.parallel_groups = 1;
   options.dedup_submissions = true;
   return options;
 }

@@ -167,19 +167,23 @@ TEST(ReplicationFailover, NeverSeededStandbyFailsInsteadOfPromoting) {
 }
 
 TEST(ReplicationFailover, NonDeterministicMirrorOptionsAreRefused) {
+  // A wall-clock slot deadline cuts the primary's and the mirror's solves
+  // at different pivots, so neither end may accept it.
   const sim::UniformWorkload w(repl_workload(63));
   StandbyOptions options = test_standby_options(1);
-  options.runtime.worker_threads = 2;
+  options.runtime.slot_deadline_seconds = 0.5;
   EXPECT_THROW(ReplicationStandby(net::Topology(w.topology()),
                                   {BackendSpec::make_postcard()},
                                   std::move(options)),
                std::invalid_argument);
-  StandbyOptions groups = test_standby_options(1);
-  groups.runtime.parallel_groups = 4;
-  EXPECT_THROW(ReplicationStandby(net::Topology(w.topology()),
-                                  {BackendSpec::make_postcard()},
-                                  std::move(groups)),
-               std::invalid_argument);
+
+  ServerOptions server_options;
+  server_options.runtime = replicated_runtime_options();
+  server_options.runtime.slot_deadline_seconds = 0.5;
+  PostcardServer server{net::Topology(w.topology()), server_options};
+  server.add_postcard_backend();
+  ReplicationPrimary primary(PrimaryOptions{});
+  EXPECT_THROW(primary.attach(server), std::invalid_argument);
 }
 
 }  // namespace

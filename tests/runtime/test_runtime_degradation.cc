@@ -245,30 +245,5 @@ TEST(RuntimeDegradation, ThreeSlotCarryChainStaysFullyAccounted) {
   EXPECT_LE(b.carryover_entered_volume, b.carryover_volume + 1e-9);
 }
 
-TEST(RuntimeDegradation, CarryChainAccountedUnderSplitBatchWorkers) {
-  // Same chain with worker threads + split-batch groups: carried files are
-  // striped across snapshot-clone groups and may bounce through the
-  // single-writer conflict re-solve; the identity must survive all of it.
-  sim::WorkloadParams p = fig4_shaped(32);
-  p.deadline_min = 4;
-  p.deadline_max = 5;
-  const sim::UniformWorkload w(p);
-
-  RuntimeOptions options;
-  options.worker_threads = 2;
-  options.parallel_groups = 2;
-  ControllerRuntime runtime{net::Topology(w.topology()), options};
-  runtime.add_postcard_backend();
-  for (int slot : {2, 3, 4}) {
-    runtime.fault_solver(slot, /*disable_rungs=*/2);
-  }
-  const RuntimeStats stats = runtime.replay(w);
-
-  const BackendStats& b = stats.backends[0];
-  EXPECT_GE(b.carryover_files, 3);
-  expect_fully_accounted(stats, w);
-  EXPECT_LE(b.carryover_entered_files, b.carryover_files);
-}
-
 }  // namespace
 }  // namespace postcard::runtime

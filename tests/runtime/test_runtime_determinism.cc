@@ -1,8 +1,8 @@
-// Determinism guarantee: the event-driven runtime in deterministic mode
-// (no worker threads, one solve group) reproduces the offline batch replay
-// of sim::run_simulation bit-for-bit — same schedule() call sequence, so
-// identical cost series for both Postcard and the flow-based baseline on a
-// Fig. 4-shaped workload (paper Sec. VII parameters at reduced scale).
+// Determinism guarantee: the event-driven runtime reproduces the offline
+// batch replay of sim::run_simulation bit-for-bit — same schedule() call
+// sequence, so identical cost series for both Postcard and the flow-based
+// baseline on a Fig. 4-shaped workload (paper Sec. VII parameters at
+// reduced scale).
 #include "runtime/runtime.h"
 
 #include <gtest/gtest.h>
@@ -98,53 +98,6 @@ TEST(RuntimeDeterminism, BothPoliciesSideBySideStillMatch) {
   ASSERT_EQ(stats.backends.size(), 2u);
   EXPECT_EQ(stats.backends[0].cost_series, ref_pc.cost_series);
   EXPECT_EQ(stats.backends[1].cost_series, ref_fb.cost_series);
-}
-
-TEST(RuntimeDeterminism, RepeatedRunsAreIdenticalWithWorkerThreads) {
-  // Worker threads change who executes the solves, not their inputs or the
-  // commit order: runs must be reproducible (and, with one group per
-  // backend, equal to the offline replay).
-  const sim::UniformWorkload w(fig4_shaped(14));
-  core::PostcardController offline{net::Topology(w.topology())};
-  const sim::RunResult reference = sim::run_simulation(offline, w);
-
-  RuntimeOptions options;
-  options.worker_threads = 4;
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    ControllerRuntime runtime{net::Topology(w.topology()), options};
-    runtime.add_postcard_backend();
-    runtime.add_flow_backend();
-    const RuntimeStats stats = runtime.replay(w);
-    EXPECT_EQ(stats.backends[0].cost_series, reference.cost_series);
-  }
-}
-
-TEST(RuntimeDeterminism, SplitBatchModeIsReproducible) {
-  // parallel_groups > 1 trades joint optimality for latency; the result may
-  // differ from the joint solve but must be identical run to run, and every
-  // file must still be accounted for.
-  const sim::UniformWorkload w(fig4_shaped(15));
-  RuntimeOptions options;
-  options.worker_threads = 4;
-  options.parallel_groups = 4;
-
-  std::vector<double> first_series;
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    ControllerRuntime runtime{net::Topology(w.topology()), options};
-    runtime.add_postcard_backend();
-    const RuntimeStats stats = runtime.replay(w);
-    const BackendStats& b = stats.backends[0];
-    if (repeat == 0) {
-      first_series = b.cost_series;
-      // Accounting identity: everything admitted is accepted or rejected...
-      EXPECT_EQ(b.accepted_files + b.rejected_files, stats.admitted);
-      // ...and everything accepted is delivered (no failures injected).
-      EXPECT_EQ(b.failed_files, 0);
-      EXPECT_NEAR(b.delivered_volume, b.accepted_volume, 1e-6);
-    } else {
-      EXPECT_EQ(b.cost_series, first_series);
-    }
-  }
 }
 
 }  // namespace

@@ -114,12 +114,10 @@ TEST(RequestIngress, CountersAreExactUnderConcurrentProducers) {
 
 TEST(RuntimeIngress, ProducersSubmitWhileDriverTicks) {
   // The end-to-end concurrency scenario: producers hammer the ingress while
-  // the driver thread ticks slots and a worker pool runs the solves. After
-  // the queue drains, every admitted file is accounted exactly once.
+  // the driver thread ticks slots and runs the solves. After the queue
+  // drains, every admitted file is accounted exactly once.
   const net::Topology t = square();
-  RuntimeOptions options;
-  options.worker_threads = 2;
-  ControllerRuntime runtime{net::Topology(t), options};
+  ControllerRuntime runtime{net::Topology(t), RuntimeOptions{}};
   runtime.add_backend(std::make_unique<AcceptAllPolicy>(t.num_links()));
 
   constexpr int kThreads = 4;
@@ -151,12 +149,9 @@ TEST(RuntimeIngress, ProducersSubmitWhileDriverTicks) {
 }
 
 TEST(RuntimeIngress, RealPostcardBackendUnderConcurrentSubmission) {
-  // Same shape with the real controller and split-batch solving — small
-  // volume so the LP work stays light; this is the TSAN hot path.
-  RuntimeOptions options;
-  options.worker_threads = 4;
-  options.parallel_groups = 2;
-  ControllerRuntime runtime{square(), options};
+  // Same shape with the real controller — small volume so the LP work
+  // stays light; this is the TSAN hot path.
+  ControllerRuntime runtime{square(), RuntimeOptions{}};
   runtime.add_postcard_backend();
 
   constexpr int kThreads = 2;

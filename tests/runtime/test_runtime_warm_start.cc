@@ -141,33 +141,6 @@ TEST(RuntimeWarmStart, LinkDownReplanMatchesColdStartBitForBit) {
               backend[0].accepted_volume, kTol);
 }
 
-TEST(RuntimeWarmStart, SplitBatchGroupCachesWarmAcceptAndStayReproducible) {
-  const sim::UniformWorkload w(fig4_shaped(23));
-  RuntimeOptions options;
-  options.worker_threads = 4;
-  options.parallel_groups = 3;
-
-  std::vector<double> warm_series;
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    const RuntimeStats stats =
-        replay_postcard(w, core::PostcardOptions{}, options);
-    const BackendStats& b = stats.backends[0];
-    if (repeat == 0) {
-      warm_series = b.cost_series;
-      // Each group keeps its own cache, so warm accepts accumulate across
-      // all groups after the first slot.
-      EXPECT_GT(b.warm_accepts, 0);
-      EXPECT_EQ(b.charge_reduce_violations, 0);
-    } else {
-      EXPECT_EQ(b.cost_series, warm_series);
-    }
-  }
-  // The canonical remap is trajectory-identical per master solve, so even
-  // the split-batch series must match the warm-off split-batch series.
-  const RuntimeStats cold = replay_postcard(w, warm_off(), options);
-  EXPECT_EQ(cold.backends[0].cost_series, warm_series);
-}
-
 TEST(RuntimeWarmStart, SolveHistogramsSplitByStartType) {
   const sim::UniformWorkload w(fig4_shaped(24));
   const RuntimeStats warm = replay_postcard(w, core::PostcardOptions{});

@@ -1,6 +1,7 @@
 // Worker pool: inline mode ordering, parallel execution, exception
-// propagation.
-#include "runtime/worker_pool.h"
+// propagation. Kept under the `runtime` ctest label so the TSAN pass runs
+// it alongside the other concurrency suites.
+#include "base/worker_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
-namespace postcard::runtime {
+namespace postcard::base {
 namespace {
 
 TEST(WorkerPool, InlinePoolRunsTasksInOrder) {
@@ -69,4 +70,4 @@ TEST(WorkerPool, DestructorJoinsCleanlyWithQueuedWork) {
 }
 
 }  // namespace
-}  // namespace postcard::runtime
+}  // namespace postcard::base

@@ -241,12 +241,15 @@ TEST(SnapshotRestore, EachCorruptionClassFailsWithItsOwnError) {
     EXPECT_EQ(error_of(stub), "snapshot shorter than header + trailer");
   }
 
-  // Version skew (a snapshot from a future build): rejected by version,
-  // not misparsed — the check runs before any body field is touched.
-  {
-    std::vector<std::uint8_t> future = bytes;
-    future[4] = 99;
-    EXPECT_EQ(error_of(future), "unsupported snapshot version 99");
+  // Version skew (a snapshot from a future build, or from the previous
+  // format): rejected by version, not misparsed — the check runs before
+  // any body field is touched.
+  for (const std::uint32_t version :
+       {std::uint32_t{99}, kSnapshotVersion - 1}) {
+    std::vector<std::uint8_t> skewed = bytes;
+    skewed[4] = static_cast<std::uint8_t>(version);  // little-endian low byte
+    EXPECT_EQ(error_of(skewed),
+              "unsupported snapshot version " + std::to_string(version));
   }
 
   // And the intact image still restores, proving the classes above were
