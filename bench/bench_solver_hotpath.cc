@@ -1,17 +1,15 @@
-// Solver hot-path split: where does a slot solve spend its time, and how
-// much do the hot-path optimizations buy?
+// Solver hot-path split: where does a slot solve spend its time?
 //
 // Three benchmark families over the same Fig. 4-shaped workload (6 DCs,
 // generous capacity, 8-20 files/slot, deadlines 1-3 — the
 // bench_runtime_throughput replay shape, seed 17):
 //
-//   * HotpathSlotSolve/opt:{0,1} — PostcardController::schedule per slot.
-//     opt:0 is the pre-optimization configuration (no in-place master
-//     resumes, no dual warm starts, serial pricing); opt:1 resumes the
-//     master on the incumbent factorization, seeds each slot from the
-//     previous slot's duals and shards pricing across 4 worker threads.
-//     The mean/p99 slot solve, the pricing-vs-master wall split and the
-//     warm/dual-warm accept rates land in BENCH_solver_hotpath.json.
+//   * HotpathSlotSolve — PostcardController::schedule per slot with
+//     PostcardOptions{}, the one configuration every deployed caller runs:
+//     in-place master resumes on the incumbent factorization, the canonical
+//     cross-slot warm start, serial pricing. The mean/p99 slot solve, the
+//     pricing-vs-master wall split and the warm accept rate land in
+//     BENCH_solver_hotpath.json.
 //   * HotpathColumnGeneration — solve_postcard_by_paths directly (no
 //     controller admission around it), for the columns/sec rate and the
 //     resumed-solve share of the pure column-generation loop.
@@ -19,9 +17,8 @@
 //     one DP + one reservation sweep per file, no LP at all, with the cost
 //     premium over the LP-optimal controller reported alongside.
 //
-// Single-core note: on a 1-core host the 4 pricing threads only add pool
-// overhead — the opt:1 gains there come from the serial wins (factorization
-// reuse above all). Thread scaling needs a multi-core reading.
+// Every solve runs on one thread, so the core count does not enter these
+// numbers.
 //
 // Build & run:  cmake --build build && ./build/bench/bench_solver_hotpath
 #include <benchmark/benchmark.h>
@@ -29,10 +26,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <string>
 #include <vector>
 
-#include "base/worker_pool.h"
 #include "bench_json.h"
 #include "core/column_generation.h"
 #include "core/dcroute.h"
@@ -78,8 +73,6 @@ std::vector<double> run_slots(core::PostcardController& controller,
     total.pricing_seconds += o.pricing_seconds;
     total.master_seconds += o.master_seconds;
     total.resumed_solves += o.resumed_solves;
-    total.dual_warm_attempts += o.dual_warm_attempts;
-    total.dual_seed_columns += o.dual_seed_columns;
   }
   return slot_seconds;
 }
@@ -99,9 +92,8 @@ double p99_of(std::vector<double> v) {
   return v[rank];
 }
 
-/// Whole-controller slot solves, baseline vs optimized hot path.
+/// Whole-controller slot solves under the default options.
 void HotpathSlotSolve(benchmark::State& state) {
-  const bool opt = state.range(0) != 0;
   const sim::UniformWorkload workload(fig4_shape(17));
   double mean_ms = 0.0, p99_ms = 0.0, cost = 0.0;
   sim::ScheduleOutcome total;
@@ -113,12 +105,7 @@ void HotpathSlotSolve(benchmark::State& state) {
   double best_mean_ms = std::numeric_limits<double>::infinity();
   for (auto _ : state) {
     sim::ScheduleOutcome iter_total;
-    core::PostcardOptions popts;
-    popts.cg_reuse_factorization = opt;
-    popts.cg_dual_warm = opt;
-    popts.pricing_threads = opt ? 4 : 0;
-    core::PostcardController controller{net::Topology(workload.topology()),
-                                        popts};
+    core::PostcardController controller{net::Topology(workload.topology())};
     const std::vector<double> seconds =
         run_slots(controller, workload, iter_total);
     const double iter_mean_ms = 1e3 * mean_of(seconds);
@@ -134,32 +121,19 @@ void HotpathSlotSolve(benchmark::State& state) {
   state.counters["p99_slot_ms"] = p99_ms;
   state.counters["resumed"] = static_cast<double>(total.resumed_solves);
 
-  const std::string key = opt ? "hotpath_opt" : "hotpath_baseline";
-  record_json_metric(key + "_mean_slot_solve_ms", mean_ms);
-  record_json_metric(key + "_p99_slot_solve_ms", p99_ms);
-  record_json_metric(key + "_cost_per_interval", cost);
+  record_json_metric("hotpath_mean_slot_solve_ms", mean_ms);
+  record_json_metric("hotpath_p99_slot_solve_ms", p99_ms);
+  record_json_metric("hotpath_cost_per_interval", cost);
   const double lp_wall = total.pricing_seconds + total.master_seconds;
-  record_json_metric(key + "_pricing_seconds", total.pricing_seconds);
-  record_json_metric(key + "_master_seconds", total.master_seconds);
-  record_json_metric(
-      key + "_pricing_share",
-      lp_wall > 0.0 ? total.pricing_seconds / lp_wall : 0.0);
-  if (opt) {
-    const double starts = total.warm_accepts + total.cold_starts;
-    record_json_metric("hotpath_warm_accept_rate",
-                       starts > 0 ? total.warm_accepts / starts : 0.0);
-    // Slot 0 has no previous duals, so attempts top out at slots - 1.
-    record_json_metric(
-        "hotpath_dual_warm_attempt_rate",
-        total.lp_solves > 1
-            ? static_cast<double>(total.dual_warm_attempts) /
-                  static_cast<double>(total.lp_solves - 1)
-            : 0.0);
-    record_json_metric("hotpath_dual_seed_columns",
-                       static_cast<double>(total.dual_seed_columns));
-    record_json_metric("hotpath_resumed_solves",
-                       static_cast<double>(total.resumed_solves));
-  }
+  record_json_metric("hotpath_pricing_seconds", total.pricing_seconds);
+  record_json_metric("hotpath_master_seconds", total.master_seconds);
+  record_json_metric("hotpath_pricing_share",
+                     lp_wall > 0.0 ? total.pricing_seconds / lp_wall : 0.0);
+  const double starts = total.warm_accepts + total.cold_starts;
+  record_json_metric("hotpath_warm_accept_rate",
+                     starts > 0 ? total.warm_accepts / starts : 0.0);
+  record_json_metric("hotpath_resumed_solves",
+                     static_cast<double>(total.resumed_solves));
 }
 
 /// The pure column-generation loop, for columns/sec and the resume share of
@@ -167,21 +141,17 @@ void HotpathSlotSolve(benchmark::State& state) {
 /// price against the accumulated charge state, like the controller does.
 void HotpathColumnGeneration(benchmark::State& state) {
   const sim::UniformWorkload workload(fig4_shape(17));
-  base::WorkerPool pool(4);
   double columns_per_sec = 0.0, resumed_share = 0.0;
 
   for (auto _ : state) {
     charging::ChargeState charge(workload.topology().num_links());
     core::MasterWarmCache cache;
-    core::PathSolveOptions popts;
-    popts.dual_warm = true;
-    popts.pricing_pool = &pool;
     long columns = 0, rounds = 0, resumed = 0;
     double lp_seconds = 0.0;
     for (int slot = 0; slot < workload.num_slots(); ++slot) {
       const core::PathSolveResult r = core::solve_postcard_by_paths(
-          workload.topology(), charge, slot, workload.batch(slot), popts,
-          &cache);
+          workload.topology(), charge, slot, workload.batch(slot),
+          core::PathSolveOptions{}, &cache);
       columns += r.path_columns;
       rounds += r.rounds;
       resumed += r.resumed_solves;
@@ -243,7 +213,7 @@ void HotpathDCRoute(benchmark::State& state) {
   record_json_metric("hotpath_dcroute_rejected_files", rejected);
 }
 
-BENCHMARK(HotpathSlotSolve)->Arg(0)->Arg(1)->ArgName("opt")->UseRealTime();
+BENCHMARK(HotpathSlotSolve)->UseRealTime();
 BENCHMARK(HotpathColumnGeneration)->UseRealTime();
 BENCHMARK(HotpathDCRoute)->UseRealTime();
 

@@ -18,7 +18,7 @@ bench::FigureSeries run_no_storage_series(double capacity, int max_deadline) {
     const sim::UniformWorkload workload(
         bench::figure_params(capacity, max_deadline, 1000 + 17 * run));
     core::PostcardOptions opts;
-    opts.formulation.allow_storage = false;
+    opts.allow_storage = false;
     core::PostcardController policy{net::Topology(workload.topology()), opts};
     const sim::RunResult r = sim::run_simulation(policy, workload);
     costs.push_back(r.final_cost_per_interval);

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Final verification driver: configure + build, full test suite, a
-# ThreadSanitizer pass over the `runtime`-labeled concurrency tests, an
-# ASan+UBSan pass over the `charging` and `runtime` labels, and every
-# benchmark binary, teeing into the repository-root output files.
+# ThreadSanitizer pass over the runtime|chaos|server|scale|replication
+# labels, ASan+UBSan and standalone UBSan passes over
+# charging|runtime|chaos|linalg|lp|audit|server|scale|replication (the
+# test presets' filters in CMakePresets.json), postcard-lint, the clang
+# tidy gate, and every benchmark binary with the trajectory gate, teeing
+# into the repository-root output files.
 #
 # JOBS controls build/test parallelism (default: all cores).
 set -euo pipefail

@@ -3,17 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
 
-#include "base/worker_pool.h"
 #include "lp/simplex.h"
 #include "net/sparse_time_expanded.h"
 #include "net/time_expanded.h"
@@ -23,13 +19,10 @@ namespace postcard::core {
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kFlowEps = 1e-7;
-
-// Minimum estimated DP work (files x arcs, i.e. arc relaxations per pricing
-// pass) before the per-file sweeps shard across the worker pool. Waking and
-// joining the pool costs tens of microseconds; below this floor the serial
-// sweep finishes first. The column merge is file-index ascending either way,
-// so the gate never changes the emitted column sequence.
-constexpr long kParallelPricingMinWork = 1L << 18;
+constexpr int kMaxRounds = 2000;       // pricing rounds before giving up
+constexpr double kPricingTol = 1e-7;   // reduced-cost threshold for new columns
+constexpr double kUnroutedCost = 1e6;  // big-M on z_k
+constexpr double kStallTol = 1e-9;     // relative improvement that resets stalls
 
 // FNV-style hash over a (file, arc sequence) pair for the seen-path set.
 // Equality stays exact (the full key is stored), so a hash collision costs
@@ -50,19 +43,13 @@ struct PathSeenHash {
 
 namespace {
 
-/// Builds the first-round warm basis from a prior slot's cache. The default
-/// (canonical) remap reproduces the basis cold phase 1 terminates in on the
-/// round-0 master — every z_k basic at F_k in its demand row, every other
-/// row on its own logical, X at lower bound — so accepting it changes no
-/// downstream pivot, only skips the phase-1 work. With `carry`, surviving
-/// (link, absolute slot) capacity/epigraph rows additionally restore their
-/// cached basic X variable and logical status.
-lp::RevisedSimplex::WarmStart remap_warm_basis(
-    const MasterWarmCache& cache, const lp::LpModel& master,
-    const std::vector<net::TimeArc>& arcs, int slot,
-    const std::vector<int>& xv, const std::vector<int>& zv,
-    const std::vector<int>& demand_row, const std::vector<int>& cap_row,
-    const std::vector<int>& chg_row, bool carry) {
+/// The basis cold phase 1 terminates in on the round-0 master — every z_k
+/// basic at F_k in its demand row, every other row on its own logical, X at
+/// lower bound — so seeding it changes no downstream pivot, only skips the
+/// phase-1 work (see MasterWarmCache).
+lp::RevisedSimplex::WarmStart canonical_warm_basis(
+    const lp::LpModel& master, const std::vector<int>& zv,
+    const std::vector<int>& demand_row) {
   using WS = lp::RevisedSimplex::WarmStart;
   WS ws;
   const int rows = master.num_constraints();
@@ -78,58 +65,7 @@ lp::RevisedSimplex::WarmStart remap_warm_basis(
     ws.row_status[demand_row[k]] = WS::kAtLower;  // fixed logical (rl == ru)
     ws.basis[demand_row[k]] = zv[k];
   }
-  if (!carry) return ws;
-  // Carry mode: restore surviving capacity/epigraph row states. An X
-  // variable can be basic in at most one row; first surviving key wins.
-  std::vector<char> x_placed(xv.size(), 0);
-  auto place = [&](int row, int cached_basic, signed char cached_status) {
-    if (cached_basic < 0 || cached_basic >= static_cast<int>(xv.size())) {
-      return;  // kLogical / kDropped / corrupt: keep the logical basic
-    }
-    if (x_placed[cached_basic] || cached_status == WS::kBasic) return;
-    x_placed[cached_basic] = 1;
-    ws.col_status[xv[cached_basic]] = WS::kBasic;
-    ws.basis[row] = xv[cached_basic];
-    ws.row_status[row] = cached_status;
-  };
-  for (std::size_t a = 0; a < arcs.size(); ++a) {
-    if (cap_row[a] < 0) continue;
-    const net::TimeArc& arc = arcs[a];
-    const auto it =
-        cache.arc_rows.find({arc.link_index, slot + arc.layer});
-    if (it == cache.arc_rows.end()) continue;
-    place(cap_row[a], it->second.cap_basic, it->second.cap_status);
-    place(chg_row[a], it->second.chg_basic, it->second.chg_status);
-  }
   return ws;
-}
-
-/// Captures the final master basis into the cache, keyed by the (link,
-/// absolute slot) identity of each capacity/epigraph row pair.
-void capture_warm_basis(const lp::RevisedSimplex::WarmStart& warm,
-                        const std::vector<net::TimeArc>& arcs, int slot,
-                        int num_links, const std::vector<int>& cap_row,
-                        const std::vector<int>& chg_row,
-                        MasterWarmCache* cache) {
-  cache->arc_rows.clear();
-  auto classify = [&](int row) {
-    const int b = warm.basis[row];
-    if (b < 0) return MasterWarmCache::kLogical;
-    if (b < num_links) return b;  // X columns are the first num_links vars
-    return MasterWarmCache::kDropped;  // z or path column: gone next slot
-  };
-  for (std::size_t a = 0; a < arcs.size(); ++a) {
-    if (cap_row[a] < 0) continue;
-    const net::TimeArc& arc = arcs[a];
-    MasterWarmCache::ArcRowState st;
-    st.cap_basic = classify(cap_row[a]);
-    st.chg_basic = classify(chg_row[a]);
-    st.cap_status = warm.row_status[cap_row[a]];
-    st.chg_status = warm.row_status[chg_row[a]];
-    cache->arc_rows.insert_or_assign({arc.link_index, slot + arc.layer}, st);
-  }
-  cache->valid = true;
-  ++cache->captured_solves;
 }
 
 }  // namespace
@@ -190,7 +126,7 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   std::vector<int> zv(files.size());
   std::vector<int> demand_row(files.size());
   for (int k = 0; k < num_files; ++k) {
-    zv[k] = master.add_variable(0.0, files[k].size, options.unrouted_cost);
+    zv[k] = master.add_variable(0.0, files[k].size, kUnroutedCost);
     demand_row[k] = master.add_constraint(files[k].size, files[k].size);
     master.add_coefficient(demand_row[k], zv[k], 1.0);
   }
@@ -298,37 +234,21 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   }
   std::vector<double> arc_weight(static_cast<std::size_t>(num_arcs), 0.0);
 
-  // Per-worker DP scratch, slot 0 doubling as the serial path's; sized once
-  // and reused across every pricing round.
-  struct DpScratch {
-    std::vector<double> dist;
-    std::vector<int> pred;
-  };
-  const int pricing_shards =
-      options.pricing_pool != nullptr
-          ? std::max(1, options.pricing_pool->num_threads())
-          : 1;
-  const bool shard_pricing =
-      pricing_shards > 1 && num_files >= 2 * pricing_shards &&
-      static_cast<long>(num_files) * static_cast<long>(num_arcs) >=
-          kParallelPricingMinWork;
+  // DP scratch over the (layer, node) grid, sized once and reused across
+  // every pricing round.
   const std::size_t grid =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(horizon + 1);
-  std::vector<DpScratch> scratch(
-      static_cast<std::size_t>(shard_pricing ? pricing_shards : 1));
-  for (DpScratch& s : scratch) {
-    s.dist.resize(grid);
-    s.pred.resize(grid);
-  }
+  std::vector<double> dist(grid);
+  std::vector<int> pred(grid);
 
   // Longest-path DP for file k against the current arc_weight array.
   // Returns the best total weight at (destination, deadline), kNegInf when
   // no path exists within the deadline.
-  auto run_dp = [&](int k, DpScratch& s) {
+  auto run_dp = [&](int k) {
     const int deadline = files[k].max_transfer_slots;
-    std::fill(s.dist.begin(), s.dist.end(), kNegInf);
-    std::fill(s.pred.begin(), s.pred.end(), -1);
-    s.dist[files[k].source] = 0.0;  // (source, layer 0)
+    std::fill(dist.begin(), dist.end(), kNegInf);
+    std::fill(pred.begin(), pred.end(), -1);
+    dist[files[k].source] = 0.0;  // (source, layer 0)
     if (file_view[k] == kFullSweep) {
       const int src = files[k].source;
       const int dst = files[k].destination;
@@ -336,12 +256,12 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
         const auto [begin, end] = layer_ranges[layer];
         if (options.allow_storage) {
           for (int a = begin; a < end; ++a) {
-            const double from = s.dist[arc_tail[a]];
+            const double from = dist[arc_tail[a]];
             if (from == kNegInf) continue;
             const double cand = from + arc_weight[a];
-            if (cand > s.dist[arc_head[a]]) {
-              s.dist[arc_head[a]] = cand;
-              s.pred[arc_head[a]] = a;
+            if (cand > dist[arc_head[a]]) {
+              dist[arc_head[a]] = cand;
+              pred[arc_head[a]] = a;
             }
           }
         } else {
@@ -350,12 +270,12 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
             if (arc_storage[a] && arc_from[a] != src && arc_from[a] != dst) {
               continue;
             }
-            const double from = s.dist[arc_tail[a]];
+            const double from = dist[arc_tail[a]];
             if (from == kNegInf) continue;
             const double cand = from + arc_weight[a];
-            if (cand > s.dist[arc_head[a]]) {
-              s.dist[arc_head[a]] = cand;
-              s.pred[arc_head[a]] = a;
+            if (cand > dist[arc_head[a]]) {
+              dist[arc_head[a]] = cand;
+              pred[arc_head[a]] = a;
             }
           }
         }
@@ -370,28 +290,28 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
         const int ve = view.layer_begin[layer + 1];
         for (int i = vb; i < ve; ++i) {
           const int a = view.arc_ids[i];
-          const double from = s.dist[arc_tail[a]];
+          const double from = dist[arc_tail[a]];
           if (from == kNegInf) continue;
           const double cand = from + arc_weight[a];
-          if (cand > s.dist[arc_head[a]]) {
-            s.dist[arc_head[a]] = cand;
-            s.pred[arc_head[a]] = a;
+          if (cand > dist[arc_head[a]]) {
+            dist[arc_head[a]] = cand;
+            pred[arc_head[a]] = a;
           }
         }
       }
     }
-    return s.dist[static_cast<std::size_t>(files[k].max_transfer_slots) * n +
-                  files[k].destination];
+    return dist[static_cast<std::size_t>(files[k].max_transfer_slots) * n +
+                files[k].destination];
   };
 
   // Walks the predecessor grid back from (destination, deadline).
-  auto reconstruct = [&](int k, const DpScratch& s) {
+  auto reconstruct = [&](int k) {
     std::vector<int> path;
     int node = files[k].destination;
     int layer = files[k].max_transfer_slots;
     path.reserve(static_cast<std::size_t>(layer));
     while (layer > 0) {
-      const int a = s.pred[static_cast<std::size_t>(layer) * n + node];
+      const int a = pred[static_cast<std::size_t>(layer) * n + node];
       path.push_back(a);
       node = arc_from[a];
       --layer;
@@ -418,57 +338,11 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     return true;
   };
 
-  lp::RevisedSimplex::Options simplex_opts;
-  simplex_opts.feas_tol = options.master_lp.feas_tol;
-  simplex_opts.opt_tol = options.master_lp.opt_tol;
-  if (options.master_lp.max_iterations > 0) {
-    simplex_opts.max_iterations = options.master_lp.max_iterations;
-  }
-  lp::RevisedSimplex simplex(simplex_opts);
+  lp::RevisedSimplex simplex;
   lp::RevisedSimplex::WarmStart warm;  // reused across pricing rounds
-  if (options.cross_slot_warm && warm_cache && warm_cache->valid) {
-    warm = remap_warm_basis(*warm_cache, master, arcs, slot, xv, zv,
-                            demand_row, cap_row, chg_row, options.carry_basis);
+  if (warm_cache && warm_cache->valid) {
+    warm = canonical_warm_basis(master, zv, demand_row);
     result.warm_attempted = true;
-  }
-
-  // ---- Dual warm start: price every file once against the previous slot's
-  // final duals (keyed by absolute (link, slot), so surviving arcs keep
-  // yesterday's price and new frontier arcs price at zero) and seed the
-  // master with the winners before the first solve. Purely additive — the
-  // master's optimum is unchanged — but on slowly-drifting instances the
-  // seeded columns are exactly the ones CG would spend its first rounds
-  // discovering. The basis remap above stays valid: try_warm_start treats
-  // columns newer than the snapshot as default-nonbasic.
-  // With no previous-slot duals (the first slot, or an invalidated cache)
-  // the same sweep runs against zero prices, seeding each file's best
-  // uncongested path — the column round 0 would otherwise spend a full
-  // master solve discovering.
-  const bool have_prev_duals =
-      warm_cache && warm_cache->valid && !warm_cache->arc_weights.empty();
-  if (options.dual_warm) {
-    if (have_prev_duals) result.dual_warm_attempted = true;
-    // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int a = 0; a < num_arcs; ++a) {
-      arc_weight[a] = 0.0;
-      if (cap_row[a] < 0 || !have_prev_duals) continue;
-      const auto& weights = warm_cache->arc_weights;
-      const auto it =
-          weights.find({arcs[a].link_index, slot + arcs[a].layer});
-      if (it != weights.end()) arc_weight[a] = it->second;
-    }
-    for (int k = 0; k < num_files; ++k) {
-      if (file_view[k] == kUnreachable) continue;
-      if (run_dp(k, scratch[0]) == kNegInf) continue;
-      if (append_column(k, reconstruct(k, scratch[0]))) {
-        ++result.dual_seed_columns;
-      }
-    }
-    result.pricing_seconds +=
-        // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
   }
 
   lp::Solution sol;
@@ -479,36 +353,23 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   linalg::Vector incumbent_duals;  // duals at the best Lagrangian bound
   double best_objective = std::numeric_limits<double>::infinity();
   int stalled = 0;
-  // Pricing results, one slot per file: workers fill disjoint slots, the
-  // caller merges in file-index order (bit-for-bit the serial sweep).
-  struct FilePrice {
-    double reduced_cost = 0.0;
-    bool found = false;
-    bool add = false;
-    std::vector<int> arcs;
-  };
-  std::vector<FilePrice> priced(static_cast<std::size_t>(num_files));
   // In-place master resumes (RevisedSimplex::resolve) are sound only while
   // the master grows append-only from a solved-to-optimality state; any
   // other outcome forces the next round back through a full solve.
   bool resume_ready = false;
 
-  // POSTCARD_CG_TRACE=1 prints per-round progress to stderr (debug aid).
-  const bool trace = std::getenv("POSTCARD_CG_TRACE") != nullptr;
-
-  for (result.rounds = 0; result.rounds < options.max_rounds; ++result.rounds) {
+  for (result.rounds = 0; result.rounds < kMaxRounds; ++result.rounds) {
     // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
     const auto t0 = std::chrono::steady_clock::now();
     // Direct simplex call (no presolve): exact duals for every master row.
     // Rounds after an optimal one resume in place — same basis, same LU
     // factorization, no phase 1 — since the master only gained columns;
     // otherwise the solve warm-starts from the previous round's basis.
-    const bool resume = options.reuse_factorization && resume_ready &&
-                        simplex.can_resume(master);
+    const bool resume = resume_ready && simplex.can_resume(master);
     // The warm basis is only ever read by a full solve, so it is extracted
-    // lazily right before one (and once after the loop for the cross-slot
-    // capture) — the simplex still holds the state the per-round snapshot
-    // would have recorded, and resumed rounds skip the copy entirely.
+    // lazily right before one — the simplex still holds the state the
+    // per-round snapshot would have recorded, and resumed rounds skip the
+    // copy entirely.
     if (!resume && result.rounds > 0) warm = simplex.extract_warm_start();
     sol = resume
               ? simplex.resolve(master, budget)
@@ -523,15 +384,6 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     resume_ready = sol.optimal();
     result.lp_iterations += sol.iterations;
     result.master_status = sol.status;
-    if (trace) {
-      std::fprintf(
-          stderr, "cg round %d: cols=%zu status=%s iters=%ld obj=%.4f %.2fs\n",
-          result.rounds, columns.size(), lp::to_string(sol.status),
-          sol.iterations, sol.objective,
-          // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-    }
     if (sol.status == lp::SolveStatus::kDeadlineExceeded) {
       // Budget ran out mid-solve. The interrupted iterate may be primal
       // infeasible (a phase 1 cut short), so discard it and fall back to
@@ -549,12 +401,8 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
 
     // ---- Pricing: per file, the path maximizing the dual arc weights under
     // the supplied duals. Returns the Lagrangian slack sum_k F_k*min(0,rc_k)
-    // and appends any new (deduplicated) improving columns. The per-file DPs
-    // are independent — they read the shared weight array and write disjoint
-    // priced[] slots — so they shard across the pricing pool; the merge
-    // below runs on the caller in file-index order, making the emitted
-    // column sequence (and every downstream plan) bit-for-bit the serial
-    // sweep's.
+    // and appends any new (deduplicated) improving columns in ascending file
+    // index.
     auto price = [&](const linalg::Vector& duals, bool* any_added) {
       // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
       const auto tp = std::chrono::steady_clock::now();
@@ -564,44 +412,16 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
         arc_weight[a] =
             cap_row[a] < 0 ? 0.0 : duals[cap_row[a]] + duals[chg_row[a]];
       }
-      const double threshold = -options.pricing_tol * dual_scale;
-      auto price_range = [&](int k_begin, int k_end, DpScratch& s) {
-        for (int k = k_begin; k < k_end; ++k) {
-          FilePrice& out = priced[static_cast<std::size_t>(k)];
-          out.found = out.add = false;
-          out.arcs.clear();
-          if (file_view[k] == kUnreachable) continue;  // no path can exist
-          const double best = run_dp(k, s);
-          if (best == kNegInf) continue;  // no path within the deadline
-          out.found = true;
-          out.reduced_cost = -duals[demand_row[k]] - best;
-          if (out.reduced_cost >= threshold) continue;
-          out.add = true;
-          out.arcs = reconstruct(k, s);
-        }
-      };
-      if (shard_pricing) {
-        const int chunk = (num_files + pricing_shards - 1) / pricing_shards;
-        std::vector<std::function<void()>> tasks;
-        for (int t = 0; t < pricing_shards && t * chunk < num_files; ++t) {
-          const int k_begin = t * chunk;
-          const int k_end = std::min(num_files, k_begin + chunk);
-          tasks.push_back([&price_range, &scratch, k_begin, k_end, t] {
-            price_range(k_begin, k_end, scratch[static_cast<std::size_t>(t)]);
-          });
-        }
-        options.pricing_pool->run_all(std::move(tasks));
-      } else {
-        price_range(0, num_files, scratch[0]);
-      }
-      // Deterministic merge, ascending file index.
+      const double threshold = -kPricingTol * dual_scale;
       double slack = 0.0;
       for (int k = 0; k < num_files; ++k) {
-        FilePrice& out = priced[static_cast<std::size_t>(k)];
-        if (!out.found) continue;
-        if (out.reduced_cost < 0.0) slack += files[k].size * out.reduced_cost;
-        if (!out.add) continue;
-        if (append_column(k, std::move(out.arcs))) *any_added = true;
+        if (file_view[k] == kUnreachable) continue;  // no path can exist
+        const double best = run_dp(k);
+        if (best == kNegInf) continue;  // no path within the deadline
+        const double reduced_cost = -duals[demand_row[k]] - best;
+        if (reduced_cost < 0.0) slack += files[k].size * reduced_cost;
+        if (reduced_cost >= threshold) continue;
+        if (append_column(k, reconstruct(k))) *any_added = true;
       }
       result.pricing_seconds +=
           // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
@@ -648,8 +468,8 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     }
     // Stall detection on the monotone master objective.
     if (!std::isfinite(best_objective) ||
-        sol.objective < best_objective -
-                            options.stall_tol * (1.0 + std::abs(best_objective))) {
+        sol.objective <
+            best_objective - kStallTol * (1.0 + std::abs(best_objective))) {
       best_objective = sol.objective;
       stalled = 0;
     } else if (options.stall_rounds > 0 && ++stalled >= options.stall_rounds) {
@@ -658,27 +478,11 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     }
   }
   result.path_columns = static_cast<int>(columns.size());
-  // Capture the final basis for the next slot. A failed round leaves the
-  // cache untouched (it is only a hint); an artificial still basic makes
-  // extract_warm_start return an empty basis, which we also skip.
-  if (options.cross_slot_warm && warm_cache) {
-    warm = simplex.extract_warm_start();  // lazy: see the solve loop
-    if (!warm.basis.empty()) {
-      capture_warm_basis(warm, arcs, slot, topology.num_links(), cap_row,
-                         chg_row, warm_cache);
-    }
-  }
-  // Capture the final duals as next slot's dual-warm pricing weights. Keyed
-  // by absolute (link, slot) like the basis capture; the (rare) non-optimal
-  // exit keeps last slot's weights instead of caching garbage.
-  if (options.dual_warm && warm_cache && sol.optimal() && !sol.duals.empty()) {
-    warm_cache->arc_weights.clear();
-    for (int a = 0; a < num_arcs; ++a) {
-      if (cap_row[a] < 0) continue;
-      warm_cache->arc_weights.insert_or_assign(
-          {arcs[a].link_index, slot + arcs[a].layer},
-          sol.duals[cap_row[a]] + sol.duals[chg_row[a]]);
-    }
+  // Arm the cache for the next slot. A failed round returned above and
+  // leaves it untouched (it is only a hint); an artificial still basic
+  // makes extract_warm_start return an empty basis, which does not arm it.
+  if (warm_cache && !warm_cache->valid &&
+      !simplex.extract_warm_start().basis.empty()) {
     warm_cache->valid = true;
   }
 

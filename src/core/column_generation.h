@@ -28,22 +28,14 @@
 // the direct formulation).
 #pragma once
 
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "charging/charge_state.h"
-#include "core/formulation.h"
 #include "core/plan.h"
 #include "lp/budget.h"
 #include "lp/simplex.h"
-#include "lp/solver.h"
 #include "net/file_request.h"
 #include "net/topology.h"
-
-namespace postcard::base {
-class WorkerPool;
-}  // namespace postcard::base
 
 namespace postcard::net {
 class SparseTimeGraph;
@@ -53,95 +45,34 @@ namespace postcard::core {
 
 /// Cross-slot warm-start cache for the restricted master.
 ///
-/// The controller solves a nearly identical master every slot: the X (one
-/// per link) columns persist, while the demand rows, z columns and path
-/// columns are rebuilt for the new batch, and the capacity/epigraph row
-/// pairs shift with the horizon window. The cache captures the final basis
-/// of a slot's last master solve keyed by what survives — the (link,
-/// absolute slot) identity of every capacity/epigraph row pair — so the
-/// next slot's first master solve can be seeded without a phase 1:
+/// Every slot's master is new (demand rows, z columns and path columns are
+/// rebuilt for the batch, the capacity/epigraph rows shift with the window),
+/// but cold phase 1 always terminates in the same canonical basis: each z_k
+/// basic at F_k in its demand row, every other row on its own logical, X at
+/// its lower bound. Seeding the first master solve with that basis skips
+/// phase 1 without moving a single later pivot, so the plans are
+/// bit-for-bit a cold start's.
 ///
-///   * demand rows are new: each file's z column is made basic at F_k,
-///     which is exactly the basis cold phase 1 terminates in;
-///   * capacity/epigraph rows whose (link, absolute slot) key survives the
-///     window shift keep their logical statuses (carry mode only), rows
-///     whose basic variable was a dropped per-slot column (z or path)
-///     revert to their own logical;
-///   * rows that expired out of the window are dropped, new rows default.
-///
-/// The remapped snapshot is only a hint: RevisedSimplex verifies it
-/// (nonsingular + primal feasible) and falls back to a cold start
-/// otherwise, so a stale cache can never change the optimum.
+/// The canonical basis needs nothing from the previous slot, so the cache is
+/// one flag: it turns on after the first solve whose final basis holds no
+/// artificial variable and is never cleared. The seed is only a hint:
+/// RevisedSimplex verifies it (nonsingular + primal feasible) and falls back
+/// to a cold start otherwise, so it can never change the optimum.
 struct MasterWarmCache {
-  static constexpr int kLogical = -1;  // a row logical was basic here
-  static constexpr int kDropped = -2;  // a per-slot column (z/path) was basic
-
-  struct ArcRowState {
-    int cap_basic = kLogical;    // kLogical, kDropped, or >= 0: X of that link
-    int chg_basic = kLogical;
-    signed char cap_status = 0;  // row-logical status (WarmStart::k* codes)
-    signed char chg_status = 0;
-  };
-
   bool valid = false;
-  long captured_solves = 0;  // diagnostics: snapshots taken so far
-  std::map<std::pair<int, int>, ArcRowState> arc_rows;  // (link, abs slot)
-  // Dual warm starts (PathSolveOptions::dual_warm): the final master duals,
-  // reduced to the per-arc pricing weight mu + nu and keyed by the same
-  // (link, absolute slot) identity that survives the window shift. The next
-  // slot prices each file once against yesterday's weights before its first
-  // master solve and seeds the master with the resulting best paths — a
-  // cheaper use of the previous slot than the basis remap (no verification
-  // solve can reject it; extra columns never change the optimum).
-  std::map<std::pair<int, int>, double> arc_weights;  // (link, abs slot)
 };
 
 struct PathSolveOptions {
-  lp::SolverOptions master_lp;
-  int max_rounds = 2000;       // pricing rounds before giving up
-  double pricing_tol = 1e-7;   // reduced-cost threshold for new columns
-  double unrouted_cost = 1e6;  // big-M on z_k
-  bool allow_storage = true;   // mirror of FormulationOptions::allow_storage
+  bool allow_storage = true;  // mirror of FormulationOptions::allow_storage
   // Convergence: stop once the Lagrangian bound proves the master objective
   // is within this relative gap of the true LP optimum. CG objectives have a
   // long tail of vanishing improvements; the bound cuts it off with a
   // certificate instead of an arbitrary round limit.
   double relative_gap = 1e-5;
   // Secondary stop: the master objective is monotone, so a long run of
-  // rounds without relative improvement beyond `stall_tol` means the
-  // remaining columns only re-express alternative optima. 0 disables.
+  // rounds without relative improvement means the remaining columns only
+  // re-express alternative optima. 0 disables.
   int stall_rounds = 40;
-  double stall_tol = 1e-9;
-  // Cross-slot warm starts: seed the first master solve from a caller-kept
-  // MasterWarmCache (no-op without one). The default canonical remap
-  // reproduces the basis cold phase 1 terminates in, so the solve
-  // trajectory — and every downstream plan — is bit-for-bit identical to a
-  // cold start, minus the phase-1 work.
-  bool cross_slot_warm = true;
-  // Carry surviving (link, slot) row statuses and basic X variables from
-  // the cached basis instead of the canonical remap. Starts closer to the
-  // optimum on slowly-drifting instances but may land degenerate masters
-  // on a different alternate optimum than a cold start would (identical
-  // per-slot objective, possibly different plans).
-  bool carry_basis = false;
-  // Resume the restricted master in place between pricing rounds
-  // (RevisedSimplex::resolve): the master only ever grows by appended
-  // columns within a slot, so the incumbent basis, its LU factorization and
-  // its product-form updates all stay valid — rounds after the first pay
-  // neither a refactorization nor a phase 1. Deterministic: the resumed
-  // trajectory is a pure function of the master and the incumbent state.
-  bool reuse_factorization = true;
-  // Seed the first master solve with each file's best path priced against
-  // the previous slot's final duals (cached in MasterWarmCache). Changes
-  // which columns the master starts with — same optimum, possibly a
-  // different (cheaper-to-reach) trajectory — so it defaults off where
-  // bit-for-bit replay against older baselines matters.
-  bool dual_warm = false;
-  // Shards the per-file pricing DP across this pool (null or zero threads =
-  // serial). Results are merged in file-index order, so the generated
-  // columns, the master and every downstream plan are bit-for-bit identical
-  // to the serial sweep.
-  base::WorkerPool* pricing_pool = nullptr;
 };
 
 struct PathSolveResult {
@@ -165,23 +96,19 @@ struct PathSolveResult {
   // verification kept it (vs. falling back to a cold start).
   bool warm_attempted = false;
   bool warm_accepted = false;
-  // Hot-path split: wall time inside the pricing DP (every pass, including
-  // the dual-warm seeding) vs. inside the restricted-master solves.
+  // Hot-path split: wall time inside the pricing DP vs. inside the
+  // restricted-master solves.
   double pricing_seconds = 0.0;
   double master_seconds = 0.0;
   // Master solves resumed in place (factorization kept, no phase 1).
   int resumed_solves = 0;
-  // Dual warm start outcome: attempted when cached weights existed for this
-  // slot, seeded counts the columns they contributed before round 0.
-  bool dual_warm_attempted = false;
-  int dual_seed_columns = 0;
 };
 
 /// Solves the slot-t Postcard problem for `files` against `charge` by column
 /// generation. Read-only with respect to the charge state. When
-/// `warm_cache` is supplied, the first master solve is seeded from it (see
-/// MasterWarmCache) and the final basis is captured back into it for the
-/// next slot.
+/// `warm_cache` is supplied and valid, the first master solve is seeded with
+/// the canonical basis (see MasterWarmCache); a null cache is the cold
+/// reference.
 ///
 /// A limited `budget` is shared by every master solve (charged per pivot)
 /// and checked between pricing rounds. On exhaustion the incumbent

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 // NOLINTNEXTLINE(postcard-layering: sanctioned self-audit edge — the controller re-verifies its own plans; audit/audit.h only includes downward (core/plan.h), so no cycle forms)
 #include "audit/audit.h"
-#include "base/worker_pool.h"
 #include "core/column_generation.h"
 #include "core/dcroute.h"
 #include "core/greedy.h"
@@ -19,18 +17,7 @@ PostcardController::PostcardController(net::Topology topology,
                                        PostcardOptions options)
     : topology_(std::move(topology)),
       options_(options),
-      charge_(topology_.num_links()) {
-  if (options_.formulation.elastic_demand || options_.formulation.pin_charge) {
-    throw std::invalid_argument(
-        "elastic/pinned formulations belong to the Sec. VI extensions, not "
-        "the online controller");
-  }
-  if (options_.pricing_threads > 0) {
-    pricing_pool_ = std::make_unique<base::WorkerPool>(options_.pricing_threads);
-  }
-}
-
-PostcardController::~PostcardController() = default;
+      charge_(topology_.num_links()) {}
 
 bool PostcardController::set_link_capacity(int link, double capacity) {
   topology_.set_capacity(link, capacity);
@@ -79,9 +66,7 @@ sim::ScheduleOutcome PostcardController::schedule(
     std::vector<FilePlan> plans;
     std::vector<int> unroutable;
     bool truncated = false;
-    lp::SolveStatus status = lp::SolveStatus::kNumericalFailure;
-    if (try_schedule(slot, batch, plans, outcome, unroutable, bp, &truncated,
-                     &status)) {
+    if (try_schedule(slot, batch, plans, outcome, unroutable, bp, &truncated)) {
       // Commit-worthy master solution. Under a truncated master, files the
       // incumbent left (partially) unrouted are NOT committed — a partial
       // delivery spends capacity without completing anything — they move
@@ -120,18 +105,17 @@ sim::ScheduleOutcome PostcardController::schedule(
       break;
     }
     // The master failed outright. Under the ladder, anything that is not a
-    // capacity verdict (kOptimal with z > 0 reports unroutable files;
-    // kInfeasible comes from the direct formulation) walks the whole batch
-    // down to the greedy rung instead of re-burning the exhausted budget.
-    if (ladder && unroutable.empty() &&
-        status != lp::SolveStatus::kInfeasible) {
+    // capacity verdict (kOptimal with z > 0 reports unroutable files) walks
+    // the whole batch down to the greedy rung instead of re-burning the
+    // exhausted budget.
+    if (ladder && unroutable.empty()) {
       pending.insert(pending.end(), batch.begin(), batch.end());
       batch.clear();
       break;
     }
-    // Admission: drop exactly the files the relaxed master could not route
-    // (known when column generation ran), otherwise fall back to dropping
-    // the file with the steepest rate requirement.
+    // Admission: drop exactly the files the relaxed master could not route;
+    // a master that failed outright names none, so drop the file with the
+    // steepest rate requirement instead.
     if (unroutable.empty()) {
       unroutable.push_back(batch[net::heaviest_file(batch)].id);
     }
@@ -153,9 +137,9 @@ sim::ScheduleOutcome PostcardController::schedule(
   // for the runtime to carry over or fail loudly.
   if (!pending.empty()) {
     GreedyOptions gopts;
-    gopts.allow_storage = options_.formulation.allow_storage;
+    gopts.allow_storage = options_.allow_storage;
     DCRouteOptions dopts;
-    dopts.allow_storage = options_.formulation.allow_storage;
+    dopts.allow_storage = options_.allow_storage;
     for (const net::FileRequest& file : pending) {
       if (controls_.disable_rungs >= 2) {
         outcome.deferred_ids.push_back(file.id);
@@ -248,80 +232,49 @@ bool PostcardController::try_schedule(int slot,
                                       std::vector<FilePlan>& plans,
                                       sim::ScheduleOutcome& outcome,
                                       std::vector<int>& unroutable_ids,
-                                      lp::SolveBudget* budget, bool* truncated,
-                                      lp::SolveStatus* status) {
-  const bool can_use_paths =
-      options_.use_column_generation &&
-      !std::isfinite(options_.formulation.storage_capacity);
-  if (can_use_paths) {
-    PathSolveOptions popts;
-    popts.master_lp = options_.lp;
-    popts.allow_storage = options_.formulation.allow_storage;
-    popts.relative_gap = options_.cg_relative_gap;
-    popts.stall_rounds = options_.cg_stall_rounds;
-    popts.cross_slot_warm = options_.warm_start;
-    popts.carry_basis = options_.warm_start_carry_basis;
-    popts.reuse_factorization = options_.cg_reuse_factorization;
-    popts.dual_warm = options_.cg_dual_warm;
-    popts.pricing_pool = pricing_pool_.get();
-    const PathSolveResult r = solve_postcard_by_paths(
-        topology_, charge_, slot, files, popts,
-        options_.warm_start || options_.cg_dual_warm ? &warm_cache_ : nullptr,
-        budget, options_.use_sparse_graph ? &sparse_graph_ : nullptr);
-    outcome.lp_iterations += r.lp_iterations;
-    ++outcome.lp_solves;
-    outcome.pricing_seconds += r.pricing_seconds;
-    outcome.master_seconds += r.master_seconds;
-    outcome.resumed_solves += r.resumed_solves;
-    if (r.dual_warm_attempted) ++outcome.dual_warm_attempts;
-    outcome.dual_seed_columns += r.dual_seed_columns;
-    if (r.warm_attempted && r.warm_accepted) {
-      ++outcome.warm_accepts;
-    } else {
-      ++outcome.cold_starts;
-    }
-    *status = r.master_status;
-    *truncated = r.truncated;
-    // The path master is never infeasible (z absorbs unrouted demand), so
-    // any non-optimal final status is a solver failure worth counting.
-    if (r.master_status != lp::SolveStatus::kOptimal) {
-      ++outcome.solver_failures;
-      outcome.solver_status = lp::to_string(r.master_status);
-    }
-    if (!r.ok) return false;
-    if (!r.feasible) {
-      for (std::size_t k = 0; k < files.size(); ++k) {
-        if (r.unrouted[k] > 1e-6 * (1.0 + files[k].size)) {
-          unroutable_ids.push_back(files[k].id);
-        }
-      }
-      // A truncated master is still commit-worthy for the files it DID
-      // route; the caller filters out the unroutable ones. Re-solving
-      // after dropping files would just re-burn the exhausted budget.
-      if (r.truncated) {
-        plans = r.plans;
-        return true;
-      }
-      return false;
-    }
-    plans = r.plans;
-    return true;
-  }
-  TimeExpandedFormulation formulation(topology_, charge_, slot, files,
-                                      options_.formulation);
-  const lp::Solution solution =
-      lp::solve(formulation.model(), options_.lp, budget);
-  outcome.lp_iterations += solution.iterations;
+                                      lp::SolveBudget* budget, bool* truncated) {
+  PathSolveOptions popts;
+  popts.allow_storage = options_.allow_storage;
+  popts.relative_gap = options_.cg_relative_gap;
+  popts.stall_rounds = options_.cg_stall_rounds;
+  const PathSolveResult r = solve_postcard_by_paths(
+      topology_, charge_, slot, files, popts,
+      options_.warm_start ? &warm_cache_ : nullptr, budget,
+      options_.use_sparse_graph ? &sparse_graph_ : nullptr);
+  outcome.lp_iterations += r.lp_iterations;
   ++outcome.lp_solves;
-  ++outcome.cold_starts;  // the direct formulation has no cross-slot cache
-  *status = solution.status;
-  if (solution.status != lp::SolveStatus::kOptimal &&
-      solution.status != lp::SolveStatus::kInfeasible) {
-    ++outcome.solver_failures;
-    outcome.solver_status = lp::to_string(solution.status);
+  outcome.pricing_seconds += r.pricing_seconds;
+  outcome.master_seconds += r.master_seconds;
+  outcome.resumed_solves += r.resumed_solves;
+  if (r.warm_attempted && r.warm_accepted) {
+    ++outcome.warm_accepts;
+  } else {
+    ++outcome.cold_starts;
   }
-  if (!solution.optimal()) return false;
-  plans = formulation.extract_plans(solution);
+  *truncated = r.truncated;
+  // The path master is never infeasible (z absorbs unrouted demand), so
+  // any non-optimal final status is a solver failure worth counting.
+  if (r.master_status != lp::SolveStatus::kOptimal) {
+    ++outcome.solver_failures;
+    outcome.solver_status = lp::to_string(r.master_status);
+  }
+  if (!r.ok) return false;
+  if (!r.feasible) {
+    for (std::size_t k = 0; k < files.size(); ++k) {
+      if (r.unrouted[k] > 1e-6 * (1.0 + files[k].size)) {
+        unroutable_ids.push_back(files[k].id);
+      }
+    }
+    // A truncated master is still commit-worthy for the files it DID
+    // route; the caller filters out the unroutable ones. Re-solving
+    // after dropping files would just re-burn the exhausted budget.
+    if (r.truncated) {
+      plans = r.plans;
+      return true;
+    }
+    return false;
+  }
+  plans = r.plans;
   return true;
 }
 

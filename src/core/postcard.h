@@ -10,73 +10,48 @@
 // maximum).
 //
 // The paper assumes every batch is schedulable; when a batch is not (tight
-// capacities + deadlines), the controller drops the file with the largest
-// required rate and retries, reporting the rejected volume.
+// capacities + deadlines), the controller drops the files the master could
+// not route and retries, reporting the rejected volume.
 #pragma once
 
-#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "charging/charge_state.h"
 #include "core/column_generation.h"
-#include "core/formulation.h"
 #include "core/plan.h"
-#include "lp/solver.h"
+#include "lp/budget.h"
 #include "net/file_request.h"
 #include "net/sparse_time_expanded.h"
 #include "net/topology.h"
 #include "sim/policy.h"
 
-namespace postcard::base {
-class WorkerPool;
-}  // namespace postcard::base
-
 namespace postcard::core {
 
+// Every slot is solved by path-based column generation
+// (core/column_generation.h) over the batch's LP (6)-(10); the arc-flow
+// TimeExpandedFormulation stays the reference optimum in tests and the
+// small-scale base of the Sec. VI extensions.
 struct PostcardOptions {
-  lp::SolverOptions lp;
-  FormulationOptions formulation;  // storage knobs for the ablations
-  // Solve each slot by path-based column generation (core/column_generation.h)
-  // instead of the direct arc-flow LP. Identical optimum, far faster on the
-  // degenerate time-expanded systems; automatically falls back to the direct
-  // formulation when the storage capacity is capped (the path master has no
-  // storage rows).
-  bool use_column_generation = true;
+  // Store-and-forward on (the paper's Postcard) or off (the storage
+  // ablation: data may wait only at its source and destination).
+  bool allow_storage = true;
   // Column-generation stopping knobs (see PathSolveOptions).
   double cg_relative_gap = 1e-4;
   int cg_stall_rounds = 30;
-  // Keep a basis snapshot across slot boundaries and seed each slot's first
-  // master solve from it (see MasterWarmCache). The default canonical remap
-  // is trajectory-identical to a cold start — same plans bit for bit —
-  // while skipping phase 1, so it is safe to leave on everywhere.
+  // Keep a MasterWarmCache across slot boundaries and seed each slot's
+  // first master solve with the canonical basis. Trajectory-identical to a
+  // cold start — same plans bit for bit — while skipping phase 1, so it is
+  // safe to leave on everywhere; off is the cold reference.
   bool warm_start = true;
-  // Carry surviving row/X statuses from the cached basis instead of the
-  // canonical remap (PathSolveOptions::carry_basis). Same per-slot optimum,
-  // possibly a different optimal basis on degenerate masters — off by
-  // default because deterministic replays must match cold-start plans.
-  bool warm_start_carry_basis = false;
   // Maintain the time-expanded graph incrementally in a per-controller
   // sparse arena (net::SparseTimeGraph) with per-commodity reachability
   // pruning in pricing, instead of rebuilding the dense expansion on every
   // solve. Plans are bit-for-bit identical either way (see DESIGN.md §12);
-  // the toggle exists for the equivalence tests and as a debugging aid.
+  // the dense path is the reference of the equivalence tests.
   bool use_sparse_graph = true;
-  // Resume the restricted master across pricing rounds on the incumbent
-  // basis and factorization (PathSolveOptions::reuse_factorization): rounds
-  // after the first pay neither a refactorization nor a phase 1.
-  // Deterministic; safe to leave on everywhere.
-  bool cg_reuse_factorization = true;
-  // Seed each slot's first master with columns priced against the previous
-  // slot's final duals (PathSolveOptions::dual_warm). Same per-slot optimum,
-  // possibly different alternate-optimal plans — off by default because
-  // deterministic replays must match the no-seed trajectory.
-  bool cg_dual_warm = false;
-  // Shard the pricing DP across this many persistent worker threads
-  // (0 = serial). The merge is file-index-ordered, so plans are bit-for-bit
-  // identical at any thread count.
-  int pricing_threads = 0;
   // Insert the DCRoute single-path rung (core/dcroute.h) between the
   // truncated-CG and greedy rungs of the degradation ladder: files the
   // budget-cut master left unrouted first try one cheapest-path reservation
@@ -89,7 +64,6 @@ class PostcardController : public sim::SchedulingPolicy {
  public:
   explicit PostcardController(net::Topology topology,
                               PostcardOptions options = PostcardOptions{});
-  ~PostcardController() override;  // out of line: WorkerPool is incomplete here
 
   sim::ScheduleOutcome schedule(
       int slot, const std::vector<net::FileRequest>& files) override;
@@ -98,8 +72,7 @@ class PostcardController : public sim::SchedulingPolicy {
   }
   const charging::ChargeState& charge_state() const override { return charge_; }
   std::string name() const override {
-    return options_.formulation.allow_storage ? "postcard"
-                                              : "postcard (no storage)";
+    return options_.allow_storage ? "postcard" : "postcard (no storage)";
   }
 
   /// Plans committed by the most recent schedule() call.
@@ -159,16 +132,15 @@ class PostcardController : public sim::SchedulingPolicy {
  private:
   /// Attempts to schedule the whole batch. On infeasibility, fills
   /// `unroutable_ids` with the files the column-generation master could not
-  /// route (empty when the direct formulation was used, which only reports
-  /// infeasible/feasible). `status` reports the final master status and
-  /// `truncated` whether a budget cut column generation short; a true
-  /// return with non-empty `unroutable_ids` means a truncated master whose
-  /// routed subset (already filtered into consistency by the caller) is
-  /// commit-worthy while the listed files need the next rung.
+  /// route (empty when the master itself failed). `truncated` reports
+  /// whether a budget cut column generation short; a true return with
+  /// non-empty `unroutable_ids` means a truncated master whose routed subset
+  /// (already filtered into consistency by the caller) is commit-worthy
+  /// while the listed files need the next rung.
   bool try_schedule(int slot, const std::vector<net::FileRequest>& files,
                     std::vector<FilePlan>& plans, sim::ScheduleOutcome& outcome,
                     std::vector<int>& unroutable_ids, lp::SolveBudget* budget,
-                    bool* truncated, lp::SolveStatus* status);
+                    bool* truncated);
 
   /// Post-commit audit of last_plans_ + the charge state (see AuditControls).
   void run_audit(int slot, const std::vector<net::FileRequest>& files,
@@ -182,8 +154,6 @@ class PostcardController : public sim::SchedulingPolicy {
   // Persistent arena for the incremental time-expanded graph; advanced in
   // place by each solve.
   net::SparseTimeGraph sparse_graph_;
-  // Pricing worker pool (pricing_threads > 0), null when pricing is serial.
-  std::unique_ptr<base::WorkerPool> pricing_pool_;
   sim::SolveControls controls_;
   sim::AuditControls audit_controls_;
 };

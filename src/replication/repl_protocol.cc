@@ -49,8 +49,6 @@ std::uint64_t runtime_fingerprint(const runtime::RuntimeStats& s) {
     h.i64(b.warm_accepts);
     h.i64(b.cold_starts);
     h.i64(b.resumed_solves);
-    h.i64(b.dual_warm_attempts);
-    h.i64(b.dual_seed_columns);
     h.i64(b.charge_reduce_violations);
     h.i64(b.rung_full);
     h.i64(b.rung_truncated);

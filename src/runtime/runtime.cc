@@ -405,8 +405,6 @@ void ControllerRuntime::record_outcome(
   b.stats.pricing_seconds += outcome.pricing_seconds;
   b.stats.master_seconds += outcome.master_seconds;
   b.stats.resumed_solves += outcome.resumed_solves;
-  b.stats.dual_warm_attempts += outcome.dual_warm_attempts;
-  b.stats.dual_seed_columns += outcome.dual_seed_columns;
   b.stats.rung_full += outcome.rung_full;
   b.stats.rung_truncated += outcome.rung_truncated;
   b.stats.rung_greedy += outcome.rung_greedy;

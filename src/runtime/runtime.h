@@ -18,8 +18,7 @@
 //     the ingress's own capacity view.
 //   * Exactly one driver thread calls tick()/run()/replay(). It owns the
 //     policies, the in-flight ledger and the stats, and runs every solve
-//     itself; a backend's PostcardOptions::pricing_threads may shard its
-//     pricing DP, bit-identically, inside that solve.
+//     itself, single-threaded: no solve starts a thread of its own.
 //   * stats() may be called from any thread; it copies under the stats
 //     lock which the driver takes only while merging, never while solving.
 //

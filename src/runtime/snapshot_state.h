@@ -55,7 +55,7 @@ struct BackendSnapshot {
   long reduce_violations = 0;
   std::vector<double> charged;
 
-  // Cross-slot warm-start cache of the controller's master.
+  // Cross-slot warm-start cache of the controller's master (one flag).
   core::MasterWarmCache warm_cache;
 
   // Committed in-flight work and files queued for the next solve.

@@ -73,14 +73,11 @@ struct BackendStats {
   long warm_accepts = 0;
   long cold_starts = 0;
   // Solver hot-path split (column-generation backends only): wall time in
-  // the pricing DP vs. the restricted-master solves, master solves resumed
-  // in place on the incumbent factorization, and dual-warm-start outcomes
-  // (slots seeded from cached duals / columns those seeds contributed).
+  // the pricing DP vs. the restricted-master solves, and master solves
+  // resumed in place on the incumbent factorization.
   double pricing_seconds = 0.0;
   double master_seconds = 0.0;
   long resumed_solves = 0;
-  long dual_warm_attempts = 0;
-  long dual_seed_columns = 0;
   // Percentile ledger integrity: uncommits that asked for more volume than
   // the slot held (beyond rounding noise). Always 0 in a correct engine;
   // nonzero pinpoints a double-uncommit or a commit/uncommit mismatch.

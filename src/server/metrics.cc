@@ -112,10 +112,6 @@ std::string format_metrics(const runtime::RuntimeStats& s) {
                  b.master_seconds);
     backend_line(os, "postcard_backend_resumed_solves", b.name,
                  b.resumed_solves);
-    backend_line(os, "postcard_backend_dual_warm_attempts", b.name,
-                 b.dual_warm_attempts);
-    backend_line(os, "postcard_backend_dual_seed_columns", b.name,
-                 b.dual_seed_columns);
     backend_line(os, "postcard_backend_charge_reduce_violations", b.name,
                  b.charge_reduce_violations);
     backend_line(os, "postcard_backend_rung_full_slots", b.name, b.rung_full);

@@ -136,8 +136,6 @@ void encode_backend_stats(ByteWriter& w, const runtime::BackendStats& s) {
   w.f64(s.pricing_seconds);
   w.f64(s.master_seconds);
   w.i64(s.resumed_solves);
-  w.i64(s.dual_warm_attempts);
-  w.i64(s.dual_seed_columns);
   w.i64(s.charge_reduce_violations);
   w.i64(s.rung_full);
   w.i64(s.rung_truncated);
@@ -183,8 +181,6 @@ runtime::BackendStats decode_backend_stats(ByteReader& r) {
   s.pricing_seconds = r.f64();
   s.master_seconds = r.f64();
   s.resumed_solves = r.i64();
-  s.dual_warm_attempts = r.i64();
-  s.dual_seed_columns = r.i64();
   s.charge_reduce_violations = r.i64();
   s.rung_full = r.i64();
   s.rung_truncated = r.i64();

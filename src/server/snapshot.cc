@@ -16,38 +16,6 @@ namespace {
 // moved to protocol.cc so the replication stream shares the exact byte
 // layout of the snapshot's pending-event section.
 
-void encode_warm_cache(ByteWriter& w, const core::MasterWarmCache& c) {
-  w.boolean(c.valid);
-  w.i64(c.captured_solves);
-  w.u32(static_cast<std::uint32_t>(c.arc_rows.size()));
-  for (const auto& [key, row] : c.arc_rows) {
-    w.i32(key.first);
-    w.i32(key.second);
-    w.i32(row.cap_basic);
-    w.i32(row.chg_basic);
-    w.u8(static_cast<std::uint8_t>(row.cap_status));
-    w.u8(static_cast<std::uint8_t>(row.chg_status));
-  }
-}
-
-core::MasterWarmCache decode_warm_cache(ByteReader& r) {
-  core::MasterWarmCache c;
-  c.valid = r.boolean();
-  c.captured_solves = r.i64();
-  const std::size_t rows = r.length(4 * 4 + 2);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const int link = r.i32();
-    const int slot = r.i32();
-    core::MasterWarmCache::ArcRowState row;
-    row.cap_basic = r.i32();
-    row.chg_basic = r.i32();
-    row.cap_status = static_cast<signed char>(r.u8());
-    row.chg_status = static_cast<signed char>(r.u8());
-    c.arc_rows.emplace(std::make_pair(link, slot), row);
-  }
-  return c;
-}
-
 void encode_series(ByteWriter& w, const std::vector<std::vector<double>>& s) {
   w.u32(static_cast<std::uint32_t>(s.size()));
   for (const std::vector<double>& link : s) {
@@ -78,7 +46,7 @@ void encode_backend(ByteWriter& w, const runtime::BackendSnapshot& b) {
   w.i64(b.reduce_violations);
   w.u32(static_cast<std::uint32_t>(b.charged.size()));
   for (double c : b.charged) w.f64(c);
-  encode_warm_cache(w, b.warm_cache);
+  w.boolean(b.warm_cache.valid);
   w.u32(static_cast<std::uint32_t>(b.plans.size()));
   for (const runtime::PlanLedgerEntry& p : b.plans) {
     encode_file_request(w, p.request);
@@ -122,7 +90,7 @@ runtime::BackendSnapshot decode_backend(ByteReader& r) {
   const std::size_t charged = r.length(8);
   b.charged.reserve(charged);
   for (std::size_t i = 0; i < charged; ++i) b.charged.push_back(r.f64());
-  b.warm_cache = decode_warm_cache(r);
+  b.warm_cache.valid = r.boolean();
   const std::size_t plans = r.length(4 * 4 + 8 + 4 + 4 + 4 + 4);
   b.plans.reserve(plans);
   for (std::size_t i = 0; i < plans; ++i) {
@@ -348,6 +316,25 @@ void write_snapshot_file(const std::string& path,
     ::unlink(tmp.c_str());
     throw WireError("rename " + tmp + " -> " + path + " failed: errno " +
                     std::to_string(errno));
+  }
+  // The rename lives in the parent directory's entries: fsync the directory
+  // too, or a power loss after returning can bring the old file back.
+  const std::size_t slash = path.rfind('/');
+  std::string dir = ".";
+  if (slash != std::string::npos) {
+    dir = slash == 0 ? "/" : path.substr(0, slash);
+  }
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) {
+    throw WireError("cannot open directory " + dir + ": errno " +
+                    std::to_string(errno));
+  }
+  const int synced = ::fsync(dir_fd);
+  const int fsync_errno = errno;
+  ::close(dir_fd);
+  if (synced != 0) {
+    throw WireError("fsync of directory " + dir + " failed: errno " +
+                    std::to_string(fsync_errno));
   }
 }
 

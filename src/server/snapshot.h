@@ -13,9 +13,10 @@
 // restored charge ledger carries the exact values the live engine held —
 // the basis of the bit-for-bit cost-series guarantee tested in
 // tests/server. write_snapshot_file() stages to `<path>.tmp`, fsyncs, then
-// atomically renames over the target: a crash or abrupt kill mid-write
-// leaves either the previous complete snapshot or a stray .tmp, never a
-// torn file. read_snapshot_file() re-verifies magic, version, length and
+// atomically renames over the target and fsyncs the parent directory: a
+// crash or abrupt kill mid-write leaves either the previous complete
+// snapshot or a stray .tmp, never a torn file, and a power loss after the
+// call returns cannot undo the rename. read_snapshot_file() re-verifies magic, version, length and
 // checksum and throws WireError on any mismatch.
 #pragma once
 
@@ -32,7 +33,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x50534E50;  // "PSNP"
 // v4: idempotent-submission dedup ids + event-seq watermark (replication).
 // v5: split-batch solving removed — no per-group warm caches, and the
 // embedded BackendStats lost its conflict re-solve counter.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+// v6: the warm cache is its one flag (no per-arc basis rows), and the
+// embedded BackendStats lost its dual-warm-start counters.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// FNV-1a 64-bit over a byte range.
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);
@@ -46,8 +49,9 @@ std::vector<std::uint8_t> encode_snapshot(const runtime::RuntimeSnapshot& snap);
 /// malformed body field.
 runtime::RuntimeSnapshot decode_snapshot(const std::vector<std::uint8_t>& bytes);
 
-/// Atomically replaces `path` with the serialized snapshot
-/// (write to path.tmp, fsync, rename). Throws WireError on I/O failure.
+/// Atomically and durably replaces `path` with the serialized snapshot
+/// (write to path.tmp, fsync, rename, fsync the directory). Throws
+/// WireError on I/O failure.
 void write_snapshot_file(const std::string& path,
                          const runtime::RuntimeSnapshot& snap);
 

@@ -29,7 +29,8 @@
 namespace postcard::server {
 
 // v5: BackendStats lost the split-batch conflict re-solve counter.
-inline constexpr std::uint16_t kProtocolVersion = 5;
+// v6: BackendStats lost the dual-warm-start counters.
+inline constexpr std::uint16_t kProtocolVersion = 6;
 
 /// Default cap on a single frame's payload. SubmitBatch with tens of
 /// thousands of files and a full stats reply both fit comfortably.

@@ -29,15 +29,11 @@ struct ScheduleOutcome {
   int warm_accepts = 0;
   int cold_starts = 0;
   // Solver hot-path split (column-generation backends; others leave zero):
-  // wall time inside the pricing DP vs. the restricted-master solves, master
-  // solves resumed in place on the incumbent factorization, and dual
-  // warm-start outcomes (slots that seeded from cached duals / columns those
-  // seeds contributed).
+  // wall time inside the pricing DP vs. the restricted-master solves, and
+  // master solves resumed in place on the incumbent factorization.
   double pricing_seconds = 0.0;
   double master_seconds = 0.0;
   int resumed_solves = 0;
-  int dual_warm_attempts = 0;
-  int dual_seed_columns = 0;
 
   // ---- Degradation-ladder accounting (policies without a ladder leave
   // everything below zero/empty; active only under SolveControls).

@@ -96,7 +96,7 @@ TEST(Postcard, StorageDisabledForcesImmediateForwarding) {
   // 20 GB / 2 slot transfer still fits (10 per slot), so this particular
   // case stays free — but a 1-slot deadline burst must raise the charge.
   PostcardOptions no_storage;
-  no_storage.formulation.allow_storage = false;
+  no_storage.allow_storage = false;
   net::Topology t(2);
   t.set_link(0, 1, 1000.0, 5.0);
   PostcardController controller{net::Topology(t), no_storage};
@@ -154,12 +154,6 @@ TEST(Postcard, MultiFileChargeSharing) {
   controller.schedule(0, {file(1, 0, 1, 10.0, 2, 0), file(2, 0, 1, 10.0, 2, 0)});
   EXPECT_NEAR(controller.charge_state().charged(0), 10.0, 1e-6);
   EXPECT_NEAR(controller.cost_per_interval(), 10.0, 1e-6);
-}
-
-TEST(Postcard, RejectsExtensionOptionsInOnlineController) {
-  PostcardOptions bad;
-  bad.formulation.elastic_demand = true;
-  EXPECT_THROW(PostcardController(fig1_topology(), bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include "server/snapshot.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <string>
 #include <unistd.h>
 
@@ -55,6 +57,13 @@ void drive(ControllerRuntime& runtime, const sim::WorkloadGenerator& w,
     }
     runtime.tick();
   }
+}
+
+/// Open file descriptors of this process (entries of /proc/self/fd).
+long open_fd_count() {
+  return static_cast<long>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator{}));
 }
 
 /// Schedules the failure/chaos script both runs share.
@@ -123,6 +132,10 @@ TEST(SnapshotRestore, KillAndRestoreReproducesCostSeriesBitForBit) {
     EXPECT_EQ(got.failed_files, ref.failed_files) << ref.name;
     EXPECT_EQ(got.replans, ref.replans) << ref.name;
     EXPECT_EQ(got.warm_accepts, ref.warm_accepts) << ref.name;
+    // Pivot counts too: a restore that lost the warm-start flag would solve
+    // its first slot cold, paying phase-1 pivots the reference skipped.
+    EXPECT_EQ(got.lp_iterations, ref.lp_iterations) << ref.name;
+    EXPECT_EQ(got.cold_starts, ref.cold_starts) << ref.name;
   }
   EXPECT_EQ(new_stats.submitted, ref_stats.submitted);
   EXPECT_EQ(new_stats.admitted, ref_stats.admitted);
@@ -306,6 +319,7 @@ TEST(SnapshotRestore, AtomicReplaceNeverLeavesATornFile) {
   drive(runtime, w, 0, 2);
 
   const std::string path = temp_snapshot_path("atomic");
+  const long fds_before = open_fd_count();
   write_snapshot_file(path, runtime.capture_snapshot());
   const RuntimeSnapshot first = read_snapshot_file(path);
 
@@ -316,6 +330,9 @@ TEST(SnapshotRestore, AtomicReplaceNeverLeavesATornFile) {
   const RuntimeSnapshot second = read_snapshot_file(path);
   EXPECT_EQ(first.next_slot, 2);
   EXPECT_EQ(second.next_slot, 4);
+  // Every descriptor a write opened (the .tmp file, the parent directory
+  // it fsyncs) or a read opened is closed again.
+  EXPECT_EQ(open_fd_count(), fds_before);
 
   // Simulate the abrupt-kill residue: a stray half-written .tmp next to a
   // complete snapshot must not confuse the reader.
