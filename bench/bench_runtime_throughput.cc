@@ -1,6 +1,6 @@
 // Throughput and latency of the online controller runtime (src/runtime).
 //
-// Three benchmark families:
+// Two benchmark families:
 //
 //   * IngressAdmission/threads:N — how many requests per second can the
 //     thread-safe ingress admit with 1..16 concurrent producers hammering
@@ -10,14 +10,11 @@
 //     Reports the mean and p99 slot latency (replay_w0_*: the key names
 //     predate the removal of the runtime's worker pool and are kept so the
 //     trajectory gate keeps comparing them).
-//   * RuntimeWarmStart/warm:{0,1} — the same replay with the cross-slot
-//     basis cache off vs on.
 //
 // Build & run:  cmake --build build && ./build/bench/bench_runtime_throughput
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -107,54 +104,12 @@ void RuntimeReplay(benchmark::State& state) {
   record_json_metric("replay_w0_mean_slot_ms", 1e3 * mean_slot);
 }
 
-/// RuntimeWarmStart/warm:{0,1} — the same deterministic replay with the
-/// cross-slot basis cache off vs on. The deterministic-mode contract makes
-/// both runs produce bit-identical cost series (asserted in the runtime
-/// warm-start tests), so the delta in mean solve latency is attributable to
-/// the warm starts alone: each accepted basis skips the first master's
-/// phase 1. Counters expose the accept rate so a regression in remap
-/// coverage (warm_accepts collapsing toward zero) shows up here even before
-/// the latency delta does.
-void RuntimeWarmStart(benchmark::State& state) {
-  const bool warm = state.range(0) != 0;
-  const sim::UniformWorkload workload(runtime_params(17));
-  double mean_solve_ms = 0.0;
-  double accepts = 0.0;
-  double colds = 0.0;
-
-  for (auto _ : state) {
-    runtime::ControllerRuntime engine{net::Topology(workload.topology()),
-                                      runtime::RuntimeOptions{}};
-    core::PostcardOptions popts;
-    popts.warm_start = warm;
-    engine.add_postcard_backend(popts);
-    const runtime::RuntimeStats stats = engine.replay(workload);
-    mean_solve_ms = 1e3 * stats.solve_latency.mean_seconds();
-    accepts = static_cast<double>(stats.backends[0].warm_accepts);
-    colds = static_cast<double>(stats.backends[0].cold_starts);
-  }
-  state.counters["mean_solve_ms"] = mean_solve_ms;
-  state.counters["warm_accepts"] = accepts;
-  state.counters["cold_starts"] = colds;
-  const std::string key = warm ? "warm" : "cold";
-  record_json_metric(key + std::string("_mean_solve_ms"), mean_solve_ms);
-  if (warm) {
-    record_json_metric("warm_accept_rate",
-                       (accepts + colds) > 0 ? accepts / (accepts + colds)
-                                             : 0.0);
-  }
-}
-
 // UseRealTime: rate counters must reflect wall clock, including the
 // producer threads of IngressAdmission.
 BENCHMARK(IngressAdmission)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->UseRealTime();
 BENCHMARK(RuntimeReplay)->UseRealTime();
-BENCHMARK(RuntimeWarmStart)
-    ->Arg(0)->Arg(1)
-    ->ArgName("warm")
-    ->UseRealTime();
 
 }  // namespace
 }  // namespace postcard::bench

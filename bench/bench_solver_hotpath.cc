@@ -1,21 +1,18 @@
 // Solver hot-path split: where does a slot solve spend its time?
 //
-// Three benchmark families over the same Fig. 4-shaped workload (6 DCs,
+// Two benchmark families over the same Fig. 4-shaped workload (6 DCs,
 // generous capacity, 8-20 files/slot, deadlines 1-3 — the
 // bench_runtime_throughput replay shape, seed 17):
 //
 //   * HotpathSlotSolve — PostcardController::schedule per slot with
 //     PostcardOptions{}, the one configuration every deployed caller runs:
 //     in-place master resumes on the incumbent factorization, the canonical
-//     cross-slot warm start, serial pricing. The mean/p99 slot solve, the
+//     round-0 seed, serial pricing. The mean/p99 slot solve, the
 //     pricing-vs-master wall split and the warm accept rate land in
 //     BENCH_solver_hotpath.json.
 //   * HotpathColumnGeneration — solve_postcard_by_paths directly (no
 //     controller admission around it), for the columns/sec rate and the
 //     resumed-solve share of the pure column-generation loop.
-//   * HotpathDCRoute — the DCRoute single-path rung as a speed yardstick:
-//     one DP + one reservation sweep per file, no LP at all, with the cost
-//     premium over the LP-optimal controller reported alongside.
 //
 // Every solve runs on one thread, so the core count does not enter these
 // numbers.
@@ -30,7 +27,6 @@
 
 #include "bench_json.h"
 #include "core/column_generation.h"
-#include "core/dcroute.h"
 #include "core/postcard.h"
 #include "sim/workload.h"
 
@@ -145,13 +141,11 @@ void HotpathColumnGeneration(benchmark::State& state) {
 
   for (auto _ : state) {
     charging::ChargeState charge(workload.topology().num_links());
-    core::MasterWarmCache cache;
     long columns = 0, rounds = 0, resumed = 0;
     double lp_seconds = 0.0;
     for (int slot = 0; slot < workload.num_slots(); ++slot) {
       const core::PathSolveResult r = core::solve_postcard_by_paths(
-          workload.topology(), charge, slot, workload.batch(slot),
-          core::PathSolveOptions{}, &cache);
+          workload.topology(), charge, slot, workload.batch(slot));
       columns += r.path_columns;
       rounds += r.rounds;
       resumed += r.resumed_solves;
@@ -176,46 +170,8 @@ void HotpathColumnGeneration(benchmark::State& state) {
   record_json_metric("hotpath_cg_resumed_share", resumed_share);
 }
 
-/// DCRoute as the speed yardstick: no LP anywhere, one DP + one reservation
-/// sweep per file. The cost premium over the LP controller quantifies what
-/// the ladder gives up when this rung fires.
-void HotpathDCRoute(benchmark::State& state) {
-  const sim::UniformWorkload workload(fig4_shape(17));
-  double mean_ms = 0.0, cost = 0.0;
-  double rejected = 0.0;
-
-  double best_mean_ms = std::numeric_limits<double>::infinity();
-  for (auto _ : state) {
-    core::DCRouteScheduler scheduler{net::Topology(workload.topology())};
-    std::vector<double> seconds;
-    double iter_rejected = 0.0;
-    for (int slot = 0; slot < workload.num_slots(); ++slot) {
-      const auto batch = workload.batch(slot);
-      const auto t0 = std::chrono::steady_clock::now();
-      const sim::ScheduleOutcome o = scheduler.schedule(slot, batch);
-      seconds.push_back(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-      iter_rejected += static_cast<double>(o.rejected_ids.size());
-    }
-    const double iter_mean_ms = 1e3 * mean_of(seconds);
-    if (iter_mean_ms < best_mean_ms) {  // min across iterations, as above
-      best_mean_ms = iter_mean_ms;
-      mean_ms = iter_mean_ms;
-      cost = scheduler.cost_per_interval();
-      rejected = iter_rejected;
-    }
-  }
-  state.counters["mean_slot_ms"] = mean_ms;
-  state.counters["rejected"] = rejected;
-  record_json_metric("hotpath_dcroute_mean_slot_solve_ms", mean_ms);
-  record_json_metric("hotpath_dcroute_cost_per_interval", cost);
-  record_json_metric("hotpath_dcroute_rejected_files", rejected);
-}
-
 BENCHMARK(HotpathSlotSolve)->UseRealTime();
 BENCHMARK(HotpathColumnGeneration)->UseRealTime();
-BENCHMARK(HotpathDCRoute)->UseRealTime();
 
 }  // namespace
 }  // namespace postcard::bench

@@ -46,7 +46,7 @@ namespace {
 /// The basis cold phase 1 terminates in on the round-0 master — every z_k
 /// basic at F_k in its demand row, every other row on its own logical, X at
 /// lower bound — so seeding it changes no downstream pivot, only skips the
-/// phase-1 work (see MasterWarmCache).
+/// phase-1 work.
 lp::RevisedSimplex::WarmStart canonical_warm_basis(
     const lp::LpModel& master, const std::vector<int>& zv,
     const std::vector<int>& demand_row) {
@@ -75,7 +75,6 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
                                         int slot,
                                         const std::vector<net::FileRequest>& files,
                                         const PathSolveOptions& options,
-                                        MasterWarmCache* warm_cache,
                                         lp::SolveBudget* budget,
                                         net::SparseTimeGraph* sparse_graph) {
   PathSolveResult result;
@@ -339,11 +338,9 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   };
 
   lp::RevisedSimplex simplex;
-  lp::RevisedSimplex::WarmStart warm;  // reused across pricing rounds
-  if (warm_cache && warm_cache->valid) {
-    warm = canonical_warm_basis(master, zv, demand_row);
-    result.warm_attempted = true;
-  }
+  // Reused across pricing rounds; round 0 starts from the canonical basis.
+  lp::RevisedSimplex::WarmStart warm =
+      canonical_warm_basis(master, zv, demand_row);
 
   lp::Solution sol;
   // Last fully solved restricted master: optimal for its column set, hence
@@ -478,13 +475,6 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     }
   }
   result.path_columns = static_cast<int>(columns.size());
-  // Arm the cache for the next slot. A failed round returned above and
-  // leaves it untouched (it is only a hint); an artificial still basic
-  // makes extract_warm_start return an empty basis, which does not arm it.
-  if (warm_cache && !warm_cache->valid &&
-      !simplex.extract_warm_start().basis.empty()) {
-    warm_cache->valid = true;
-  }
 
   // ---- Extract plans and the objective.
   result.ok = true;

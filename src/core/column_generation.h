@@ -43,25 +43,6 @@ class SparseTimeGraph;
 
 namespace postcard::core {
 
-/// Cross-slot warm-start cache for the restricted master.
-///
-/// Every slot's master is new (demand rows, z columns and path columns are
-/// rebuilt for the batch, the capacity/epigraph rows shift with the window),
-/// but cold phase 1 always terminates in the same canonical basis: each z_k
-/// basic at F_k in its demand row, every other row on its own logical, X at
-/// its lower bound. Seeding the first master solve with that basis skips
-/// phase 1 without moving a single later pivot, so the plans are
-/// bit-for-bit a cold start's.
-///
-/// The canonical basis needs nothing from the previous slot, so the cache is
-/// one flag: it turns on after the first solve whose final basis holds no
-/// artificial variable and is never cleared. The seed is only a hint:
-/// RevisedSimplex verifies it (nonsingular + primal feasible) and falls back
-/// to a cold start otherwise, so it can never change the optimum.
-struct MasterWarmCache {
-  bool valid = false;
-};
-
 struct PathSolveOptions {
   bool allow_storage = true;  // mirror of FormulationOptions::allow_storage
   // Convergence: stop once the Lagrangian bound proves the master objective
@@ -91,10 +72,8 @@ struct PathSolveResult {
   // ok is still true: the incumbent is primal feasible for the slot
   // problem (unrouted volume sits on the z columns, reported as usual).
   bool truncated = false;
-  // Cross-slot warm-start outcome of the first master solve: attempted is
-  // true when a valid cache was remapped in, accepted when the solver's
-  // verification kept it (vs. falling back to a cold start).
-  bool warm_attempted = false;
+  // The round-0 master is seeded with the canonical basis; accepted when
+  // the solver's verification kept it, false when it fell back to phase 1.
   bool warm_accepted = false;
   // Hot-path split: wall time inside the pricing DP vs. inside the
   // restricted-master solves.
@@ -105,10 +84,16 @@ struct PathSolveResult {
 };
 
 /// Solves the slot-t Postcard problem for `files` against `charge` by column
-/// generation. Read-only with respect to the charge state. When
-/// `warm_cache` is supplied and valid, the first master solve is seeded with
-/// the canonical basis (see MasterWarmCache); a null cache is the cold
-/// reference.
+/// generation. Read-only with respect to the charge state.
+///
+/// Every slot's master is new (demand rows, z columns and path columns are
+/// rebuilt for the batch, the capacity/epigraph rows shift with the window),
+/// but cold phase 1 always ends in the same canonical basis: each z_k basic
+/// at F_k in its demand row, every other row on its own logical, X at its
+/// lower bound. The round-0 master is always seeded with that basis, which
+/// skips phase 1 without moving a later pivot. The seed is only a hint:
+/// RevisedSimplex verifies it (nonsingular + primal feasible) and runs
+/// phase 1 when it rejects it, so it can never change the optimum.
 ///
 /// A limited `budget` is shared by every master solve (charged per pivot)
 /// and checked between pricing rounds. On exhaustion the incumbent
@@ -128,7 +113,6 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
                                         int slot,
                                         const std::vector<net::FileRequest>& files,
                                         const PathSolveOptions& options = {},
-                                        MasterWarmCache* warm_cache = nullptr,
                                         lp::SolveBudget* budget = nullptr,
                                         net::SparseTimeGraph* sparse_graph = nullptr);
 

@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "lp/solver.h"
+
 namespace postcard::core {
 
 namespace {
@@ -9,7 +11,6 @@ namespace {
 ExtensionResult run_elastic(const net::Topology& topology,
                             const charging::ChargeState& charge, int slot,
                             const std::vector<net::FileRequest>& files,
-                            const lp::SolverOptions& lp_options,
                             bool pin_charge, double budget_per_interval) {
   ExtensionResult result;
   if (files.empty()) {
@@ -32,7 +33,7 @@ ExtensionResult run_elastic(const net::Topology& topology,
     }
   }
 
-  const lp::Solution solution = lp::solve(formulation.model(), lp_options);
+  const lp::Solution solution = lp::solve(formulation.model());
   result.lp_iterations = solution.iterations;
   if (!solution.optimal()) return result;
 
@@ -69,20 +70,18 @@ ExtensionResult run_elastic(const net::Topology& topology,
 ExtensionResult maximize_bulk_transfer(const net::Topology& topology,
                                        const charging::ChargeState& charge,
                                        int slot,
-                                       const std::vector<net::FileRequest>& files,
-                                       const lp::SolverOptions& lp_options) {
-  return run_elastic(topology, charge, slot, files, lp_options,
-                     /*pin_charge=*/true, /*budget_per_interval=*/-1.0);
+                                       const std::vector<net::FileRequest>& files) {
+  return run_elastic(topology, charge, slot, files, /*pin_charge=*/true,
+                     /*budget_per_interval=*/-1.0);
 }
 
 ExtensionResult maximize_with_budget(const net::Topology& topology,
                                      const charging::ChargeState& charge,
                                      int slot,
                                      const std::vector<net::FileRequest>& files,
-                                     double budget_per_interval,
-                                     const lp::SolverOptions& lp_options) {
-  return run_elastic(topology, charge, slot, files, lp_options,
-                     /*pin_charge=*/false, budget_per_interval);
+                                     double budget_per_interval) {
+  return run_elastic(topology, charge, slot, files, /*pin_charge=*/false,
+                     budget_per_interval);
 }
 
 }  // namespace postcard::core

@@ -23,7 +23,6 @@
 #include "charging/charge_state.h"
 #include "core/formulation.h"
 #include "core/plan.h"
-#include "lp/solver.h"
 #include "net/file_request.h"
 #include "net/topology.h"
 
@@ -43,8 +42,7 @@ struct ExtensionResult {
 /// if they accept them.
 ExtensionResult maximize_bulk_transfer(
     const net::Topology& topology, const charging::ChargeState& charge,
-    int slot, const std::vector<net::FileRequest>& files,
-    const lp::SolverOptions& lp_options = {});
+    int slot, const std::vector<net::FileRequest>& files);
 
 /// Budget-constrained scheduling: maximize delivered volume subject to
 /// sum_ij a_ij X_ij <= budget_per_interval (which must be at least the
@@ -53,6 +51,6 @@ ExtensionResult maximize_bulk_transfer(
 ExtensionResult maximize_with_budget(
     const net::Topology& topology, const charging::ChargeState& charge,
     int slot, const std::vector<net::FileRequest>& files,
-    double budget_per_interval, const lp::SolverOptions& lp_options = {});
+    double budget_per_interval);
 
 }  // namespace postcard::core

@@ -8,7 +8,6 @@
 // NOLINTNEXTLINE(postcard-layering: sanctioned self-audit edge — the controller re-verifies its own plans; audit/audit.h only includes downward (core/plan.h), so no cycle forms)
 #include "audit/audit.h"
 #include "core/column_generation.h"
-#include "core/dcroute.h"
 #include "core/greedy.h"
 
 namespace postcard::core {
@@ -138,26 +137,11 @@ sim::ScheduleOutcome PostcardController::schedule(
   if (!pending.empty()) {
     GreedyOptions gopts;
     gopts.allow_storage = options_.allow_storage;
-    DCRouteOptions dopts;
-    dopts.allow_storage = options_.allow_storage;
     for (const net::FileRequest& file : pending) {
       if (controls_.disable_rungs >= 2) {
         outcome.deferred_ids.push_back(file.id);
         outcome.deferred_volume += file.size;
         continue;
-      }
-      // DCRoute rung: one cheapest-path reservation before the greedy
-      // chunker. disable_rungs >= 2 already deferred above, so the chaos
-      // semantics "only store-in-place remains" are unchanged.
-      if (options_.use_dcroute_rung) {
-        FilePlan dplan;
-        if (dcroute_route_file(topology_, dopts, file, charge_, dplan) ==
-            DCRouteResult::kRouted) {
-          outcome.accepted_ids.push_back(file.id);
-          ++outcome.rung_dcroute;
-          last_plans_.push_back(std::move(dplan));
-          continue;
-        }
       }
       FilePlan plan;
       double gave_up = 0.0;
@@ -238,15 +222,14 @@ bool PostcardController::try_schedule(int slot,
   popts.relative_gap = options_.cg_relative_gap;
   popts.stall_rounds = options_.cg_stall_rounds;
   const PathSolveResult r = solve_postcard_by_paths(
-      topology_, charge_, slot, files, popts,
-      options_.warm_start ? &warm_cache_ : nullptr, budget,
+      topology_, charge_, slot, files, popts, budget,
       options_.use_sparse_graph ? &sparse_graph_ : nullptr);
   outcome.lp_iterations += r.lp_iterations;
   ++outcome.lp_solves;
   outcome.pricing_seconds += r.pricing_seconds;
   outcome.master_seconds += r.master_seconds;
   outcome.resumed_solves += r.resumed_solves;
-  if (r.warm_attempted && r.warm_accepted) {
+  if (r.warm_accepted) {
     ++outcome.warm_accepts;
   } else {
     ++outcome.cold_starts;

@@ -41,23 +41,12 @@ struct PostcardOptions {
   // Column-generation stopping knobs (see PathSolveOptions).
   double cg_relative_gap = 1e-4;
   int cg_stall_rounds = 30;
-  // Keep a MasterWarmCache across slot boundaries and seed each slot's
-  // first master solve with the canonical basis. Trajectory-identical to a
-  // cold start — same plans bit for bit — while skipping phase 1, so it is
-  // safe to leave on everywhere; off is the cold reference.
-  bool warm_start = true;
   // Maintain the time-expanded graph incrementally in a per-controller
   // sparse arena (net::SparseTimeGraph) with per-commodity reachability
   // pruning in pricing, instead of rebuilding the dense expansion on every
   // solve. Plans are bit-for-bit identical either way (see DESIGN.md §12);
   // the dense path is the reference of the equivalence tests.
   bool use_sparse_graph = true;
-  // Insert the DCRoute single-path rung (core/dcroute.h) between the
-  // truncated-CG and greedy rungs of the degradation ladder: files the
-  // budget-cut master left unrouted first try one cheapest-path reservation
-  // (~one DP per file) before falling to the greedy chunker. Off by default
-  // to keep ladder replays against older baselines bit-for-bit.
-  bool use_dcroute_rung = false;
 };
 
 class PostcardController : public sim::SchedulingPolicy {
@@ -124,11 +113,6 @@ class PostcardController : public sim::SchedulingPolicy {
     charge_ = std::move(state);
   }
 
-  /// Cross-slot warm-start cache (diagnostics, and snapshot capture and
-  /// restore in src/runtime).
-  const MasterWarmCache& warm_cache() const { return warm_cache_; }
-  void set_warm_cache(MasterWarmCache cache) { warm_cache_ = std::move(cache); }
-
  private:
   /// Attempts to schedule the whole batch. On infeasibility, fills
   /// `unroutable_ids` with the files the column-generation master could not
@@ -150,7 +134,6 @@ class PostcardController : public sim::SchedulingPolicy {
   PostcardOptions options_;
   charging::ChargeState charge_;
   std::vector<FilePlan> last_plans_;
-  MasterWarmCache warm_cache_;
   // Persistent arena for the incremental time-expanded graph; advanced in
   // place by each solve.
   net::SparseTimeGraph sparse_graph_;

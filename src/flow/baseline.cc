@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "audit/flow_audit.h"
+#include "lp/solver.h"
 
 namespace postcard::flow {
 
@@ -210,7 +211,7 @@ bool FlowBaseline::try_schedule(int slot,
         }
       }
     }
-    const lp::Solution s1 = lp::solve(m1, options_.lp, budget);
+    const lp::Solution s1 = lp::solve(m1, {}, budget);
     outcome.lp_iterations += s1.iterations;
     ++outcome.lp_solves;
     *status = s1.status;
@@ -280,7 +281,7 @@ bool FlowBaseline::try_schedule(int slot,
       }
     }
   }
-  const lp::Solution s2 = lp::solve(m2, options_.lp, budget);
+  const lp::Solution s2 = lp::solve(m2, {}, budget);
   outcome.lp_iterations += s2.iterations;
   ++outcome.lp_solves;
   *status = s2.status;

@@ -13,8 +13,8 @@
 //     multicommodity flow routes the residual (1-lambda) fraction minimizing
 //     the charge increase.
 //   * two_stage = false: one LP solves the flow model exactly (the epigraph
-//     trick linearizes the charge objective). Used by the ablation bench to
-//     quantify how much the paper's decomposition gives away.
+//     trick linearizes the charge objective). No bench runs it; it is the
+//     reference the baseline tests hold the two-stage mode against.
 //
 // When a batch cannot be scheduled (link capacities cannot support all
 // rates), the policy drops the file with the largest rate and retries —
@@ -26,7 +26,8 @@
 #include <vector>
 
 #include "charging/charge_state.h"
-#include "lp/solver.h"
+#include "lp/budget.h"
+#include "lp/status.h"
 #include "net/file_request.h"
 #include "net/topology.h"
 #include "sim/policy.h"
@@ -34,7 +35,6 @@
 namespace postcard::flow {
 
 struct FlowBaselineOptions {
-  lp::SolverOptions lp;
   bool two_stage = true;
 };
 

@@ -53,7 +53,6 @@ std::uint64_t runtime_fingerprint(const runtime::RuntimeStats& s) {
     h.i64(b.rung_full);
     h.i64(b.rung_truncated);
     h.i64(b.rung_greedy);
-    h.i64(b.rung_dcroute);
     h.i64(b.carryover_files);
     h.f64(b.carryover_volume);
     h.i64(b.carryover_entered_files);

@@ -334,11 +334,10 @@ void ControllerRuntime::solve_slot(int slot,
       }
     }
     // Did this outcome reach any rung below the full LP optimum?
-    const int lower_rungs =
-        outcome.rung_truncated + outcome.rung_dcroute + outcome.rung_greedy;
+    const int lower_rungs = outcome.rung_truncated + outcome.rung_greedy;
     const bool degraded = lower_rungs > 0 || !outcome.deferred_ids.empty();
     base::MutexLock lock(stats_mu_);
-    add_solve_latency(outcome, seconds);
+    solve_latency_.add(seconds);
     const double cost_after = b.policy->cost_per_interval();
     if (degraded) {
       ++b.stats.degraded_slots;
@@ -348,14 +347,6 @@ void ControllerRuntime::solve_slot(int slot,
     b.stats.charge_reduce_violations =
         b.policy->charge_state().recorder().reduce_violations();
   }
-}
-
-void ControllerRuntime::add_solve_latency(const sim::ScheduleOutcome& o,
-                                          double seconds) {
-  solve_latency_.add(seconds);
-  if (o.warm_accepts + o.cold_starts == 0) return;  // no LP this solve
-  const bool warm = o.warm_accepts > 0 && o.cold_starts == 0;
-  (warm ? solve_latency_warm_ : solve_latency_cold_).add(seconds);
 }
 
 void ControllerRuntime::record_outcome(
@@ -408,7 +399,6 @@ void ControllerRuntime::record_outcome(
   b.stats.rung_full += outcome.rung_full;
   b.stats.rung_truncated += outcome.rung_truncated;
   b.stats.rung_greedy += outcome.rung_greedy;
-  b.stats.rung_dcroute += outcome.rung_dcroute;
   b.stats.solver_failures += outcome.solver_failures;
   if (!outcome.solver_status.empty()) {
     b.stats.last_solver_status = outcome.solver_status;
@@ -563,8 +553,6 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
     snap.solver_faults = solver_faults_;
     snap.slot_latency = slot_latency_;
     snap.solve_latency = solve_latency_;
-    snap.solve_latency_warm = solve_latency_warm_;
-    snap.solve_latency_cold = solve_latency_cold_;
   }
   snap.backends.reserve(backends_.size());
   for (const auto& bp : backends_) {
@@ -591,9 +579,6 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
     bs.series_slots = rec.num_slots();
     bs.reduce_violations = rec.reduce_violations();
     bs.charged = charge.charged_all();
-    if (b.postcard != nullptr) {
-      bs.warm_cache = b.postcard->warm_cache();
-    }
     {
       base::MutexLock ledger(ledger_mu_);
       bs.plans.reserve(b.plans.size());
@@ -696,7 +681,6 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
         bs.charged);
     if (b.postcard != nullptr) {
       b.postcard->restore_charge_state(std::move(charge));
-      b.postcard->set_warm_cache(bs.warm_cache);
     } else {
       b.flowbase->restore_charge_state(std::move(charge));
     }
@@ -728,8 +712,6 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
   solver_faults_ = snap.solver_faults;
   slot_latency_ = snap.slot_latency;
   solve_latency_ = snap.solve_latency;
-  solve_latency_warm_ = snap.solve_latency_warm;
-  solve_latency_cold_ = snap.solve_latency_cold;
 }
 
 RuntimeStats ControllerRuntime::stats() const {
@@ -746,8 +728,6 @@ RuntimeStats ControllerRuntime::stats() const {
   s.solver_faults = solver_faults_;
   s.slot_latency = slot_latency_;
   s.solve_latency = solve_latency_;
-  s.solve_latency_warm = solve_latency_warm_;
-  s.solve_latency_cold = solve_latency_cold_;
   s.backends.reserve(backends_.size());
   for (const auto& b : backends_) s.backends.push_back(b->stats);
   return s;

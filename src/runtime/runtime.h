@@ -140,13 +140,12 @@ class ControllerRuntime {
 
   // --- Snapshot / restore (src/server persistence; see DESIGN.md §11) ---
 
-  /// Captures the complete controller state — charge ledgers, warm-start
-  /// caches, committed in-flight plans, carry-over files, the slot clock,
-  /// pending events and all counters — into a plain-data snapshot. Must be
-  /// called from the driver thread between ticks (the server's command
-  /// loop guarantees this); producers may keep submitting, any arrival
-  /// racing past the capture simply lands in the post-restore queue of the
-  /// NEXT snapshot.
+  /// Captures the complete controller state — charge ledgers, committed
+  /// in-flight plans, carry-over files, the slot clock, pending events and
+  /// all counters — into a plain-data snapshot. Must be called from the
+  /// driver thread between ticks (the server's command loop guarantees
+  /// this); producers may keep submitting, any arrival racing past the
+  /// capture simply lands in the post-restore queue of the NEXT snapshot.
   RuntimeSnapshot capture_snapshot() const
       EXCLUDES(stats_mu_, ledger_mu_);
 
@@ -252,11 +251,6 @@ class ControllerRuntime {
   int next_slot_ = 0;
   int next_synthetic_id_ = kSyntheticIdBase;
 
-  /// Adds a solve to the combined latency histogram and, when at least one
-  /// master LP actually ran, to the warm/cold start-type split.
-  void add_solve_latency(const sim::ScheduleOutcome& outcome, double seconds)
-      REQUIRES(stats_mu_);
-
   // Guards every Backend::plans / Backend::flows ledger: the driver
   // mutates them while tracking, invalidating and retiring; server
   // QueryPlan sessions read them concurrently through query_plan(). Taken
@@ -276,10 +270,7 @@ class ControllerRuntime {
   long solver_stalls_ GUARDED_BY(stats_mu_) = 0;
   long solver_faults_ GUARDED_BY(stats_mu_) = 0;
   LatencyHistogram slot_latency_ GUARDED_BY(stats_mu_);
-  // Solve-latency split: solves whose first master was warm vs. cold.
   LatencyHistogram solve_latency_ GUARDED_BY(stats_mu_);
-  LatencyHistogram solve_latency_warm_ GUARDED_BY(stats_mu_);
-  LatencyHistogram solve_latency_cold_ GUARDED_BY(stats_mu_);
 };
 
 }  // namespace postcard::runtime

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/column_generation.h"
 #include "core/plan.h"
 #include "flow/baseline.h"
 #include "net/file_request.h"
@@ -55,9 +54,6 @@ struct BackendSnapshot {
   long reduce_violations = 0;
   std::vector<double> charged;
 
-  // Cross-slot warm-start cache of the controller's master (one flag).
-  core::MasterWarmCache warm_cache;
-
   // Committed in-flight work and files queued for the next solve.
   std::vector<PlanLedgerEntry> plans;
   std::vector<FlowLedgerEntry> flows;
@@ -92,8 +88,6 @@ struct RuntimeSnapshot {
   long solver_faults = 0;
   LatencyHistogram slot_latency;
   LatencyHistogram solve_latency;
-  LatencyHistogram solve_latency_warm;
-  LatencyHistogram solve_latency_cold;
 
   // Ingress admission counters.
   long submitted = 0;

@@ -68,8 +68,8 @@ struct BackendStats {
   double failed_volume = 0.0;
   long lp_iterations = 0;
   int lp_solves = 0;
-  // Cross-slot warm starts: master solves whose seeded basis was verified
-  // and accepted vs. solves run cold (nothing seeded, or rejected).
+  // Canonical-seed outcomes: solves whose seeded round-0 basis was verified
+  // and accepted vs. solves whose seed was rejected and ran phase 1.
   long warm_accepts = 0;
   long cold_starts = 0;
   // Solver hot-path split (column-generation backends only): wall time in
@@ -89,9 +89,6 @@ struct BackendStats {
   long rung_full = 0;
   long rung_truncated = 0;
   long rung_greedy = 0;
-  // Files placed by the DCRoute single-path rung (between truncated CG and
-  // the greedy chunker; zero unless PostcardOptions::use_dcroute_rung).
-  long rung_dcroute = 0;
   // Store-in-place carryover (the last rung): deferred files re-enqueued
   // into the next slot's batch with one slot less deadline slack. Files
   // deferred with no slack left land in failed_files/failed_volume.
@@ -164,14 +161,9 @@ struct RuntimeStats {
   // Chaos injection: SolverStall / SolverFault events processed.
   long solver_stalls = 0;
   long solver_faults = 0;
-  // Latency: whole-slot processing and individual solve tasks. The solve
-  // histogram is additionally split by how the slot's first master solve
-  // started (warm-accepted vs. cold); solves with no LP at all (empty
-  // batches, non-LP policies) appear only in the combined histogram.
+  // Latency: whole-slot processing and individual solve tasks.
   LatencyHistogram slot_latency;
   LatencyHistogram solve_latency;
-  LatencyHistogram solve_latency_warm;
-  LatencyHistogram solve_latency_cold;
   // Socket front-end accounting; all-zero outside server mode.
   ServerCounters server;
   std::vector<BackendStats> backends;

@@ -61,8 +61,6 @@ std::string format_metrics(const runtime::RuntimeStats& s) {
 
   histogram_lines(os, "postcard_slot_latency", s.slot_latency);
   histogram_lines(os, "postcard_solve_latency", s.solve_latency);
-  histogram_lines(os, "postcard_solve_latency_warm", s.solve_latency_warm);
-  histogram_lines(os, "postcard_solve_latency_cold", s.solve_latency_cold);
 
   line(os, "postcard_server_sessions_opened", s.server.sessions_opened);
   line(os, "postcard_server_sessions_closed", s.server.sessions_closed);
@@ -119,8 +117,6 @@ std::string format_metrics(const runtime::RuntimeStats& s) {
                  b.rung_truncated);
     backend_line(os, "postcard_backend_rung_greedy_slots", b.name,
                  b.rung_greedy);
-    backend_line(os, "postcard_backend_rung_dcroute_files", b.name,
-                 b.rung_dcroute);
     backend_line(os, "postcard_backend_carryover_files", b.name,
                  b.carryover_files);
     backend_line(os, "postcard_backend_degraded_slots", b.name,

@@ -140,7 +140,6 @@ void encode_backend_stats(ByteWriter& w, const runtime::BackendStats& s) {
   w.i64(s.rung_full);
   w.i64(s.rung_truncated);
   w.i64(s.rung_greedy);
-  w.i64(s.rung_dcroute);
   w.i64(s.carryover_files);
   w.f64(s.carryover_volume);
   w.i64(s.carryover_entered_files);
@@ -185,7 +184,6 @@ runtime::BackendStats decode_backend_stats(ByteReader& r) {
   s.rung_full = r.i64();
   s.rung_truncated = r.i64();
   s.rung_greedy = r.i64();
-  s.rung_dcroute = r.i64();
   s.carryover_files = r.i64();
   s.carryover_volume = r.f64();
   s.carryover_entered_files = r.i64();
@@ -221,8 +219,6 @@ void encode_runtime_stats(ByteWriter& w, const runtime::RuntimeStats& s) {
   w.i64(s.solver_faults);
   encode_histogram(w, s.slot_latency);
   encode_histogram(w, s.solve_latency);
-  encode_histogram(w, s.solve_latency_warm);
-  encode_histogram(w, s.solve_latency_cold);
   w.i64(s.server.sessions_opened);
   w.i64(s.server.sessions_closed);
   w.i64(s.server.frames_received);
@@ -331,8 +327,6 @@ runtime::RuntimeStats decode_runtime_stats(ByteReader& r) {
   s.solver_faults = r.i64();
   s.slot_latency = decode_histogram(r);
   s.solve_latency = decode_histogram(r);
-  s.solve_latency_warm = decode_histogram(r);
-  s.solve_latency_cold = decode_histogram(r);
   s.server.sessions_opened = r.i64();
   s.server.sessions_closed = r.i64();
   s.server.frames_received = r.i64();

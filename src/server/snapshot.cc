@@ -46,7 +46,6 @@ void encode_backend(ByteWriter& w, const runtime::BackendSnapshot& b) {
   w.i64(b.reduce_violations);
   w.u32(static_cast<std::uint32_t>(b.charged.size()));
   for (double c : b.charged) w.f64(c);
-  w.boolean(b.warm_cache.valid);
   w.u32(static_cast<std::uint32_t>(b.plans.size()));
   for (const runtime::PlanLedgerEntry& p : b.plans) {
     encode_file_request(w, p.request);
@@ -90,7 +89,6 @@ runtime::BackendSnapshot decode_backend(ByteReader& r) {
   const std::size_t charged = r.length(8);
   b.charged.reserve(charged);
   for (std::size_t i = 0; i < charged; ++i) b.charged.push_back(r.f64());
-  b.warm_cache.valid = r.boolean();
   const std::size_t plans = r.length(4 * 4 + 8 + 4 + 4 + 4 + 4);
   b.plans.reserve(plans);
   for (std::size_t i = 0; i < plans; ++i) {
@@ -156,8 +154,6 @@ void encode_body(ByteWriter& w, const runtime::RuntimeSnapshot& snap) {
   w.i64(snap.solver_faults);
   encode_histogram(w, snap.slot_latency);
   encode_histogram(w, snap.solve_latency);
-  encode_histogram(w, snap.solve_latency_warm);
-  encode_histogram(w, snap.solve_latency_cold);
   w.i64(snap.submitted);
   w.i64(snap.admitted);
   w.i64(snap.ingress_rejected);
@@ -198,8 +194,6 @@ runtime::RuntimeSnapshot decode_body(ByteReader& r) {
   snap.solver_faults = r.i64();
   snap.slot_latency = decode_histogram(r);
   snap.solve_latency = decode_histogram(r);
-  snap.solve_latency_warm = decode_histogram(r);
-  snap.solve_latency_cold = decode_histogram(r);
   snap.submitted = r.i64();
   snap.admitted = r.i64();
   snap.ingress_rejected = r.i64();

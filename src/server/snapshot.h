@@ -35,7 +35,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x50534E50;  // "PSNP"
 // embedded BackendStats lost its conflict re-solve counter.
 // v6: the warm cache is its one flag (no per-arc basis rows), and the
 // embedded BackendStats lost its dual-warm-start counters.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+// v7: no warm-cache flag, no warm/cold solve-latency histograms, and the
+// embedded BackendStats lost its DCRoute rung counter.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// FNV-1a 64-bit over a byte range.
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);

@@ -30,7 +30,9 @@ namespace postcard::server {
 
 // v5: BackendStats lost the split-batch conflict re-solve counter.
 // v6: BackendStats lost the dual-warm-start counters.
-inline constexpr std::uint16_t kProtocolVersion = 6;
+// v7: RuntimeStats lost the warm/cold solve-latency histograms and
+// BackendStats its DCRoute rung counter.
+inline constexpr std::uint16_t kProtocolVersion = 7;
 
 /// Default cap on a single frame's payload. SubmitBatch with tens of
 /// thousands of files and a full stats reply both fit comfortably.

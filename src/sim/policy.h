@@ -23,9 +23,9 @@ struct ScheduleOutcome {
   double rejected_volume = 0.0;  // GB that could not be scheduled
   long lp_iterations = 0;        // summed over the LPs solved this slot
   int lp_solves = 0;
-  // Cross-slot warm-start accounting (policies without warm starts leave
-  // both zero): solves whose seeded basis passed the solver's verification
-  // vs. solves that ran from a cold start (none seeded, or rejected).
+  // Canonical-seed accounting (policies without a column-generation master
+  // leave both zero): solves whose seeded round-0 basis passed the solver's
+  // verification vs. solves whose seed was rejected and ran phase 1.
   int warm_accepts = 0;
   int cold_starts = 0;
   // Solver hot-path split (column-generation backends; others leave zero):
@@ -44,9 +44,6 @@ struct ScheduleOutcome {
   int rung_full = 0;
   int rung_truncated = 0;
   int rung_greedy = 0;
-  // Files routed by the DCRoute single-path rung (between truncated CG and
-  // the greedy chunker; active only with PostcardOptions::use_dcroute_rung).
-  int rung_dcroute = 0;
   // Files neither the (truncated) LP nor the greedy fallback could place
   // this slot. They were NOT accepted and NOT rejected-for-capacity: the
   // caller decides between store-in-place carryover and loud failure.

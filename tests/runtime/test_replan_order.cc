@@ -57,8 +57,6 @@ std::vector<int> plan_ids(const BackendSnapshot& bs) {
 RuntimeSnapshot scrub_timing(RuntimeSnapshot snap) {
   snap.slot_latency = LatencyHistogram{};
   snap.solve_latency = LatencyHistogram{};
-  snap.solve_latency_warm = LatencyHistogram{};
-  snap.solve_latency_cold = LatencyHistogram{};
   for (BackendSnapshot& bs : snap.backends) {
     bs.stats.pricing_seconds = 0.0;
     bs.stats.master_seconds = 0.0;

@@ -1,15 +1,12 @@
-// Cross-slot warm starts must be a pure performance optimisation: in
-// deterministic mode the canonical remap (PostcardOptions::warm_start, on
-// by default) reproduces the cold-start cost series bit for bit — on the
-// plain Fig. 4 replay, side by side with the flow baseline, and through a
-// LinkDown replan — while the stats report a nonzero warm-accept rate and
-// per-start-type solve histograms.
+// One first-master rule: every Postcard solve seeds its round-0 master with
+// the canonical basis, from a fresh controller's first slot on, and the
+// stats count each seed the solver accepted. Backends without a
+// column-generation master (the flow baseline) count neither accepts nor
+// rejections.
 #include "runtime/runtime.h"
 
 #include <gtest/gtest.h>
 
-#include "core/postcard.h"
-#include "flow/baseline.h"
 #include "sim/workload.h"
 
 namespace postcard::runtime {
@@ -34,73 +31,64 @@ sim::WorkloadParams fig4_shaped(std::uint64_t seed) {
   return p;
 }
 
-core::PostcardOptions warm_off() {
-  core::PostcardOptions o;
-  o.warm_start = false;
-  return o;
-}
-
-RuntimeStats replay_postcard(const sim::UniformWorkload& w,
-                             core::PostcardOptions options,
-                             RuntimeOptions runtime_options = {}) {
-  ControllerRuntime runtime{net::Topology(w.topology()), runtime_options};
-  runtime.add_postcard_backend(options);
+RuntimeStats replay(const sim::UniformWorkload& w, bool with_postcard) {
+  ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
+  if (with_postcard) runtime.add_postcard_backend();
+  runtime.add_flow_backend();
   return runtime.replay(w);
-}
-
-TEST(RuntimeWarmStart, CostSeriesMatchesColdStartBitForBit) {
-  const sim::UniformWorkload w(fig4_shaped(21));
-  const RuntimeStats warm = replay_postcard(w, core::PostcardOptions{});
-  const RuntimeStats cold = replay_postcard(w, warm_off());
-
-  const BackendStats& bw = warm.backends[0];
-  const BackendStats& bc = cold.backends[0];
-  ASSERT_EQ(bw.cost_series.size(), bc.cost_series.size());
-  for (std::size_t i = 0; i < bw.cost_series.size(); ++i) {
-    EXPECT_EQ(bw.cost_series[i], bc.cost_series[i]) << "slot " << i;
-  }
-  // Same plans means identical admission and delivery accounting too.
-  EXPECT_EQ(bw.accepted_volume, bc.accepted_volume);
-  EXPECT_EQ(bw.rejected_volume, bc.rejected_volume);
-  EXPECT_EQ(bw.delivered_volume, bc.delivered_volume);
-  // The optimisation actually engaged: after the cold first slot every
-  // master solve should start from the remapped basis.
-  EXPECT_GT(bw.warm_accepts, 0);
-  EXPECT_LT(bw.cold_starts, bw.warm_accepts);
-  EXPECT_EQ(bc.warm_accepts, 0);
-  // ... and it saved simplex work (phase 1 skipped on every warm solve).
-  EXPECT_LT(bw.lp_iterations, bc.lp_iterations);
 }
 
 TEST(RuntimeWarmStart, FlowBaselineSideBySideIsUnaffected) {
   const sim::UniformWorkload w(fig4_shaped(22));
+  const RuntimeStats alone = replay(w, false);
+  const RuntimeStats beside = replay(w, true);
+  ASSERT_EQ(alone.backends.size(), 1u);
+  ASSERT_EQ(beside.backends.size(), 2u);
 
-  std::vector<double> series[2];
-  for (int pass = 0; pass < 2; ++pass) {
-    ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
-    runtime.add_postcard_backend(pass == 0 ? core::PostcardOptions{}
-                                           : warm_off());
-    runtime.add_flow_backend();
-    const RuntimeStats stats = runtime.replay(w);
-    ASSERT_EQ(stats.backends.size(), 2u);
-    series[pass] = stats.backends[1].cost_series;
-    // The flow baseline has no master LP and therefore no warm starts.
-    EXPECT_EQ(stats.backends[1].warm_accepts, 0);
-    EXPECT_EQ(stats.backends[1].cold_starts, 0);
-    if (pass == 1) {
-      EXPECT_EQ(stats.backends[0].warm_accepts, 0);
-    } else {
-      EXPECT_GT(stats.backends[0].warm_accepts, 0);
-    }
+  // A seeded Postcard backend next to it leaves the flow baseline's plans
+  // untouched.
+  const BackendStats& fa = alone.backends[0];
+  const BackendStats& fb = beside.backends[1];
+  EXPECT_EQ(fa.cost_series, fb.cost_series);
+  EXPECT_EQ(fa.accepted_volume, fb.accepted_volume);
+  EXPECT_EQ(fa.delivered_volume, fb.delivered_volume);
+  // The flow baseline has no column-generation master and no seed.
+  for (const BackendStats* flow : {&fa, &fb}) {
+    EXPECT_GT(flow->lp_solves, 0);
+    EXPECT_EQ(flow->warm_accepts, 0);
+    EXPECT_EQ(flow->cold_starts, 0);
   }
-  EXPECT_EQ(series[0], series[1]);
+  EXPECT_GT(beside.backends[0].warm_accepts, 0);
 }
 
-TEST(RuntimeWarmStart, LinkDownReplanMatchesColdStartBitForBit) {
+TEST(RuntimeWarmStart, SolveHistogramsSplitByStartType) {
+  const sim::UniformWorkload w(fig4_shaped(24));
+  const RuntimeStats stats = replay(w, true);
+  ASSERT_EQ(stats.backends.size(), 2u);
+
+  // One solve histogram: each backend's solve of each slot lands in it.
+  EXPECT_EQ(stats.solve_latency.count(),
+            2 * static_cast<std::int64_t>(stats.slots_processed));
+
+  // The start-type split lives on in the counters. Slot 0 of a fresh
+  // controller is seeded like every later slot, so no solve pays phase 1.
+  const BackendStats& postcard = stats.backends[0];
+  EXPECT_GT(postcard.lp_solves, 0);
+  EXPECT_EQ(postcard.warm_accepts + postcard.cold_starts, postcard.lp_solves);
+  EXPECT_EQ(postcard.cold_starts, 0);
+  EXPECT_EQ(postcard.warm_accepts, postcard.lp_solves);
+
+  const BackendStats& flow = stats.backends[1];
+  EXPECT_GT(flow.lp_solves, 0);
+  EXPECT_EQ(flow.warm_accepts, 0);
+  EXPECT_EQ(flow.cold_starts, 0);
+}
+
+TEST(RuntimeWarmStart, LinkDownReplanRollsBackCleanly) {
   // Diamond with a detour (test_runtime_failures idiom): the cheap path
   // 0 -> 1 -> 3 carries everything until link 1 -> 3 dies mid-flight and
-  // the replan reroutes via 2. The warm cache sees uncommits, capacity
-  // changes and synthetic re-requests — and must still be invisible.
+  // the replan reroutes via 2. The seeded masters see uncommits, capacity
+  // changes and synthetic re-requests.
   net::Topology t(4);
   t.set_link(0, 1, 100.0, 1.0);
   t.set_link(1, 3, 100.0, 1.0);  // link index 1: killed at slot 1
@@ -108,55 +96,25 @@ TEST(RuntimeWarmStart, LinkDownReplanMatchesColdStartBitForBit) {
   t.set_link(2, 3, 100.0, 5.0);
   t.set_link(0, 3, 100.0, 50.0);
 
-  std::vector<double> series[2];
-  BackendStats backend[2];
-  for (int pass = 0; pass < 2; ++pass) {
-    ControllerRuntime runtime{net::Topology(t), RuntimeOptions{}};
-    runtime.add_postcard_backend(pass == 0 ? core::PostcardOptions{}
-                                           : warm_off());
-    ASSERT_TRUE(
-        runtime.ingress().submit({1, 0, 3, 12.0, 3, 0}).admitted);
-    ASSERT_TRUE(
-        runtime.ingress().submit({2, 0, 3, 8.0, 3, 1}).admitted);
-    ASSERT_TRUE(
-        runtime.ingress().submit({3, 1, 3, 6.0, 2, 2}).admitted);
-    runtime.fail_link(1, 1);
-    runtime.restore_link(3, 1);
-    runtime.run(5);
-    const RuntimeStats stats = runtime.stats();
-    backend[pass] = stats.backends[0];
-    series[pass] = backend[pass].cost_series;
-  }
-  EXPECT_EQ(series[0], series[1]);
-  EXPECT_EQ(backend[0].delivered_volume, backend[1].delivered_volume);
-  EXPECT_EQ(backend[0].failed_volume, backend[1].failed_volume);
-  EXPECT_EQ(backend[0].replans, backend[1].replans);
-  EXPECT_GT(backend[0].warm_accepts, 0);
+  ControllerRuntime runtime{net::Topology(t), RuntimeOptions{}};
+  runtime.add_postcard_backend();
+  ASSERT_TRUE(runtime.ingress().submit({1, 0, 3, 12.0, 3, 0}).admitted);
+  ASSERT_TRUE(runtime.ingress().submit({2, 0, 3, 8.0, 3, 1}).admitted);
+  ASSERT_TRUE(runtime.ingress().submit({3, 1, 3, 6.0, 2, 2}).admitted);
+  runtime.fail_link(1, 1);
+  runtime.restore_link(3, 1);
+  runtime.run(5);
+  const BackendStats backend = runtime.stats().backends[0];
+
+  EXPECT_GT(backend.replans, 0);
+  EXPECT_GT(backend.warm_accepts, 0);
+  EXPECT_EQ(backend.cold_starts, 0);
   // The replan rollback ran clean: every uncommit subtracted volume that
   // was actually committed.
-  EXPECT_EQ(backend[0].charge_reduce_violations, 0);
-  EXPECT_EQ(backend[1].charge_reduce_violations, 0);
-  // Accounting stays loud and exact in both modes.
-  EXPECT_NEAR(backend[0].delivered_volume + backend[0].failed_volume,
-              backend[0].accepted_volume, kTol);
-}
-
-TEST(RuntimeWarmStart, SolveHistogramsSplitByStartType) {
-  const sim::UniformWorkload w(fig4_shaped(24));
-  const RuntimeStats warm = replay_postcard(w, core::PostcardOptions{});
-
-  const BackendStats& b = warm.backends[0];
-  // Every LP solve lands in exactly one of the split histograms, and all
-  // solves (LP or not) land in the combined one.
-  EXPECT_EQ(warm.solve_latency_warm.count() + warm.solve_latency_cold.count(),
-            warm.solve_latency.count());
-  EXPECT_GT(warm.solve_latency_warm.count(), 0);
-  EXPECT_GE(warm.solve_latency_cold.count(), 1);  // at least the first slot
-  EXPECT_EQ(b.warm_accepts + b.cold_starts, b.lp_solves);
-
-  const RuntimeStats cold = replay_postcard(w, warm_off());
-  EXPECT_EQ(cold.solve_latency_warm.count(), 0);
-  EXPECT_EQ(cold.solve_latency_cold.count(), cold.solve_latency.count());
+  EXPECT_EQ(backend.charge_reduce_violations, 0);
+  // Accounting stays loud and exact.
+  EXPECT_NEAR(backend.delivered_volume + backend.failed_volume,
+              backend.accepted_volume, kTol);
 }
 
 }  // namespace

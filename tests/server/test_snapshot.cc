@@ -1,7 +1,7 @@
 // Snapshot/restore: the headline guarantee is that a runtime killed
 // mid-run and restored from its snapshot file reproduces the remaining
 // cost series BIT FOR BIT against an uninterrupted run — charge ledgers,
-// warm caches, in-flight plans, carry-over files, the slot clock and the
+// in-flight plans, carry-over files, the slot clock and the
 // pending event queue (including scheduled failures and armed chaos) all
 // survive the round trip through disk. Fail-fast audits stay armed, so
 // the first post-restore slot re-verifies every committed plan.
@@ -132,8 +132,8 @@ TEST(SnapshotRestore, KillAndRestoreReproducesCostSeriesBitForBit) {
     EXPECT_EQ(got.failed_files, ref.failed_files) << ref.name;
     EXPECT_EQ(got.replans, ref.replans) << ref.name;
     EXPECT_EQ(got.warm_accepts, ref.warm_accepts) << ref.name;
-    // Pivot counts too: a restore that lost the warm-start flag would solve
-    // its first slot cold, paying phase-1 pivots the reference skipped.
+    // Pivot counts too: the restored controller seeds the same canonical
+    // basis the reference did, so it makes the same pivots.
     EXPECT_EQ(got.lp_iterations, ref.lp_iterations) << ref.name;
     EXPECT_EQ(got.cold_starts, ref.cold_starts) << ref.name;
   }
