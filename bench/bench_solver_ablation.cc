@@ -1,8 +1,8 @@
-// Solver ablation: the same Postcard slot problem solved three ways —
-// direct arc-flow LP via the revised simplex, via the interior-point
-// method, and via path-based column generation (the controller's default).
-// DESIGN.md calls out the CG reformulation as the load-bearing design
-// choice; this bench quantifies it.
+// Solver ablation: the same Postcard slot problem solved two ways — the
+// direct arc-flow LP via the revised simplex, and path-based column
+// generation (the controller's default). DESIGN.md calls out the CG
+// reformulation as the load-bearing design choice; this bench quantifies
+// it.
 #include <benchmark/benchmark.h>
 
 #include "core/column_generation.h"
@@ -57,26 +57,6 @@ BENCHMARK(BM_DirectSimplex)
     ->Args({6, 4})
     ->Args({8, 6})
     ->Args({10, 8})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DirectInteriorPoint(benchmark::State& state) {
-  const Instance inst = make_instance(static_cast<int>(state.range(0)),
-                                      static_cast<int>(state.range(1)));
-  lp::SolverOptions opts;
-  opts.method = lp::Method::kInteriorPoint;
-  double obj = 0.0;
-  for (auto _ : state) {
-    core::TimeExpandedFormulation f(inst.topology, inst.charge, 0, inst.files,
-                                    {});
-    const auto sol = lp::solve(f.model(), opts);
-    obj = sol.objective;
-    benchmark::ClobberMemory();
-  }
-  state.counters["objective"] = obj;
-}
-BENCHMARK(BM_DirectInteriorPoint)
-    ->Args({6, 4})
-    ->Args({8, 6})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ColumnGeneration(benchmark::State& state) {

@@ -22,10 +22,10 @@
 // added until no path prices negative; the result is the exact LP optimum
 // of the same polytope (every DAG flow decomposes into path flows).
 //
-// Restrictions vs the direct formulation: storage must be uncapped (finite
-// storage_capacity would need storage rows in the master); elastic/pinned
-// modes are not provided here (the Sec. VI extensions run at small scale on
-// the direct formulation).
+// Restrictions vs the direct formulation: elastic/pinned modes are not
+// provided here (the Sec. VI extensions run at small scale on the direct
+// formulation). Storage is uncapped in both, so the master needs no
+// storage rows.
 #pragma once
 
 #include <vector>

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "net/sparse_time_expanded.h"
-
 namespace postcard::core {
 
 TimeExpandedFormulation::TimeExpandedFormulation(
@@ -19,8 +17,7 @@ TimeExpandedFormulation::TimeExpandedFormulation(
              [&topology, &charge](int link, int s) {
                return std::max(0.0, topology.link(link).capacity -
                                         charge.committed(link, s));
-             },
-             options.storage_capacity, /*enable_storage=*/true) {
+             }) {
   if (files_.empty()) throw std::invalid_argument("empty file batch");
   for (const net::FileRequest& f : files_) {
     validate(f, topology);
@@ -34,12 +31,6 @@ TimeExpandedFormulation::TimeExpandedFormulation(
   const int num_nodes = topology.num_datacenters();
 
   // ---- Variables.
-  // Opt-in reachability pruning: conservation forces M^k to zero on any
-  // arc whose tail s_k cannot reach in time or whose head cannot reach d_k
-  // in the remaining layers, so those variables can be dropped without
-  // changing the feasible flows (see FormulationOptions::prune_unreachable).
-  std::vector<int> hops;
-  if (options_.prune_unreachable) hops = net::all_pairs_hops(topology);
   flow_vars_.assign(num_files, std::vector<int>(num_arcs, -1));
   for (int k = 0; k < num_files; ++k) {
     const net::FileRequest& f = files_[k];
@@ -53,13 +44,6 @@ TimeExpandedFormulation::TimeExpandedFormulation(
       if (arc.storage() && !options_.allow_storage &&
           arc.from_node != f.source && arc.from_node != f.destination) {
         continue;
-      }
-      if (options_.prune_unreachable) {
-        if (hops[f.source * num_nodes + arc.from_node] > arc.layer) continue;
-        if (hops[arc.to_node * num_nodes + f.destination] >
-            deadline - arc.layer - 1) {
-          continue;
-        }
       }
       flow_vars_[k][a] = model_.add_variable(0.0, lp::kInfinity, 0.0);
     }
@@ -115,22 +99,16 @@ TimeExpandedFormulation::TimeExpandedFormulation(
   // ---- Capacity (7) and charge epigraph rows, shared across files.
   for (int a = 0; a < num_arcs; ++a) {
     const net::TimeArc& arc = graph_.arcs()[a];
-    const bool capacity_row = !arc.storage() || arc.capacity < lp::kInfinity;
-    int cap_row = -1;
-    if (capacity_row) {
-      cap_row = model_.add_constraint(-lp::kInfinity, arc.capacity);
-    }
-    int chg_row = -1;
-    if (!arc.storage()) {
-      const double committed = charge.committed(arc.link_index, slot_ + arc.layer);
-      chg_row = model_.add_constraint(committed, lp::kInfinity);
-      model_.add_coefficient(chg_row, charge_vars_[arc.link_index], 1.0);
-    }
+    if (arc.storage()) continue;  // holdovers are free and uncapped (Sec. V)
+    const int cap_row = model_.add_constraint(-lp::kInfinity, arc.capacity);
+    const double committed = charge.committed(arc.link_index, slot_ + arc.layer);
+    const int chg_row = model_.add_constraint(committed, lp::kInfinity);
+    model_.add_coefficient(chg_row, charge_vars_[arc.link_index], 1.0);
     for (int k = 0; k < num_files; ++k) {
       const int var = flow_vars_[k][a];
       if (var < 0) continue;
-      if (cap_row >= 0) model_.add_coefficient(cap_row, var, 1.0);
-      if (chg_row >= 0) model_.add_coefficient(chg_row, var, -1.0);
+      model_.add_coefficient(cap_row, var, 1.0);
+      model_.add_coefficient(chg_row, var, -1.0);
     }
   }
 }

@@ -38,17 +38,8 @@ struct FormulationOptions {
   // later and its destination accumulates early arrivals — removing those
   // self-arcs would force every path to arrive exactly at the deadline.
   bool allow_storage = true;
-  double storage_capacity = lp::kInfinity;  // per DC per slot, GB
   bool elastic_demand = false;  // deliver z_k in [0, F_k], maximize sum z_k
   bool pin_charge = false;      // X_ij fixed at X_ij(t-1): free capacity only
-  // Drop M^k variables on arcs file k provably cannot use: the arc's tail
-  // is not reachable from s_k within its layer, or its head cannot reach
-  // d_k in the remaining layers (structural hops — capacity-independent).
-  // Conservation forces every such variable to zero in EVERY feasible
-  // solution, so the optimum value is unchanged; the smaller basis may
-  // land on a DIFFERENT optimal vertex though, so deterministic replays
-  // that pin exact plans must leave this off. Default off.
-  bool prune_unreachable = false;
 };
 
 class TimeExpandedFormulation {

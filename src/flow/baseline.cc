@@ -211,7 +211,7 @@ bool FlowBaseline::try_schedule(int slot,
         }
       }
     }
-    const lp::Solution s1 = lp::solve(m1, {}, budget);
+    const lp::Solution s1 = lp::solve(m1, budget);
     outcome.lp_iterations += s1.iterations;
     ++outcome.lp_solves;
     *status = s1.status;
@@ -281,7 +281,7 @@ bool FlowBaseline::try_schedule(int slot,
       }
     }
   }
-  const lp::Solution s2 = lp::solve(m2, {}, budget);
+  const lp::Solution s2 = lp::solve(m2, budget);
   outcome.lp_iterations += s2.iterations;
   ++outcome.lp_solves;
   *status = s2.status;

@@ -1,7 +1,7 @@
 // Compressed sparse column (CSC) matrix and a triplet builder.
 //
-// CSC is the natural layout for LP work: the simplex method and the
-// interior-point normal equations both consume matrices column-wise.
+// CSC is the natural layout for LP work: the simplex prices, factorizes
+// and updates its basis column by column.
 #pragma once
 
 #include <cstdint>

@@ -1,18 +1,18 @@
-// Cooperative cancellation budget for the LP algorithms.
+// Cooperative cancellation budget for the LP solver.
 //
 // Postcard's online controller must commit a plan every slot; a degenerate
 // or numerically sick master that blocks past the slot boundary is worse
 // than a suboptimal answer delivered on time (DCRoute makes the same
 // argument for allocation latency). SolveBudget is the cancellation token
-// every solver checks at pivot (simplex) or iteration (IPM) granularity:
-// when it runs out the solver stops and reports kDeadlineExceeded with the
-// best iterate reached so far instead of blocking.
+// the simplex checks at pivot granularity: when it runs out the solver
+// stops and reports kDeadlineExceeded with the best iterate reached so far
+// instead of blocking.
 //
 // Two limits, combinable:
-//   * pivot budget — a deterministic count of simplex pivots / IPM
-//     iterations. Charging is pure arithmetic, so a replay with the same
-//     budget exhausts at the same pivot and produces bit-for-bit identical
-//     results (the runtime's deterministic-mode contract).
+//   * pivot budget — a deterministic count of simplex pivots. Charging is
+//     pure arithmetic, so a replay with the same budget exhausts at the
+//     same pivot and produces bit-for-bit identical results (the runtime's
+//     deterministic-mode contract).
 //   * wall-clock deadline — a steady_clock horizon for production, where
 //     the real constraint is the slot boundary, not a pivot count.
 //
@@ -57,7 +57,7 @@ class SolveBudget {
   /// True when any limit is armed; an unlimited budget never exhausts.
   bool limited() const { return max_pivots_ >= 0 || has_deadline_; }
 
-  /// Charges one pivot/iteration. Returns false when the budget is (now)
+  /// Charges one pivot. Returns false when the budget is (now)
   /// exhausted; exhaustion is sticky and the failing unit of work is not
   /// performed by the caller.
   bool charge() {

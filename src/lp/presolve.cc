@@ -192,13 +192,6 @@ Solution Presolver::postsolve(const LpModel& original,
     for (int i = 0; i < m; ++i) {
       if (row_map_[i] >= 0) full.duals[i] = reduced.duals[row_map_[i]];
     }
-    full.reduced_costs.assign(static_cast<std::size_t>(n), 0.0);
-    for (int j = 0; j < n; ++j) {
-      full.reduced_costs[j] = original.objective()[j];
-    }
-    for (const linalg::Triplet& t : original.entries()) {
-      full.reduced_costs[t.col] -= t.value * full.duals[t.row];
-    }
   }
   return full;
 }

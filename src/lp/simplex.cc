@@ -360,10 +360,6 @@ Solution RevisedSimplex::finish_solution(const LpModel& model,
     for (int i = 0; i < m_; ++i) work_y_[i] = base_cost_[basis_[i]];
     lu_.btran(work_y_);
     result.duals = work_y_;
-    result.reduced_costs.resize(static_cast<std::size_t>(n_));
-    for (int j = 0; j < n_; ++j) {
-      result.reduced_costs[j] = base_cost_[j] - column_dot(j, work_y_);
-    }
   }
   last_status_ = status;
   return result;

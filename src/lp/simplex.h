@@ -162,7 +162,7 @@ class RevisedSimplex {
   SolveStatus run_perturbed_phase(unsigned seed, long* iterations,
                                   long iteration_limit);
   /// Assembles the Solution record from the final solver state (primal
-  /// values, objective, duals, reduced costs) and records last_status_.
+  /// values, objective, duals) and records last_status_.
   Solution finish_solution(const LpModel& model, SolveStatus status,
                            long iterations, long phase1_iterations,
                            bool warm_started);

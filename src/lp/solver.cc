@@ -1,34 +1,11 @@
 #include "lp/solver.h"
 
-#include "lp/ipm.h"
 #include "lp/presolve.h"
 #include "lp/simplex.h"
 
 namespace postcard::lp {
 
-namespace {
-
-Solution solve_direct(const LpModel& model, const SolverOptions& options,
-                      SolveBudget* budget) {
-  if (options.method == Method::kInteriorPoint) {
-    InteriorPoint::Options opts;
-    opts.tol = options.opt_tol;
-    if (options.max_iterations > 0) opts.max_iterations = options.max_iterations;
-    return InteriorPoint(opts).solve(model, budget);
-  }
-  RevisedSimplex::Options opts;
-  opts.feas_tol = options.feas_tol;
-  opts.opt_tol = options.opt_tol;
-  opts.max_iterations = options.max_iterations;
-  return RevisedSimplex(opts).solve(model, nullptr, budget);
-}
-
-}  // namespace
-
-Solution solve(const LpModel& model, const SolverOptions& options,
-               SolveBudget* budget) {
-  if (!options.presolve) return solve_direct(model, options, budget);
-
+Solution solve(const LpModel& model, SolveBudget* budget) {
   Presolver presolver;
   Presolver::Result reduced = presolver.reduce(model);
   if (reduced.decided.has_value()) {
@@ -36,7 +13,7 @@ Solution solve(const LpModel& model, const SolverOptions& options,
     s.status = *reduced.decided;
     return s;
   }
-  const Solution inner = solve_direct(reduced.reduced, options, budget);
+  const Solution inner = RevisedSimplex().solve(reduced.reduced, nullptr, budget);
   if (inner.status == SolveStatus::kInfeasible ||
       inner.status == SolveStatus::kUnbounded ||
       inner.status == SolveStatus::kNumericalFailure) {

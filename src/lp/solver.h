@@ -1,9 +1,11 @@
 // Unified entry point for solving LpModel instances.
 //
-// Dispatches to the revised simplex (default) or the Mehrotra interior-point
-// method. The simplex returns vertex solutions, which Postcard's plan
-// extraction prefers (sparser transfer schedules); the IPM is kept as an
-// independent cross-check and for the solver ablation benchmark.
+// Presolves the model, solves the reduction with the revised simplex and
+// postsolves the result. The simplex returns vertex solutions, which plan
+// extraction prefers (sparser transfer schedules). Callers that need exact
+// duals for every row (column generation's master) or the unpresolved
+// vertex (a test's reference) call RevisedSimplex directly; lp::certify
+// (lp/certificate.h) checks such a result for optimality.
 #pragma once
 
 #include "lp/budget.h"
@@ -12,24 +14,10 @@
 
 namespace postcard::lp {
 
-enum class Method {
-  kSimplex,
-  kInteriorPoint,
-};
-
-struct SolverOptions {
-  Method method = Method::kSimplex;
-  double feas_tol = 1e-7;
-  double opt_tol = 1e-7;
-  long max_iterations = -1;  // -1: method-specific automatic limit
-  bool presolve = true;
-};
-
-/// Solves the model with the selected method. Never throws on numerical
-/// trouble; inspect Solution::status. A limited `budget` is charged per
-/// pivot/iteration; exhaustion yields kDeadlineExceeded with the best
-/// iterate so far (postsolved like any interrupted solution).
-Solution solve(const LpModel& model, const SolverOptions& options = {},
-               SolveBudget* budget = nullptr);
+/// Solves the model. Never throws on numerical trouble; inspect
+/// Solution::status. A limited `budget` is charged per pivot; exhaustion
+/// yields kDeadlineExceeded with the best iterate so far (postsolved like
+/// any interrupted solution).
+Solution solve(const LpModel& model, SolveBudget* budget = nullptr);
 
 }  // namespace postcard::lp

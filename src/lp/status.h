@@ -1,4 +1,4 @@
-// Solve statuses and the solution record shared by all LP algorithms.
+// Solve statuses and the solution record of the LP solver.
 #pragma once
 
 #include <limits>
@@ -40,12 +40,11 @@ inline const char* to_string(SolveStatus s) {
 struct Solution {
   SolveStatus status = SolveStatus::kNumericalFailure;
   double objective = 0.0;
-  linalg::Vector x;              // primal values, one per model variable
-  linalg::Vector duals;          // one per model constraint
-  linalg::Vector reduced_costs;  // one per model variable
+  linalg::Vector x;      // primal values, one per model variable
+  linalg::Vector duals;  // one per model constraint (lp::certify reads them)
   long iterations = 0;
 
-  // Simplex diagnostics (zero for other methods).
+  // Simplex diagnostics.
   long phase1_iterations = 0;
   long degenerate_pivots = 0;  // pivots with step length ~0
   long bound_flips = 0;

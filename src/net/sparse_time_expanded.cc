@@ -32,11 +32,9 @@ std::vector<int> all_pairs_hops(const Topology& topology) {
   return hops;
 }
 
-bool SparseTimeGraph::structure_matches(const Topology& topology,
-                                        bool enable_storage) const {
+bool SparseTimeGraph::structure_matches(const Topology& topology) const {
   return start_slot_ >= 0 && n_ == topology.num_datacenters() &&
-         num_links_ == topology.num_links() &&
-         enable_storage_ == enable_storage;
+         num_links_ == topology.num_links();
 }
 
 void SparseTimeGraph::append_layer(const Topology& topology, int layer) {
@@ -44,23 +42,19 @@ void SparseTimeGraph::append_layer(const Topology& topology, int layer) {
     const Link& link = topology.link(l);
     arcs_.push_back({link.from, link.to, layer, l, 0.0, link.unit_cost});
   }
-  if (enable_storage_) {
-    for (int i = 0; i < n_; ++i) {
-      arcs_.push_back({i, i, layer, -1, 0.0, 0.0});
-    }
+  for (int i = 0; i < n_; ++i) {
+    arcs_.push_back({i, i, layer, -1, kStorageCapacity, 0.0});
   }
   ++layers_built_;
 }
 
 void SparseTimeGraph::advance_to(const Topology& topology, int start_slot,
                                  int horizon,
-                                 const ResidualCapacityFn& residual,
-                                 double storage_capacity,
-                                 bool enable_storage) {
+                                 const ResidualCapacityFn& residual) {
   if (horizon < 1) throw std::invalid_argument("horizon must be >= 1");
   if (start_slot < 0) throw std::invalid_argument("start slot must be >= 0");
 
-  const bool reusable = structure_matches(topology, enable_storage) &&
+  const bool reusable = structure_matches(topology) &&
                         start_slot >= start_slot_ &&
                         start_slot <= start_slot_ + horizon_;
   if (!reusable) {
@@ -69,8 +63,7 @@ void SparseTimeGraph::advance_to(const Topology& topology, int start_slot,
       hops_ = all_pairs_hops(topology);
     }
     num_links_ = topology.num_links();
-    block_ = num_links_ + (enable_storage ? n_ : 0);
-    enable_storage_ = enable_storage;
+    block_ = num_links_ + n_;
     arcs_.clear();
     arcs_.reserve(static_cast<std::size_t>(horizon) * block_);
     for (int layer = 0; layer < horizon; ++layer) append_layer(topology, layer);
@@ -101,8 +94,8 @@ void SparseTimeGraph::advance_to(const Topology& topology, int start_slot,
   start_slot_ = start_slot;
   horizon_ = horizon;
 
-  // Residuals move with every commit, so all capacities refresh in place.
-  // Unit costs refresh too: set_link may reprice an existing link.
+  // Residuals move with every commit, so all link capacities refresh in
+  // place. Unit costs refresh too: set_link may reprice an existing link.
   for (int layer = 0; layer < horizon; ++layer) {
     TimeArc* block = arcs_.data() + static_cast<std::size_t>(layer) * block_;
     const int slot = start_slot + layer;
@@ -111,11 +104,6 @@ void SparseTimeGraph::advance_to(const Topology& topology, int start_slot,
       block[l].capacity =
           residual ? std::max(0.0, residual(l, slot)) : link.capacity;
       block[l].unit_cost = link.unit_cost;
-    }
-    if (enable_storage_) {
-      for (int i = 0; i < n_; ++i) {
-        block[num_links_ + i].capacity = storage_capacity;
-      }
     }
   }
 }

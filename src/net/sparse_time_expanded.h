@@ -33,7 +33,6 @@
 // answer depends on, so pruning preserves the cost series bit for bit.
 #pragma once
 
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -58,10 +57,7 @@ class SparseTimeGraph {
   /// structure when the window moved forward; rebuilds otherwise. The hop
   /// matrix is recomputed only when the link structure changed.
   void advance_to(const Topology& topology, int start_slot, int horizon,
-                  const ResidualCapacityFn& residual = nullptr,
-                  double storage_capacity =
-                      std::numeric_limits<double>::infinity(),
-                  bool enable_storage = true);
+                  const ResidualCapacityFn& residual = nullptr);
 
   // --- TimeExpandedGraph-compatible read surface -------------------------
   int num_datacenters() const { return n_; }
@@ -77,7 +73,7 @@ class SparseTimeGraph {
   int num_nodes() const { return n_ * num_layers(); }
 
   // --- Sparse-specific surface -------------------------------------------
-  /// Uniform per-layer arc count: num_links (+ n storage arcs).
+  /// Uniform per-layer arc count: num_links + n storage arcs.
   int block_size() const { return block_; }
   /// Minimum link count from `from` to `to`; kUnreachableHops if none.
   int hops(int from, int to) const {
@@ -93,17 +89,16 @@ class SparseTimeGraph {
   long layers_built() const { return layers_built_; }
 
  private:
-  /// Appends layer block `layer` structurally (capacities zeroed; the
-  /// refresh pass fills them).
+  /// Appends layer block `layer` structurally (link capacities zeroed; the
+  /// refresh pass fills them, storage arcs are uncapped for good).
   void append_layer(const Topology& topology, int layer);
-  bool structure_matches(const Topology& topology, bool enable_storage) const;
+  bool structure_matches(const Topology& topology) const;
 
   int n_ = 0;
   int num_links_ = 0;
   int block_ = 0;
   int start_slot_ = -1;  // -1 = never built
   int horizon_ = 0;
-  bool enable_storage_ = true;
   std::vector<TimeArc> arcs_;
   std::vector<int> hops_;
   long layers_reused_ = 0;

@@ -6,16 +6,14 @@ namespace postcard::net {
 
 TimeExpandedGraph::TimeExpandedGraph(const Topology& topology, int start_slot,
                                      int horizon,
-                                     const ResidualCapacityFn& residual,
-                                     double storage_capacity,
-                                     bool enable_storage)
+                                     const ResidualCapacityFn& residual)
     : n_(topology.num_datacenters()), start_slot_(start_slot), horizon_(horizon) {
   if (horizon < 1) throw std::invalid_argument("horizon must be >= 1");
   if (start_slot < 0) throw std::invalid_argument("start slot must be >= 0");
 
   layer_begin_.reserve(static_cast<std::size_t>(horizon) + 1);
   arcs_.reserve(static_cast<std::size_t>(horizon) *
-                (topology.num_links() + (enable_storage ? n_ : 0)));
+                (topology.num_links() + n_));
   for (int layer = 0; layer < horizon; ++layer) {
     layer_begin_.push_back(static_cast<int>(arcs_.size()));
     const int slot = start_slot + layer;
@@ -25,10 +23,8 @@ TimeExpandedGraph::TimeExpandedGraph(const Topology& topology, int start_slot,
       arcs_.push_back({link.from, link.to, layer, l, std::max(0.0, cap),
                        link.unit_cost});
     }
-    if (enable_storage) {
-      for (int i = 0; i < n_; ++i) {
-        arcs_.push_back({i, i, layer, -1, storage_capacity, 0.0});
-      }
+    for (int i = 0; i < n_; ++i) {
+      arcs_.push_back({i, i, layer, -1, kStorageCapacity, 0.0});
     }
   }
   layer_begin_.push_back(static_cast<int>(arcs_.size()));

@@ -5,8 +5,8 @@
 // consecutive layers it holds:
 //   * one arc i^n -> j^{n+1} per topology link {i,j}, carrying the link's
 //     residual capacity at slot n and its unit cost a_ij, and
-//   * one storage arc i^n -> i^{n+1} per datacenter, with infinite (or
-//     optionally capped) capacity and zero cost — the "holdover" M_ii(n).
+//   * one storage arc i^n -> i^{n+1} per datacenter, with infinite
+//     capacity and zero cost — the "holdover" M_ii(n).
 //
 // The per-slot residual capacity is supplied by a callback so the online
 // controller can subtract volumes already committed by earlier plans
@@ -24,6 +24,10 @@ namespace postcard::net {
 /// Residual capacity (GB) of topology link `link_index` during slot `slot`.
 using ResidualCapacityFn = std::function<double(int link_index, int slot)>;
 
+/// Capacity of every storage arc: holdovers are free and uncapped (Sec. V).
+inline constexpr double kStorageCapacity =
+    std::numeric_limits<double>::infinity();
+
 struct TimeArc {
   int from_node = 0;       // datacenter index at layer `layer`
   int to_node = 0;         // datacenter index at layer `layer + 1`
@@ -38,13 +42,9 @@ class TimeExpandedGraph {
  public:
   /// Builds the expansion over `horizon` layer transitions starting at
   /// absolute slot `start_slot`. `residual` may be null, in which case each
-  /// arc carries the full topology capacity. `storage_capacity` bounds the
-  /// holdover volume per datacenter per slot (infinite per the paper).
+  /// arc carries the full topology capacity.
   TimeExpandedGraph(const Topology& topology, int start_slot, int horizon,
-                    const ResidualCapacityFn& residual = nullptr,
-                    double storage_capacity =
-                        std::numeric_limits<double>::infinity(),
-                    bool enable_storage = true);
+                    const ResidualCapacityFn& residual = nullptr);
 
   int num_datacenters() const { return n_; }
   int start_slot() const { return start_slot_; }

@@ -8,7 +8,8 @@
 #include <random>
 
 #include "core/formulation.h"
-#include "lp/solver.h"
+#include "lp/certificate.h"
+#include "lp/simplex.h"
 
 namespace postcard::core {
 namespace {
@@ -17,14 +18,20 @@ net::FileRequest file(int id, int s, int d, double size, int deadline, int slot)
   return {id, s, d, size, deadline, slot};
 }
 
+// The direct arc-flow optimum, proven by its certificate rather than
+// assumed from the solver's status flag.
 double direct_optimum(const net::Topology& t, const charging::ChargeState& charge,
                       int slot, const std::vector<net::FileRequest>& files,
                       bool allow_storage = true) {
   FormulationOptions fo;
   fo.allow_storage = allow_storage;
   TimeExpandedFormulation f(t, charge, slot, files, fo);
-  const auto sol = lp::solve(f.model());
+  const auto sol = lp::RevisedSimplex().solve(f.model());
   EXPECT_EQ(sol.status, lp::SolveStatus::kOptimal);
+  const lp::Certificate cert = lp::certify(f.model(), sol);
+  EXPECT_LE(cert.primal_violation, 1e-7);
+  EXPECT_LE(cert.dual_infeasibility, 1e-7);
+  EXPECT_LE(std::abs(cert.relative_gap), 1e-7);
   return sol.objective;
 }
 

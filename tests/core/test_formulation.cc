@@ -89,37 +89,6 @@ TEST(Formulation, RejectsEmptyBatch) {
                std::invalid_argument);
 }
 
-TEST(Formulation, StorageCapAddsRows) {
-  charging::ChargeState charge(2);
-  FormulationOptions capped;
-  capped.storage_capacity = 5.0;
-  TimeExpandedFormulation f(line3(), charge, 0, {file(1, 0, 2, 8.0, 3, 0)},
-                            capped);
-  // 8 GB flowing 0->1->2 within 3 slots: every holdover (including the
-  // destination accumulating early arrivals) is capped at 5 GB per slot.
-  const auto sol = lp::solve(f.model());
-  ASSERT_EQ(sol.status, lp::SolveStatus::kOptimal);
-  for (const FilePlan& plan : f.extract_plans(sol)) {
-    for (const Transfer& t : plan.transfers) {
-      if (t.storage()) {
-        EXPECT_LE(t.volume, 5.0 + 1e-7);
-      }
-    }
-  }
-}
-
-TEST(Formulation, StorageCapCanMakeInstancesInfeasible) {
-  // Same instance with cap 2: the destination cannot buffer early arrivals
-  // and no schedule exists (hand argument: at most 2 GB may arrive before
-  // the deadline layer and node 1 cannot hold the rest).
-  charging::ChargeState charge(2);
-  FormulationOptions capped;
-  capped.storage_capacity = 2.0;
-  TimeExpandedFormulation f(line3(), charge, 0, {file(1, 0, 2, 8.0, 3, 0)},
-                            capped);
-  EXPECT_EQ(lp::solve(f.model()).status, lp::SolveStatus::kInfeasible);
-}
-
 TEST(Formulation, ElasticModeDeliversWhatFits) {
   net::Topology t(2);
   t.set_link(0, 1, 5.0, 1.0);
@@ -131,39 +100,6 @@ TEST(Formulation, ElasticModeDeliversWhatFits) {
   ASSERT_EQ(sol.status, lp::SolveStatus::kOptimal);
   // 2 slots x 5 GB move at most 10 of the 30 GB.
   EXPECT_LE(f.delivered(sol, 0), 10.0 + 1e-7);
-}
-
-TEST(Formulation, PruneUnreachableDropsVariablesKeepsOptimum) {
-  // On the directed line 0->1->2 a file 0->2 with deadline 3 provably
-  // cannot use, e.g., link 1->2 at layer 0 (node 1 is 1 hop away) or any
-  // arc out of node 2's copies before the final layers. Pruning those M^k
-  // variables must shrink the model without moving the optimum.
-  const std::vector<net::FileRequest> batch = {file(1, 0, 2, 8.0, 3, 0)};
-  charging::ChargeState charge_a(2);
-  TimeExpandedFormulation full(line3(), charge_a, 0, batch, {});
-  FormulationOptions opts;
-  opts.prune_unreachable = true;
-  charging::ChargeState charge_b(2);
-  TimeExpandedFormulation pruned(line3(), charge_b, 0, batch, opts);
-
-  int full_vars = 0;
-  int pruned_vars = 0;
-  for (int a = 0; a < full.graph().num_arcs(); ++a) {
-    full_vars += full.flow_var(0, a) >= 0 ? 1 : 0;
-    pruned_vars += pruned.flow_var(0, a) >= 0 ? 1 : 0;
-  }
-  EXPECT_LT(pruned_vars, full_vars);
-  EXPECT_GT(pruned_vars, 0);
-
-  const auto sol_full = lp::solve(full.model());
-  const auto sol_pruned = lp::solve(pruned.model());
-  ASSERT_EQ(sol_full.status, lp::SolveStatus::kOptimal);
-  ASSERT_EQ(sol_pruned.status, lp::SolveStatus::kOptimal);
-  // The charge epigraph prices the per-slot MAX: each link can spread its
-  // 8 GB over its two usable layers, so X = 4 on both links and the
-  // optimum is 4*1 + 4*2 = 12 — with or without pruning.
-  EXPECT_NEAR(sol_pruned.objective, sol_full.objective, 1e-7);
-  EXPECT_NEAR(sol_pruned.objective, 12.0, 1e-7);
 }
 
 }  // namespace

@@ -1,10 +1,18 @@
-// Property-based cross-checks: random feasible LPs solved by both the
-// simplex and the interior-point method must agree on the optimal objective,
-// and every reported optimum must be primal feasible.
+// Property-based checks on random feasible LPs: every simplex optimum must
+// carry an optimality certificate (lp::certify: primal feasibility, dual
+// feasibility and a zero duality gap, recomputed from the model), presolve
+// must not move the optimum, and the certificate must reject solutions
+// that are not optimal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <random>
+#include <vector>
 
+#include "lp/certificate.h"
+#include "lp/simplex.h"
 #include "lp/solver.h"
 
 namespace postcard::lp {
@@ -14,7 +22,9 @@ struct RandomLpParams {
   int rows;
   int cols;
   double density;
-  unsigned seed;
+  // 64 bits leave the struct without padding: gtest prints a parameter's
+  // bytes into the test name, and padding bytes are indeterminate.
+  std::uint64_t seed;
 };
 
 // Generates a random LP that is feasible by construction: bounds are placed
@@ -59,6 +69,9 @@ LpModel random_feasible_lp(const RandomLpParams& p) {
   return m;
 }
 
+// The simplex's own feasibility and optimality tolerances.
+constexpr double kCertTol = 1e-7;
+
 class RandomLpTest : public ::testing::TestWithParam<RandomLpParams> {};
 
 TEST_P(RandomLpTest, SimplexFindsFeasibleOptimum) {
@@ -68,27 +81,20 @@ TEST_P(RandomLpTest, SimplexFindsFeasibleOptimum) {
   EXPECT_LT(m.max_violation(s.x), 1e-6);
 }
 
-TEST_P(RandomLpTest, SimplexAndIpmAgree) {
+TEST_P(RandomLpTest, SimplexOptimumIsCertified) {
   const LpModel m = random_feasible_lp(GetParam());
-  const auto spx = solve(m);
-  SolverOptions iopts;
-  iopts.method = Method::kInteriorPoint;
-  const auto ipm = solve(m, iopts);
-  ASSERT_EQ(spx.status, SolveStatus::kOptimal);
-  ASSERT_EQ(ipm.status, SolveStatus::kOptimal);
-  const double scale = 1.0 + std::abs(spx.objective);
-  EXPECT_LT(std::abs(spx.objective - ipm.objective) / scale, 1e-4);
-  // IPM objective can only be >= the simplex optimum (both minimize).
-  EXPECT_GT(ipm.objective - spx.objective, -1e-4 * scale);
+  const auto s = RevisedSimplex().solve(m);
+  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  const Certificate cert = certify(m, s);
+  EXPECT_LE(cert.primal_violation, kCertTol);
+  EXPECT_LE(cert.dual_infeasibility, kCertTol);
+  EXPECT_LE(std::abs(cert.relative_gap), kCertTol);
 }
 
 TEST_P(RandomLpTest, PresolveDoesNotChangeOptimum) {
   const LpModel m = random_feasible_lp(GetParam());
-  SolverOptions with, without;
-  with.presolve = true;
-  without.presolve = false;
-  const auto a = solve(m, with);
-  const auto b = solve(m, without);
+  const auto a = solve(m);  // presolves
+  const auto b = RevisedSimplex().solve(m);
   ASSERT_EQ(a.status, SolveStatus::kOptimal);
   ASSERT_EQ(b.status, SolveStatus::kOptimal);
   EXPECT_NEAR(a.objective, b.objective, 1e-6 * (1.0 + std::abs(a.objective)));
@@ -105,6 +111,69 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.cols) + "s" +
              std::to_string(info.param.seed);
     });
+
+// A seeded sweep of 250 random LPs: 3-62 rows, 1-1.5x as many columns
+// (at most 92), densities 0.1-0.7.
+std::vector<RandomLpParams> sweep_params() {
+  std::mt19937 rng(2012);
+  std::uniform_int_distribution<int> rows(3, 62);
+  std::uniform_real_distribution<double> aspect(1.0, 1.5);
+  std::uniform_real_distribution<double> density(0.1, 0.7);
+  std::vector<RandomLpParams> params;
+  for (unsigned seed = 100; seed < 350; ++seed) {
+    const int r = rows(rng);
+    const int c = std::clamp(static_cast<int>(r * aspect(rng)), 3, 92);
+    params.push_back({r, c, density(rng), seed});
+  }
+  return params;
+}
+
+TEST(RandomLpSweep, EverySimplexOptimumIsCertified) {
+  for (const RandomLpParams& p : sweep_params()) {
+    const LpModel m = random_feasible_lp(p);
+    const auto s = RevisedSimplex().solve(m);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal) << "seed " << p.seed;
+    const Certificate cert = certify(m, s);
+    EXPECT_LE(cert.worst(), kCertTol)
+        << "seed " << p.seed << ": primal " << cert.primal_violation
+        << ", dual " << cert.dual_infeasibility << ", gap "
+        << cert.relative_gap;
+  }
+}
+
+// The certificate is not vacuous: a solve cut at half its pivots, duals
+// with their signs flipped and a primal value nudged by 1e-3 all fail it.
+TEST(RandomLpSweep, CertificateRejectsNonOptimalSolutions) {
+  int flipped_checked = 0;
+  for (const RandomLpParams& p : sweep_params()) {
+    const LpModel m = random_feasible_lp(p);
+    const auto s = RevisedSimplex().solve(m);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal) << "seed " << p.seed;
+
+    SolveBudget half = SolveBudget::pivot_limit(s.iterations / 2);
+    const auto truncated = RevisedSimplex().solve(m, nullptr, &half);
+    ASSERT_EQ(truncated.status, SolveStatus::kDeadlineExceeded);
+    EXPECT_GT(certify(m, truncated).worst(), kCertTol) << "seed " << p.seed;
+
+    Solution flipped = s;
+    for (double& y : flipped.duals) y = -y;
+    if (linalg::norm_inf(s.duals) > kCertTol) {
+      EXPECT_GT(certify(m, flipped).worst(), kCertTol) << "seed " << p.seed;
+      ++flipped_checked;
+    }
+
+    Solution shifted = s;
+    shifted.x[0] += 1e-3;
+    EXPECT_GT(certify(m, shifted).worst(), kCertTol) << "seed " << p.seed;
+  }
+  EXPECT_GT(flipped_checked, 200);
+
+  // Without one dual per row there is nothing to certify.
+  const LpModel m = random_feasible_lp({4, 6, 0.6, 1});
+  Solution no_duals = RevisedSimplex().solve(m);
+  no_duals.duals.clear();
+  EXPECT_TRUE(std::isinf(certify(m, no_duals).worst()));
+}
 
 }  // namespace
 }  // namespace postcard::lp

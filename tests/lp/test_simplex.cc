@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "lp/certificate.h"
+
 namespace postcard::lp {
 namespace {
 
@@ -193,12 +195,15 @@ TEST(Simplex, DualValuesSatisfyComplementarySlackness) {
   ASSERT_EQ(s.duals.size(), 2u);
   // Strong duality: c^T x == y^T b for binding rows (b = [12, 18]).
   EXPECT_NEAR(s.objective, s.duals[0] * 12.0 + s.duals[1] * 18.0, 1e-7);
-  // Reduced costs of basic structurals are ~0.
-  for (int j = 0; j < 2; ++j) {
-    if (s.x[j] > 1e-6) {
-      EXPECT_NEAR(s.reduced_costs[j], 0.0, 1e-7);
-    }
-  }
+  // The certificate recomputes d = c - A^T y: every multiplier sits on a
+  // finite bound and the complementary-slackness residual c^T x - D is ~0.
+  const Certificate cert = certify(m, s);
+  EXPECT_LE(cert.primal_violation, 1e-9);
+  EXPECT_LE(cert.dual_infeasibility, 1e-9);
+  EXPECT_NEAR(cert.relative_gap, 0.0, 1e-9);
+  // Both rows bind at x = (2, 6), so both duals are negative (<= rows).
+  EXPECT_LT(s.duals[0], 0.0);
+  EXPECT_LT(s.duals[1], 0.0);
 }
 
 TEST(Simplex, EmptyModel) {

@@ -1,5 +1,5 @@
-// Solver diagnostics and facade behavior: statistics fields, method
-// selection, and option plumbing.
+// Solver diagnostics and facade behavior: statistics fields, budget
+// plumbing and option handling.
 #include <gtest/gtest.h>
 
 #include "lp/simplex.h"
@@ -63,19 +63,6 @@ TEST(SolverDiagnostics, PerturbationCanBeDisabled) {
   EXPECT_NEAR(s.objective, -36.0, 1e-8);
 }
 
-TEST(SolverDiagnostics, FacadeMethodSelection) {
-  SolverOptions simplex_opts;  // default
-  SolverOptions ipm_opts;
-  ipm_opts.method = Method::kInteriorPoint;
-  const Solution a = solve(dantzig(), simplex_opts);
-  const Solution b = solve(dantzig(), ipm_opts);
-  ASSERT_EQ(a.status, SolveStatus::kOptimal);
-  ASSERT_EQ(b.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(a.objective, b.objective, 1e-5);
-  // A simplex vertex solution is exact; the IPM is interior-accurate.
-  EXPECT_NEAR(a.objective, -36.0, 1e-9);
-}
-
 TEST(SolverDiagnostics, StatusToStringCoversAllValues) {
   EXPECT_STREQ(to_string(SolveStatus::kOptimal), "optimal");
   EXPECT_STREQ(to_string(SolveStatus::kInfeasible), "infeasible");
@@ -128,16 +115,10 @@ TEST(SolverDiagnostics, GenerousBudgetLeavesSolveBitForBitIdentical) {
   EXPECT_GT(b.charged(), 0);
 }
 
-TEST(SolverDiagnostics, FacadeThreadsBudgetToBothMethods) {
-  SolveBudget simplex_budget = SolveBudget::pivot_limit(0);
-  const Solution a = solve(dantzig(), SolverOptions{}, &simplex_budget);
+TEST(SolverDiagnostics, FacadeThreadsBudgetToTheSimplex) {
+  SolveBudget budget = SolveBudget::pivot_limit(0);
+  const Solution a = solve(dantzig(), &budget);
   EXPECT_EQ(a.status, SolveStatus::kDeadlineExceeded);
-
-  SolverOptions ipm_opts;
-  ipm_opts.method = Method::kInteriorPoint;
-  SolveBudget ipm_budget = SolveBudget::pivot_limit(0);
-  const Solution b = solve(dantzig(), ipm_opts, &ipm_budget);
-  EXPECT_EQ(b.status, SolveStatus::kDeadlineExceeded);
 }
 
 }  // namespace

@@ -2,16 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-
 #include "net/generators.h"
 #include "net/time_expanded.h"
 #include "net/topology.h"
 
 namespace postcard::net {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 Topology five_dc() {
   return Topology::complete(5, 100.0, [](int i, int j) {
@@ -123,24 +119,6 @@ TEST(SparseTimeGraph, ResidualsRefreshEveryAdvance) {
     sparse.advance_to(t, epoch, 3, residual);
     expect_matches_dense(sparse, TimeExpandedGraph(t, epoch, 3, residual));
   }
-}
-
-TEST(SparseTimeGraph, StorageCapAndDisableMatchDense) {
-  const Topology t = five_dc();
-  SparseTimeGraph capped;
-  capped.advance_to(t, 1, 3, nullptr, /*storage_capacity=*/7.5);
-  expect_matches_dense(capped, TimeExpandedGraph(t, 1, 3, nullptr, 7.5));
-
-  SparseTimeGraph no_storage;
-  no_storage.advance_to(t, 1, 3, nullptr, kInf, /*enable_storage=*/false);
-  expect_matches_dense(no_storage,
-                       TimeExpandedGraph(t, 1, 3, nullptr, kInf, false));
-  EXPECT_EQ(no_storage.block_size(), t.num_links());
-
-  // Toggling storage is a structural change: the arena must rebuild, not
-  // reuse blocks of the wrong shape.
-  no_storage.advance_to(t, 1, 3, nullptr, kInf, /*enable_storage=*/true);
-  expect_matches_dense(no_storage, TimeExpandedGraph(t, 1, 3));
 }
 
 TEST(SparseTimeGraph, LinkCountChangeRebuildsAndRefreshesHops) {

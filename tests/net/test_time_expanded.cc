@@ -46,23 +46,6 @@ TEST(TimeExpandedGraph, StorageArcsAreFreeAndUncapped) {
   EXPECT_EQ(storage_count, 2 * 3);
 }
 
-TEST(TimeExpandedGraph, StorageCanBeDisabled) {
-  const auto g = TimeExpandedGraph(square(), 0, 2, nullptr,
-                                   std::numeric_limits<double>::infinity(),
-                                   /*enable_storage=*/false);
-  EXPECT_EQ(g.num_arcs(), 2 * 3);
-  for (const TimeArc& arc : g.arcs()) EXPECT_FALSE(arc.storage());
-}
-
-TEST(TimeExpandedGraph, StorageCapacityCap) {
-  const auto g = TimeExpandedGraph(square(), 0, 1, nullptr, 42.0);
-  for (const TimeArc& arc : g.arcs()) {
-    if (arc.storage()) {
-      EXPECT_DOUBLE_EQ(arc.capacity, 42.0);
-    }
-  }
-}
-
 TEST(TimeExpandedGraph, ResidualCapacityCallbackPerSlot) {
   // Residual shrinks with the slot number: slot s leaves capacity 5 - s.
   const auto g = TimeExpandedGraph(
