@@ -14,9 +14,9 @@
 //
 // The auditor re-simulates every committed plan against the topology and
 // charge ledger (flow conservation, arc capacity, deadlines, demand) and
-// cross-checks the percentile treap against a copy+sort oracle, so its cost
-// scales with transfers per slot plus links x slots — both small next to a
-// column-generation solve over the same time-expanded graph.
+// compares each link's X_ij with one max scan of its per-slot series, so
+// its cost scales with transfers per slot plus links x slots — both small
+// next to a column-generation solve over the same time-expanded graph.
 //
 // Build & run:  cmake --build build && ./build/bench/bench_audit
 #include <benchmark/benchmark.h>

@@ -28,9 +28,10 @@ ctest --test-dir build-tsan -L "runtime|chaos|server|scale|replication" --output
 
 # Memory-safety pass: ASan + UBSan (fail-fast on UB) over the charging
 # ledgers, the runtime + chaos engines and the linalg/LP kernels — the
-# subsystems with hand-rolled pointer structures (the order-statistic
-# treap), cross-thread handoff and index-driven scratch arrays (the
-# hyper-sparse LU solves and simplex pivots).
+# subsystems with slot-indexed series (the per-link ledgers that grow on
+# every commit and are rebuilt from snapshot bytes), cross-thread handoff
+# and index-driven scratch arrays (the hyper-sparse LU solves and simplex
+# pivots).
 cmake --preset asan
 cmake --build build-asan -j "${JOBS}"
 ctest --test-dir build-asan -L "charging|runtime|chaos|linalg|lp|audit|server|scale|replication" \

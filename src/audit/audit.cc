@@ -10,9 +10,7 @@ namespace postcard::audit {
 
 namespace detail {
 
-double scaled(double tolerance, double bound) {
-  return tolerance * (1.0 + std::abs(bound));
-}
+double scaled(double bound) { return kTolerance * (1.0 + std::abs(bound)); }
 
 void add_violation(AuditReport& report, ViolationClass cls, int file_id,
                    int link, int slot, int node, double magnitude,
@@ -31,13 +29,13 @@ void add_violation(AuditReport& report, ViolationClass cls, int file_id,
 void audit_arc_capacity(int slot, const std::set<std::pair<int, int>>& arcs,
                         const net::Topology& topology,
                         const charging::ChargeState& charge,
-                        const AuditOptions& options, AuditReport& report) {
+                        AuditReport& report) {
   for (const auto& [link, n] : arcs) {
     if (n < slot) continue;  // past traffic; capacities may have changed
     if (link < 0 || link >= topology.num_links()) continue;  // kUnknownLink
     const double capacity = topology.link(link).capacity;
     const double committed = charge.committed(link, n);
-    if (committed > capacity + scaled(options.tolerance, capacity)) {
+    if (committed > capacity + scaled(capacity)) {
       std::ostringstream os;
       os << "committed " << committed << " GB on link " << link << " slot "
          << n << " exceeds capacity " << capacity;
@@ -59,17 +57,15 @@ using detail::scaled;
 /// demand satisfaction. `slot` is the batch slot the plan was committed
 /// at; eq. 10 zeroes all M^k_ij(n) with n outside [slot, slot + T_k).
 void audit_file_plan(int slot, const PlannedFile& pf,
-                     const net::Topology& topology,
-                     const AuditOptions& options, AuditReport& report) {
+                     const net::Topology& topology, AuditReport& report) {
   const net::FileRequest& file = pf.request;
   const core::FilePlan& plan = *pf.plan;
-  const double tol = options.tolerance;
   const int first_slot = slot;
   const int last_slot = slot + file.max_transfer_slots - 1;
 
   for (const core::Transfer& t : plan.transfers) {
     ++report.transfers_checked;
-    if (t.volume < -tol) {
+    if (t.volume < -kTolerance) {
       add_violation(report, ViolationClass::kNonNegativity, file.id, t.link,
                     t.slot, t.from, -t.volume, "negative transfer volume");
     }
@@ -113,7 +109,7 @@ void audit_file_plan(int slot, const PlannedFile& pf,
     for (const auto& [node, moved] : outgoing) {
       const auto it = holdings.find(node);
       const double have = it != holdings.end() ? it->second : 0.0;
-      if (moved > have + scaled(options.tolerance, have)) {
+      if (moved > have + scaled(have)) {
         std::ostringstream os;
         os << "D" << node << " moves " << moved << " GB in slot " << n
            << " but holds " << have;
@@ -130,7 +126,7 @@ void audit_file_plan(int slot, const PlannedFile& pf,
       }
       // Volume neither forwarded nor stored silently leaves the network —
       // a conservation leak, not mere under-delivery.
-      if (std::abs(moved - have) > scaled(options.tolerance, have)) {
+      if (std::abs(moved - have) > scaled(have)) {
         std::ostringstream os;
         os << "D" << node << " holds " << have << " GB at slot " << n
            << " but moves " << moved << " (must forward or store all of it)";
@@ -143,7 +139,7 @@ void audit_file_plan(int slot, const PlannedFile& pf,
 
   const auto it = holdings.find(file.destination);
   const double delivered = it != holdings.end() ? it->second : 0.0;
-  if (std::abs(delivered - file.size) > scaled(tol, file.size)) {
+  if (std::abs(delivered - file.size) > scaled(file.size)) {
     std::ostringstream os;
     os << "delivered " << delivered << " of " << file.size
        << " GB by the deadline";
@@ -153,7 +149,7 @@ void audit_file_plan(int slot, const PlannedFile& pf,
   }
   for (const auto& [node, volume] : holdings) {
     if (node == file.destination) continue;
-    if (volume > scaled(tol, file.size)) {
+    if (volume > scaled(file.size)) {
       std::ostringstream os;
       os << volume << " GB stranded at D" << node << " after the deadline";
       add_violation(report, ViolationClass::kDemandSatisfaction, file.id, -1,
@@ -220,25 +216,23 @@ std::string AuditReport::summary(std::size_t max_lines) const {
 
 AuditReport audit_slot_plans(int slot, const std::vector<PlannedFile>& files,
                              const net::Topology& topology,
-                             const charging::ChargeState& charge,
-                             const AuditOptions& options) {
+                             const charging::ChargeState& charge) {
   AuditReport report;
   std::set<std::pair<int, int>> arcs;  // (link, slot) pairs the plans touch
   for (const PlannedFile& pf : files) {
     if (pf.plan == nullptr) continue;
     ++report.files_checked;
-    audit_file_plan(slot, pf, topology, options, report);
+    audit_file_plan(slot, pf, topology, report);
     for (const core::Transfer& t : pf.plan->transfers) {
       if (!t.storage()) arcs.emplace(t.link, t.slot);
     }
   }
-  detail::audit_arc_capacity(slot, arcs, topology, charge, options, report);
+  detail::audit_arc_capacity(slot, arcs, topology, charge, report);
   return report;
 }
 
 AuditReport audit_charge_state(const charging::ChargeState& charge,
-                               const net::Topology& topology,
-                               const AuditOptions& options) {
+                               const net::Topology& topology) {
   AuditReport report;
   const charging::PercentileRecorder& recorder = charge.recorder();
   if (recorder.reduce_violations() > 0) {
@@ -248,32 +242,18 @@ AuditReport audit_charge_state(const charging::ChargeState& charge,
     add_violation(report, ViolationClass::kChargeLedger, -1, -1, -1, -1,
                   static_cast<double>(recorder.reduce_violations()), os.str());
   }
-  if (!options.check_charge_consistency) return report;
-  const int period = recorder.num_slots();
   for (int link = 0; link < charge.num_links(); ++link) {
     ++report.links_checked;
-    // X_ij must be the running per-slot maximum the treap reports: commit()
+    // X_ij must be the running per-slot maximum of the series: commit()
     // only ever raises it to that maximum and uncommit() recomputes it.
     const double charged = charge.charged(link);
-    const double tree_max = recorder.max_volume(link);
-    if (std::abs(charged - tree_max) > scaled(options.tolerance, tree_max)) {
+    const double series_max = recorder.max_volume(link);
+    if (std::abs(charged - series_max) > scaled(series_max)) {
       std::ostringstream os;
-      os << "X_ij " << charged << " vs treap max " << tree_max;
+      os << "X_ij " << charged << " vs series max " << series_max;
       add_violation(report, ViolationClass::kChargeConsistency, -1, link, -1,
                     topology.num_links() > link ? topology.link(link).from : -1,
-                    std::abs(charged - tree_max), os.str());
-    }
-    if (period == 0) continue;
-    const double incremental =
-        recorder.charged_volume(link, options.percentile_q, period);
-    const double oracle =
-        recorder.charged_volume_sorted(link, options.percentile_q, period);
-    if (std::abs(incremental - oracle) > scaled(options.tolerance, oracle)) {
-      std::ostringstream os;
-      os << "treap charged_volume " << incremental << " vs sorted oracle "
-         << oracle << " at q=" << options.percentile_q;
-      add_violation(report, ViolationClass::kChargeConsistency, -1, link, -1,
-                    -1, std::abs(incremental - oracle), os.str());
+                    std::abs(charged - series_max), os.str());
     }
   }
   return report;

@@ -14,9 +14,8 @@
 //   * nonnegativity of every transfer volume,
 //   * demand satisfaction: every accepted file's full size reaches its
 //     destination by the deadline,
-//   * charge-state consistency: the incremental order-statistic treap
-//     agrees with the copy+sort oracle, X_ij equals the per-slot maximum,
-//     and the ledger saw no reduce() accounting violations.
+//   * charge-state consistency: X_ij equals its link's per-slot series
+//     maximum, and the ledger saw no reduce() accounting violations.
 //
 // DCRoute (PAPERS.md) motivates the core check: deadline-guaranteed
 // allocations must be *provably* feasible per slot, not merely cheap.
@@ -44,7 +43,7 @@ enum class ViolationClass {
   kFlowConservation,    // node moves more than it holds / leaks volume
   kDemandSatisfaction,  // accepted file not fully delivered by the deadline
   kArcCapacity,         // committed ledger exceeds c_ij(n) * t-bar  (eq. 9)
-  kChargeConsistency,   // treap vs copy+sort oracle / X_ij vs max desync
+  kChargeConsistency,   // X_ij differs from its series maximum
   kChargeLedger,        // reduce() saw an uncommit of never-committed volume
 };
 inline constexpr int kNumViolationClasses = 8;
@@ -65,18 +64,11 @@ struct Violation {
   std::string format() const;
 };
 
-struct AuditOptions {
-  /// Base tolerance for LP-produced volumes. Capacity and demand checks
-  /// scale it by (1 + bound magnitude) so large instances are not flagged
-  /// for simplex-level rounding noise. 1e-4 matches the bound the plan
-  /// verification tests have always used for LP output.
-  double tolerance = 1e-4;
-  /// Run the treap-vs-oracle charge consistency sweep (O(L * T log T)).
-  bool check_charge_consistency = true;
-  /// Percentile used for the treap-vs-oracle comparison (the paper's
-  /// simplification charges the maximum).
-  double percentile_q = 100.0;
-};
+/// Base tolerance for LP-produced volumes. Capacity and demand checks
+/// scale it by (1 + bound magnitude) so large instances are not flagged
+/// for simplex-level rounding noise. 1e-4 matches the bound the plan
+/// verification tests have always used for LP output.
+inline constexpr double kTolerance = 1e-4;
 
 struct AuditReport {
   std::vector<Violation> violations;
@@ -105,21 +97,19 @@ struct PlannedFile {
 /// arc are included.
 AuditReport audit_slot_plans(int slot, const std::vector<PlannedFile>& files,
                              const net::Topology& topology,
-                             const charging::ChargeState& charge,
-                             const AuditOptions& options = {});
+                             const charging::ChargeState& charge);
 
-/// Charge-state consistency: per link, the incremental treap percentile
-/// must match the copy+sort oracle, X_ij must equal the per-slot maximum,
-/// and the recorder must have seen zero reduce() accounting violations.
+/// Charge-state consistency, one max scan per link: X_ij must equal the
+/// per-slot series maximum, and the recorder must have seen zero reduce()
+/// accounting violations.
 AuditReport audit_charge_state(const charging::ChargeState& charge,
-                               const net::Topology& topology,
-                               const AuditOptions& options = {});
+                               const net::Topology& topology);
 
 namespace detail {
 
-/// Absolute `tolerance` plus the same amount per unit of `bound`, so large
+/// Absolute kTolerance plus the same amount per unit of `bound`, so large
 /// capacity/demand rows tolerate the rounding noise the LP itself does.
-double scaled(double tolerance, double bound);
+double scaled(double bound);
 
 void add_violation(AuditReport& report, ViolationClass cls, int file_id,
                    int link, int slot, int node, double magnitude,
@@ -130,7 +120,7 @@ void add_violation(AuditReport& report, ViolationClass cls, int file_id,
 void audit_arc_capacity(int slot, const std::set<std::pair<int, int>>& arcs,
                         const net::Topology& topology,
                         const charging::ChargeState& charge,
-                        const AuditOptions& options, AuditReport& report);
+                        AuditReport& report);
 
 }  // namespace detail
 

@@ -13,10 +13,8 @@ using detail::scaled;
 AuditReport audit_flow_assignments(int slot,
                                    const std::vector<PlannedFlow>& flows,
                                    const net::Topology& topology,
-                                   const charging::ChargeState& charge,
-                                   const AuditOptions& options) {
+                                   const charging::ChargeState& charge) {
   AuditReport report;
-  const double tol = options.tolerance;
   std::set<std::pair<int, int>> arcs;
   for (const PlannedFlow& pf : flows) {
     if (pf.assignment == nullptr) continue;
@@ -51,7 +49,7 @@ AuditReport audit_flow_assignments(int slot,
                       "assignment rate on a link outside the topology");
         continue;
       }
-      if (rate < -tol) {
+      if (rate < -kTolerance) {
         add_violation(report, ViolationClass::kNonNegativity, file.id, link,
                       a.start_slot, topology.link(link).from, -rate,
                       "negative assignment rate");
@@ -68,7 +66,7 @@ AuditReport audit_flow_assignments(int slot,
       if (node == file.destination) expected = -a.rate;
       const double imbalance =
           net_out[static_cast<std::size_t>(node)] - expected;
-      if (std::abs(imbalance) > scaled(tol, a.rate)) {
+      if (std::abs(imbalance) > scaled(a.rate)) {
         std::ostringstream os;
         os << "node rate imbalance " << imbalance << " (net out "
            << net_out[static_cast<std::size_t>(node)] << ", expected "
@@ -80,7 +78,7 @@ AuditReport audit_flow_assignments(int slot,
 
     // Demand satisfaction: rate * duration carries the whole file.
     const double carried = a.rate * a.duration;
-    if (carried < file.size - scaled(tol, file.size)) {
+    if (carried < file.size - scaled(file.size)) {
       std::ostringstream os;
       os << "assignment carries " << carried << " of " << file.size << " GB";
       add_violation(report, ViolationClass::kDemandSatisfaction, file.id, -1,
@@ -88,7 +86,7 @@ AuditReport audit_flow_assignments(int slot,
                     os.str());
     }
   }
-  detail::audit_arc_capacity(slot, arcs, topology, charge, options, report);
+  detail::audit_arc_capacity(slot, arcs, topology, charge, report);
   return report;
 }
 

@@ -29,7 +29,6 @@ struct PlannedFlow {
 AuditReport audit_flow_assignments(int slot,
                                    const std::vector<PlannedFlow>& flows,
                                    const net::Topology& topology,
-                                   const charging::ChargeState& charge,
-                                   const AuditOptions& options = {});
+                                   const charging::ChargeState& charge);
 
 }  // namespace postcard::audit

@@ -20,8 +20,8 @@ void ChargeState::uncommit(int link, int slot, double volume) {
   recorder_.reduce(link, slot, volume);
   // X_ij is the running maximum of the record; with one slot lowered the
   // maximum over the remaining series is exact (past slots are untouched
-  // by contract, so real traffic maxima survive). The recorder's
-  // order-statistic tree answers it in O(log T) instead of a rescan.
+  // by contract, so real traffic maxima survive). Only LinkDown replans
+  // uncommit, so one rescan of the series per call is cheap enough.
   charged_[link] = recorder_.max_volume(link);
 }
 

@@ -3,7 +3,8 @@
 // Once a link has carried volume X during some slot, every later slot can
 // re-use up to X for free — the foundation of Postcard's time-shifting. The
 // state tracks, per link, the committed volume of every slot (the ledger the
-// online controller prices against) and the running maximum X_ij(t).
+// online controller prices against) and the running maximum X_ij(t). The
+// cost is linear in the charge, sum_ij a_ij * X_ij (objective (6)).
 #pragma once
 
 #include <vector>
@@ -63,8 +64,8 @@ class ChargeState {
   static ChargeState restore(PercentileRecorder recorder,
                              std::vector<double> charged);
 
-  /// TEST ONLY: writable recorder so the audit mutation tests can seed
-  /// treap/series desyncs (PercentileRecorder::corrupt_series_for_test).
+  /// TEST ONLY: writable recorder so the audit mutation tests can move a
+  /// series maximum away from X_ij (PercentileRecorder::corrupt_series_for_test).
   PercentileRecorder& mutable_recorder_for_test() { return recorder_; }
 
  private:

@@ -15,29 +15,21 @@ constexpr double kReduceEps = 1e-9;
 PercentileRecorder::PercentileRecorder(int num_links) {
   if (num_links < 0) throw std::invalid_argument("negative link count");
   series_.resize(static_cast<std::size_t>(num_links));
-  order_.resize(static_cast<std::size_t>(num_links));
 }
 
-void PercentileRecorder::set_volume(int link, int slot, double value) {
+std::vector<double>& PercentileRecorder::series_through(int link, int slot) {
   auto& s = series_[link];
   if (slot >= static_cast<int>(s.size())) {
-    // Materialize the gap: every stored slot owns one tree entry, so rank
-    // queries only need to account for the never-touched tail implicitly.
-    for (int n = static_cast<int>(s.size()); n <= slot; ++n) {
-      order_[link].insert(0.0, n);
-    }
     s.resize(static_cast<std::size_t>(slot) + 1, 0.0);
   }
-  order_[link].erase(s[slot], slot);
-  s[slot] = value;
-  order_[link].insert(value, slot);
+  return s;
 }
 
 void PercentileRecorder::record(int link, int slot, double volume) {
   if (link < 0 || link >= num_links()) throw std::out_of_range("bad link");
   if (slot < 0) throw std::out_of_range("negative slot");
   if (volume < 0.0) throw std::invalid_argument("negative volume");
-  set_volume(link, slot, this->volume(link, slot) + volume);
+  series_through(link, slot)[slot] += volume;
   num_slots_ = std::max(num_slots_, slot + 1);
 }
 
@@ -55,7 +47,7 @@ void PercentileRecorder::reduce(int link, int slot, double volume) {
     ++reduce_violations_;
   }
   if (slot >= static_cast<int>(series_[link].size())) return;  // stays zero
-  set_volume(link, slot, std::max(0.0, residual));
+  series_[link][slot] = std::max(0.0, residual);
 }
 
 double PercentileRecorder::volume(int link, int slot) const {
@@ -64,10 +56,10 @@ double PercentileRecorder::volume(int link, int slot) const {
   return s[slot];
 }
 
-int PercentileRecorder::percentile_rank(double q, int period_slots) {
-  // Paper's convention (Sec. II-A): the k-th sorted interval with
-  // k = q% * period; e.g. 95% of a 1-year period is the 99864-th interval.
-  return static_cast<int>(std::floor(q / 100.0 * period_slots));
+double PercentileRecorder::max_volume(int link) const {
+  double largest = 0.0;
+  for (const double v : series_[link]) largest = std::max(largest, v);
+  return largest;
 }
 
 double PercentileRecorder::charged_volume(int link, double q,
@@ -76,37 +68,15 @@ double PercentileRecorder::charged_volume(int link, double q,
   if (period_slots < num_slots_) {
     throw std::invalid_argument("period shorter than observed slots");
   }
-  double charged = 0.0;
-  const int k = percentile_rank(q, period_slots);
-  if (k > 0) {
-    // The sorted period is `implicit` untouched zero slots followed by the
-    // stored slots in value order; ranks inside the implicit prefix charge
-    // zero without consulting the tree.
-    const int stored = order_[link].size();
-    const int implicit = period_slots - stored;
-    charged = k <= implicit ? 0.0 : order_[link].kth(k - implicit);
-  }
-  if (cross_check_) {
-    const double oracle = charged_volume_sorted(link, q, period_slots);
-    if (charged != oracle) {
-      throw std::logic_error("incremental percentile diverged from the sort oracle");
-    }
-  }
-  return charged;
-}
-
-double PercentileRecorder::charged_volume_sorted(int link, double q,
-                                                 int period_slots) const {
-  if (q <= 0.0 || q > 100.0) throw std::invalid_argument("q must be in (0, 100]");
-  if (period_slots < num_slots_) {
-    throw std::invalid_argument("period shorter than observed slots");
-  }
-  const int k = percentile_rank(q, period_slots);
+  // Paper's convention (Sec. II-A): the k-th sorted interval with
+  // k = q% * period; e.g. 95% of a 1-year period is the 99864-th interval.
+  const int k = static_cast<int>(std::floor(q / 100.0 * period_slots));
   if (k == 0) return 0.0;
-  std::vector<double> sorted(series_[link]);
-  sorted.resize(static_cast<std::size_t>(period_slots), 0.0);  // quiet slots
-  std::sort(sorted.begin(), sorted.end());
-  return sorted[static_cast<std::size_t>(k) - 1];
+  std::vector<double> period(series_[link]);
+  period.resize(static_cast<std::size_t>(period_slots), 0.0);  // quiet slots
+  const auto kth = period.begin() + (k - 1);
+  std::nth_element(period.begin(), kth, period.end());
+  return *kth;
 }
 
 PercentileRecorder PercentileRecorder::from_series(
@@ -116,18 +86,16 @@ PercentileRecorder PercentileRecorder::from_series(
   if (reduce_violations < 0) {
     throw std::invalid_argument("negative violation count");
   }
-  PercentileRecorder r(static_cast<int>(series.size()));
-  r.series_ = std::move(series);
-  for (std::size_t l = 0; l < r.series_.size(); ++l) {
-    const auto& s = r.series_[l];
+  for (const auto& s : series) {
     if (static_cast<int>(s.size()) > num_slots) {
       throw std::invalid_argument("series longer than the restored slot count");
     }
-    for (std::size_t t = 0; t < s.size(); ++t) {
-      if (s[t] < 0.0) throw std::invalid_argument("negative series volume");
-      r.order_[l].insert(s[t], static_cast<int>(t));
+    for (const double v : s) {
+      if (v < 0.0) throw std::invalid_argument("negative series volume");
     }
   }
+  PercentileRecorder r(static_cast<int>(series.size()));
+  r.series_ = std::move(series);
   r.num_slots_ = num_slots;
   r.reduce_violations_ = reduce_violations;
   return r;
@@ -137,29 +105,8 @@ void PercentileRecorder::corrupt_series_for_test(int link, int slot,
                                                  double value) {
   if (link < 0 || link >= num_links()) throw std::out_of_range("bad link");
   if (slot < 0) throw std::out_of_range("negative slot");
-  auto& s = series_[link];
-  if (slot >= static_cast<int>(s.size())) {
-    // Keep the tree consistent for the gap (one entry per stored slot) so
-    // only the targeted slot desynchronizes.
-    for (int n = static_cast<int>(s.size()); n <= slot; ++n) {
-      order_[link].insert(0.0, n);
-    }
-    s.resize(static_cast<std::size_t>(slot) + 1, 0.0);
-  }
-  s[slot] = value;  // deliberately NOT mirrored into order_[link]
+  series_through(link, slot)[slot] = value;
   num_slots_ = std::max(num_slots_, slot + 1);
-}
-
-double PercentileRecorder::total_cost(const std::vector<CostFunction>& link_costs,
-                                      double q, int period_slots) const {
-  if (static_cast<int>(link_costs.size()) != num_links()) {
-    throw std::invalid_argument("one cost function per link required");
-  }
-  double total = 0.0;
-  for (int l = 0; l < num_links(); ++l) {
-    total += link_costs[l].evaluate(charged_volume(l, q, period_slots));
-  }
-  return total;
 }
 
 }  // namespace postcard::charging

@@ -5,21 +5,14 @@
 // volumes are sorted ascending and the q-th percentile entry becomes the
 // charging volume. q = 100 (the paper's simplification) charges the maximum.
 //
-// The recorder keeps the full per-slot series so the same run can be
-// accounted under several percentiles ex post (percentile ablation bench).
-// Alongside the raw series it maintains a per-link order-statistic tree
-// (order_statistic.h), so charged_volume() is an O(log T) rank query and
-// the rollback path's max-recompute is O(log T) instead of a full rescan.
-// The historical copy+sort implementation stays available as
-// charged_volume_sorted(); set_cross_check(true) makes every incremental
-// query verify itself against it (tests and the sanitizer suite run with
-// the cross-check on).
+// Each link's per-slot series is the ledger's only record: the running
+// maximum and any q-percentile are read from it on demand. Nothing the
+// controller decides reads a percentile below 100, so charged_volume() is
+// an ex-post accounting query (the percentile ablation bench): it copies
+// the series and selects the rank, O(T) per call.
 #pragma once
 
 #include <vector>
-
-#include "charging/cost_function.h"
-#include "charging/order_statistic.h"
 
 namespace postcard::charging {
 
@@ -54,8 +47,9 @@ class PercentileRecorder {
   /// Volume of link `link` during `slot` (zero if never recorded).
   double volume(int link, int slot) const;
 
-  /// Largest per-slot volume recorded on `link` (zero when idle). O(log T).
-  double max_volume(int link) const { return order_[link].max(); }
+  /// Largest per-slot volume recorded on `link` (zero when idle). One
+  /// linear scan of the series.
+  double max_volume(int link) const;
 
   /// Charging volume of `link` under the q-th percentile scheme, computed
   /// over `period_slots` intervals (>= num_slots(); unrecorded slots are
@@ -74,19 +68,6 @@ class PercentileRecorder {
     return charged_volume(link, q, num_slots_);
   }
 
-  /// Reference implementation of charged_volume(): copies the series and
-  /// sorts (O(T log T)). Kept as the oracle the incremental order-statistic
-  /// path is checked against.
-  double charged_volume_sorted(int link, double q, int period_slots) const;
-
-  /// When enabled, every charged_volume() call also runs the copy+sort
-  /// oracle and throws std::logic_error on disagreement.
-  void set_cross_check(bool on) { cross_check_ = on; }
-
-  /// Total money across links: sum_l cost_fn(l).evaluate(charged_volume).
-  double total_cost(const std::vector<CostFunction>& link_costs, double q,
-                    int period_slots) const;
-
   /// Raw per-slot series of `link` (may be shorter than num_slots() when
   /// the trailing slots never saw traffic). Snapshot capture reads this;
   /// the values are the exact doubles record()/reduce() left behind, so a
@@ -95,34 +76,30 @@ class PercentileRecorder {
     return series_[link];
   }
 
-  /// Snapshot restore: rebuilds a recorder (series + order-statistic
-  /// trees) from raw per-link series. `num_slots` restores the observed
-  /// slot count (it may exceed the longest series when reduce() zeroed a
-  /// trailing slot) and `reduce_violations` the accounting-mismatch
-  /// counter, so a restored recorder is indistinguishable from the one
-  /// captured. Throws std::invalid_argument on negative volumes or a
-  /// series longer than `num_slots`.
+  /// Snapshot restore: rebuilds a recorder from raw per-link series.
+  /// `num_slots` restores the observed slot count (it may exceed the
+  /// longest series when reduce() zeroed a trailing slot) and
+  /// `reduce_violations` the accounting-mismatch counter, so a restored
+  /// recorder is indistinguishable from the one captured. Throws
+  /// std::invalid_argument on negative volumes or a series longer than
+  /// `num_slots`.
   static PercentileRecorder from_series(std::vector<std::vector<double>> series,
                                         int num_slots, long reduce_violations);
 
-  /// TEST ONLY: writes `value` into the raw series WITHOUT updating the
-  /// order-statistic tree, desynchronizing the incremental path from the
-  /// copy+sort oracle. Exists so the audit mutation tests can prove the
-  /// auditor's charge-consistency check detects exactly this failure mode;
-  /// production code has no reason to call it.
+  /// TEST ONLY: writes `value` into the raw series behind ChargeState's
+  /// back, so X_ij no longer equals the series maximum. Exists so the audit
+  /// mutation tests can prove the auditor's charge-consistency check
+  /// detects exactly this failure mode; production code has no reason to
+  /// call it.
   void corrupt_series_for_test(int link, int slot, double value);
 
  private:
-  /// Rewrites link's slot volume to `value`, keeping series and tree in step.
-  void set_volume(int link, int slot, double value);
+  /// Link's series, grown with zero slots so that `slot` is stored.
+  std::vector<double>& series_through(int link, int slot);
 
-  static int percentile_rank(double q, int period_slots);
-
-  std::vector<std::vector<double>> series_;     // [link][slot]
-  std::vector<OrderStatisticTree> order_;       // one entry per stored slot
+  std::vector<std::vector<double>> series_;  // [link][slot]
   int num_slots_ = 0;
   long reduce_violations_ = 0;
-  bool cross_check_ = false;
 };
 
 }  // namespace postcard::charging

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <stdexcept>
 
 // NOLINTNEXTLINE(postcard-layering: sanctioned self-audit edge — the controller re-verifies its own plans; audit/audit.h only includes downward (core/plan.h), so no cycle forms)
@@ -171,10 +170,6 @@ void PostcardController::run_audit(int slot,
                                    sim::ScheduleOutcome& outcome) const {
   // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
   const auto t0 = std::chrono::steady_clock::now();
-  audit::AuditOptions options;
-  options.tolerance = audit_controls_.tolerance;
-  options.check_charge_consistency = audit_controls_.check_charge_consistency;
-
   std::vector<audit::PlannedFile> planned;
   planned.reserve(last_plans_.size());
   for (const FilePlan& plan : last_plans_) {
@@ -186,29 +181,19 @@ void PostcardController::run_audit(int slot,
     planned.push_back({*it, &plan});
   }
   audit::AuditReport report =
-      audit::audit_slot_plans(slot, planned, topology_, charge_, options);
-  report.merge(audit::audit_charge_state(charge_, topology_, options));
+      audit::audit_slot_plans(slot, planned, topology_, charge_);
+  report.merge(audit::audit_charge_state(charge_, topology_));
 
   ++outcome.audit_checks;
   outcome.audit_violations += static_cast<long>(report.violations.size());
-  for (const audit::Violation& v : report.violations) {
-    if (static_cast<int>(outcome.audit_reports.size()) >=
-        audit_controls_.max_reports) {
-      break;
-    }
-    outcome.audit_reports.push_back(v.format());
-  }
   outcome.audit_seconds +=
       // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (report.ok()) return;
-  if (audit_controls_.mode == sim::AuditControls::Mode::kFailFast) {
+  if (!report.ok()) {
     throw std::logic_error(name() + " slot " + std::to_string(slot) + " " +
                            report.summary());
   }
-  std::fprintf(stderr, "[audit] %s slot %d %s\n", name().c_str(), slot,
-               report.summary().c_str());
 }
 
 bool PostcardController::try_schedule(int slot,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "audit/flow_audit.h"
@@ -52,10 +51,6 @@ void FlowBaseline::run_audit(int slot,
                              sim::ScheduleOutcome& outcome) const {
   // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
   const auto t0 = std::chrono::steady_clock::now();
-  audit::AuditOptions options;
-  options.tolerance = audit_controls_.tolerance;
-  options.check_charge_consistency = audit_controls_.check_charge_consistency;
-
   std::vector<audit::PlannedFlow> planned;
   planned.reserve(last_assignments_.size());
   for (const FlowAssignment& a : last_assignments_) {
@@ -67,29 +62,19 @@ void FlowBaseline::run_audit(int slot,
     planned.push_back({*it, &a});
   }
   audit::AuditReport report =
-      audit::audit_flow_assignments(slot, planned, topology_, charge_, options);
-  report.merge(audit::audit_charge_state(charge_, topology_, options));
+      audit::audit_flow_assignments(slot, planned, topology_, charge_);
+  report.merge(audit::audit_charge_state(charge_, topology_));
 
   ++outcome.audit_checks;
   outcome.audit_violations += static_cast<long>(report.violations.size());
-  for (const audit::Violation& v : report.violations) {
-    if (static_cast<int>(outcome.audit_reports.size()) >=
-        audit_controls_.max_reports) {
-      break;
-    }
-    outcome.audit_reports.push_back(v.format());
-  }
   outcome.audit_seconds +=
       // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (report.ok()) return;
-  if (audit_controls_.mode == sim::AuditControls::Mode::kFailFast) {
+  if (!report.ok()) {
     throw std::logic_error(name() + " slot " + std::to_string(slot) + " " +
                            report.summary());
   }
-  std::fprintf(stderr, "[audit] %s slot %d %s\n", name().c_str(), slot,
-               report.summary().c_str());
 }
 
 sim::ScheduleOutcome FlowBaseline::schedule_impl(

@@ -1,39 +1,16 @@
 // Dense vector helpers shared across the numerical code.
 //
-// Vectors are plain std::vector<double>; these free functions keep the
+// Vectors are plain std::vector<double>; the one free function keeps the
 // call sites readable without dragging in a full linear-algebra type.
 #pragma once
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <vector>
 
 namespace postcard::linalg {
 
 using Vector = std::vector<double>;
-
-/// Dot product <x, y>. Sizes must match.
-inline double dot(const Vector& x, const Vector& y) {
-  assert(x.size() == y.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
-  return s;
-}
-
-/// y += alpha * x.
-inline void axpy(double alpha, const Vector& x, Vector& y) {
-  assert(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-/// x *= alpha.
-inline void scale(Vector& x, double alpha) {
-  for (double& v : x) v *= alpha;
-}
-
-/// Euclidean norm ||x||_2.
-inline double norm2(const Vector& x) { return std::sqrt(dot(x, x)); }
 
 /// Max-norm ||x||_inf.
 inline double norm_inf(const Vector& x) {

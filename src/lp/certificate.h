@@ -10,9 +10,9 @@
 // all near zero, x is optimal: no second solver is needed to say so.
 //
 // The check recomputes d from the model, so it trusts nothing but x and y.
-// Presolved results (lp::solve) report zero duals for removed singleton
-// rows by design (lp/presolve.h) and are checked by comparing objectives
-// with a certified RevisedSimplex result instead.
+// Presolved results (lp::solve) carry no duals (lp/presolve.h), so they
+// certify as +infinity and are checked by comparing objectives with a
+// certified RevisedSimplex result instead.
 #pragma once
 
 #include <algorithm>

@@ -177,7 +177,6 @@ Solution Presolver::postsolve(const LpModel& original,
   full.status = reduced.status;
   full.iterations = reduced.iterations;
   const int n = original.num_variables();
-  const int m = original.num_constraints();
 
   full.x.assign(static_cast<std::size_t>(n), 0.0);
   for (int j = 0; j < n; ++j) {
@@ -186,13 +185,6 @@ Solution Presolver::postsolve(const LpModel& original,
                     : fixed_value_[j];
   }
   full.objective = original.objective_value(full.x);
-
-  if (!reduced.duals.empty()) {
-    full.duals.assign(static_cast<std::size_t>(m), 0.0);
-    for (int i = 0; i < m; ++i) {
-      if (row_map_[i] >= 0) full.duals[i] = reduced.duals[row_map_[i]];
-    }
-  }
   return full;
 }
 

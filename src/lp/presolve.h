@@ -6,10 +6,12 @@
 //   * singleton rows are converted into variable bound tightenings,
 //   * empty columns are fixed at their objective-optimal bound.
 //
-// Postsolve restores a full-length primal vector. Duals for *removed* rows
-// are reported as zero; this is exact for empty rows but a best-effort
-// convention for singleton rows whose implied bound is active. Postcard's
-// algorithms only consume primal solutions and objective values.
+// Postsolve restores a full-length primal vector and the objective; it
+// returns no duals. A removed singleton row whose implied bound is active
+// has no dual the reduced solve can supply, so a remapped dual vector
+// could not be certified. Every lp::solve caller consumes primal
+// solutions and objective values only; column generation, which needs
+// row duals, solves its master with RevisedSimplex directly.
 #pragma once
 
 #include <optional>
@@ -34,7 +36,8 @@ class Presolver {
   /// by postsolve(), so it must outlive the solve of the reduced model.
   Result reduce(const LpModel& model);
 
-  /// Maps a solution of the reduced model back onto the original model.
+  /// Maps a solution of the reduced model back onto the original model:
+  /// primal values, objective, status and iterations, no duals.
   Solution postsolve(const LpModel& original, const Solution& reduced) const;
 
   int removed_rows() const { return removed_rows_; }

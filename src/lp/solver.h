@@ -2,7 +2,9 @@
 //
 // Presolves the model, solves the reduction with the revised simplex and
 // postsolves the result. The simplex returns vertex solutions, which plan
-// extraction prefers (sparser transfer schedules). Callers that need exact
+// extraction prefers (sparser transfer schedules). The result carries
+// primal values and the objective but no row duals (lp/presolve.h), so
+// lp::certify reports it as uncertifiable (+infinity). Callers that need
 // duals for every row (column generation's master) or the unpresolved
 // vertex (a test's reference) call RevisedSimplex directly; lp::certify
 // (lp/certificate.h) checks such a result for optimality.

@@ -41,7 +41,7 @@ struct Solution {
   SolveStatus status = SolveStatus::kNumericalFailure;
   double objective = 0.0;
   linalg::Vector x;      // primal values, one per model variable
-  linalg::Vector duals;  // one per model constraint (lp::certify reads them)
+  linalg::Vector duals;  // one per constraint; lp::solve leaves it empty
   long iterations = 0;
 
   // Simplex diagnostics.

@@ -408,13 +408,6 @@ void ControllerRuntime::record_outcome(
   b.stats.audit_checks += outcome.audit_checks;
   b.stats.audit_violations += outcome.audit_violations;
   b.stats.audit_seconds += outcome.audit_seconds;
-  for (const std::string& line : outcome.audit_reports) {
-    if (static_cast<int>(b.stats.audit_reports.size()) >=
-        options_.audit.max_reports) {
-      break;
-    }
-    b.stats.audit_reports.push_back(line);
-  }
   b.stats.carryover_files += carried;
   b.stats.carryover_volume += carried_volume;
   b.stats.carryover_entered_files += entered;

@@ -116,15 +116,13 @@ struct BackendStats {
   double gave_up_volume = 0.0;
   // ---- Plan audits (src/audit; armed via RuntimeOptions::audit). Whether
   // the backend accepted the audit controls at registration, how many
-  // commits were re-verified (policy-side self-audits), violations found,
-  // wall time spent auditing, and the first violation reports (capped by
-  // AuditControls::max_reports). In kFailFast mode violations throw before
-  // reaching these counters, so a completed run shows zero.
+  // commits were re-verified (policy-side self-audits), violations found
+  // and wall time spent auditing. A violation throws (fail-fast) before
+  // reaching these counters, so a completed run shows zero violations.
   bool audit_armed = false;
   long audit_checks = 0;
   long audit_violations = 0;
   double audit_seconds = 0.0;
-  std::vector<std::string> audit_reports;
   std::vector<double> cost_series;  // cost per interval after each slot
 };
 

@@ -154,8 +154,6 @@ void encode_backend_stats(ByteWriter& w, const runtime::BackendStats& s) {
   w.i64(s.audit_checks);
   w.i64(s.audit_violations);
   w.f64(s.audit_seconds);
-  w.u32(static_cast<std::uint32_t>(s.audit_reports.size()));
-  for (const std::string& report : s.audit_reports) w.str(report);
   w.u32(static_cast<std::uint32_t>(s.cost_series.size()));
   for (double c : s.cost_series) w.f64(c);
 }
@@ -198,9 +196,6 @@ runtime::BackendStats decode_backend_stats(ByteReader& r) {
   s.audit_checks = r.i64();
   s.audit_violations = r.i64();
   s.audit_seconds = r.f64();
-  const std::size_t reports = r.length(4);
-  s.audit_reports.reserve(reports);
-  for (std::size_t i = 0; i < reports; ++i) s.audit_reports.push_back(r.str());
   const std::size_t costs = r.length(8);
   s.cost_series.reserve(costs);
   for (std::size_t i = 0; i < costs; ++i) s.cost_series.push_back(r.f64());

@@ -37,7 +37,8 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x50534E50;  // "PSNP"
 // embedded BackendStats lost its dual-warm-start counters.
 // v7: no warm-cache flag, no warm/cold solve-latency histograms, and the
 // embedded BackendStats lost its DCRoute rung counter.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+// v8: the embedded BackendStats lost its audit report lines.
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// FNV-1a 64-bit over a byte range.
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);

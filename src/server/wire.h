@@ -32,7 +32,9 @@ namespace postcard::server {
 // v6: BackendStats lost the dual-warm-start counters.
 // v7: RuntimeStats lost the warm/cold solve-latency histograms and
 // BackendStats its DCRoute rung counter.
-inline constexpr std::uint16_t kProtocolVersion = 7;
+// v8: BackendStats lost its audit report lines (fail-fast throws before a
+// report could reach them).
+inline constexpr std::uint16_t kProtocolVersion = 8;
 
 /// Default cap on a single frame's payload. SubmitBatch with tens of
 /// thousands of files and a full stats reply both fit comfortably.

@@ -59,13 +59,12 @@ struct ScheduleOutcome {
   double gave_up_volume = 0.0;
 
   // ---- Plan-audit accounting (src/audit; active only under AuditControls).
-  // Commits audited this schedule() call, violations found, wall time spent
-  // auditing, and one structured line per violation (capped by the policy
-  // so a pathological slot cannot balloon the outcome).
+  // Commits audited this schedule() call, violations found and wall time
+  // spent auditing. A violation throws before the outcome is returned, so
+  // a returned outcome always reads zero violations.
   long audit_checks = 0;
   long audit_violations = 0;
   double audit_seconds = 0.0;
-  std::vector<std::string> audit_reports;
 };
 
 /// Per-slot solve budget and ladder controls, pushed by the runtime's
@@ -85,22 +84,16 @@ struct SolveControls {
   }
 };
 
-/// Plan-audit knob (src/audit): after every commit the policy re-verifies
-/// the paper invariants (6)-(10) on what it actually committed, plus the
-/// charge state's treap-vs-oracle consistency. kLog records violations in
-/// the ScheduleOutcome (and on stderr) and keeps going; kFailFast throws
-/// std::logic_error with the audit summary — no invalid plan survives a
-/// slot. The runtime arms fail-fast by default; the offline controllers
-/// default to kOff so the figure benches measure the solver, not the audit.
+/// Plan-audit knob (src/audit): under kFailFast, after every commit the
+/// policy re-verifies the paper invariants (6)-(10) on what it actually
+/// committed, plus the charge state's consistency (X_ij against each
+/// series maximum), and throws std::logic_error with the audit summary on
+/// any violation — no invalid plan survives a slot. The runtime arms
+/// fail-fast by default; the offline controllers default to kOff so the
+/// figure benches measure the solver, not the audit.
 struct AuditControls {
-  enum class Mode { kOff = 0, kLog, kFailFast };
+  enum class Mode { kOff = 0, kFailFast };
   Mode mode = Mode::kOff;
-  /// Base tolerance for LP-produced volumes (see audit::AuditOptions).
-  double tolerance = 1e-4;
-  /// Include the O(L * T log T) treap-vs-oracle charge sweep each audit.
-  bool check_charge_consistency = true;
-  /// Keep at most this many structured violation lines per outcome.
-  int max_reports = 32;
 
   bool active() const { return mode != Mode::kOff; }
 };

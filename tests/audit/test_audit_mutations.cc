@@ -61,7 +61,7 @@ charging::ChargeState committed_state(const net::Topology& t,
 AuditReport audit(const net::Topology& t, const net::FileRequest& f,
                   const core::FilePlan& plan) {
   const charging::ChargeState charge = committed_state(t, plan);
-  return audit_slot_plans(0, {{f, &plan}}, t, charge, AuditOptions{});
+  return audit_slot_plans(0, {{f, &plan}}, t, charge);
 }
 
 // Every violation in `report` is of class `cls`, and there is at least one.
@@ -155,22 +155,29 @@ TEST(AuditMutations, OverUncommitIsChargeLedger) {
   // The rollback path asks for more volume than the slot ever held: the
   // recorder counts the mismatch, and the auditor surfaces it.
   charge.uncommit(0, 0, 8.0);
-  const AuditReport report = audit_charge_state(charge, t, AuditOptions{});
+  const AuditReport report = audit_charge_state(charge, t);
   expect_exactly(report, ViolationClass::kChargeLedger);
 }
 
-TEST(AuditMutations, DesyncedTreapIsChargeConsistency) {
+TEST(AuditMutations, DesyncedSeriesIsChargeConsistency) {
   const net::Topology t = chain_topology();
-  charging::ChargeState charge(t.num_links());
-  charge.commit(0, 0, 5.0);
-  charge.commit(0, 1, 7.0);
-  charge.commit(1, 0, 3.0);
-  ASSERT_TRUE(audit_charge_state(charge, t, AuditOptions{}).ok());
-  // Corrupt the raw series behind the order-statistic treap's back: the
-  // incremental percentile and the copy+sort oracle now disagree.
-  charge.mutable_recorder_for_test().corrupt_series_for_test(0, 1, 999.0);
-  const AuditReport report = audit_charge_state(charge, t, AuditOptions{});
-  expect_exactly(report, ViolationClass::kChargeConsistency);
+  // X_ij on link 0 is 7 (slot 1). A series write behind ChargeState's back
+  // that moves the series maximum away from X_ij must be reported.
+  const auto desynced = [&t](double slot1_volume) {
+    charging::ChargeState charge(t.num_links());
+    charge.commit(0, 0, 5.0);
+    charge.commit(0, 1, 7.0);
+    charge.commit(1, 0, 3.0);
+    EXPECT_TRUE(audit_charge_state(charge, t).ok());
+    charge.mutable_recorder_for_test().corrupt_series_for_test(0, 1,
+                                                               slot1_volume);
+    return audit_charge_state(charge, t);
+  };
+  // Raised: the series maximum climbs above X_ij.
+  expect_exactly(desynced(999.0), ViolationClass::kChargeConsistency);
+  // Lowered: the maximum slot drops below X_ij; the series maximum is now
+  // slot 0's 5 GB.
+  expect_exactly(desynced(1.0), ViolationClass::kChargeConsistency);
 }
 
 TEST(AuditMutations, ConsistentChargeStatePasses) {
@@ -179,7 +186,7 @@ TEST(AuditMutations, ConsistentChargeStatePasses) {
   charge.commit(0, 0, 5.0);
   charge.uncommit(0, 0, 5.0);
   charge.commit(1, 2, 4.0);
-  EXPECT_TRUE(audit_charge_state(charge, t, AuditOptions{}).ok());
+  EXPECT_TRUE(audit_charge_state(charge, t).ok());
 }
 
 // ---- Flow-assignment auditor (audit/flow_audit.h) ----------------------
@@ -216,7 +223,7 @@ AuditReport audit_flow(const net::Topology& t, const net::FileRequest& f,
       }
     }
   }
-  return audit_flow_assignments(0, {{f, &a}}, t, charge, AuditOptions{});
+  return audit_flow_assignments(0, {{f, &a}}, t, charge);
 }
 
 TEST(AuditMutations, ValidFlowAssignmentPasses) {

@@ -53,15 +53,6 @@ TEST(PercentileRecorder, PerLinkSeriesAreIndependent) {
   EXPECT_DOUBLE_EQ(r.charged_volume(1, 100.0), 3.0);
 }
 
-TEST(PercentileRecorder, TotalCostAppliesPerLinkCostFunctions) {
-  PercentileRecorder r(2);
-  r.record(0, 0, 10.0);
-  r.record(1, 0, 20.0);
-  const std::vector<CostFunction> costs = {CostFunction::linear(2.0),
-                                           CostFunction::linear(0.5)};
-  EXPECT_DOUBLE_EQ(r.total_cost(costs, 100.0, 1), 20.0 + 10.0);
-}
-
 TEST(PercentileRecorder, Validation) {
   PercentileRecorder r(1);
   EXPECT_THROW(r.record(1, 0, 1.0), std::out_of_range);

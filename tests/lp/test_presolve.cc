@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "lp/certificate.h"
 #include "lp/simplex.h"
 #include "lp/solver.h"
 
@@ -166,6 +169,12 @@ TEST(Presolve, FacadeMatchesNoPresolveSolve) {
   ASSERT_EQ(a.status, SolveStatus::kOptimal);
   ASSERT_EQ(b.status, SolveStatus::kOptimal);
   EXPECT_NEAR(a.objective, b.objective, 1e-8);
+  // The facade drops the singleton row r1 and returns no duals, so its
+  // result is uncertifiable rather than carrying a made-up dual for r1;
+  // the unpresolved reference certifies.
+  EXPECT_TRUE(a.duals.empty());
+  EXPECT_TRUE(std::isinf(certify(m, a).worst()));
+  EXPECT_LE(certify(m, b).worst(), 1e-9);
 }
 
 }  // namespace
