@@ -102,7 +102,7 @@ void ReplFailoverTime(benchmark::State& state) {
     stopts.backoff_max_ms = 20;
     replication::ReplicationStandby standby(
         net::Topology(w.topology()),
-        {replication::BackendSpec::make_postcard()}, stopts);
+        {core::PostcardOptions{}}, stopts);
     standby.start();
 
     {
@@ -194,7 +194,7 @@ void ReplSlotWithStandby(benchmark::State& state) {
   stopts.primary_port = primary.port();
   stopts.runtime = replicated_options();
   replication::ReplicationStandby standby(
-      net::Topology(w.topology()), {replication::BackendSpec::make_postcard()},
+      net::Topology(w.topology()), {core::PostcardOptions{}},
       stopts);
   standby.start();
 

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       [](int i, int j) { return 1.0 + static_cast<double>((3 * i + 5 * j) % 10); });
 
   replication::ReplicationStandby standby(
-      std::move(topology), {replication::BackendSpec::make_postcard()},
+      std::move(topology), {core::PostcardOptions{}},
       options);
 
   std::signal(SIGINT, handle_signal);

@@ -17,11 +17,6 @@ PostcardController::PostcardController(net::Topology topology,
       options_(options),
       charge_(topology_.num_links()) {}
 
-bool PostcardController::set_link_capacity(int link, double capacity) {
-  topology_.set_capacity(link, capacity);
-  return true;
-}
-
 void PostcardController::uncommit_future(const FilePlan& plan, int from_slot) {
   for (const Transfer& t : plan.transfers) {
     if (!t.storage() && t.slot >= from_slot) {

@@ -74,7 +74,9 @@ class PostcardController : public sim::SchedulingPolicy {
   /// Live capacity override; 0 marks the link down. Future solves price
   /// against the new capacity. Committed plans are NOT revalidated here —
   /// the runtime owns invalidation and replanning (uncommit_future).
-  bool set_link_capacity(int link, double capacity) override;
+  void set_link_capacity(int link, double capacity) {
+    topology_.set_capacity(link, capacity);
+  }
 
   /// Arms the slot watchdog: every subsequent schedule() builds a
   /// SolveBudget from these controls and walks the degradation ladder on
@@ -82,9 +84,8 @@ class PostcardController : public sim::SchedulingPolicy {
   /// reported through ScheduleOutcome::deferred_ids). With inactive
   /// controls (the default) behavior is the legacy drop-and-retry
   /// admission, bit for bit.
-  bool set_solve_controls(const sim::SolveControls& controls) override {
+  void set_solve_controls(const sim::SolveControls& controls) {
     controls_ = controls;
-    return true;
   }
 
   /// Arms the plan auditor: every subsequent schedule() re-verifies the

@@ -19,31 +19,9 @@ FlowBaseline::FlowBaseline(net::Topology topology, FlowBaselineOptions options)
       options_(options),
       charge_(topology_.num_links()) {}
 
-bool FlowBaseline::set_link_capacity(int link, double capacity) {
-  topology_.set_capacity(link, capacity);
-  return true;
-}
-
-void FlowBaseline::uncommit_future(const FlowAssignment& assignment,
-                                   int from_slot) {
-  const int end = assignment.start_slot + assignment.duration;
-  for (const auto& [link, rate] : assignment.link_rates) {
-    for (int n = std::max(from_slot, assignment.start_slot); n < end; ++n) {
-      charge_.uncommit(link, n, rate);
-    }
-  }
-}
-
 double FlowBaseline::residual_capacity(int link, int slot) const {
   return std::max(0.0,
                   topology_.link(link).capacity - charge_.committed(link, slot));
-}
-
-sim::ScheduleOutcome FlowBaseline::schedule(
-    int slot, const std::vector<net::FileRequest>& files) {
-  sim::ScheduleOutcome outcome = schedule_impl(slot, files);
-  if (audit_controls_.active()) run_audit(slot, files, outcome);
-  return outcome;
 }
 
 void FlowBaseline::run_audit(int slot,
@@ -77,38 +55,17 @@ void FlowBaseline::run_audit(int slot,
   }
 }
 
-sim::ScheduleOutcome FlowBaseline::schedule_impl(
+sim::ScheduleOutcome FlowBaseline::schedule(
     int slot, const std::vector<net::FileRequest>& files) {
   sim::ScheduleOutcome outcome;
   last_assignments_.clear();
   std::vector<net::FileRequest> batch = files;
   for (const net::FileRequest& f : batch) validate(f, topology_);
 
-  // Watchdog budget for the whole slot (shared across admission retries);
-  // inactive controls leave the legacy behavior untouched.
-  const bool ladder = controls_.active();
-  lp::SolveBudget budget;
-  if (controls_.max_pivots >= 0) budget.set_pivot_limit(controls_.max_pivots);
-  if (controls_.deadline_seconds >= 0.0) {
-    budget.set_deadline_seconds(controls_.deadline_seconds);
-  }
-  lp::SolveBudget* bp = budget.limited() ? &budget : nullptr;
-
-  if (ladder && controls_.disable_rungs >= 1) {
-    ++outcome.solver_failures;
-    outcome.solver_status = "fault_injected";
-    for (const net::FileRequest& f : batch) {
-      outcome.deferred_ids.push_back(f.id);
-      outcome.deferred_volume += f.size;
-    }
-    return outcome;
-  }
-
   // Drop-heaviest admission loop: shrink the batch until it fits.
   while (!batch.empty()) {
     std::vector<FlowAssignment> assignments;
-    lp::SolveStatus status = lp::SolveStatus::kNumericalFailure;
-    if (try_schedule(slot, batch, assignments, outcome, bp, &status)) {
+    if (try_schedule(slot, batch, assignments, outcome)) {
       for (const FlowAssignment& a : assignments) {
         for (const auto& [link, rate] : a.link_rates) {
           for (int n = a.start_slot; n < a.start_slot + a.duration; ++n) {
@@ -118,32 +75,21 @@ sim::ScheduleOutcome FlowBaseline::schedule_impl(
         outcome.accepted_ids.push_back(a.file_id);
       }
       last_assignments_ = std::move(assignments);
-      return outcome;
-    }
-    // Under the watchdog, a non-capacity failure (budget exhausted or
-    // numeric trouble) defers the batch instead of re-burning the budget
-    // on drop-and-retry; only genuine infeasibility keeps dropping.
-    if (ladder && status != lp::SolveStatus::kInfeasible) {
-      for (const net::FileRequest& f : batch) {
-        outcome.deferred_ids.push_back(f.id);
-        outcome.deferred_volume += f.size;
-      }
-      return outcome;
+      break;
     }
     const int drop = net::heaviest_file(batch);
     outcome.rejected_ids.push_back(batch[drop].id);
     outcome.rejected_volume += batch[drop].size;
     batch.erase(batch.begin() + drop);
   }
+  if (audit_controls_.active()) run_audit(slot, files, outcome);
   return outcome;
 }
 
 bool FlowBaseline::try_schedule(int slot,
                                 const std::vector<net::FileRequest>& files,
                                 std::vector<FlowAssignment>& assignments,
-                                sim::ScheduleOutcome& outcome,
-                                lp::SolveBudget* budget,
-                                lp::SolveStatus* status) {
+                                sim::ScheduleOutcome& outcome) {
   const int num_files = static_cast<int>(files.size());
   const int num_links = topology_.num_links();
   const int num_nodes = topology_.num_datacenters();
@@ -196,14 +142,13 @@ bool FlowBaseline::try_schedule(int slot,
         }
       }
     }
-    const lp::Solution s1 = lp::solve(m1, budget);
+    const lp::Solution s1 = lp::solve(m1);
     outcome.lp_iterations += s1.iterations;
     ++outcome.lp_solves;
-    *status = s1.status;
     if (!s1.optimal()) {
-      // lambda=0 is always feasible here, so any failure is solver trouble
-      // (numeric breakdown or an exhausted budget) — count it loudly
-      // instead of letting the admission loop mask it as a capacity drop.
+      // lambda=0 is always feasible here, so any failure is numerical
+      // trouble — count it loudly instead of letting the admission loop
+      // mask it as a capacity drop.
       ++outcome.solver_failures;
       outcome.solver_status = lp::to_string(s1.status);
       return false;
@@ -266,10 +211,9 @@ bool FlowBaseline::try_schedule(int slot,
       }
     }
   }
-  const lp::Solution s2 = lp::solve(m2, budget);
+  const lp::Solution s2 = lp::solve(m2);
   outcome.lp_iterations += s2.iterations;
   ++outcome.lp_solves;
-  *status = s2.status;
   if (!s2.optimal()) {
     // Stage 2 CAN be genuinely infeasible (the batch does not fit); only a
     // non-infeasible failure is solver trouble worth a loud counter.

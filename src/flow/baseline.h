@@ -21,13 +21,10 @@
 // dropped volume is reported in the ScheduleOutcome.
 #pragma once
 
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "charging/charge_state.h"
-#include "lp/budget.h"
-#include "lp/status.h"
 #include "net/file_request.h"
 #include "net/topology.h"
 #include "sim/policy.h"
@@ -69,21 +66,6 @@ class FlowBaseline : public sim::SchedulingPolicy {
 
   const net::Topology& topology() const { return topology_; }
 
-  // --- Online-runtime hooks (src/runtime) -------------------------------
-
-  /// Live capacity override; 0 marks the link down. Committed assignments
-  /// are NOT revalidated — the runtime invalidates and replans them.
-  bool set_link_capacity(int link, double capacity) override;
-
-  /// Arms the slot watchdog. The flow model has no store-and-forward
-  /// fallback rungs: on budget exhaustion or an injected fault the whole
-  /// batch is deferred (ScheduleOutcome::deferred_ids) instead of being
-  /// silently dropped by the admission loop.
-  bool set_solve_controls(const sim::SolveControls& controls) override {
-    controls_ = controls;
-    return true;
-  }
-
   /// Arms the plan auditor: every subsequent schedule() re-verifies the
   /// committed assignments against the paper invariants (src/audit) and
   /// reports through ScheduleOutcome::audit_*; kFailFast throws
@@ -93,47 +75,24 @@ class FlowBaseline : public sim::SchedulingPolicy {
     return true;
   }
 
-  /// Snapshot restore (src/runtime capture/restore): replaces the charge
-  /// ledger wholesale; see PostcardController::restore_charge_state.
-  void restore_charge_state(charging::ChargeState state) {
-    if (state.num_links() != topology_.num_links()) {
-      throw std::invalid_argument("charge state / topology link mismatch");
-    }
-    charge_ = std::move(state);
-  }
-
-  /// Rolls the committed tail of `assignment` (slots >= from_slot) back
-  /// out of the charge state: a link failure stopped the flow before its
-  /// remaining volume was carried.
-  void uncommit_future(const FlowAssignment& assignment, int from_slot);
-
  private:
   /// Residual physical capacity of `link` during `slot`.
   double residual_capacity(int link, int slot) const;
-
-  /// schedule() minus the audit: the admission loop has several exits, so
-  /// the audit wraps this instead of guarding every return.
-  sim::ScheduleOutcome schedule_impl(int slot,
-                                     const std::vector<net::FileRequest>& files);
 
   /// Post-commit audit of last_assignments_ + the charge state.
   void run_audit(int slot, const std::vector<net::FileRequest>& files,
                  sim::ScheduleOutcome& outcome) const;
 
   /// Attempts to schedule the whole batch; fills `assignments` and returns
-  /// true on success. No state is committed on failure. `status` reports
-  /// the final LP status of the failing (or last) stage so callers can
-  /// tell capacity infeasibility from solver trouble.
+  /// true on success. No state is committed on failure.
   bool try_schedule(int slot, const std::vector<net::FileRequest>& files,
                     std::vector<FlowAssignment>& assignments,
-                    sim::ScheduleOutcome& outcome, lp::SolveBudget* budget,
-                    lp::SolveStatus* status);
+                    sim::ScheduleOutcome& outcome);
 
   net::Topology topology_;
   FlowBaselineOptions options_;
   charging::ChargeState charge_;
   std::vector<FlowAssignment> last_assignments_;
-  sim::SolveControls controls_;
   sim::AuditControls audit_controls_;
 };
 

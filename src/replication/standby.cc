@@ -37,9 +37,9 @@ void interruptible_sleep_ms(int ms, Alive&& alive) {
 
 }  // namespace
 
-ReplicationStandby::ReplicationStandby(net::Topology topology,
-                                       std::vector<BackendSpec> backends,
-                                       StandbyOptions options)
+ReplicationStandby::ReplicationStandby(
+    net::Topology topology, std::vector<core::PostcardOptions> backends,
+    StandbyOptions options)
     : topology_(std::move(topology)),
       backends_(std::move(backends)),
       options_(std::move(options)) {
@@ -156,23 +156,15 @@ int ReplicationStandby::connect_once() {
 std::unique_ptr<runtime::ControllerRuntime> ReplicationStandby::build_mirror() {
   auto mirror = std::make_unique<runtime::ControllerRuntime>(topology_,
                                                              options_.runtime);
-  for (const BackendSpec& spec : backends_) {
-    if (spec.kind == BackendSpec::Kind::kPostcard) {
-      mirror->add_postcard_backend(spec.postcard);
-    } else {
-      mirror->add_flow_backend(spec.flow);
-    }
+  for (const core::PostcardOptions& backend : backends_) {
+    mirror->add_postcard_backend(backend);
   }
   return mirror;
 }
 
 void ReplicationStandby::register_backends(server::PostcardServer& srv) const {
-  for (const BackendSpec& spec : backends_) {
-    if (spec.kind == BackendSpec::Kind::kPostcard) {
-      srv.add_postcard_backend(spec.postcard);
-    } else {
-      srv.add_flow_backend(spec.flow);
-    }
+  for (const core::PostcardOptions& backend : backends_) {
+    srv.add_postcard_backend(backend);
   }
 }
 
@@ -185,7 +177,13 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
       // Reseed = rebuild: restore_snapshot only accepts a fresh runtime,
       // and a diverged mirror has nothing worth keeping anyway.
       std::unique_ptr<runtime::ControllerRuntime> mirror = build_mirror();
-      mirror->restore_snapshot(snap);
+      try {
+        mirror->restore_snapshot(snap);
+      } catch (const std::invalid_argument& e) {
+        // A seed this mirror cannot take is a malformed frame: drop the
+        // connection like any other, never the run thread.
+        throw WireError(std::string("seed snapshot refused: ") + e.what());
+      }
       mirror_ = std::move(mirror);
       base::MutexLock lock(mu_);
       stats_.snapshots_applied++;
@@ -201,6 +199,17 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
         base::MutexLock lock(mu_);
         stats_.reseeds_sent++;
         return true;
+      }
+      // The whole batch is checked before any of it lands: a link event
+      // naming a link this topology lacks would index past the mirror's
+      // per-link state when it fires.
+      for (const runtime::Event& e : batch.events) {
+        const std::string error =
+            runtime::link_event_error(e.payload, topology_.num_links());
+        if (!error.empty()) {
+          throw WireError("replicated event at slot " +
+                          std::to_string(e.slot) + " refused: " + error);
+        }
       }
       for (runtime::Event& e : batch.events) {
         if (std::holds_alternative<runtime::SlotTick>(e.payload)) continue;

@@ -32,34 +32,11 @@
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "core/postcard.h"
-#include "flow/baseline.h"
 #include "net/topology.h"
 #include "replication/repl_protocol.h"
 #include "server/server.h"
 
 namespace postcard::replication {
-
-/// Backend registration recipe: the standby must register the exact same
-/// backend sequence as the primary for snapshot restore to succeed.
-struct BackendSpec {
-  enum class Kind { kPostcard, kFlow };
-  Kind kind = Kind::kPostcard;
-  core::PostcardOptions postcard;
-  flow::FlowBaselineOptions flow;
-
-  static BackendSpec make_postcard(core::PostcardOptions options = {}) {
-    BackendSpec s;
-    s.kind = Kind::kPostcard;
-    s.postcard = std::move(options);
-    return s;
-  }
-  static BackendSpec make_flow(flow::FlowBaselineOptions options = {}) {
-    BackendSpec s;
-    s.kind = Kind::kFlow;
-    s.flow = std::move(options);
-    return s;
-  }
-};
 
 struct StandbyOptions {
   std::string primary_host = "127.0.0.1";
@@ -106,9 +83,13 @@ struct StandbyStats {
 
 class ReplicationStandby {
  public:
-  /// Throws std::invalid_argument when options.runtime is not
-  /// deterministic (see StandbyOptions::runtime).
-  ReplicationStandby(net::Topology topology, std::vector<BackendSpec> backends,
+  /// `backends` lists the options of each Postcard backend, in the
+  /// primary's registration order: the mirror and the promoted server
+  /// register exactly this sequence, or snapshot restore refuses the seed.
+  /// Throws std::invalid_argument when `backends` is empty or
+  /// options.runtime is not deterministic (see StandbyOptions::runtime).
+  ReplicationStandby(net::Topology topology,
+                     std::vector<core::PostcardOptions> backends,
                      StandbyOptions options);
   ~ReplicationStandby();
 
@@ -151,7 +132,7 @@ class ReplicationStandby {
   void register_backends(server::PostcardServer& srv) const;
 
   net::Topology topology_;
-  std::vector<BackendSpec> backends_;
+  std::vector<core::PostcardOptions> backends_;
   StandbyOptions options_;
 
   std::thread run_thread_;

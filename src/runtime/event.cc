@@ -1,11 +1,35 @@
 #include "runtime/event.h"
 
+#include <cmath>
+
 namespace postcard::runtime {
 
 int event_phase(const EventPayload& payload) {
   if (std::holds_alternative<FileArrival>(payload)) return 1;
   if (std::holds_alternative<SlotTick>(payload)) return 2;
   return 0;  // LinkDown / LinkUp / CapacityChange / SolverStall / SolverFault
+}
+
+std::string link_event_error(const EventPayload& payload, int num_links) {
+  int link = 0;
+  if (const auto* d = std::get_if<LinkDown>(&payload)) {
+    link = d->link;
+  } else if (const auto* u = std::get_if<LinkUp>(&payload)) {
+    link = u->link;
+  } else if (const auto* c = std::get_if<CapacityChange>(&payload)) {
+    link = c->link;
+    if (!std::isfinite(c->capacity) || c->capacity < 0.0) {
+      return "capacity " + std::to_string(c->capacity) + " for link " +
+             std::to_string(link) + " is not finite and non-negative";
+    }
+  } else {
+    return {};
+  }
+  if (link < 0 || link >= num_links) {
+    return "link " + std::to_string(link) + " outside a topology of " +
+           std::to_string(num_links) + " links";
+  }
+  return {};
 }
 
 void EventQueue::set_push_tap(PushTap tap) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -81,6 +82,15 @@ using EventPayload = std::variant<LinkDown, LinkUp, CapacityChange,
 /// arrivals, 2 the tick (so injected stalls/faults always precede the
 /// solve they are meant to hit).
 int event_phase(const EventPayload& payload);
+
+/// Why `payload` cannot enter the queue of a runtime whose topology has
+/// `num_links` links: a LinkDown, LinkUp or CapacityChange naming a link
+/// outside [0, num_links), or a CapacityChange to a capacity that is not
+/// finite and non-negative. Empty when it can. The runtime indexes its
+/// per-link state by the event's link when the event fires, so every path
+/// into the queue checks this first: the runtime's link-event helpers,
+/// snapshot restore and the replication standby.
+std::string link_event_error(const EventPayload& payload, int num_links);
 
 struct Event {
   int slot = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -17,6 +18,9 @@ struct overloaded : Ts... {
 };
 template <class... Ts>
 overloaded(Ts...) -> overloaded<Ts...>;
+
+// Stranded holdings below this volume are dust and not replanned.
+constexpr double kVolumeEpsilon = 1e-9;
 
 // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
 double elapsed_seconds(std::chrono::steady_clock::time_point start) {
@@ -44,58 +48,32 @@ ControllerRuntime::ControllerRuntime(net::Topology topology,
 ControllerRuntime::~ControllerRuntime() = default;
 
 int ControllerRuntime::add_postcard_backend(core::PostcardOptions options) {
-  auto controller = std::make_unique<core::PostcardController>(
-      net::Topology(live_topology_), options);
-  auto backend = std::make_unique<Backend>();
-  backend->postcard = controller.get();
-  backend->policy = std::move(controller);
-  backend->stats.name = backend->policy->name();
-  backend->stats.audit_armed = options_.audit.active() &&
-                               backend->policy->set_audit_controls(options_.audit);
+  auto backend =
+      std::make_unique<Backend>(net::Topology(live_topology_), options);
+  backend->controller.set_audit_controls(options_.audit);
+  backend->stats.name = backend->controller.name();
+  backend->stats.audit_armed = options_.audit.active();
   backends_.push_back(std::move(backend));
   return num_backends() - 1;
 }
 
-int ControllerRuntime::add_flow_backend(flow::FlowBaselineOptions options) {
-  auto baseline = std::make_unique<flow::FlowBaseline>(
-      net::Topology(live_topology_), options);
-  auto backend = std::make_unique<Backend>();
-  backend->flowbase = baseline.get();
-  backend->policy = std::move(baseline);
-  backend->stats.name = backend->policy->name();
-  backend->stats.audit_armed = options_.audit.active() &&
-                               backend->policy->set_audit_controls(options_.audit);
-  backends_.push_back(std::move(backend));
-  return num_backends() - 1;
-}
-
-int ControllerRuntime::add_backend(
-    std::unique_ptr<sim::SchedulingPolicy> policy) {
-  auto backend = std::make_unique<Backend>();
-  backend->policy = std::move(policy);
-  backend->stats.name = backend->policy->name();
-  // Generic policies may not support audits; audit_armed records the truth
-  // so dashboards never assume coverage that is not there.
-  backend->stats.audit_armed = options_.audit.active() &&
-                               backend->policy->set_audit_controls(options_.audit);
-  backends_.push_back(std::move(backend));
-  return num_backends() - 1;
+void ControllerRuntime::push_link_event(int slot, EventPayload payload) {
+  const std::string error =
+      link_event_error(payload, live_topology_.num_links());
+  if (!error.empty()) throw std::invalid_argument(error);
+  queue_.push(slot, std::move(payload));
 }
 
 void ControllerRuntime::apply_capacity(int link, double capacity) {
   live_topology_.set_capacity(link, capacity);
   ingress_.set_link_capacity(link, capacity);
-  for (auto& b : backends_) b->policy->set_link_capacity(link, capacity);
+  for (auto& b : backends_) b->controller.set_link_capacity(link, capacity);
 }
 
 void ControllerRuntime::on_link_down(int slot, int link) {
   link_down_[static_cast<std::size_t>(link)] = true;
   apply_capacity(link, 0.0);
-  if (!options_.replan_on_link_down) return;
-  for (auto& b : backends_) {
-    if (b->postcard != nullptr) invalidate_plans(*b, slot, link);
-    if (b->flowbase != nullptr) invalidate_flows(*b, slot, link);
-  }
+  for (auto& b : backends_) invalidate_plans(*b, slot, link);
 }
 
 void ControllerRuntime::invalidate_plans(Backend& b, int slot, int link) {
@@ -112,7 +90,7 @@ void ControllerRuntime::invalidate_plans(Backend& b, int slot, int link) {
   for (int id : affected) {
     InFlightPlan entry = std::move(b.plans.at(id));
     b.plans.erase(id);
-    b.postcard->uncommit_future(entry.plan, slot);
+    b.controller.uncommit_future(entry.plan, slot);
     // Replay the executed prefix (slots < `slot`) to locate the file's
     // volume: what already reached the destination stays delivered, the
     // rest is stranded wherever the plan last put it.
@@ -136,42 +114,9 @@ void ControllerRuntime::invalidate_plans(Backend& b, int slot, int link) {
       b.stats.delivered_volume += arrived;
     }
     for (const auto& [node, volume] : holdings) {
-      if (volume <= options_.volume_epsilon) continue;
+      if (volume <= kVolumeEpsilon) continue;
       requeue_remainder(b, entry.request, node, volume, entry.deadline_slot,
                         slot);
-    }
-  }
-}
-
-void ControllerRuntime::invalidate_flows(Backend& b, int slot, int link) {
-  base::MutexLock ledger(ledger_mu_);
-  std::vector<int> affected;
-  for (const auto& [id, entry] : b.flows) {
-    const flow::FlowAssignment& a = entry.assignment;
-    if (a.start_slot + a.duration <= slot) continue;  // already done
-    for (const auto& [l, rate] : a.link_rates) {
-      if (l == link && rate > options_.volume_epsilon) {
-        affected.push_back(id);
-        break;
-      }
-    }
-  }
-  for (int id : affected) {
-    InFlightFlow entry = std::move(b.flows.at(id));
-    b.flows.erase(id);
-    b.flowbase->uncommit_future(entry.assignment, slot);
-    const flow::FlowAssignment& a = entry.assignment;
-    const int completed = std::clamp(slot - a.start_slot, 0, a.duration);
-    const double delivered =
-        std::min(entry.request.size, a.rate * completed);
-    if (delivered > 0.0) {
-      base::MutexLock lock(stats_mu_);
-      b.stats.delivered_volume += delivered;
-    }
-    const double remaining = entry.request.size - delivered;
-    if (remaining > options_.volume_epsilon) {
-      requeue_remainder(b, entry.request, entry.request.source, remaining,
-                        a.start_slot + a.duration, slot);
     }
   }
 }
@@ -311,41 +256,29 @@ void ControllerRuntime::solve_slot(int slot,
     if (b.injected_fault > 0) controls.disable_rungs = b.injected_fault;
     b.injected_stall = -1;
     b.injected_fault = 0;
-    b.policy->set_solve_controls(controls);
-    const double cost_before = b.policy->cost_per_interval();
+    b.controller.set_solve_controls(controls);
+    const double cost_before = b.controller.cost_per_interval();
 
     // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
     const auto t0 = std::chrono::steady_clock::now();
-    const sim::ScheduleOutcome outcome = b.policy->schedule(slot, batch);
+    const sim::ScheduleOutcome outcome = b.controller.schedule(slot, batch);
     const double seconds = elapsed_seconds(t0);
 
     record_outcome(b, slot, batch, outcome);
-    if (b.postcard != nullptr) {
-      track_plans(b, slot, b.postcard->last_plans(), batch);
-    }
-    if (b.flowbase != nullptr) {
-      base::MutexLock ledger(ledger_mu_);
-      for (const flow::FlowAssignment& a : b.flowbase->last_assignments()) {
-        auto it = std::find_if(batch.begin(), batch.end(),
-                               [&](const net::FileRequest& f) {
-                                 return f.id == a.file_id;
-                               });
-        if (it != batch.end()) b.flows[a.file_id] = {*it, a};
-      }
-    }
+    track_plans(b, slot, b.controller.last_plans(), batch);
     // Did this outcome reach any rung below the full LP optimum?
     const int lower_rungs = outcome.rung_truncated + outcome.rung_greedy;
     const bool degraded = lower_rungs > 0 || !outcome.deferred_ids.empty();
     base::MutexLock lock(stats_mu_);
     solve_latency_.add(seconds);
-    const double cost_after = b.policy->cost_per_interval();
+    const double cost_after = b.controller.cost_per_interval();
     if (degraded) {
       ++b.stats.degraded_slots;
       b.stats.degraded_cost_delta += cost_after - cost_before;
     }
     b.stats.cost_series.push_back(cost_after);
     b.stats.charge_reduce_violations =
-        b.policy->charge_state().recorder().reduce_violations();
+        b.controller.charge_state().recorder().reduce_violations();
   }
 }
 
@@ -468,17 +401,6 @@ void ControllerRuntime::retire_completed(int before_slot) {
         ++it;
       }
     }
-    for (auto it = b.flows.begin(); it != b.flows.end();) {
-      const flow::FlowAssignment& a = it->second.assignment;
-      if (a.start_slot + a.duration <= before_slot) {
-        base::MutexLock lock(stats_mu_);
-        if (!is_synthetic(it->first)) ++b.stats.delivered_files;
-        b.stats.delivered_volume += it->second.request.size;
-        it = b.flows.erase(it);
-      } else {
-        ++it;
-      }
-    }
   }
 }
 
@@ -551,19 +473,7 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
   for (const auto& bp : backends_) {
     const Backend& b = *bp;
     BackendSnapshot bs;
-    if (b.postcard != nullptr) {
-      bs.kind = BackendSnapshot::Kind::kPostcard;
-    } else if (b.flowbase != nullptr) {
-      bs.kind = BackendSnapshot::Kind::kFlow;
-    } else {
-      // The generic SchedulingPolicy interface has no charge-state restore
-      // hook, so a snapshot of it could never resume faithfully. Refusing
-      // here is the loud failure; a silent partial snapshot would corrupt
-      // the restored run.
-      throw std::logic_error(
-          "capture_snapshot: generic backends cannot be snapshotted");
-    }
-    const charging::ChargeState& charge = b.policy->charge_state();
+    const charging::ChargeState& charge = b.controller.charge_state();
     const charging::PercentileRecorder& rec = charge.recorder();
     bs.series.reserve(static_cast<std::size_t>(rec.num_links()));
     for (int l = 0; l < rec.num_links(); ++l) {
@@ -579,15 +489,11 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
         bs.plans.push_back({entry.request, entry.deadline_slot,
                             entry.last_transfer_slot, entry.plan});
       }
-      bs.flows.reserve(b.flows.size());
-      for (const auto& [id, entry] : b.flows) {
-        bs.flows.push_back({entry.request, entry.assignment});
-      }
     }
-    // The ledgers are std::map, so both vectors are already ascending by
+    // The ledger is a std::map, so the vector is already ascending by
     // request id and identical state serializes to identical bytes (the
-    // ledger walks in invalidate_* and retire_completed lean on the same
-    // ordering; tests/runtime/test_replan_order.cc pins it).
+    // ledger walks in invalidate_plans and retire_completed lean on the
+    // same ordering; tests/runtime/test_replan_order.cc pins it).
     bs.replan_batch = b.replan_batch;
     bs.carry_batch = b.carry_batch;
     bs.injected_stall = b.injected_stall;
@@ -613,6 +519,9 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
       snap.link_down.size() != snap.links.size()) {
     throw std::invalid_argument("restore_snapshot: topology shape mismatch");
   }
+  const auto usable = [](double capacity) {
+    return std::isfinite(capacity) && capacity >= 0.0;
+  };
   for (std::size_t l = 0; l < snap.links.size(); ++l) {
     const net::Link& have = live_topology_.link(static_cast<int>(l));
     const net::Link& want = snap.links[l];
@@ -622,25 +531,36 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
           "restore_snapshot: link structure mismatch at index " +
           std::to_string(l));
     }
+    if (!usable(want.capacity) || !usable(snap.base_capacity[l])) {
+      throw std::invalid_argument(
+          "restore_snapshot: capacity of link " + std::to_string(l) +
+          " is not finite and non-negative");
+    }
+  }
+  // The checksum catches damage, not a crafted image: every pending link
+  // event indexes per-link state at its tick, so each one is checked here.
+  for (const Event& e : snap.pending_events) {
+    const std::string error =
+        link_event_error(e.payload, live_topology_.num_links());
+    if (!error.empty()) {
+      throw std::invalid_argument("restore_snapshot: pending event at slot " +
+                                  std::to_string(e.slot) + ": " + error);
+    }
   }
   if (snap.backends.size() != backends_.size()) {
     throw std::invalid_argument("restore_snapshot: backend count mismatch");
   }
+  // Built here, not while applying: rebuilding a ledger checks its volumes
+  // and throws on a bad one.
+  std::vector<charging::ChargeState> charges;
+  charges.reserve(backends_.size());
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     const Backend& b = *backends_[i];
     const BackendSnapshot& bs = snap.backends[i];
-    const BackendSnapshot::Kind kind =
-        b.postcard != nullptr  ? BackendSnapshot::Kind::kPostcard
-        : b.flowbase != nullptr ? BackendSnapshot::Kind::kFlow
-                                : BackendSnapshot::Kind::kOther;
-    if (kind != bs.kind || kind == BackendSnapshot::Kind::kOther) {
-      throw std::invalid_argument("restore_snapshot: backend " +
-                                  std::to_string(i) + " kind mismatch");
-    }
-    if (b.policy->name() != bs.name) {
+    if (b.controller.name() != bs.name) {
       throw std::invalid_argument("restore_snapshot: backend " +
                                   std::to_string(i) + " is '" +
-                                  b.policy->name() + "', snapshot holds '" +
+                                  b.controller.name() + "', snapshot holds '" +
                                   bs.name + "'");
     }
     if (static_cast<int>(bs.series.size()) != live_topology_.num_links() ||
@@ -648,8 +568,12 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
       throw std::invalid_argument("restore_snapshot: charge ledger of '" +
                                   bs.name + "' has wrong link count");
     }
+    charges.push_back(charging::ChargeState::restore(
+        charging::PercentileRecorder::from_series(bs.series, bs.series_slots,
+                                                  bs.reduce_violations),
+        bs.charged));
   }
-  // --- Apply. ---
+  // --- Apply. Nothing below throws on snapshot contents. ---
   next_slot_ = snap.next_slot;
   next_synthetic_id_ = snap.next_synthetic_id;
   base_capacity_ = snap.base_capacity;
@@ -668,15 +592,7 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     Backend& b = *backends_[i];
     const BackendSnapshot& bs = snap.backends[i];
-    charging::ChargeState charge = charging::ChargeState::restore(
-        charging::PercentileRecorder::from_series(
-            bs.series, bs.series_slots, bs.reduce_violations),
-        bs.charged);
-    if (b.postcard != nullptr) {
-      b.postcard->restore_charge_state(std::move(charge));
-    } else {
-      b.flowbase->restore_charge_state(std::move(charge));
-    }
+    b.controller.restore_charge_state(std::move(charges[i]));
     {
       base::MutexLock ledger(ledger_mu_);
       b.plans.clear();
@@ -684,11 +600,6 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
         b.plans[entry.plan.file_id] = InFlightPlan{
             entry.request, entry.deadline_slot, entry.last_transfer_slot,
             entry.plan};
-      }
-      b.flows.clear();
-      for (const FlowLedgerEntry& entry : bs.flows) {
-        b.flows[entry.assignment.file_id] =
-            InFlightFlow{entry.request, entry.assignment};
       }
     }
     b.replan_batch = bs.replan_batch;

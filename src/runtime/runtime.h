@@ -7,17 +7,17 @@
 //                                        |
 //                                  tick() driver          (single thread)
 //                                        |
-//                       per backend, in registration order:
+//                       per Postcard backend, in registration order:
 //                       build batch -> schedule() -> commit plans,
 //                       update in-flight ledger, record cost;
 //                       LinkDown events trigger replans
 //
 // Threading & ownership rules:
 //   * Any number of threads may call RequestIngress::submit() and the
-//     event-injection helpers; they touch only the locked event queue and
-//     the ingress's own capacity view.
+//     event-injection helpers; they touch only the locked event queue,
+//     the ingress's own capacity view and the topology's fixed link count.
 //   * Exactly one driver thread calls tick()/run()/replay(). It owns the
-//     policies, the in-flight ledger and the stats, and runs every solve
+//     controllers, the in-flight ledger and the stats, and runs every solve
 //     itself, single-threaded: no solve starts a thread of its own.
 //   * stats() may be called from any thread; it copies under the stats
 //     lock which the driver takes only while merging, never while solving.
@@ -34,12 +34,12 @@
 #include <map>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "core/postcard.h"
-#include "flow/baseline.h"
 #include "net/topology.h"
 #include "runtime/event.h"
 #include "runtime/ingress.h"
@@ -51,10 +51,6 @@
 namespace postcard::runtime {
 
 struct RuntimeOptions {
-  /// Replan committed in-flight work invalidated by LinkDown events.
-  bool replan_on_link_down = true;
-  /// Holdings below this volume are dust and not replanned.
-  double volume_epsilon = 1e-9;
   /// Slot watchdog (degradation ladder; see DESIGN.md §9). A positive
   /// pivot budget caps the total simplex pivots each backend may spend per
   /// slot — deterministic, so replays degrade identically. A positive
@@ -84,28 +80,26 @@ class ControllerRuntime {
 
   // --- Backend registration (before the first tick) ---------------------
 
-  /// Postcard backend: LinkDown replanning via the committed FilePlan
-  /// ledger. Returns the backend id.
+  /// Registers a core::PostcardController backend: its own charge ledger,
+  /// its committed FilePlan ledger (LinkDown replans walk it) and its own
+  /// stats. Returns the backend id.
   int add_postcard_backend(core::PostcardOptions options = {});
-
-  /// Flow-based baseline backend: LinkDown replanning via the committed
-  /// FlowAssignment ledger.
-  int add_flow_backend(flow::FlowBaselineOptions options = {});
-
-  /// Any other SchedulingPolicy: capacity events are forwarded when the
-  /// policy supports them, but committed work is not replanned (the
-  /// generic interface exposes no plan ledger).
-  int add_backend(std::unique_ptr<sim::SchedulingPolicy> policy);
 
   // --- Event injection (any thread) -------------------------------------
 
   RequestIngress& ingress() { return ingress_; }
+  /// Raw queue access. A link event pushed here bypasses the checks of the
+  /// helpers below; callers that hold untrusted events check them with
+  /// link_event_error() first.
   EventQueue& events() { return queue_; }
 
-  void fail_link(int slot, int link) { queue_.push(slot, LinkDown{link}); }
-  void restore_link(int slot, int link) { queue_.push(slot, LinkUp{link}); }
+  /// Link events. Each throws std::invalid_argument, and queues nothing,
+  /// when the link is outside the topology or the capacity is not finite
+  /// and non-negative (see link_event_error).
+  void fail_link(int slot, int link) { push_link_event(slot, LinkDown{link}); }
+  void restore_link(int slot, int link) { push_link_event(slot, LinkUp{link}); }
   void change_capacity(int slot, int link, double capacity) {
-    queue_.push(slot, CapacityChange{link, capacity});
+    push_link_event(slot, CapacityChange{link, capacity});
   }
   /// Chaos: run `slot`'s solve under `pivot_budget` pivots (one-shot,
   /// backend -1 = all). Deterministic — replays degrade identically.
@@ -150,18 +144,19 @@ class ControllerRuntime {
       EXCLUDES(stats_mu_, ledger_mu_);
 
   /// Restores a snapshot into a freshly constructed runtime. The topology
-  /// shape and the backend registration sequence (kinds and names, in
-  /// order) must match the captured runtime's; anything else throws
-  /// std::invalid_argument and leaves the runtime unusable. Must run
-  /// before the first tick. A restored runtime without a wall-clock slot
-  /// deadline reproduces the captured run's remaining cost series bit for
-  /// bit.
+  /// shape and the backend registration sequence (names, in order) must
+  /// match the captured runtime's, and every capacity, charge ledger and
+  /// pending link event (link_event_error) must be one the runtime can
+  /// apply; anything else throws std::invalid_argument before any state
+  /// changes. Must run before the first tick. A restored runtime without a
+  /// wall-clock slot deadline reproduces the captured run's remaining cost
+  /// series bit for bit.
   void restore_snapshot(const RuntimeSnapshot& snapshot)
       EXCLUDES(stats_mu_, ledger_mu_);
 
   // --- Observation ------------------------------------------------------
 
-  /// Committed, not-yet-retired plan of `file_id` on a Postcard backend.
+  /// Committed, not-yet-retired plan of `file_id` on `backend`.
   /// Thread-safe (server QueryPlan sessions call this concurrently with
   /// the driver). Returns false when the file has no live plan.
   bool query_plan(int backend, int file_id, core::FilePlan* plan,
@@ -170,8 +165,8 @@ class ControllerRuntime {
 
   RuntimeStats stats() const EXCLUDES(stats_mu_);
   int num_backends() const { return static_cast<int>(backends_.size()); }
-  const sim::SchedulingPolicy& policy(int backend) const {
-    return *backends_[static_cast<std::size_t>(backend)]->policy;
+  const core::PostcardController& policy(int backend) const {
+    return backends_[static_cast<std::size_t>(backend)]->controller;
   }
   int current_slot() const { return next_slot_; }
 
@@ -182,22 +177,18 @@ class ControllerRuntime {
     int last_transfer_slot = 0;  // delivery completes at the end of this slot
     core::FilePlan plan;
   };
-  struct InFlightFlow {
-    net::FileRequest request;
-    flow::FlowAssignment assignment;
-  };
   struct Backend {
-    std::unique_ptr<sim::SchedulingPolicy> policy;
-    core::PostcardController* postcard = nullptr;  // typed views; at most
-    flow::FlowBaseline* flowbase = nullptr;        // one is non-null
+    Backend(net::Topology topology, core::PostcardOptions options)
+        : controller(std::move(topology), options) {}
+
+    core::PostcardController controller;
     BackendStats stats;
-    // Ordered by request id on purpose: invalidate_plans/invalidate_flows
-    // walk these ledgers to build re-request batches (assigning synthetic
-    // ids as they go), retire_completed accumulates stats in walk order,
-    // and capture_snapshot serializes them — hash order in any of those
-    // would leak into committed state and break bit-for-bit replay.
+    // Ordered by request id on purpose: invalidate_plans walks this ledger
+    // to build re-request batches (assigning synthetic ids as it goes),
+    // retire_completed accumulates stats in walk order, and
+    // capture_snapshot serializes it — hash order in any of those would
+    // leak into committed state and break bit-for-bit replay.
     std::map<int, InFlightPlan> plans;
-    std::map<int, InFlightFlow> flows;
     std::vector<net::FileRequest> replan_batch;  // re-injected this slot
     // Store-in-place carryover: files the degradation ladder deferred,
     // re-enqueued into the next slot's batch with one slot less deadline
@@ -216,11 +207,12 @@ class ControllerRuntime {
     int injected_fault = 0;    // disable_rungs, 0 = none
   };
 
+  /// Checks a link event against the topology (throws
+  /// std::invalid_argument), then queues it.
+  void push_link_event(int slot, EventPayload payload);
   void apply_capacity(int link, double capacity);
   void on_link_down(int slot, int link);
   void invalidate_plans(Backend& b, int slot, int link)
-      EXCLUDES(stats_mu_, ledger_mu_);
-  void invalidate_flows(Backend& b, int slot, int link)
       EXCLUDES(stats_mu_, ledger_mu_);
   /// Queues `volume` stranded at `node` for replanning, or records the
   /// failure when the deadline has no slack left.
@@ -251,7 +243,7 @@ class ControllerRuntime {
   int next_slot_ = 0;
   int next_synthetic_id_ = kSyntheticIdBase;
 
-  // Guards every Backend::plans / Backend::flows ledger: the driver
+  // Guards every Backend::plans ledger: the driver
   // mutates them while tracking, invalidating and retiring; server
   // QueryPlan sessions read them concurrently through query_plan(). Taken
   // strictly before stats_mu_ when both are needed (retire_completed).

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/plan.h"
-#include "flow/baseline.h"
 #include "net/file_request.h"
 #include "net/topology.h"
 #include "runtime/event.h"
@@ -33,22 +32,15 @@ struct PlanLedgerEntry {
   core::FilePlan plan;
 };
 
-/// One committed, not-yet-finished baseline flow (InFlightFlow mirror).
-struct FlowLedgerEntry {
-  net::FileRequest request;
-  flow::FlowAssignment assignment;
-};
-
-/// Everything one registered backend carries across slots.
+/// Everything one registered Postcard backend carries across slots.
 struct BackendSnapshot {
-  enum class Kind : int { kPostcard = 0, kFlow = 1, kOther = 2 };
-  Kind kind = Kind::kOther;
+  // The controller's name(), which tells a storage-enabled backend from a
+  // no-storage one: restore refuses a target registered differently.
   std::string name;
 
   // Charge ledger: raw per-link per-slot committed volumes, the observed
   // slot count, the reduce() mismatch counter and the running maxima X_ij
-  // (see charging::ChargeState::restore). Empty for kOther backends, whose
-  // generic interface exposes no restore hook.
+  // (see charging::ChargeState::restore).
   std::vector<std::vector<double>> series;
   int series_slots = 0;
   long reduce_violations = 0;
@@ -56,7 +48,6 @@ struct BackendSnapshot {
 
   // Committed in-flight work and files queued for the next solve.
   std::vector<PlanLedgerEntry> plans;
-  std::vector<FlowLedgerEntry> flows;
   std::vector<net::FileRequest> replan_batch;
   std::vector<net::FileRequest> carry_batch;
 

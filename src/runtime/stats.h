@@ -53,7 +53,7 @@ class LatencyHistogram {
   double max_seconds_ = 0.0;
 };
 
-/// Per-backend (per registered policy) counters.
+/// Per-backend (per registered Postcard controller) counters.
 struct BackendStats {
   std::string name;
   long accepted_files = 0;
@@ -115,9 +115,9 @@ struct BackendStats {
   long gave_up_files = 0;
   double gave_up_volume = 0.0;
   // ---- Plan audits (src/audit; armed via RuntimeOptions::audit). Whether
-  // the backend accepted the audit controls at registration, how many
-  // commits were re-verified (policy-side self-audits), violations found
-  // and wall time spent auditing. A violation throws (fail-fast) before
+  // the audit was armed at registration, how many commits were
+  // re-verified (controller-side self-audits), violations found and wall
+  // time spent auditing. A violation throws (fail-fast) before
   // reaching these counters, so a completed run shows zero violations.
   bool audit_armed = false;
   long audit_checks = 0;

@@ -35,9 +35,10 @@ runtime::LatencyHistogram decode_histogram(ByteReader& r);
 void encode_backend_stats(ByteWriter& w, const runtime::BackendStats& s);
 runtime::BackendStats decode_backend_stats(ByteReader& r);
 
-/// Full-fidelity RuntimeStats codec: every counter, all four histograms,
-/// server counters, per-backend stats including cost series and audit
-/// reports. Used by both the StatsReply frame and `--metrics-dump`.
+/// Full-fidelity RuntimeStats codec: every counter, the slot and solve
+/// latency histograms, server counters, per-backend stats including cost
+/// series and audit counters. Used by both the StatsReply frame and
+/// `--metrics-dump`.
 void encode_runtime_stats(ByteWriter& w, const runtime::RuntimeStats& s);
 runtime::RuntimeStats decode_runtime_stats(ByteReader& r);
 

@@ -38,10 +38,6 @@ int PostcardServer::add_postcard_backend(core::PostcardOptions options) {
   return runtime_.add_postcard_backend(std::move(options));
 }
 
-int PostcardServer::add_flow_backend(flow::FlowBaselineOptions options) {
-  return runtime_.add_flow_backend(std::move(options));
-}
-
 void PostcardServer::restore_from(const std::string& snapshot_path) {
   runtime_.restore_snapshot(read_snapshot_file(snapshot_path));
 }

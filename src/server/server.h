@@ -76,7 +76,6 @@ class PostcardServer {
   // --- Setup (before start()) -------------------------------------------
 
   int add_postcard_backend(core::PostcardOptions options = {});
-  int add_flow_backend(flow::FlowBaselineOptions options = {});
 
   /// Restores runtime state from a snapshot file (see snapshot.h). The
   /// backend registration sequence must match the captured server's.

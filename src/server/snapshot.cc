@@ -39,7 +39,6 @@ std::vector<std::vector<double>> decode_series(ByteReader& r) {
 }
 
 void encode_backend(ByteWriter& w, const runtime::BackendSnapshot& b) {
-  w.i32(static_cast<int>(b.kind));
   w.str(b.name);
   encode_series(w, b.series);
   w.i32(b.series_slots);
@@ -53,19 +52,6 @@ void encode_backend(ByteWriter& w, const runtime::BackendSnapshot& b) {
     w.i32(p.last_transfer_slot);
     encode_file_plan(w, p.plan);
   }
-  w.u32(static_cast<std::uint32_t>(b.flows.size()));
-  for (const runtime::FlowLedgerEntry& f : b.flows) {
-    encode_file_request(w, f.request);
-    w.i32(f.assignment.file_id);
-    w.f64(f.assignment.rate);
-    w.i32(f.assignment.start_slot);
-    w.i32(f.assignment.duration);
-    w.u32(static_cast<std::uint32_t>(f.assignment.link_rates.size()));
-    for (const auto& [link, rate] : f.assignment.link_rates) {
-      w.i32(link);
-      w.f64(rate);
-    }
-  }
   w.u32(static_cast<std::uint32_t>(b.replan_batch.size()));
   for (const net::FileRequest& f : b.replan_batch) encode_file_request(w, f);
   w.u32(static_cast<std::uint32_t>(b.carry_batch.size()));
@@ -77,11 +63,6 @@ void encode_backend(ByteWriter& w, const runtime::BackendSnapshot& b) {
 
 runtime::BackendSnapshot decode_backend(ByteReader& r) {
   runtime::BackendSnapshot b;
-  const int kind = r.i32();
-  if (kind < 0 || kind > 2) {
-    throw WireError("invalid backend kind " + std::to_string(kind));
-  }
-  b.kind = static_cast<runtime::BackendSnapshot::Kind>(kind);
   b.name = r.str();
   b.series = decode_series(r);
   b.series_slots = r.i32();
@@ -98,24 +79,6 @@ runtime::BackendSnapshot decode_backend(ByteReader& r) {
     p.last_transfer_slot = r.i32();
     p.plan = decode_file_plan(r);
     b.plans.push_back(std::move(p));
-  }
-  const std::size_t flows = r.length(4 * 4 + 8 + 4 + 8 + 4 + 4 + 4);
-  b.flows.reserve(flows);
-  for (std::size_t i = 0; i < flows; ++i) {
-    runtime::FlowLedgerEntry f;
-    f.request = decode_file_request(r);
-    f.assignment.file_id = r.i32();
-    f.assignment.rate = r.f64();
-    f.assignment.start_slot = r.i32();
-    f.assignment.duration = r.i32();
-    const std::size_t rates = r.length(4 + 8);
-    f.assignment.link_rates.reserve(rates);
-    for (std::size_t j = 0; j < rates; ++j) {
-      const int link = r.i32();
-      const double rate = r.f64();
-      f.assignment.link_rates.emplace_back(link, rate);
-    }
-    b.flows.push_back(std::move(f));
   }
   const std::size_t replans = r.length(4 * 4 + 8);
   b.replan_batch.reserve(replans);

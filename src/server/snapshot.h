@@ -3,8 +3,8 @@
 // Layout:
 //
 //   u32 magic     "PSNP" (0x50534E50)
-//   u32 version   kSnapshotVersion — readers reject anything newer;
-//                 compatibility rules are spelled out in DESIGN.md §11
+//   u32 version   kSnapshotVersion — readers reject every other version,
+//                 newer or older (DESIGN.md §11)
 //   u64 body_len  bytes of body
 //   ...body...    RuntimeSnapshot, serialized with the strict codecs
 //   u64 checksum  FNV-1a 64 over magic..body (everything before the trailer)
@@ -38,7 +38,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x50534E50;  // "PSNP"
 // v7: no warm-cache flag, no warm/cold solve-latency histograms, and the
 // embedded BackendStats lost its DCRoute rung counter.
 // v8: the embedded BackendStats lost its audit report lines.
-inline constexpr std::uint32_t kSnapshotVersion = 8;
+// v9: every backend is a Postcard controller, so a backend section lost
+// its kind tag and its flow-baseline ledger count (8 bytes per backend).
+inline constexpr std::uint32_t kSnapshotVersion = 9;
 
 /// FNV-1a 64-bit over a byte range.
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);

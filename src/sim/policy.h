@@ -68,8 +68,9 @@ struct ScheduleOutcome {
 };
 
 /// Per-slot solve budget and ladder controls, pushed by the runtime's
-/// watchdog before each schedule() call. Pivot budgets are deterministic
-/// (bit-for-bit replays); wall-clock deadlines are for production.
+/// watchdog into core::PostcardController before each schedule() call.
+/// Pivot budgets are deterministic (bit-for-bit replays); wall-clock
+/// deadlines are for production.
 struct SolveControls {
   long max_pivots = -1;          // total simplex pivots per slot; -1 unlimited
   double deadline_seconds = -1.0;  // wall-clock per slot; < 0 unlimited
@@ -113,27 +114,10 @@ class SchedulingPolicy {
   /// Charge state (per-link X_ij and full slot history).
   virtual const charging::ChargeState& charge_state() const = 0;
 
-  /// Applies a live capacity change (runtime LinkDown/LinkUp/
-  /// CapacityChange events; 0 means the link is down). Returns false when
-  /// the policy does not support network dynamics — the runtime then skips
-  /// failure handling for this backend and records the event as unhandled.
-  virtual bool set_link_capacity(int /*link*/, double /*capacity*/) {
-    return false;
-  }
-
-  /// Installs the solve budget / degradation controls applied to every
-  /// subsequent schedule() call (sticky until replaced; a default-constructed
-  /// SolveControls restores unlimited solves). Returns false when the policy
-  /// has no budget support — the runtime then records the watchdog as
-  /// unarmed for this backend instead of assuming protection.
-  virtual bool set_solve_controls(const SolveControls& /*controls*/) {
-    return false;
-  }
-
   /// Arms the plan auditor applied after every subsequent commit (sticky
   /// until replaced; a default-constructed AuditControls disarms it).
-  /// Returns false when the policy has no audit support — the runtime then
-  /// records the backend as unaudited instead of assuming coverage.
+  /// Returns false when the policy has no audit support (the greedy
+  /// heuristic), so a caller never assumes coverage that is not there.
   virtual bool set_audit_controls(const AuditControls& /*controls*/) {
     return false;
   }

@@ -1,7 +1,8 @@
 // No-false-positive guarantee for the plan auditor: with fail-fast audits
-// armed (the runtime default) every legitimate Fig. 4-shaped run — both
-// backends, chaos injections, every forced degradation rung — must
-// complete with audit_checks > 0 and zero violations.
+// armed (the runtime default) every legitimate Fig. 4-shaped run — Postcard
+// with and without storage, chaos injections, every forced degradation
+// rung, and both offline policies — must complete with audit_checks > 0
+// and zero violations.
 // A single false positive would throw std::logic_error and fail the replay.
 #include <gtest/gtest.h>
 
@@ -34,6 +35,14 @@ sim::WorkloadParams fig4_shaped(std::uint64_t seed) {
   return p;
 }
 
+/// Postcard and its no-storage variant, side by side.
+void add_both_backends(ControllerRuntime& runtime) {
+  runtime.add_postcard_backend();
+  core::PostcardOptions no_storage;
+  no_storage.allow_storage = false;
+  runtime.add_postcard_backend(no_storage);
+}
+
 void expect_audited_clean(const RuntimeStats& stats) {
   ASSERT_FALSE(stats.backends.empty());
   for (const BackendStats& b : stats.backends) {
@@ -47,16 +56,14 @@ void expect_audited_clean(const RuntimeStats& stats) {
 TEST(AuditRuntime, FailFastIsArmedByDefaultOnBothBackends) {
   const sim::UniformWorkload w(fig4_shaped(3));
   ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
-  runtime.add_postcard_backend();
-  runtime.add_flow_backend();
+  add_both_backends(runtime);
   expect_audited_clean(runtime.replay(w));
 }
 
 TEST(AuditRuntime, CleanUnderLinkFailuresAndRecovery) {
   const sim::UniformWorkload w(fig4_shaped(5));
   ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
-  runtime.add_postcard_backend();
-  runtime.add_flow_backend();
+  add_both_backends(runtime);
   runtime.fail_link(/*slot=*/2, /*link=*/0);
   runtime.restore_link(/*slot=*/5, /*link=*/0);
   runtime.fail_link(/*slot=*/6, /*link=*/3);

@@ -41,16 +41,20 @@ struct Fault {
 };
 
 /// One replay with the Postcard backend pinned to the requested graph
-/// backend, plus the flow baseline riding along to prove the dispatch path
-/// is unperturbed.
+/// backend, plus a no-storage Postcard backend on the default graph riding
+/// along as a control, to prove the dispatch path is unperturbed.
 RuntimeStats replay(const sim::WorkloadGenerator& w, bool sparse,
                     const std::vector<Fault>& faults = {},
-                    bool with_flow = true) {
+                    bool with_control = true) {
   ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
   core::PostcardOptions options;
   options.use_sparse_graph = sparse;
   runtime.add_postcard_backend(options);
-  if (with_flow) runtime.add_flow_backend();
+  if (with_control) {
+    core::PostcardOptions control;
+    control.allow_storage = false;
+    runtime.add_postcard_backend(control);
+  }
   for (const Fault& f : faults) runtime.fail_link(f.slot, f.link);
   return runtime.replay(w);
 }
@@ -81,8 +85,8 @@ TEST(SparseEquivalence, TwentyDcCostSeriesBitForBit) {
   const RuntimeStats d = replay(w, /*sparse=*/false);
   ASSERT_EQ(s.backends.size(), 2u);
   expect_identical(s.backends[0], d.backends[0]);
-  // The flow baseline never touches the sparse arena; its series must be
-  // byte-identical across the two runs as a control.
+  // The control runs the same options in both runs, so toggling the first
+  // backend's graph must leave its series byte-identical.
   EXPECT_EQ(s.backends[1].cost_series, d.backends[1].cost_series);
 }
 
@@ -118,8 +122,9 @@ TEST(SparseEquivalence, FatTreeWorkloadBitForBit) {
                     [](int a, int b) { return 1.0 + 0.05 * a + 0.001 * b; }),
       p);
   ASSERT_EQ(w.topology().num_datacenters(), 45);
-  const RuntimeStats s = replay(w, /*sparse=*/true, {}, /*with_flow=*/false);
-  const RuntimeStats d = replay(w, /*sparse=*/false, {}, /*with_flow=*/false);
+  const RuntimeStats s = replay(w, /*sparse=*/true, {}, /*with_control=*/false);
+  const RuntimeStats d =
+      replay(w, /*sparse=*/false, {}, /*with_control=*/false);
   expect_identical(s.backends[0], d.backends[0]);
 }
 

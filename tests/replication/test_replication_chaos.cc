@@ -1,22 +1,27 @@
 // Replication chaos: injected divergence must be caught within one slot
 // commit and healed by a reseed; a stalled (non-draining) standby must be
 // dropped without wedging the primary's slot clock; reconnects and
-// standby turnover must reseed cleanly.
+// standby turnover must reseed cleanly; a link event the standby's
+// topology lacks, in an event batch or a seed, is refused where it enters.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <chrono>
 #include <memory>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <thread>
 #include <unistd.h>
 
 #include "replication/primary.h"
 #include "replication/standby.h"
 #include "repl_test_util.h"
+#include "runtime/runtime.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "server/snapshot.h"
 
 namespace postcard::replication {
 namespace {
@@ -50,11 +55,151 @@ struct ReplicatedPair {
   }
 };
 
+/// A primary played by the test: a loopback listener whose first accepted
+/// standby gets exactly the frames the test writes.
+class ScriptedPrimary {
+ public:
+  ScriptedPrimary() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) == 0 &&
+        ::listen(listen_fd_, 4) == 0 &&
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
+            0) {
+      port_ = ntohs(addr.sin_port);
+    }
+  }
+  ~ScriptedPrimary() {
+    if (conn_fd_ >= 0) ::close(conn_fd_);
+    close_listener();
+  }
+
+  int port() const { return port_; }
+
+  /// Accepts the standby and reads its Hello; false on timeout or error.
+  bool accept_standby() {
+    pollfd p{listen_fd_, POLLIN, 0};
+    if (::poll(&p, 1, kWaitMs) != 1) return false;
+    conn_fd_ = ::accept(listen_fd_, nullptr, nullptr);
+    if (conn_fd_ < 0) return false;
+    timeval tv{kWaitMs / 1000, 0};
+    ::setsockopt(conn_fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    server::Frame hello;
+    return server::read_frame(conn_fd_, &hello) &&
+           hello.type == server::MessageType::kReplHello;
+  }
+
+  void send(server::MessageType type, const std::vector<std::uint8_t>& body) {
+    server::write_frame(conn_fd_, type, body);
+  }
+
+  /// True once the standby closes the connection; false if it keeps it
+  /// open past the wait deadline.
+  bool standby_hung_up() {
+    server::Frame frame;
+    try {
+      while (server::read_frame(conn_fd_, &frame)) {
+      }
+    } catch (const server::WireTimeout&) {
+      return false;
+    } catch (const server::WireError&) {
+      // A reset is a hang-up too.
+    }
+    return true;
+  }
+
+  /// With the listener gone, every reconnect is refused at once.
+  void close_listener() {
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+
+ private:
+  int listen_fd_ = -1;
+  int conn_fd_ = -1;
+  int port_ = 0;
+};
+
+/// A slot-0 seed image of a fresh one-backend runtime on `topology`, with
+/// `pending` appended to its event queue.
+std::vector<std::uint8_t> seed_image(
+    const net::Topology& topology,
+    const std::vector<runtime::Event>& pending = {}) {
+  runtime::ControllerRuntime seed{net::Topology(topology),
+                                  replicated_runtime_options()};
+  seed.add_postcard_backend();
+  runtime::RuntimeSnapshot snap = seed.capture_snapshot();
+  snap.pending_events.insert(snap.pending_events.end(), pending.begin(),
+                             pending.end());
+  return ReplSnapshot{server::encode_snapshot(snap)}.encode();
+}
+
+TEST(ReplicationChaos, OutOfRangeLinkEventBatchIsRefusedWhole) {
+  // A batch whose second event names link 4000 of a 20-link topology: the
+  // standby must refuse the whole batch on its malformed-frame path (drop
+  // the connection), so the valid arrival ahead of it never lands either.
+  const sim::UniformWorkload w(repl_workload(75));
+  ScriptedPrimary primary;
+  ASSERT_GT(primary.port(), 0);
+  ReplicationStandby standby(net::Topology(w.topology()),
+                             {core::PostcardOptions{}},
+                             test_standby_options(primary.port()));
+  standby.start();
+  ASSERT_TRUE(primary.accept_standby());
+  primary.send(server::MessageType::kReplSnapshot, seed_image(w.topology()));
+
+  ReplEvents batch;
+  batch.events.push_back({0, 0, runtime::FileArrival{w.batch(0).front()}});
+  batch.events.push_back({0, 1, runtime::LinkDown{4000}});
+  primary.send(server::MessageType::kReplEvents, batch.encode());
+  ASSERT_TRUE(primary.standby_hung_up());
+
+  // The seeded standby promotes once its reconnects are refused, and its
+  // state shows that nothing of the batch was applied.
+  primary.close_listener();
+  ASSERT_TRUE(standby.wait_promoted(kWaitMs));
+  const StandbyStats s = standby.stats();
+  EXPECT_EQ(s.snapshots_applied, 1);
+  EXPECT_EQ(s.events_applied, 0);
+  const runtime::RuntimeStats promoted = standby.server()->stats();
+  EXPECT_EQ(promoted.admitted, 0);
+  EXPECT_EQ(promoted.queue_depth, 0u);
+  standby.stop();
+}
+
+TEST(ReplicationChaos, OutOfRangeLinkEventInASeedIsRefusedNotFatal) {
+  // The same event inside a seed snapshot's pending queue: restore refuses
+  // it, and the standby treats that as a malformed frame — it drops the
+  // connection and, never seeded, fails loudly instead of crashing or
+  // promoting.
+  const sim::UniformWorkload w(repl_workload(76));
+  ScriptedPrimary primary;
+  ASSERT_GT(primary.port(), 0);
+  ReplicationStandby standby(net::Topology(w.topology()),
+                             {core::PostcardOptions{}},
+                             test_standby_options(primary.port()));
+  standby.start();
+  ASSERT_TRUE(primary.accept_standby());
+  primary.send(server::MessageType::kReplSnapshot,
+               seed_image(w.topology(), {{2, 0, runtime::LinkDown{4000}}}));
+  ASSERT_TRUE(primary.standby_hung_up());
+
+  primary.close_listener();
+  ASSERT_TRUE(standby.wait_failed(kWaitMs));
+  EXPECT_FALSE(standby.promoted());
+  EXPECT_EQ(standby.stats().snapshots_applied, 0);
+  standby.stop();
+}
+
 TEST(ReplicationChaos, InjectedDivergenceIsCaughtWithinOneCommitAndReseeded) {
   const sim::UniformWorkload w(repl_workload(71));
   ReplicatedPair pair(w.topology());
   ReplicationStandby standby(net::Topology(w.topology()),
-                             {BackendSpec::make_postcard()},
+                             {core::PostcardOptions{}},
                              test_standby_options(pair.primary->port()));
   standby.start();
   ASSERT_TRUE(wait_standby_connected(*pair.primary));
@@ -152,7 +297,7 @@ TEST(ReplicationChaos, StalledStandbyIsDroppedSlowNotWedgingTheSlotClock) {
   // final advance — otherwise the standby would wait for a commit that
   // never comes.
   ReplicationStandby standby(net::Topology(w.topology()),
-                             {BackendSpec::make_postcard()},
+                             {core::PostcardOptions{}},
                              test_standby_options(pair.primary->port()));
   standby.start();
   ASSERT_TRUE(poll_until([&] { return pair.primary->standby_connected(); }));
@@ -171,7 +316,7 @@ TEST(ReplicationChaos, StandbyTurnoverReseedsEachNewFollower) {
 
   {
     ReplicationStandby first(net::Topology(w.topology()),
-                             {BackendSpec::make_postcard()},
+                             {core::PostcardOptions{}},
                              test_standby_options(pair.primary->port()));
     first.start();
     ASSERT_TRUE(wait_standby_connected(*pair.primary));
@@ -182,7 +327,7 @@ TEST(ReplicationChaos, StandbyTurnoverReseedsEachNewFollower) {
   }
 
   ReplicationStandby second(net::Topology(w.topology()),
-                            {BackendSpec::make_postcard()},
+                            {core::PostcardOptions{}},
                             test_standby_options(pair.primary->port()));
   second.start();
   // Wait for the primary to accept the second follower itself: until its
@@ -207,7 +352,7 @@ TEST(ReplicationChaos, PartitionedStandbyReconnectsAndResumes) {
   StandbyOptions sopts = test_standby_options(pair.primary->port());
   sopts.reconnect_attempts = 100;  // partition heals before attempts run out
   ReplicationStandby standby(net::Topology(w.topology()),
-                             {BackendSpec::make_postcard()}, sopts);
+                             {core::PostcardOptions{}}, sopts);
   standby.start();
   ASSERT_TRUE(wait_standby_connected(*pair.primary));
 

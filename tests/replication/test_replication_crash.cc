@@ -133,7 +133,7 @@ TEST(ReplicationCrash, SigkilledPrimaryFailsOverBitForBit) {
   ASSERT_GT(child.repl_port, 0);
 
   ReplicationStandby standby(net::Topology(w.topology()),
-                             {BackendSpec::make_postcard()},
+                             {core::PostcardOptions{}},
                              test_standby_options(child.repl_port));
   standby.start();
   // Seeds ship at slot commits only: before driving any, make sure the

@@ -59,7 +59,7 @@ TEST(ReplicationFailover, SurvivorReproducesTheUnfailedRunBitForBit) {
   const int primary_port = primary_server->port();
 
   ReplicationStandby standby(net::Topology(w.topology()),
-                             {BackendSpec::make_postcard()},
+                             {core::PostcardOptions{}},
                              test_standby_options(primary.port()));
   standby.start();
   ASSERT_TRUE(wait_standby_connected(primary));
@@ -157,7 +157,7 @@ TEST(ReplicationFailover, NeverSeededStandbyFailsInsteadOfPromoting) {
   }
   const sim::UniformWorkload w(repl_workload(62));
   ReplicationStandby standby(net::Topology(w.topology()),
-                             {BackendSpec::make_postcard()},
+                             {core::PostcardOptions{}},
                              test_standby_options(dead_port));
   standby.start();
   ASSERT_TRUE(standby.wait_failed(kWaitMs));
@@ -173,7 +173,7 @@ TEST(ReplicationFailover, NonDeterministicMirrorOptionsAreRefused) {
   StandbyOptions options = test_standby_options(1);
   options.runtime.slot_deadline_seconds = 0.5;
   EXPECT_THROW(ReplicationStandby(net::Topology(w.topology()),
-                                  {BackendSpec::make_postcard()},
+                                  {core::PostcardOptions{}},
                                   std::move(options)),
                std::invalid_argument);
 

@@ -1,12 +1,11 @@
-// Ledger-order determinism: Backend::plans / Backend::flows are std::map
-// keyed by request id, so every walk that commits state — the
-// invalidate_plans/invalidate_flows re-request sweep (which draws synthetic
-// ids as it goes), retire_completed's stats accumulation, and
-// capture_snapshot's serialization — sees ascending id order regardless of
-// how entries were inserted. These tests pin that property with ids mixing
-// small submission ids and synthetic-range ids (>= kSyntheticIdBase), the
-// exact mix a replay-after-failover produces and the one where hash-bucket
-// order diverges hardest from value order.
+// Ledger-order determinism: Backend::plans is a std::map keyed by request
+// id, so every walk that commits state — the invalidate_plans re-request
+// sweep (which draws synthetic ids as it goes), retire_completed's stats
+// accumulation, and capture_snapshot's serialization — sees ascending id
+// order regardless of how entries were inserted. These tests pin that
+// property with ids mixing small submission ids and synthetic-range ids
+// (>= kSyntheticIdBase), the exact mix a replay-after-failover produces and
+// the one where hash-bucket order diverges hardest from value order.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -84,26 +83,6 @@ TEST(ReplanOrder, SnapshotPlanLedgerAscendsById) {
   EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
   EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end()) == ids.end())
       << "duplicate id in snapshot ledger";
-}
-
-// Same property for the flow-baseline ledger.
-TEST(ReplanOrder, SnapshotFlowLedgerAscendsById) {
-  ControllerRuntime runtime{diamond(), RuntimeOptions{}};
-  runtime.add_flow_backend();
-  for (int id : kIds) {
-    ASSERT_TRUE(runtime.ingress().submit(file(id, 0, 3, 30.0, 5, 0)).admitted)
-        << "id " << id;
-  }
-  runtime.tick();  // run() would flush_in_flight(); tick() keeps the ledger
-
-  const RuntimeSnapshot snap = runtime.capture_snapshot();
-  ASSERT_EQ(snap.backends.size(), 1u);
-  std::vector<int> ids;
-  for (const FlowLedgerEntry& e : snap.backends[0].flows) {
-    ids.push_back(e.request.id);
-  }
-  ASSERT_GE(ids.size(), 3u) << "flows must still be in flight after slot 0";
-  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
 }
 
 // The load-bearing test: two runtimes restored from the SAME snapshot with

@@ -196,22 +196,6 @@ TEST(RuntimeDegradation, GenerousBudgetLeavesTheRunUntouched) {
   EXPECT_EQ(b.degraded_slots, 0);
 }
 
-TEST(RuntimeDegradation, FlowBaselineDefersUnderFault) {
-  // The baseline has no greedy rung: a fault defers its whole batch, which
-  // carries over (or fails loudly) but never vanishes.
-  const sim::UniformWorkload w(fig4_shaped(27));
-
-  ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
-  runtime.add_flow_backend();
-  runtime.fault_solver(/*slot=*/1, /*disable_rungs=*/1);
-  const RuntimeStats stats = runtime.replay(w);
-
-  const BackendStats& b = stats.backends[0];
-  EXPECT_GT(b.carryover_files + b.failed_files, 0);
-  EXPECT_EQ(b.last_solver_status, "fault_injected");
-  expect_fully_accounted(stats, w);
-}
-
 TEST(RuntimeDegradation, ThreeSlotCarryChainStaysFullyAccounted) {
   // Forced multi-slot carry-over chain: deferral faults at three
   // consecutive slots push the same files through carry_batch three times

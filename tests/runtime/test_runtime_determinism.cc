@@ -1,14 +1,13 @@
 // Determinism guarantee: the event-driven runtime reproduces the offline
 // batch replay of sim::run_simulation bit-for-bit — same schedule() call
-// sequence, so identical cost series for both Postcard and the flow-based
-// baseline on a Fig. 4-shaped workload (paper Sec. VII parameters at
-// reduced scale).
+// sequence, so identical cost series for every Postcard backend, alone
+// and side by side, on a Fig. 4-shaped workload (paper Sec. VII
+// parameters at reduced scale).
 #include "runtime/runtime.h"
 
 #include <gtest/gtest.h>
 
 #include "core/postcard.h"
-#include "flow/baseline.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
 
@@ -62,42 +61,29 @@ TEST(RuntimeDeterminism, PostcardMatchesRunSimulationBitForBit) {
   EXPECT_EQ(stats.admitted, stats.submitted);
 }
 
-TEST(RuntimeDeterminism, FlowBaselineMatchesRunSimulationBitForBit) {
-  const sim::UniformWorkload w(fig4_shaped(12));
-
-  flow::FlowBaseline offline{net::Topology(w.topology())};
-  const sim::RunResult reference = sim::run_simulation(offline, w);
-
-  ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
-  runtime.add_flow_backend();
-  const RuntimeStats stats = runtime.replay(w);
-
-  const BackendStats& b = stats.backends[0];
-  ASSERT_EQ(b.cost_series.size(), reference.cost_series.size());
-  for (std::size_t i = 0; i < b.cost_series.size(); ++i) {
-    EXPECT_EQ(b.cost_series[i], reference.cost_series[i]) << "slot " << i;
-  }
-  EXPECT_EQ(b.cost_series.back(), reference.final_cost_per_interval);
-  EXPECT_EQ(b.rejected_volume, reference.rejected_volume);
-}
-
 TEST(RuntimeDeterminism, BothPoliciesSideBySideStillMatch) {
-  // Per-policy dispatch must not perturb either backend's solve sequence.
+  // Per-backend dispatch must not perturb either backend's solve sequence:
+  // each one's series equals its own offline replay, bit for bit.
   const sim::UniformWorkload w(fig4_shaped(13));
+  core::PostcardOptions no_storage;
+  no_storage.allow_storage = false;
 
   core::PostcardController offline_pc{net::Topology(w.topology())};
-  flow::FlowBaseline offline_fb{net::Topology(w.topology())};
+  core::PostcardController offline_ns{net::Topology(w.topology()), no_storage};
   const sim::RunResult ref_pc = sim::run_simulation(offline_pc, w);
-  const sim::RunResult ref_fb = sim::run_simulation(offline_fb, w);
+  const sim::RunResult ref_ns = sim::run_simulation(offline_ns, w);
 
   ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
   runtime.add_postcard_backend();
-  runtime.add_flow_backend();
+  runtime.add_postcard_backend(no_storage);
   const RuntimeStats stats = runtime.replay(w);
 
   ASSERT_EQ(stats.backends.size(), 2u);
+  EXPECT_EQ(stats.backends[1].name, "postcard (no storage)");
   EXPECT_EQ(stats.backends[0].cost_series, ref_pc.cost_series);
-  EXPECT_EQ(stats.backends[1].cost_series, ref_fb.cost_series);
+  EXPECT_EQ(stats.backends[1].cost_series, ref_ns.cost_series);
+  EXPECT_EQ(stats.backends[0].lp_iterations, ref_pc.lp_iterations);
+  EXPECT_EQ(stats.backends[1].lp_iterations, ref_ns.lp_iterations);
 }
 
 }  // namespace

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include "core/postcard.h"
-#include "flow/baseline.h"
 
 namespace postcard::runtime {
 namespace {
@@ -100,25 +103,6 @@ TEST(RuntimeFailures, UncommitRollsBackSpeculativeCharge) {
   EXPECT_GT(policy.charge_state().charged(0), 0.0);
 }
 
-TEST(RuntimeFailures, FlowBackendReplansActiveFlows) {
-  ControllerRuntime runtime{diamond(), RuntimeOptions{}};
-  runtime.add_flow_backend();
-
-  // Rate 4 GB/slot for 3 slots over the cheap path; the failure at slot 1
-  // stops the flow after one slot (4 GB delivered, 8 GB to replan).
-  ASSERT_TRUE(runtime.ingress().submit(file(1, 0, 3, 12.0, 3, 0)).admitted);
-  runtime.fail_link(1, 1);  // link index 1 is 1 -> 3
-  runtime.run(4);
-
-  const RuntimeStats stats = runtime.stats();
-  const BackendStats& b = stats.backends[0];
-  EXPECT_EQ(b.accepted_files, 1);
-  EXPECT_GE(b.replans, 1);
-  EXPECT_NEAR(b.failed_volume + b.delivered_volume, b.accepted_volume, kTol);
-  EXPECT_EQ(b.failed_files, 0) << "the detour keeps the flow schedulable";
-  EXPECT_NEAR(b.delivered_volume, 12.0, kTol);
-}
-
 TEST(RuntimeFailures, LinkUpRestoresCapacityForNewArrivals) {
   ControllerRuntime runtime{chain(), RuntimeOptions{}};
   runtime.add_postcard_backend();
@@ -154,22 +138,36 @@ TEST(RuntimeFailures, CapacityChangeThrottlesFutureSolves) {
   EXPECT_EQ(b.accepted_files, 1);  // 4 GB can
 }
 
-TEST(RuntimeFailures, ReplanOptOutLeavesPlansUntouched) {
-  RuntimeOptions options;
-  options.replan_on_link_down = false;
-  ControllerRuntime runtime{diamond(), options};
+TEST(RuntimeFailures, OutOfRangeLinkEventsAreRefusedWhereTheyEnter) {
+  // The tick indexes its per-link state by the event's link before the
+  // topology sees it, so each helper must refuse what the tick cannot
+  // apply — a link past the 12 of a 4-DC complete overlay, or a capacity
+  // the LP cannot price — and queue nothing.
+  const net::Topology t =
+      net::Topology::complete(4, 100.0, [](int, int) { return 1.0; });
+  ASSERT_EQ(t.num_links(), 12);
+  ControllerRuntime runtime{net::Topology(t), RuntimeOptions{}};
   runtime.add_postcard_backend();
-  ASSERT_TRUE(runtime.ingress().submit(file(1, 0, 3, 12.0, 3, 0)).admitted);
-  runtime.fail_link(1, 1);
-  runtime.run(4);
+  for (int link : {4000, 12, -1}) {
+    EXPECT_THROW(runtime.fail_link(0, link), std::invalid_argument) << link;
+    EXPECT_THROW(runtime.restore_link(0, link), std::invalid_argument) << link;
+    EXPECT_THROW(runtime.change_capacity(0, link, 50.0), std::invalid_argument)
+        << link;
+  }
+  for (double capacity : {-1.0, std::nan(""),
+                          std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(runtime.change_capacity(0, 3, capacity),
+                 std::invalid_argument)
+        << capacity;
+  }
+  EXPECT_EQ(runtime.events().depth(), 0u);
 
-  const RuntimeStats stats = runtime.stats();
-  const BackendStats& b = stats.backends[0];
-  EXPECT_EQ(b.replans, 0);
-  // Without replanning the ledger still retires the (now fictional) plan;
-  // the option exists for measuring the value of failure handling, not for
-  // production use.
-  EXPECT_NEAR(b.delivered_volume, b.accepted_volume, kTol);
+  // The last link and a zero capacity are in range and still apply.
+  runtime.change_capacity(0, 11, 0.0);
+  runtime.fail_link(0, 11);
+  runtime.restore_link(1, 11);
+  runtime.run(2);
+  EXPECT_EQ(runtime.stats().link_events, 3);
 }
 
 }  // namespace

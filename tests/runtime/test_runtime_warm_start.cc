@@ -1,8 +1,7 @@
 // One first-master rule: every Postcard solve seeds its round-0 master with
 // the canonical basis, from a fresh controller's first slot on, and the
-// stats count each seed the solver accepted. Backends without a
-// column-generation master (the flow baseline) count neither accepts nor
-// rejections.
+// stats count each seed the solver accepted — on every backend, with or
+// without store-and-forward.
 #include "runtime/runtime.h"
 
 #include <gtest/gtest.h>
@@ -31,39 +30,19 @@ sim::WorkloadParams fig4_shaped(std::uint64_t seed) {
   return p;
 }
 
-RuntimeStats replay(const sim::UniformWorkload& w, bool with_postcard) {
+/// Replays `w` on two backends: Postcard and its no-storage variant.
+RuntimeStats replay(const sim::UniformWorkload& w) {
   ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
-  if (with_postcard) runtime.add_postcard_backend();
-  runtime.add_flow_backend();
+  runtime.add_postcard_backend();
+  core::PostcardOptions no_storage;
+  no_storage.allow_storage = false;
+  runtime.add_postcard_backend(no_storage);
   return runtime.replay(w);
-}
-
-TEST(RuntimeWarmStart, FlowBaselineSideBySideIsUnaffected) {
-  const sim::UniformWorkload w(fig4_shaped(22));
-  const RuntimeStats alone = replay(w, false);
-  const RuntimeStats beside = replay(w, true);
-  ASSERT_EQ(alone.backends.size(), 1u);
-  ASSERT_EQ(beside.backends.size(), 2u);
-
-  // A seeded Postcard backend next to it leaves the flow baseline's plans
-  // untouched.
-  const BackendStats& fa = alone.backends[0];
-  const BackendStats& fb = beside.backends[1];
-  EXPECT_EQ(fa.cost_series, fb.cost_series);
-  EXPECT_EQ(fa.accepted_volume, fb.accepted_volume);
-  EXPECT_EQ(fa.delivered_volume, fb.delivered_volume);
-  // The flow baseline has no column-generation master and no seed.
-  for (const BackendStats* flow : {&fa, &fb}) {
-    EXPECT_GT(flow->lp_solves, 0);
-    EXPECT_EQ(flow->warm_accepts, 0);
-    EXPECT_EQ(flow->cold_starts, 0);
-  }
-  EXPECT_GT(beside.backends[0].warm_accepts, 0);
 }
 
 TEST(RuntimeWarmStart, SolveHistogramsSplitByStartType) {
   const sim::UniformWorkload w(fig4_shaped(24));
-  const RuntimeStats stats = replay(w, true);
+  const RuntimeStats stats = replay(w);
   ASSERT_EQ(stats.backends.size(), 2u);
 
   // One solve histogram: each backend's solve of each slot lands in it.
@@ -72,16 +51,12 @@ TEST(RuntimeWarmStart, SolveHistogramsSplitByStartType) {
 
   // The start-type split lives on in the counters. Slot 0 of a fresh
   // controller is seeded like every later slot, so no solve pays phase 1.
-  const BackendStats& postcard = stats.backends[0];
-  EXPECT_GT(postcard.lp_solves, 0);
-  EXPECT_EQ(postcard.warm_accepts + postcard.cold_starts, postcard.lp_solves);
-  EXPECT_EQ(postcard.cold_starts, 0);
-  EXPECT_EQ(postcard.warm_accepts, postcard.lp_solves);
-
-  const BackendStats& flow = stats.backends[1];
-  EXPECT_GT(flow.lp_solves, 0);
-  EXPECT_EQ(flow.warm_accepts, 0);
-  EXPECT_EQ(flow.cold_starts, 0);
+  for (const BackendStats& b : stats.backends) {
+    EXPECT_GT(b.lp_solves, 0) << b.name;
+    EXPECT_EQ(b.warm_accepts + b.cold_starts, b.lp_solves) << b.name;
+    EXPECT_EQ(b.cold_starts, 0) << b.name;
+    EXPECT_EQ(b.warm_accepts, b.lp_solves) << b.name;
+  }
 }
 
 TEST(RuntimeWarmStart, LinkDownReplanRollsBackCleanly) {

@@ -7,8 +7,10 @@
 // the first post-restore slot re-verifies every committed plan.
 #include "server/snapshot.h"
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <gtest/gtest.h>
 #include <iterator>
 #include <string>
@@ -59,11 +61,23 @@ void drive(ControllerRuntime& runtime, const sim::WorkloadGenerator& w,
   }
 }
 
+core::PostcardOptions no_storage() {
+  core::PostcardOptions options;
+  options.allow_storage = false;
+  return options;
+}
+
 /// Open file descriptors of this process (entries of /proc/self/fd).
 long open_fd_count() {
   return static_cast<long>(
       std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
                     std::filesystem::directory_iterator{}));
+}
+
+/// Registers Postcard and its no-storage variant, in that order.
+void add_two_backends(ControllerRuntime& runtime) {
+  runtime.add_postcard_backend();
+  runtime.add_postcard_backend(no_storage());
 }
 
 /// Schedules the failure/chaos script both runs share.
@@ -80,8 +94,7 @@ TEST(SnapshotRestore, KillAndRestoreReproducesCostSeriesBitForBit) {
   // Uninterrupted reference run (deterministic mode, fail-fast audits on
   // by default), with scheduled chaos crossing the kill point.
   ControllerRuntime reference{net::Topology(w.topology()), RuntimeOptions{}};
-  reference.add_postcard_backend();
-  reference.add_flow_backend();
+  add_two_backends(reference);
   inject_chaos(reference);
   drive(reference, w, 0, w.num_slots());
   reference.flush_in_flight();
@@ -92,8 +105,7 @@ TEST(SnapshotRestore, KillAndRestoreReproducesCostSeriesBitForBit) {
   const std::string path = temp_snapshot_path("restore");
   {
     ControllerRuntime victim{net::Topology(w.topology()), RuntimeOptions{}};
-    victim.add_postcard_backend();
-    victim.add_flow_backend();
+    add_two_backends(victim);
     inject_chaos(victim);
     drive(victim, w, 0, kill_at);
     write_snapshot_file(path, victim.capture_snapshot());
@@ -104,8 +116,7 @@ TEST(SnapshotRestore, KillAndRestoreReproducesCostSeriesBitForBit) {
   // Restored run: fresh runtime, same registration sequence, state from
   // disk, then the remaining slots.
   ControllerRuntime restored{net::Topology(w.topology()), RuntimeOptions{}};
-  restored.add_postcard_backend();
-  restored.add_flow_backend();
+  add_two_backends(restored);
   restored.restore_snapshot(read_snapshot_file(path));
   EXPECT_EQ(restored.current_slot(), kill_at);
   drive(restored, w, kill_at, w.num_slots());
@@ -156,7 +167,7 @@ TEST(SnapshotRestore, EncodeDecodeIsLossless) {
   const RuntimeSnapshot back = decode_snapshot(bytes);
 
   // Identical state must re-serialize to identical bytes (the ordered
-  // plan/flow ledgers serialize ascending by id precisely so this holds).
+  // plan ledger serializes ascending by id precisely so this holds).
   EXPECT_EQ(encode_snapshot(back), bytes);
   EXPECT_EQ(back.next_slot, snap.next_slot);
   EXPECT_EQ(back.pending_events.size(), snap.pending_events.size());
@@ -273,15 +284,14 @@ TEST(SnapshotRestore, EachCorruptionClassFailsWithItsOwnError) {
 TEST(SnapshotRestore, MismatchedRestoreTargetsAreRefused) {
   const sim::UniformWorkload w(small_workload(24));
   ControllerRuntime source{net::Topology(w.topology()), RuntimeOptions{}};
-  source.add_postcard_backend();
-  source.add_flow_backend();
+  add_two_backends(source);
   drive(source, w, 0, 2);
   const RuntimeSnapshot snap = source.capture_snapshot();
 
   // Backend registration order differs.
   {
     ControllerRuntime target{net::Topology(w.topology()), RuntimeOptions{}};
-    target.add_flow_backend();
+    target.add_postcard_backend(no_storage());
     target.add_postcard_backend();
     EXPECT_THROW(target.restore_snapshot(snap), std::invalid_argument);
   }
@@ -297,19 +307,72 @@ TEST(SnapshotRestore, MismatchedRestoreTargetsAreRefused) {
     other.num_datacenters = 4;
     const sim::UniformWorkload w2(other);
     ControllerRuntime target{net::Topology(w2.topology()), RuntimeOptions{}};
-    target.add_postcard_backend();
-    target.add_flow_backend();
+    add_two_backends(target);
     EXPECT_THROW(target.restore_snapshot(snap), std::invalid_argument);
   }
   // A runtime that already ticked cannot be restored into (caller misuse,
   // so logic_error rather than invalid_argument).
   {
     ControllerRuntime target{net::Topology(w.topology()), RuntimeOptions{}};
-    target.add_postcard_backend();
-    target.add_flow_backend();
+    add_two_backends(target);
     target.tick();
     EXPECT_THROW(target.restore_snapshot(snap), std::logic_error);
   }
+}
+
+TEST(SnapshotRestore, OutOfRangeLinkStateIsRefusedBeforeAnyChange) {
+  // The checksum proves a file intact, not well-formed. A pending link
+  // event naming a link the topology lacks survives encode/decode, and the
+  // tick would index per-link state with it; a capacity or volume the
+  // ledger cannot hold would throw halfway through applying the snapshot.
+  // Restore must refuse each before it changes anything.
+  const sim::UniformWorkload w(small_workload(27));
+  ControllerRuntime source{net::Topology(w.topology()), RuntimeOptions{}};
+  source.add_postcard_backend();
+  drive(source, w, 0, 2);
+  const RuntimeSnapshot good = source.capture_snapshot();
+  const int links = static_cast<int>(good.links.size());
+
+  std::vector<std::function<void(RuntimeSnapshot&)>> crafted;
+  for (const runtime::EventPayload& payload :
+       std::vector<runtime::EventPayload>{
+           runtime::LinkDown{4000},
+           runtime::LinkUp{links},
+           runtime::CapacityChange{-1, 10.0},
+           runtime::CapacityChange{0, -5.0},
+           runtime::CapacityChange{0, std::nan("")},
+       }) {
+    crafted.push_back([payload](RuntimeSnapshot& snap) {
+      snap.pending_events.push_back({3, 0, payload});
+    });
+  }
+  crafted.push_back(
+      [](RuntimeSnapshot& snap) { snap.links[0].capacity = -1.0; });
+  crafted.push_back(
+      [](RuntimeSnapshot& snap) { snap.base_capacity[1] = std::nan(""); });
+  crafted.push_back(
+      [](RuntimeSnapshot& snap) { snap.backends[0].series[0] = {-1.0}; });
+
+  for (std::size_t c = 0; c < crafted.size(); ++c) {
+    RuntimeSnapshot snap = good;
+    crafted[c](snap);
+    const RuntimeSnapshot decoded = decode_snapshot(encode_snapshot(snap));
+    ControllerRuntime target{net::Topology(w.topology()), RuntimeOptions{}};
+    target.add_postcard_backend();
+    EXPECT_THROW(target.restore_snapshot(decoded), std::invalid_argument)
+        << "case " << c;
+    EXPECT_EQ(target.current_slot(), 0) << "case " << c;
+    EXPECT_EQ(target.events().depth(), 0u) << "case " << c;
+    EXPECT_EQ(target.stats().submitted, 0) << "case " << c;
+    EXPECT_EQ(target.policy(0).charge_state().recorder().num_slots(), 0)
+        << "case " << c;
+  }
+
+  // The intact snapshot still restores into a fresh runtime.
+  ControllerRuntime target{net::Topology(w.topology()), RuntimeOptions{}};
+  target.add_postcard_backend();
+  EXPECT_NO_THROW(target.restore_snapshot(good));
+  EXPECT_EQ(target.current_slot(), 2);
 }
 
 TEST(SnapshotRestore, AtomicReplaceNeverLeavesATornFile) {
