@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   replication::StandbyOptions options;
   options.primary_port = 0;
   options.promoted_snapshot_path = "postcard_standby.psnp";
-  // The mirror replays every slot; the default options (no wall-clock slot
-  // deadline) keep its fingerprints equal to the primary's.
+  // The mirror replays every slot; runtime options equal to the primary's
+  // (here both defaults) keep its fingerprints equal to the primary's.
   options.runtime.dedup_submissions = true;
   for (int i = 1; i + 1 < argc; i += 2) {
     if (std::strcmp(argv[i], "--primary-repl-port") == 0) {

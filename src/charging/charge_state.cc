@@ -25,14 +25,12 @@ void ChargeState::uncommit(int link, int slot, double volume) {
   charged_[link] = recorder_.max_volume(link);
 }
 
-ChargeState ChargeState::restore(PercentileRecorder recorder,
-                                 std::vector<double> charged) {
-  if (recorder.num_links() != static_cast<int>(charged.size())) {
-    throw std::invalid_argument("charged vector / recorder link mismatch");
-  }
+ChargeState ChargeState::restore(PercentileRecorder recorder) {
   ChargeState state(recorder.num_links());
   state.recorder_ = std::move(recorder);
-  state.charged_ = std::move(charged);
+  for (int l = 0; l < state.num_links(); ++l) {
+    state.charged_[l] = state.recorder_.max_volume(l);
+  }
   return state;
 }
 

@@ -52,17 +52,11 @@ class ChargeState {
   /// Full per-slot history, for ex-post q-percentile accounting.
   const PercentileRecorder& recorder() const { return recorder_; }
 
-  /// Per-link running maxima X_ij, for snapshot capture.
-  const std::vector<double>& charged_all() const { return charged_; }
-
-  /// Snapshot restore: rebuilds a charge state from its captured parts.
-  /// `charged` must hold one running maximum per recorder link; by the
-  /// commit()/uncommit() contract it always equals the series maximum, but
-  /// it is restored verbatim so a restored state answers every query with
-  /// exactly the captured doubles. Throws std::invalid_argument on a link
-  /// count mismatch.
-  static ChargeState restore(PercentileRecorder recorder,
-                             std::vector<double> charged);
+  /// Snapshot restore: rebuilds a charge state from its per-slot record.
+  /// X_ij is set to each series' maximum, which by the commit()/uncommit()
+  /// contract is exactly the double the captured state held, so a restored
+  /// state answers every query bit for bit.
+  static ChargeState restore(PercentileRecorder recorder);
 
   /// TEST ONLY: writable recorder so the audit mutation tests can move a
   /// series maximum away from X_ij (PercentileRecorder::corrupt_series_for_test).

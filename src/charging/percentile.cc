@@ -91,7 +91,9 @@ PercentileRecorder PercentileRecorder::from_series(
       throw std::invalid_argument("series longer than the restored slot count");
     }
     for (const double v : s) {
-      if (v < 0.0) throw std::invalid_argument("negative series volume");
+      if (!std::isfinite(v) || v < 0.0) {
+        throw std::invalid_argument("negative or non-finite series volume");
+      }
     }
   }
   PercentileRecorder r(static_cast<int>(series.size()));

@@ -81,8 +81,8 @@ class PercentileRecorder {
   /// longest series when reduce() zeroed a trailing slot) and
   /// `reduce_violations` the accounting-mismatch counter, so a restored
   /// recorder is indistinguishable from the one captured. Throws
-  /// std::invalid_argument on negative volumes or a series longer than
-  /// `num_slots`.
+  /// std::invalid_argument on a negative or non-finite volume or a series
+  /// longer than `num_slots`.
   static PercentileRecorder from_series(std::vector<std::vector<double>> series,
                                         int num_slots, long reduce_violations);
 

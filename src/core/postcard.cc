@@ -37,11 +37,7 @@ sim::ScheduleOutcome PostcardController::schedule(
   // limit. With inactive controls (`ladder` false) everything below is the
   // legacy drop-and-retry admission, bit for bit.
   const bool ladder = controls_.active();
-  lp::SolveBudget budget;
-  if (controls_.max_pivots >= 0) budget.set_pivot_limit(controls_.max_pivots);
-  if (controls_.deadline_seconds >= 0.0) {
-    budget.set_deadline_seconds(controls_.deadline_seconds);
-  }
+  lp::SolveBudget budget = lp::SolveBudget::pivot_limit(controls_.max_pivots);
   lp::SolveBudget* bp = budget.limited() ? &budget : nullptr;
 
   // Files the LP rungs could not place; handed to the greedy rung below.

@@ -5,7 +5,7 @@
 
 namespace postcard::lp {
 
-Solution solve(const LpModel& model, SolveBudget* budget) {
+Solution solve(const LpModel& model) {
   Presolver presolver;
   Presolver::Result reduced = presolver.reduce(model);
   if (reduced.decided.has_value()) {
@@ -13,7 +13,7 @@ Solution solve(const LpModel& model, SolveBudget* budget) {
     s.status = *reduced.decided;
     return s;
   }
-  const Solution inner = RevisedSimplex().solve(reduced.reduced, nullptr, budget);
+  const Solution inner = RevisedSimplex().solve(reduced.reduced);
   if (inner.status == SolveStatus::kInfeasible ||
       inner.status == SolveStatus::kUnbounded ||
       inner.status == SolveStatus::kNumericalFailure) {

@@ -10,16 +10,13 @@
 // (lp/certificate.h) checks such a result for optimality.
 #pragma once
 
-#include "lp/budget.h"
 #include "lp/model.h"
 #include "lp/status.h"
 
 namespace postcard::lp {
 
 /// Solves the model. Never throws on numerical trouble; inspect
-/// Solution::status. A limited `budget` is charged per pivot; exhaustion
-/// yields kDeadlineExceeded with the best iterate so far (postsolved like
-/// any interrupted solution).
-Solution solve(const LpModel& model, SolveBudget* budget = nullptr);
+/// Solution::status.
+Solution solve(const LpModel& model);
 
 }  // namespace postcard::lp

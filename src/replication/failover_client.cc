@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 
@@ -10,8 +11,20 @@ namespace postcard::replication {
 using server::PostcardClient;
 using server::WireError;
 
+namespace {
+
+/// Total transport failures tolerated per operation before rethrowing.
+constexpr int kMaxAttempts = 8;
+/// Bounded exponential backoff between reconnects, with deterministic
+/// jitter (a fixed seed; no wall-clock entropy).
+constexpr int kBackoffBaseMs = 10;
+constexpr int kBackoffMaxMs = 250;
+constexpr std::uint32_t kJitterSeed = 1;
+
+}  // namespace
+
 FailoverClient::FailoverClient(FailoverClientOptions options)
-    : options_(std::move(options)), rng_(options_.jitter_seed) {
+    : options_(std::move(options)), rng_(kJitterSeed) {
   if (options_.endpoints.empty()) {
     throw std::invalid_argument("FailoverClient needs at least one endpoint");
   }
@@ -21,8 +34,8 @@ PostcardClient& FailoverClient::ensure_client() {
   if (client_ == nullptr) {
     const FailoverEndpoint& ep =
         options_.endpoints[static_cast<std::size_t>(active_)];
-    client_ = std::make_unique<PostcardClient>(
-        ep.host, ep.port, options_.max_frame_bytes, options_.io_timeout_ms);
+    client_ = std::make_unique<PostcardClient>(ep.host, ep.port,
+                                               options_.io_timeout_ms);
   }
   return *client_;
 }
@@ -33,8 +46,7 @@ void FailoverClient::on_failure() {
   consecutive_failures_++;
   active_ = (active_ + 1) % static_cast<int>(options_.endpoints.size());
   const int shift = std::min(consecutive_failures_ - 1, 10);
-  const int base =
-      std::min(options_.backoff_max_ms, options_.backoff_base_ms << shift);
+  const int base = std::min(kBackoffMaxMs, kBackoffBaseMs << shift);
   const int jitter =
       static_cast<int>(rng_() % static_cast<unsigned>(base / 2 + 1));
   std::this_thread::sleep_for(std::chrono::milliseconds(base + jitter));
@@ -49,7 +61,7 @@ auto FailoverClient::with_retry(Op&& op)
       consecutive_failures_ = 0;
       return result;
     } catch (const WireError&) {
-      if (attempt + 1 >= options_.max_attempts) throw;
+      if (attempt + 1 >= kMaxAttempts) throw;
       on_failure();
     }
   }
@@ -87,7 +99,7 @@ int FailoverClient::advance_to(int target_slot) {
     try {
       ensure_client().advance(target_slot - cur);
     } catch (const WireError&) {
-      if (++attempt >= options_.max_attempts) throw;
+      if (++attempt >= kMaxAttempts) throw;
       on_failure();
     }
   }

@@ -16,7 +16,6 @@
 // matter how many retries it took.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <random>
 #include <string>
@@ -36,12 +35,6 @@ struct FailoverClientOptions {
   /// SO_RCVTIMEO/SO_SNDTIMEO per call, so a dead primary fails the call in
   /// bounded time instead of hanging the client forever.
   int io_timeout_ms = 1000;
-  /// Total transport failures tolerated per operation before rethrowing.
-  int max_attempts = 8;
-  int backoff_base_ms = 10;
-  int backoff_max_ms = 250;
-  std::uint32_t jitter_seed = 1;
-  std::size_t max_frame_bytes = server::kDefaultMaxFrameBytes;
 };
 
 class FailoverClient {

@@ -23,19 +23,20 @@ using server::MessageType;
 using server::WireError;
 using server::WireTimeout;
 
+namespace {
+
+/// Tap-buffer cap. Overflow (a standby stalled across this many pushes)
+/// drops the connection for a reseed instead of buffering unboundedly.
+constexpr std::size_t kTapBufferCap = std::size_t{1} << 16;
+
+}  // namespace
+
 ReplicationPrimary::ReplicationPrimary(PrimaryOptions options)
     : options_(std::move(options)) {}
 
 ReplicationPrimary::~ReplicationPrimary() { stop(); }
 
 void ReplicationPrimary::attach(server::PostcardServer& server) {
-  if (server.runtime_options().slot_deadline_seconds > 0.0) {
-    // The standby replays every slot; a wall-clock cut would land on
-    // different pivots there, so every commit would look diverged.
-    throw std::invalid_argument(
-        "replication primary cannot ship a wall-clock slot deadline "
-        "(slot_deadline_seconds must be 0)");
-  }
   server_ = &server;
   // The tap runs under the queue lock and takes only buf_mu_ (leaf lock) —
   // see the lock-order note in the header. SlotTicks are filtered out
@@ -45,7 +46,7 @@ void ReplicationPrimary::attach(server::PostcardServer& server) {
     if (std::holds_alternative<runtime::SlotTick>(e.payload)) return;
     base::MutexLock lock(buf_mu_);
     if (overflowed_) return;
-    if (buffer_.size() >= options_.buffer_cap) {
+    if (buffer_.size() >= kTapBufferCap) {
       overflowed_ = true;
       return;
     }
@@ -348,7 +349,7 @@ void ReplicationPrimary::io_loop() {
       bool drop = false;
       try {
         Frame frame;
-        if (!server::read_frame(conn, &frame, options_.max_frame_bytes)) {
+        if (!server::read_frame(conn, &frame, kReplMaxFrameBytes)) {
           drop = true;  // standby went away
         } else {
           switch (frame.type) {

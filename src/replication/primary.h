@@ -44,10 +44,6 @@ struct PrimaryOptions {
   int send_timeout_ms = 5000;
   /// Heartbeat (and between-commit event flush) period.
   int heartbeat_every_ms = 200;
-  /// Tap-buffer cap. Overflow (a standby stalled across this many pushes)
-  /// drops the connection for a reseed instead of buffering unboundedly.
-  std::size_t buffer_cap = std::size_t{1} << 16;
-  std::size_t max_frame_bytes = kReplMaxFrameBytes;
   /// Test hook: shrink the standby socket's send buffer to force
   /// WireTimeout on a non-draining peer (0 = leave the default).
   int sndbuf_bytes = 0;
@@ -75,9 +71,7 @@ class ReplicationPrimary {
   ReplicationPrimary& operator=(const ReplicationPrimary&) = delete;
 
   /// Installs the queue tap and post-tick hook on `server`. Must run
-  /// before server.start() (and before any submission exists). Throws
-  /// std::invalid_argument when the server's runtime options cannot be
-  /// replayed on a standby (slot_deadline_seconds > 0).
+  /// before server.start() (and before any submission exists).
   void attach(server::PostcardServer& server);
 
   /// Binds the replication listener and spawns the io + heartbeat

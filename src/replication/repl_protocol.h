@@ -34,9 +34,9 @@ namespace postcard::replication {
 inline constexpr std::size_t kReplMaxFrameBytes = std::size_t{1} << 26;
 
 /// Deterministic digest of driver-committed state. Two runtimes that
-/// replayed the same event prefix without a wall-clock slot deadline
-/// produce the same value; any divergence in a cost series, admission
-/// outcome, or ladder decision flips it.
+/// share RuntimeOptions and replayed the same event prefix produce the
+/// same value; any divergence in a cost series, admission outcome, or
+/// ladder decision flips it.
 std::uint64_t runtime_fingerprint(const runtime::RuntimeStats& s);
 
 struct ReplHello {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <random>
 #include <stdexcept>
@@ -24,6 +25,9 @@ using server::WireError;
 using server::WireTimeout;
 
 namespace {
+
+/// Seed of the reconnect backoff's jitter: fixed, so no wall-clock entropy.
+constexpr std::uint32_t kJitterSeed = 42;
 
 /// Sleeps in small increments so stop() stays responsive mid-backoff.
 template <typename Alive>
@@ -43,14 +47,6 @@ ReplicationStandby::ReplicationStandby(
     : topology_(std::move(topology)),
       backends_(std::move(backends)),
       options_(std::move(options)) {
-  if (options_.runtime.slot_deadline_seconds > 0.0) {
-    // Failover correctness IS replay determinism; a wall-clock cut lands on
-    // different pivots here and on the primary, so every commit would look
-    // diverged.
-    throw std::invalid_argument(
-        "replication standby cannot replay a wall-clock slot deadline "
-        "(slot_deadline_seconds must be 0)");
-  }
   if (backends_.empty()) {
     throw std::invalid_argument("replication standby needs at least one backend");
   }
@@ -290,7 +286,7 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
 }
 
 void ReplicationStandby::run() {
-  std::minstd_rand rng(options_.jitter_seed);
+  std::minstd_rand rng(kJitterSeed);
   const auto alive = [this] {
     return running_.load(std::memory_order_acquire);
   };
@@ -326,7 +322,7 @@ void ReplicationStandby::run() {
                               .encode());
       Frame frame;
       while (alive()) {
-        if (!server::read_frame(fd, &frame, options_.max_frame_bytes)) {
+        if (!server::read_frame(fd, &frame, kReplMaxFrameBytes)) {
           break;  // hard EOF: the primary died or dropped us
         }
         saw_frame = true;

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -44,10 +43,10 @@ struct StandbyOptions {
   /// Where the promoted server binds after failover.
   std::string serve_host = "127.0.0.1";
   int serve_port = 0;
-  /// Runtime options for the mirror AND the promoted server. Must be
-  /// replayable (slot_deadline_seconds == 0: a wall-clock cut lands on
-  /// different pivots on each side) — replay equivalence is what failover
-  /// correctness rests on; the constructor throws otherwise.
+  /// Runtime options for the mirror AND the promoted server; they must
+  /// equal the primary's, since replay equivalence is what failover
+  /// correctness rests on. Every accepted configuration replays
+  /// deterministically (the slot watchdog counts pivots, never a clock).
   /// dedup_submissions is forced on so client retries across the failover
   /// apply exactly once.
   runtime::RuntimeOptions runtime;
@@ -57,11 +56,9 @@ struct StandbyOptions {
   /// Consecutive connect/read failures tolerated before failover.
   int reconnect_attempts = 3;
   /// Bounded exponential backoff between reconnects, with deterministic
-  /// jitter (seeded; no wall-clock entropy).
+  /// jitter (a fixed seed; no wall-clock entropy).
   int backoff_base_ms = 25;
   int backoff_max_ms = 400;
-  std::uint32_t jitter_seed = 42;
-  std::size_t max_frame_bytes = kReplMaxFrameBytes;
   /// Snapshot path handed to the promoted server ("" = none).
   std::string promoted_snapshot_path;
 };
@@ -86,8 +83,7 @@ class ReplicationStandby {
   /// `backends` lists the options of each Postcard backend, in the
   /// primary's registration order: the mirror and the promoted server
   /// register exactly this sequence, or snapshot restore refuses the seed.
-  /// Throws std::invalid_argument when `backends` is empty or
-  /// options.runtime is not deterministic (see StandbyOptions::runtime).
+  /// Throws std::invalid_argument when `backends` is empty.
   ReplicationStandby(net::Topology topology,
                      std::vector<core::PostcardOptions> backends,
                      StandbyOptions options);

@@ -249,9 +249,6 @@ void ControllerRuntime::solve_slot(int slot,
     if (options_.slot_pivot_budget > 0) {
       controls.max_pivots = options_.slot_pivot_budget;
     }
-    if (options_.slot_deadline_seconds > 0.0) {
-      controls.deadline_seconds = options_.slot_deadline_seconds;
-    }
     if (b.injected_stall >= 0) controls.max_pivots = b.injected_stall;
     if (b.injected_fault > 0) controls.disable_rungs = b.injected_fault;
     b.injected_stall = -1;
@@ -481,7 +478,6 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
     }
     bs.series_slots = rec.num_slots();
     bs.reduce_violations = rec.reduce_violations();
-    bs.charged = charge.charged_all();
     {
       base::MutexLock ledger(ledger_mu_);
       bs.plans.reserve(b.plans.size());
@@ -563,15 +559,13 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
                                   b.controller.name() + "', snapshot holds '" +
                                   bs.name + "'");
     }
-    if (static_cast<int>(bs.series.size()) != live_topology_.num_links() ||
-        bs.charged.size() != bs.series.size()) {
+    if (static_cast<int>(bs.series.size()) != live_topology_.num_links()) {
       throw std::invalid_argument("restore_snapshot: charge ledger of '" +
                                   bs.name + "' has wrong link count");
     }
     charges.push_back(charging::ChargeState::restore(
         charging::PercentileRecorder::from_series(bs.series, bs.series_slots,
-                                                  bs.reduce_violations),
-        bs.charged));
+                                                  bs.reduce_violations)));
   }
   // --- Apply. Nothing below throws on snapshot contents. ---
   next_slot_ = snap.next_slot;

@@ -26,9 +26,9 @@
 // workload order, each backend receives exactly the schedule() call
 // sequence that sim::run_simulation would issue, so with the watchdog
 // unarmed its cost series is bit-for-bit identical to the offline replay.
-// Event-driven runs (failures, chaos, pivot budgets) are reproducible for a
-// fixed submission order. The one exception is slot_deadline_seconds, a
-// wall-clock cut that lands on different pivots from run to run.
+// Every configuration the runtime accepts is reproducible for a fixed
+// submission order, event-driven runs (failures, chaos, pivot budgets)
+// included: no input to a slot's plan reads a clock.
 #pragma once
 
 #include <map>
@@ -52,12 +52,11 @@ namespace postcard::runtime {
 
 struct RuntimeOptions {
   /// Slot watchdog (degradation ladder; see DESIGN.md §9). A positive
-  /// pivot budget caps the total simplex pivots each backend may spend per
-  /// slot — deterministic, so replays degrade identically. A positive
-  /// deadline caps wall-clock seconds per slot solve (production mode; NOT
-  /// deterministic, so replication refuses it). 0 disables.
+  /// budget caps the lp::SolveBudget units each backend may spend per
+  /// slot, one per simplex iteration step: every pivot, and also each
+  /// pass that proves a phase optimal (lp/budget.h). A count, not a
+  /// clock, so replays degrade identically. 0 disables.
   long slot_pivot_budget = 0;
-  double slot_deadline_seconds = 0.0;
   /// Plan auditor (src/audit), armed on every backend at registration.
   /// Fail-fast by default: an operational engine must never run on an
   /// invalid plan, and the audit's cost is a few percent of a slot solve.
@@ -148,9 +147,8 @@ class ControllerRuntime {
   /// match the captured runtime's, and every capacity, charge ledger and
   /// pending link event (link_event_error) must be one the runtime can
   /// apply; anything else throws std::invalid_argument before any state
-  /// changes. Must run before the first tick. A restored runtime without a
-  /// wall-clock slot deadline reproduces the captured run's remaining cost
-  /// series bit for bit.
+  /// changes. Must run before the first tick. A restored runtime
+  /// reproduces the captured run's remaining cost series bit for bit.
   void restore_snapshot(const RuntimeSnapshot& snapshot)
       EXCLUDES(stats_mu_, ledger_mu_);
 

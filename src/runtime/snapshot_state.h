@@ -7,9 +7,8 @@
 // format — versioned header, bounds-checked decoding, checksum, atomic
 // replace — lives in src/server/snapshot.h, which serializes exactly the
 // fields below. Every volume and cost is carried as the exact double the
-// live engine held, so a restored run without a wall-clock slot deadline
-// reproduces the remaining cost series bit for bit (tested in
-// tests/server).
+// live engine held, so a restored run reproduces the remaining cost series
+// bit for bit (tested in tests/server).
 #pragma once
 
 #include <cstdint>
@@ -39,12 +38,11 @@ struct BackendSnapshot {
   std::string name;
 
   // Charge ledger: raw per-link per-slot committed volumes, the observed
-  // slot count, the reduce() mismatch counter and the running maxima X_ij
-  // (see charging::ChargeState::restore).
+  // slot count and the reduce() mismatch counter. X_ij is not stored: it
+  // is each series' maximum (see charging::ChargeState::restore).
   std::vector<std::vector<double>> series;
   int series_slots = 0;
   long reduce_violations = 0;
-  std::vector<double> charged;
 
   // Committed in-flight work and files queued for the next solve.
   std::vector<PlanLedgerEntry> plans;

@@ -10,8 +10,7 @@
 namespace postcard::server {
 
 PostcardClient::PostcardClient(const std::string& host, int port,
-                               std::size_t max_frame_bytes, int io_timeout_ms)
-    : max_frame_bytes_(max_frame_bytes) {
+                               int io_timeout_ms) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) {
     throw WireError("socket() failed: errno " + std::to_string(errno));
@@ -49,7 +48,7 @@ Frame PostcardClient::roundtrip(MessageType request,
                                 MessageType expect, bool allow_backpressure) {
   write_frame(fd_, request, payload);
   Frame reply;
-  if (!read_frame(fd_, &reply, max_frame_bytes_)) {
+  if (!read_frame(fd_, &reply, kDefaultMaxFrameBytes)) {
     throw WireError("server closed the connection before replying");
   }
   if (reply.type == MessageType::kError) {

@@ -21,9 +21,7 @@ class PostcardClient {
   /// failover client uses this so a dead primary fails a call in bounded
   /// time instead of blocking forever. 0 keeps the historical fully
   /// blocking behavior.
-  PostcardClient(const std::string& host, int port,
-                 std::size_t max_frame_bytes = kDefaultMaxFrameBytes,
-                 int io_timeout_ms = 0);
+  PostcardClient(const std::string& host, int port, int io_timeout_ms = 0);
   ~PostcardClient();
 
   PostcardClient(const PostcardClient&) = delete;
@@ -66,7 +64,6 @@ class PostcardClient {
                   MessageType expect, bool allow_backpressure = false);
 
   int fd_ = -1;
-  std::size_t max_frame_bytes_;
 };
 
 }  // namespace postcard::server

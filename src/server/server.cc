@@ -21,6 +21,11 @@ namespace {
 /// malforming, not planning.
 constexpr int kMaxSlotsPerAdvance = 1 << 20;
 
+/// Upper bound on files in one SubmitBatch frame.
+constexpr std::size_t kMaxBatchFiles = 100000;
+
+constexpr int kListenBacklog = 64;
+
 }  // namespace
 
 PostcardServer::PostcardServer(net::Topology topology, ServerOptions options)
@@ -67,7 +72,7 @@ void PostcardServer::start() {
                     std::to_string(options_.port) + " failed: errno " +
                     std::to_string(err));
   }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     const int err = errno;
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -195,7 +200,7 @@ void PostcardServer::session_loop(Session* session) {
   const int fd = session->fd;
   try {
     Frame frame;
-    while (read_frame(fd, &frame, options_.max_frame_bytes)) {
+    while (read_frame(fd, &frame, kDefaultMaxFrameBytes)) {
       frames_received_.fetch_add(1, std::memory_order_relaxed);
       if (!handle_frame(fd, frame)) break;
     }
@@ -253,10 +258,10 @@ bool PostcardServer::handle_frame(int fd, const Frame& frame) {
     }
     case MessageType::kSubmitBatch: {
       const SubmitBatchRequest req = SubmitBatchRequest::decode(frame.payload);
-      if (req.files.size() > options_.max_batch_files) {
+      if (req.files.size() > kMaxBatchFiles) {
         throw WireError("batch of " + std::to_string(req.files.size()) +
                         " files exceeds limit of " +
-                        std::to_string(options_.max_batch_files));
+                        std::to_string(kMaxBatchFiles));
       }
       BatchReply out;
       out.verdicts.reserve(req.files.size());

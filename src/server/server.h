@@ -52,10 +52,6 @@ struct ServerOptions {
   /// (0 = slots advance only via AdvanceSlot requests — the mode tests
   /// use, keeping the clock deterministic).
   int slot_every_ms = 0;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Upper bound on files in one SubmitBatch frame.
-  std::size_t max_batch_files = 100000;
-  int listen_backlog = 64;
   /// Per-session read deadline in milliseconds (SO_RCVTIMEO on the session
   /// socket). A peer that sends nothing for this long — stalled, half-open,
   /// or gone without a FIN — is reaped: the session closes quietly and
@@ -122,9 +118,6 @@ class PostcardServer {
   /// Direct runtime access for tests and --metrics-dump on the server side.
   /// stats() is thread-safe; anything else must respect the driver contract.
   runtime::ControllerRuntime& runtime() { return runtime_; }
-  const runtime::RuntimeOptions& runtime_options() const {
-    return options_.runtime;
-  }
 
   /// RuntimeStats with the server's session counters folded in.
   runtime::RuntimeStats stats() const;

@@ -43,8 +43,6 @@ void encode_backend(ByteWriter& w, const runtime::BackendSnapshot& b) {
   encode_series(w, b.series);
   w.i32(b.series_slots);
   w.i64(b.reduce_violations);
-  w.u32(static_cast<std::uint32_t>(b.charged.size()));
-  for (double c : b.charged) w.f64(c);
   w.u32(static_cast<std::uint32_t>(b.plans.size()));
   for (const runtime::PlanLedgerEntry& p : b.plans) {
     encode_file_request(w, p.request);
@@ -67,9 +65,6 @@ runtime::BackendSnapshot decode_backend(ByteReader& r) {
   b.series = decode_series(r);
   b.series_slots = r.i32();
   b.reduce_violations = r.i64();
-  const std::size_t charged = r.length(8);
-  b.charged.reserve(charged);
-  for (std::size_t i = 0; i < charged; ++i) b.charged.push_back(r.f64());
   const std::size_t plans = r.length(4 * 4 + 8 + 4 + 4 + 4 + 4);
   b.plans.reserve(plans);
   for (std::size_t i = 0; i < plans; ++i) {

@@ -40,7 +40,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x50534E50;  // "PSNP"
 // v8: the embedded BackendStats lost its audit report lines.
 // v9: every backend is a Postcard controller, so a backend section lost
 // its kind tag and its flow-baseline ledger count (8 bytes per backend).
-inline constexpr std::uint32_t kSnapshotVersion = 9;
+// v10: a backend section lost its running maxima X_ij, a u32 count and
+// 8 bytes per link (4 + 8L bytes): restore derives each from its series.
+inline constexpr std::uint32_t kSnapshotVersion = 10;
 
 /// FNV-1a 64-bit over a byte range.
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);

@@ -69,11 +69,10 @@ struct ScheduleOutcome {
 
 /// Per-slot solve budget and ladder controls, pushed by the runtime's
 /// watchdog into core::PostcardController before each schedule() call.
-/// Pivot budgets are deterministic (bit-for-bit replays); wall-clock
-/// deadlines are for production.
+/// The budget is a count (lp/budget.h), never a clock, so a replay with
+/// the same controls degrades identically, bit for bit.
 struct SolveControls {
-  long max_pivots = -1;          // total simplex pivots per slot; -1 unlimited
-  double deadline_seconds = -1.0;  // wall-clock per slot; < 0 unlimited
+  long max_pivots = -1;  // lp::SolveBudget units per slot; -1 unlimited
   // Fault injection / chaos: disable the leading ladder rungs. >= 1
   // disables the column-generation rungs (as if the solver faulted before
   // its first master solve, forcing the greedy fallback), >= 2 disables
@@ -81,7 +80,7 @@ struct SolveControls {
   int disable_rungs = 0;
 
   bool active() const {
-    return max_pivots >= 0 || deadline_seconds >= 0.0 || disable_rungs > 0;
+    return max_pivots >= 0 || disable_rungs > 0;
   }
 };
 

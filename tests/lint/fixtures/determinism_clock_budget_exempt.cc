@@ -1,6 +1,7 @@
 // postcard-lint-fixture: src/lp/budget.h
-// The single sanctioned wall-clock site: lp::SolveBudget's deadline
-// plumbing. Zero findings despite the steady_clock reads.
+// No file of the deterministic core may read a clock, lp::SolveBudget's
+// header included: its budget is a pivot count. Two findings, one per
+// steady_clock use.
 #include <chrono>
 
 struct FixtureSolveBudget {

@@ -62,7 +62,9 @@ struct FixtureCase {
 // shares its file with (or pairs with) a clean no-false-positive case.
 const FixtureCase kCases[] = {
     {"determinism_clock.cc", {{"postcard-determinism-clock", 2}}, 0},
-    {"determinism_clock_budget_exempt.cc", {}, 0},
+    {"determinism_clock_budget_exempt.cc",
+     {{"postcard-determinism-clock", 2}},
+     0},
     {"determinism_rand.cc", {{"postcard-determinism-rand", 3}}, 0},
     {"determinism_unordered_iter.cc",
      {{"postcard-determinism-unordered-iter", 2}},

@@ -1,9 +1,8 @@
-// Solver diagnostics and facade behavior: statistics fields, budget
-// plumbing and option handling.
+// Solver diagnostics: statistics fields, the pivot budget and option
+// handling.
 #include <gtest/gtest.h>
 
 #include "lp/simplex.h"
-#include "lp/solver.h"
 
 namespace postcard::lp {
 namespace {
@@ -90,13 +89,6 @@ TEST(SolveBudget, UnlimitedByDefault) {
   EXPECT_FALSE(b.exhausted());
 }
 
-TEST(SolveBudget, ExpiredDeadlineExhaustsImmediately) {
-  SolveBudget b = SolveBudget::deadline(0.0);
-  EXPECT_TRUE(b.limited());
-  EXPECT_FALSE(b.charge());
-  EXPECT_TRUE(b.exhausted());
-}
-
 TEST(SolverDiagnostics, ZeroPivotBudgetCutsSimplexCooperatively) {
   SolveBudget b = SolveBudget::pivot_limit(0);
   const Solution s = RevisedSimplex().solve(dantzig(), nullptr, &b);
@@ -115,10 +107,22 @@ TEST(SolverDiagnostics, GenerousBudgetLeavesSolveBitForBitIdentical) {
   EXPECT_GT(b.charged(), 0);
 }
 
-TEST(SolverDiagnostics, FacadeThreadsBudgetToTheSimplex) {
-  SolveBudget budget = SolveBudget::pivot_limit(0);
-  const Solution a = solve(dantzig(), &budget);
-  EXPECT_EQ(a.status, SolveStatus::kDeadlineExceeded);
+TEST(SolveBudget, AUnitBuysOneIterationStepNotOnePivot) {
+  // The Dantzig LP takes two pivots. Each of its two phase-2 passes
+  // (perturbed costs, then the true costs) also spends one unit on the
+  // step that proves it optimal, so the solve charges 4 units, and 2 or 3
+  // units stop it with both pivots done but optimality unproven.
+  SolveBudget generous = SolveBudget::pivot_limit(100000);
+  const Solution full = RevisedSimplex().solve(dantzig(), nullptr, &generous);
+  ASSERT_EQ(full.status, SolveStatus::kOptimal);
+  ASSERT_EQ(full.iterations, 2);
+  EXPECT_EQ(generous.charged(), 4);
+  for (const long units : {2L, 3L}) {
+    SolveBudget b = SolveBudget::pivot_limit(units);
+    const Solution s = RevisedSimplex().solve(dantzig(), nullptr, &b);
+    EXPECT_EQ(s.status, SolveStatus::kDeadlineExceeded) << units << " units";
+    EXPECT_EQ(s.iterations, 2) << units << " units";
+  }
 }
 
 }  // namespace

@@ -32,8 +32,8 @@ inline sim::WorkloadParams repl_workload(std::uint64_t seed) {
   return p;
 }
 
-/// Runtime options both sides of a replicated pair must share:
-/// idempotent submissions (and no wall-clock slot deadline, the default).
+/// Runtime options both sides of a replicated pair must share, with
+/// idempotent submissions on.
 inline runtime::RuntimeOptions replicated_runtime_options() {
   runtime::RuntimeOptions options;
   options.dedup_submissions = true;

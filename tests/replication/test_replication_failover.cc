@@ -1,11 +1,12 @@
 // Deterministic-mode failover: a primary killed abruptly mid-run hands
 // over to its standby, and the survivor's remaining cost series is
-// bit-for-bit identical to an unfailed run — plus exactly-once client
-// resubmission across the failover and the standby's refusal to promote
-// when it was never seeded.
+// bit-for-bit identical to an unfailed run, with and without a slot pivot
+// budget — plus exactly-once client resubmission across the failover and
+// the standby's refusal to promote when it was never seeded.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "replication/failover_client.h"
@@ -22,15 +23,21 @@ using server::PostcardClient;
 using server::PostcardServer;
 using server::ServerOptions;
 
-TEST(ReplicationFailover, SurvivorReproducesTheUnfailedRunBitForBit) {
+/// Runs repl_workload(61) on one uninterrupted server and on a replicated
+/// pair whose primary dies after slot 3, every runtime under the same
+/// `pivot_budget` (0: no watchdog), and checks the survivor finishes with
+/// the unfailed run's stats.
+void expect_survivor_reproduces_unfailed_run(long pivot_budget) {
   const sim::UniformWorkload w(repl_workload(61));
   const int kill_at = 4;
+  runtime::RuntimeOptions runtime_options = replicated_runtime_options();
+  runtime_options.slot_pivot_budget = pivot_budget;
 
   // Reference: the same workload on a single uninterrupted server.
   runtime::RuntimeStats ref_stats;
   {
     ServerOptions options;
-    options.runtime = replicated_runtime_options();
+    options.runtime = runtime_options;
     PostcardServer server{net::Topology(w.topology()), options};
     server.add_postcard_backend();
     server.start();
@@ -46,7 +53,7 @@ TEST(ReplicationFailover, SurvivorReproducesTheUnfailedRunBitForBit) {
 
   // Replicated pair.
   ServerOptions options;
-  options.runtime = replicated_runtime_options();
+  options.runtime = runtime_options;
   auto primary_server = std::make_unique<PostcardServer>(
       net::Topology(w.topology()), options);
   primary_server->add_postcard_backend();
@@ -58,9 +65,10 @@ TEST(ReplicationFailover, SurvivorReproducesTheUnfailedRunBitForBit) {
   primary.start();
   const int primary_port = primary_server->port();
 
+  StandbyOptions standby_options = test_standby_options(primary.port());
+  standby_options.runtime = runtime_options;
   ReplicationStandby standby(net::Topology(w.topology()),
-                             {core::PostcardOptions{}},
-                             test_standby_options(primary.port()));
+                             {core::PostcardOptions{}}, standby_options);
   standby.start();
   ASSERT_TRUE(wait_standby_connected(primary));
 
@@ -136,8 +144,25 @@ TEST(ReplicationFailover, SurvivorReproducesTheUnfailedRunBitForBit) {
   EXPECT_EQ(got.failed_files, ref.failed_files);
   EXPECT_EQ(got.accepted_files + got.rejected_files,
             ref.accepted_files + ref.rejected_files);
+  // The watchdog cut the same slots the same way on both sides.
+  EXPECT_EQ(got.degraded_slots, ref.degraded_slots);
+  EXPECT_EQ(got.rung_full, ref.rung_full);
+  EXPECT_EQ(got.rung_truncated, ref.rung_truncated);
+  EXPECT_EQ(got.rung_greedy, ref.rung_greedy);
+  EXPECT_EQ(standby.stats().fingerprint_mismatches, 0);
+  if (pivot_budget > 0) {
+    EXPECT_GT(ref.degraded_slots, 0);
+    EXPECT_GT(ref.rung_truncated, 0);
+  }
 
   standby.stop();
+}
+
+TEST(ReplicationFailover, SurvivorReproducesTheUnfailedRunBitForBit) {
+  for (const long pivot_budget : {0L, 10L}) {
+    SCOPED_TRACE("slot_pivot_budget " + std::to_string(pivot_budget));
+    expect_survivor_reproduces_unfailed_run(pivot_budget);
+  }
 }
 
 TEST(ReplicationFailover, NeverSeededStandbyFailsInsteadOfPromoting) {
@@ -164,26 +189,6 @@ TEST(ReplicationFailover, NeverSeededStandbyFailsInsteadOfPromoting) {
   EXPECT_FALSE(standby.promoted());
   EXPECT_EQ(standby.server(), nullptr);
   standby.stop();
-}
-
-TEST(ReplicationFailover, NonDeterministicMirrorOptionsAreRefused) {
-  // A wall-clock slot deadline cuts the primary's and the mirror's solves
-  // at different pivots, so neither end may accept it.
-  const sim::UniformWorkload w(repl_workload(63));
-  StandbyOptions options = test_standby_options(1);
-  options.runtime.slot_deadline_seconds = 0.5;
-  EXPECT_THROW(ReplicationStandby(net::Topology(w.topology()),
-                                  {core::PostcardOptions{}},
-                                  std::move(options)),
-               std::invalid_argument);
-
-  ServerOptions server_options;
-  server_options.runtime = replicated_runtime_options();
-  server_options.runtime.slot_deadline_seconds = 0.5;
-  PostcardServer server{net::Topology(w.topology()), server_options};
-  server.add_postcard_backend();
-  ReplicationPrimary primary(PrimaryOptions{});
-  EXPECT_THROW(primary.attach(server), std::invalid_argument);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <functional>
 #include <gtest/gtest.h>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <unistd.h>
 
@@ -173,8 +174,17 @@ TEST(SnapshotRestore, EncodeDecodeIsLossless) {
   EXPECT_EQ(back.pending_events.size(), snap.pending_events.size());
   ASSERT_EQ(back.backends.size(), 1u);
   EXPECT_EQ(back.backends[0].series, snap.backends[0].series);
-  EXPECT_EQ(back.backends[0].charged, snap.backends[0].charged);
   EXPECT_EQ(back.backends[0].plans.size(), snap.backends[0].plans.size());
+
+  // X_ij is not stored: restore derives each from its series, to the bit.
+  ControllerRuntime restored{net::Topology(w.topology()), RuntimeOptions{}};
+  restored.add_postcard_backend();
+  restored.restore_snapshot(back);
+  const auto& have = runtime.policy(0).charge_state();
+  const auto& got = restored.policy(0).charge_state();
+  for (int l = 0; l < have.num_links(); ++l) {
+    EXPECT_EQ(got.charged(l), have.charged(l)) << "link " << l;
+  }
 }
 
 TEST(SnapshotRestore, TamperedFileIsRejected) {
@@ -324,7 +334,8 @@ TEST(SnapshotRestore, OutOfRangeLinkStateIsRefusedBeforeAnyChange) {
   // The checksum proves a file intact, not well-formed. A pending link
   // event naming a link the topology lacks survives encode/decode, and the
   // tick would index per-link state with it; a capacity or volume the
-  // ledger cannot hold would throw halfway through applying the snapshot.
+  // ledger cannot hold would throw halfway through applying the snapshot,
+  // and a NaN or infinite volume would become X_ij and poison every cost.
   // Restore must refuse each before it changes anything.
   const sim::UniformWorkload w(small_workload(27));
   ControllerRuntime source{net::Topology(w.topology()), RuntimeOptions{}};
@@ -350,8 +361,12 @@ TEST(SnapshotRestore, OutOfRangeLinkStateIsRefusedBeforeAnyChange) {
       [](RuntimeSnapshot& snap) { snap.links[0].capacity = -1.0; });
   crafted.push_back(
       [](RuntimeSnapshot& snap) { snap.base_capacity[1] = std::nan(""); });
-  crafted.push_back(
-      [](RuntimeSnapshot& snap) { snap.backends[0].series[0] = {-1.0}; });
+  for (const double volume :
+       {-1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    crafted.push_back([volume](RuntimeSnapshot& snap) {
+      snap.backends[0].series[0] = {volume};
+    });
+  }
 
   for (std::size_t c = 0; c < crafted.size(); ++c) {
     RuntimeSnapshot snap = good;

@@ -69,8 +69,8 @@ class ClockCallback : public MatchFinder::MatchCallback {
     if (call == nullptr) return;
     report(*result.SourceManager, call->getBeginLoc(),
            "postcard-determinism-clock",
-           "wall-clock read in the deterministic core (AST pass); route "
-           "deadlines through lp::SolveBudget");
+           "wall-clock read in the deterministic core (AST pass); bound "
+           "work with a pivot count (lp::SolveBudget)");
   }
 };
 

@@ -34,11 +34,6 @@ const std::map<std::string, int> kLayerRank = {
 /// the simulator.
 const std::set<std::string> kInterfaceHeaders = {"sim/policy.h"};
 
-/// The single sanctioned wall-clock site: lp::SolveBudget's deadline
-/// plumbing. Everything else in the deterministic core must either be
-/// pivot-counted (deterministic) or carry a justified NOLINT.
-const std::string kClockExemptFile = "src/lp/budget.h";
-
 const std::set<std::string> kClockIdents = {
     "steady_clock", "system_clock", "high_resolution_clock", "gettimeofday",
     "clock_gettime", "timespec_get"};
@@ -174,16 +169,15 @@ void collect_suppressions(const std::string& file,
 // ---------------------------------------------------------------------------
 // Determinism rules.
 
-void check_clocks(const std::string& file, const std::string& vpath,
-                  const Toks& t, std::vector<Diagnostic>* diags) {
-  if (vpath == kClockExemptFile) return;
+void check_clocks(const std::string& file, const Toks& t,
+                  std::vector<Diagnostic>* diags) {
   for (const Token& tok : t) {
     if (tok.kind == TokKind::kIdent && kClockIdents.count(tok.text) > 0) {
       diags->push_back(
           {file, tok.line, "postcard-determinism-clock",
            "wall-clock read '" + tok.text +
-               "' in the deterministic core; route deadlines through "
-               "lp::SolveBudget (src/lp/budget.h) or justify with "
+               "' in the deterministic core; bound work with a pivot "
+               "count (lp::SolveBudget) or justify with "
                "NOLINT(postcard-determinism: <reason>)"});
     }
   }
@@ -716,7 +710,7 @@ LintResult Linter::run() const {
     const File& f = files_[i];
     const Toks& t = f.lx.tokens;
     if (kDeterminismDirs.count(f.dir) > 0) {
-      check_clocks(f.display, f.vpath, t, &raw);
+      check_clocks(f.display, t, &raw);
       check_rand(f.display, t, &raw);
       check_unordered_iter(f.display, t, visible_for(i), &raw);
       check_pointer_order(f.display, t, &raw);

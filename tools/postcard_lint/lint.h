@@ -7,9 +7,9 @@
 //
 //   postcard-determinism-*  (src/core, lp, linalg, charging, net, sim,
 //                            flow, audit, runtime)
-//     -clock          wall-clock reads (steady_clock/system_clock/...)
-//                     outside lp::SolveBudget's deadline plumbing
-//                     (src/lp/budget.h is the single sanctioned site)
+//     -clock          wall-clock reads (steady_clock/system_clock/...);
+//                     no file is exempt, so a read that only feeds
+//                     telemetry carries a justified NOLINT
 //     -rand           rand()/srand()/std::random_device/random_shuffle
 //                     and unseeded random engines
 //     -unordered-iter iteration (range-for, .begin()) over
