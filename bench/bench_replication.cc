@@ -95,14 +95,11 @@ void ReplFailoverTime(benchmark::State& state) {
 
     replication::StandbyOptions stopts;
     stopts.primary_port = primary.port();
-    stopts.runtime = replicated_options();
     stopts.heartbeat_timeout_ms = 100;
     stopts.reconnect_attempts = 1;
     stopts.backoff_base_ms = 10;
     stopts.backoff_max_ms = 20;
-    replication::ReplicationStandby standby(
-        net::Topology(w.topology()),
-        {core::PostcardOptions{}}, stopts);
+    replication::ReplicationStandby standby(stopts);
     standby.start();
 
     {
@@ -192,10 +189,7 @@ void ReplSlotWithStandby(benchmark::State& state) {
 
   replication::StandbyOptions stopts;
   stopts.primary_port = primary.port();
-  stopts.runtime = replicated_options();
-  replication::ReplicationStandby standby(
-      net::Topology(w.topology()), {core::PostcardOptions{}},
-      stopts);
+  replication::ReplicationStandby standby(stopts);
   standby.start();
 
   server::PostcardClient client("127.0.0.1", server.port());

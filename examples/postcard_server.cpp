@@ -70,8 +70,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // A standby rejects a primary whose submissions are not deduplicated:
-  // idempotent resubmission across a failover depends on it.
+  // Exactly-once resubmission across a failover needs dedup on the primary
+  // too. The standby forces it on for its mirror and promoted server, but
+  // a primary without it writes no admitted ids into its seeds, so a retry
+  // of a file admitted before the seed would be admitted twice. Nothing
+  // refuses such a primary; this line is what makes the pair exactly-once.
   if (repl_port >= 0) options.runtime.dedup_submissions = true;
 
   // Six datacenters, complete graph, 100 GB per slot per link, unit costs

@@ -16,6 +16,9 @@
 // then kill -9 the server: within a heartbeat timeout the standby prints
 // the port it now serves on, and postcard_client keeps working against
 // it (resubmitted in-flight files are deduplicated, not double-counted).
+// The standby needs only the primary's address: the snapshot the primary
+// seeds it with carries the topology, the runtime options and the backend
+// sequence, so its mirror always runs the primary's configuration.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -39,9 +42,6 @@ int main(int argc, char** argv) {
   replication::StandbyOptions options;
   options.primary_port = 0;
   options.promoted_snapshot_path = "postcard_standby.psnp";
-  // The mirror replays every slot; runtime options equal to the primary's
-  // (here both defaults) keep its fingerprints equal to the primary's.
-  options.runtime.dedup_submissions = true;
   for (int i = 1; i + 1 < argc; i += 2) {
     if (std::strcmp(argv[i], "--primary-repl-port") == 0) {
       options.primary_port = std::atoi(argv[i + 1]);
@@ -63,15 +63,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Must match the topology examples/postcard_server builds: the mirror
-  // replays the primary's events against the same network.
-  net::Topology topology = net::Topology::complete(
-      6, 100.0,
-      [](int i, int j) { return 1.0 + static_cast<double>((3 * i + 5 * j) % 10); });
-
-  replication::ReplicationStandby standby(
-      std::move(topology), {core::PostcardOptions{}},
-      options);
+  replication::ReplicationStandby standby(options);
 
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);

@@ -8,8 +8,12 @@
 #     finish the workload with the bit-for-bit cost series of an unfailed
 #     run, every single iteration.
 #   * test_replication_chaos — injected divergence (caught within one
-#     slot commit + reseeded), a stalled standby (dropped, never wedging
-#     the slot clock), partitions and standby turnover.
+#     slot commit + reseeded once), a stalled standby (dropped, never
+#     wedging the slot clock), partitions and standby turnover, and
+#     ReplicationChaos.SubmissionsRacingTheSlotCutReplayWithoutReseeds:
+#     one client submits every 200 us while another advances 60 slots, so
+#     pushes race the primary's slot cut; the standby must follow every
+#     commit with no fingerprint mismatch and no reseed.
 #
 # Flakes in failover logic love timing luck; one pass proves little. The
 # loop surfaces the rare interleavings: any failed iteration stops the

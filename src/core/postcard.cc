@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 
 // NOLINTNEXTLINE(postcard-layering: sanctioned self-audit edge — the controller re-verifies its own plans; audit/audit.h only includes downward (core/plan.h), so no cycle forms)
@@ -15,7 +16,16 @@ PostcardController::PostcardController(net::Topology topology,
                                        PostcardOptions options)
     : topology_(std::move(topology)),
       options_(options),
-      charge_(topology_.num_links()) {}
+      charge_(topology_.num_links()) {
+  // Snapshot images record these options, and their decoder refuses a
+  // gap that is NaN, infinite or negative; refusing it here too means
+  // every image a controller's runtime writes can be read back.
+  if (!std::isfinite(options_.cg_relative_gap) ||
+      options_.cg_relative_gap < 0.0) {
+    throw std::invalid_argument(
+        "cg_relative_gap must be finite and non-negative");
+  }
+}
 
 void PostcardController::uncommit_future(const FilePlan& plan, int from_slot) {
   for (const Transfer& t : plan.transfers) {

@@ -38,7 +38,8 @@ struct PostcardOptions {
   // Store-and-forward on (the paper's Postcard) or off (the storage
   // ablation: data may wait only at its source and destination).
   bool allow_storage = true;
-  // Column-generation stopping knobs (see PathSolveOptions).
+  // Column-generation stopping knobs (see PathSolveOptions). The gap must
+  // be finite and non-negative; the controller refuses anything else.
   double cg_relative_gap = 1e-4;
   int cg_stall_rounds = 30;
   // Maintain the time-expanded graph incrementally in a per-controller
@@ -63,6 +64,8 @@ class PostcardController : public sim::SchedulingPolicy {
   std::string name() const override {
     return options_.allow_storage ? "postcard" : "postcard (no storage)";
   }
+
+  const PostcardOptions& options() const { return options_; }
 
   /// Plans committed by the most recent schedule() call.
   const std::vector<FilePlan>& last_plans() const { return last_plans_; }

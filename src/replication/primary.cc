@@ -39,11 +39,10 @@ ReplicationPrimary::~ReplicationPrimary() { stop(); }
 void ReplicationPrimary::attach(server::PostcardServer& server) {
   server_ = &server;
   // The tap runs under the queue lock and takes only buf_mu_ (leaf lock) —
-  // see the lock-order note in the header. SlotTicks are filtered out
-  // here: the standby replays the tick itself on ReplCommit, so shipping
-  // them would double-tick the mirror.
+  // see the lock-order note in the header. Each event carries the slot the
+  // queue fired it at, so a push that raced a slot's cut reaches the
+  // standby already in the next slot.
   server.runtime().events().set_push_tap([this](const runtime::Event& e) {
-    if (std::holds_alternative<runtime::SlotTick>(e.payload)) return;
     base::MutexLock lock(buf_mu_);
     if (overflowed_) return;
     if (buffer_.size() >= kTapBufferCap) {
@@ -258,9 +257,6 @@ void ReplicationPrimary::heartbeat_loop() {
     if (Clock::now() < next) continue;
     next = Clock::now() + std::chrono::milliseconds(options_.heartbeat_every_ms);
     if (killed_.load(std::memory_order_acquire)) continue;
-    // slots_processed is read under the runtime's stats lock — safe from
-    // this thread, unlike current_slot().
-    const int next_slot = server_->runtime().stats().slots_processed;
     base::MutexLock lock(mu_);
     if (conn_fd_ < 0 || conn_failed_) {
       base::MutexLock buf_lock(buf_mu_);
@@ -274,11 +270,9 @@ void ReplicationPrimary::heartbeat_loop() {
     if (!needs_seed_) {
       if (!flush_events_locked()) continue;
     }
-    ReplHeartbeat hb;
-    hb.next_slot = next_slot;
     try {
-      server::write_frame(conn_fd_, MessageType::kReplHeartbeat, hb.encode(),
-                          options_.send_timeout_ms);
+      server::write_frame(conn_fd_, MessageType::kReplHeartbeat,
+                          ReplHeartbeat{}.encode(), options_.send_timeout_ms);
     } catch (const WireTimeout&) {
       drop_standby_locked(/*slow=*/true);
       continue;

@@ -70,16 +70,11 @@ std::uint64_t runtime_fingerprint(const runtime::RuntimeStats& s) {
   return h.digest();
 }
 
-std::vector<std::uint8_t> ReplHello::encode() const {
-  ByteWriter w;
-  w.i32(last_commit_slot);
-  return w.take();
-}
+std::vector<std::uint8_t> ReplHello::encode() const { return {}; }
 
 ReplHello ReplHello::decode(const std::vector<std::uint8_t>& payload) {
-  return decode_payload<ReplHello>(payload, [](ByteReader& r) {
-    return ReplHello{r.i32()};
-  });
+  return decode_payload<ReplHello>(payload,
+                                   [](ByteReader&) { return ReplHello{}; });
 }
 
 std::vector<std::uint8_t> ReplSnapshot::encode() const {
@@ -134,31 +129,22 @@ ReplCommit ReplCommit::decode(const std::vector<std::uint8_t>& payload) {
   });
 }
 
-std::vector<std::uint8_t> ReplHeartbeat::encode() const {
-  ByteWriter w;
-  w.i32(next_slot);
-  return w.take();
-}
+std::vector<std::uint8_t> ReplHeartbeat::encode() const { return {}; }
 
 ReplHeartbeat ReplHeartbeat::decode(const std::vector<std::uint8_t>& payload) {
-  return decode_payload<ReplHeartbeat>(payload, [](ByteReader& r) {
-    return ReplHeartbeat{r.i32()};
-  });
+  return decode_payload<ReplHeartbeat>(
+      payload, [](ByteReader&) { return ReplHeartbeat{}; });
 }
 
 std::vector<std::uint8_t> ReplAck::encode() const {
   ByteWriter w;
   w.i32(slot);
-  w.u64(fingerprint);
   return w.take();
 }
 
 ReplAck ReplAck::decode(const std::vector<std::uint8_t>& payload) {
   return decode_payload<ReplAck>(payload, [](ByteReader& r) {
-    ReplAck a;
-    a.slot = r.i32();
-    a.fingerprint = r.u64();
-    return a;
+    return ReplAck{r.i32()};
   });
 }
 

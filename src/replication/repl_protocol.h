@@ -4,12 +4,12 @@
 // the same length-prefixed framing as the client protocol (wire.h), using
 // the kRepl* message types (100+). The conversation (DESIGN.md §14):
 //
-//   standby  -> primary : ReplHello      (introduce; last committed slot)
+//   standby  -> primary : ReplHello      (introduce; every Hello is seeded)
 //   primary  -> standby : ReplSnapshot   (full PSNP image; bootstrap/reseed)
 //   primary  -> standby : ReplEvents     (ordered queue pushes since last)
 //   primary  -> standby : ReplCommit     (slot tick done + fingerprint)
 //   primary  -> standby : ReplHeartbeat  (liveness between commits)
-//   standby  -> primary : ReplAck        (applied commit; own fingerprint)
+//   standby  -> primary : ReplAck        (applied commit)
 //   standby  -> primary : ReplReseed     (diverged or gapped; ship snapshot)
 //
 // The fingerprint is FNV-1a 64 (audit/fingerprint.h) over the committed
@@ -39,8 +39,8 @@ inline constexpr std::size_t kReplMaxFrameBytes = std::size_t{1} << 26;
 /// ladder decision flips it.
 std::uint64_t runtime_fingerprint(const runtime::RuntimeStats& s);
 
+/// Empty payload: the primary seeds every standby that says hello.
 struct ReplHello {
-  int last_commit_slot = -1;  // -1: never seeded, ship a snapshot first
   std::vector<std::uint8_t> encode() const;
   static ReplHello decode(const std::vector<std::uint8_t>& payload);
 };
@@ -64,15 +64,14 @@ struct ReplCommit {
   static ReplCommit decode(const std::vector<std::uint8_t>& payload);
 };
 
+/// Empty payload: the standby reads a heartbeat as liveness only.
 struct ReplHeartbeat {
-  int next_slot = 0;  // primary's slot clock, for observability
   std::vector<std::uint8_t> encode() const;
   static ReplHeartbeat decode(const std::vector<std::uint8_t>& payload);
 };
 
 struct ReplAck {
-  int slot = 0;
-  std::uint64_t fingerprint = 0;  // standby's post-replay digest
+  int slot = 0;  // the commit whose fingerprint the mirror reproduced
   std::vector<std::uint8_t> encode() const;
   static ReplAck decode(const std::vector<std::uint8_t>& payload);
 };

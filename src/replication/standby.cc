@@ -29,6 +29,36 @@ namespace {
 /// Seed of the reconnect backoff's jitter: fixed, so no wall-clock entropy.
 constexpr std::uint32_t kJitterSeed = 42;
 
+/// Largest datacenter count a seed may name. net::Topology keeps a dense
+/// n² link index, so the count decides an allocation before any link is
+/// read: 4,096 datacenters is 64 MiB per topology copy, 32 times the
+/// largest topology any bench builds.
+constexpr int kMaxSeedDatacenters = 4096;
+
+/// The topology a seed was captured on, its links in the image's index
+/// order. Throws std::logic_error on a count or link it cannot hold; what
+/// it accepts, restore_snapshot checks against the image again.
+net::Topology seed_topology(const runtime::RuntimeSnapshot& snap) {
+  if (snap.num_datacenters > kMaxSeedDatacenters) {
+    throw std::invalid_argument(
+        "seed names " + std::to_string(snap.num_datacenters) +
+        " datacenters, more than " + std::to_string(kMaxSeedDatacenters));
+  }
+  net::Topology topology(snap.num_datacenters);
+  for (const net::Link& l : snap.links) {
+    topology.set_link(l.from, l.to, l.capacity, l.unit_cost);
+  }
+  return topology;
+}
+
+/// The seed's RuntimeOptions, with dedup_submissions forced on: a client
+/// retry across the failover must apply exactly once.
+runtime::RuntimeOptions seed_options(const runtime::RuntimeSnapshot& snap) {
+  runtime::RuntimeOptions options = snap.options;
+  options.dedup_submissions = true;
+  return options;
+}
+
 /// Sleeps in small increments so stop() stays responsive mid-backoff.
 template <typename Alive>
 void interruptible_sleep_ms(int ms, Alive&& alive) {
@@ -41,18 +71,8 @@ void interruptible_sleep_ms(int ms, Alive&& alive) {
 
 }  // namespace
 
-ReplicationStandby::ReplicationStandby(
-    net::Topology topology, std::vector<core::PostcardOptions> backends,
-    StandbyOptions options)
-    : topology_(std::move(topology)),
-      backends_(std::move(backends)),
-      options_(std::move(options)) {
-  if (backends_.empty()) {
-    throw std::invalid_argument("replication standby needs at least one backend");
-  }
-  // Client retries across the failover must apply exactly once.
-  options_.runtime.dedup_submissions = true;
-}
+ReplicationStandby::ReplicationStandby(StandbyOptions options)
+    : options_(std::move(options)) {}
 
 ReplicationStandby::~ReplicationStandby() { stop(); }
 
@@ -149,35 +169,26 @@ int ReplicationStandby::connect_once() {
   return fd;
 }
 
-std::unique_ptr<runtime::ControllerRuntime> ReplicationStandby::build_mirror() {
-  auto mirror = std::make_unique<runtime::ControllerRuntime>(topology_,
-                                                             options_.runtime);
-  for (const core::PostcardOptions& backend : backends_) {
-    mirror->add_postcard_backend(backend);
-  }
-  return mirror;
-}
-
-void ReplicationStandby::register_backends(server::PostcardServer& srv) const {
-  for (const core::PostcardOptions& backend : backends_) {
-    srv.add_postcard_backend(backend);
-  }
-}
-
 bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
   switch (frame.type) {
     case MessageType::kReplSnapshot: {
       const ReplSnapshot seed = ReplSnapshot::decode(frame.payload);
       const runtime::RuntimeSnapshot snap =
           server::decode_snapshot(seed.image);
-      // Reseed = rebuild: restore_snapshot only accepts a fresh runtime,
-      // and a diverged mirror has nothing worth keeping anyway.
-      std::unique_ptr<runtime::ControllerRuntime> mirror = build_mirror();
+      // Reseed = rebuild, configured by the seed alone: restore_snapshot
+      // only accepts a fresh runtime, and a diverged mirror has nothing
+      // worth keeping anyway.
+      std::unique_ptr<runtime::ControllerRuntime> mirror;
       try {
+        mirror = std::make_unique<runtime::ControllerRuntime>(
+            seed_topology(snap), seed_options(snap));
+        for (const runtime::BackendSnapshot& b : snap.backends) {
+          mirror->add_postcard_backend(b.options);
+        }
         mirror->restore_snapshot(snap);
-      } catch (const std::invalid_argument& e) {
-        // A seed this mirror cannot take is a malformed frame: drop the
-        // connection like any other, never the run thread.
+      } catch (const std::logic_error& e) {
+        // A seed the standby cannot build from is a malformed frame: drop
+        // the connection like any other, never the run thread.
         throw WireError(std::string("seed snapshot refused: ") + e.what());
       }
       mirror_ = std::move(mirror);
@@ -187,28 +198,24 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
     }
     case MessageType::kReplEvents: {
       ReplEvents batch = ReplEvents::decode(frame.payload);
-      if (mirror_ == nullptr) {
-        // Events can only legally follow a snapshot; seeing them first
-        // means we missed one — ask for a fresh seed.
-        server::write_frame(fd, MessageType::kReplReseed,
-                            ReplReseed{"events before snapshot"}.encode());
-        base::MutexLock lock(mu_);
-        stats_.reseeds_sent++;
-        return true;
-      }
+      // Unseeded: the Hello or the divergence's ReplReseed already asked
+      // for a seed, and that snapshot holds every push made before its
+      // capture, drained or pending; the watermark filters the rest. So
+      // events (and commits, below) are dropped until it lands — asking
+      // again would only cost the primary another snapshot.
+      if (mirror_ == nullptr) return true;
       // The whole batch is checked before any of it lands: a link event
       // naming a link this topology lacks would index past the mirror's
       // per-link state when it fires.
       for (const runtime::Event& e : batch.events) {
         const std::string error =
-            runtime::link_event_error(e.payload, topology_.num_links());
+            runtime::link_event_error(e.payload, mirror_->num_links());
         if (!error.empty()) {
           throw WireError("replicated event at slot " +
                           std::to_string(e.slot) + " refused: " + error);
         }
       }
       for (runtime::Event& e : batch.events) {
-        if (std::holds_alternative<runtime::SlotTick>(e.payload)) continue;
         if (auto* arrival = std::get_if<runtime::FileArrival>(&e.payload)) {
           net::FileRequest file = arrival->file;
           if (corrupt_next_.exchange(false, std::memory_order_acq_rel)) {
@@ -225,13 +232,7 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
     }
     case MessageType::kReplCommit: {
       const ReplCommit commit = ReplCommit::decode(frame.payload);
-      if (mirror_ == nullptr) {
-        server::write_frame(fd, MessageType::kReplReseed,
-                            ReplReseed{"commit before snapshot"}.encode());
-        base::MutexLock lock(mu_);
-        stats_.reseeds_sent++;
-        return true;
-      }
+      if (mirror_ == nullptr) return true;  // unseeded: see kReplEvents
       const int cur = mirror_->current_slot();
       std::string divergence;
       if (commit.slot > cur) {
@@ -248,10 +249,8 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
       }
       // commit.slot < cur: the seed snapshot already contains this slot's
       // effects; the fingerprint comparison below still validates it.
-      std::uint64_t fp = 0;
       if (divergence.empty()) {
-        fp = runtime_fingerprint(mirror_->stats());
-        if (fp != commit.fingerprint) {
+        if (runtime_fingerprint(mirror_->stats()) != commit.fingerprint) {
           divergence = "fingerprint mismatch at slot " +
                        std::to_string(commit.slot);
         }
@@ -266,7 +265,7 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
         return true;
       }
       server::write_frame(fd, MessageType::kReplAck,
-                          ReplAck{commit.slot, fp}.encode());
+                          ReplAck{commit.slot}.encode());
       base::MutexLock lock(mu_);
       stats_.commits_applied++;
       stats_.last_commit_slot = std::max(stats_.last_commit_slot, commit.slot);
@@ -314,12 +313,7 @@ void ReplicationStandby::run() {
     }
     bool saw_frame = false;
     try {
-      server::write_frame(fd, MessageType::kReplHello,
-                          [this] {
-                            base::MutexLock lock(mu_);
-                            return ReplHello{stats_.last_commit_slot};
-                          }()
-                              .encode());
+      server::write_frame(fd, MessageType::kReplHello, ReplHello{}.encode());
       Frame frame;
       while (alive()) {
         if (!server::read_frame(fd, &frame, kReplMaxFrameBytes)) {
@@ -361,10 +355,13 @@ void ReplicationStandby::promote_or_fail() {
     server::ServerOptions sopts;
     sopts.host = options_.serve_host;
     sopts.port = options_.serve_port;
-    sopts.runtime = options_.runtime;  // dedup_submissions already forced on
+    sopts.runtime = seed_options(snap);
     sopts.snapshot_path = options_.promoted_snapshot_path;
-    auto srv = std::make_unique<server::PostcardServer>(topology_, sopts);
-    register_backends(*srv);
+    auto srv =
+        std::make_unique<server::PostcardServer>(seed_topology(snap), sopts);
+    for (const runtime::BackendSnapshot& b : snap.backends) {
+      srv->add_postcard_backend(b.options);
+    }
     srv->runtime().restore_snapshot(snap);
     srv->start();
     {

@@ -1,7 +1,10 @@
 // ReplicationStandby: a warm replica that bootstraps from a shipped
 // snapshot, stays current by deterministic replay of the primary's event
 // stream, and promotes itself to a serving PostcardServer when the
-// primary goes silent (DESIGN.md §14).
+// primary goes silent (DESIGN.md §14). The seed configures it: the mirror
+// and the promoted server take their topology, RuntimeOptions and backend
+// sequence from the snapshot image, so the standby needs only the
+// primary's address.
 //
 // Failover state machine (single run thread):
 //
@@ -10,8 +13,9 @@
 //       │  ▼                           │ events   → queue pushes
 //   (backoff with jitter)              │ commit   → tick + fingerprint
 //       │                              │            compare
-//       │       timeout / EOF / error  │ mismatch → ReplReseed (stay)
-//       └──────────────────────────────┘
+//       │       timeout / EOF / error  │ mismatch → ReplReseed (stay;
+//       └──────────────────────────────┘   drop events and commits
+//                                          until the next snapshot)
 //   attempts exhausted + mirror seeded ──► PROMOTED (serving server,
 //   restored from the mirror; partial slots stay pending and solve at
 //   the next tick — client retries + submission dedup give exactly-once)
@@ -26,12 +30,9 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
-#include "core/postcard.h"
-#include "net/topology.h"
 #include "replication/repl_protocol.h"
 #include "server/server.h"
 
@@ -43,13 +44,6 @@ struct StandbyOptions {
   /// Where the promoted server binds after failover.
   std::string serve_host = "127.0.0.1";
   int serve_port = 0;
-  /// Runtime options for the mirror AND the promoted server; they must
-  /// equal the primary's, since replay equivalence is what failover
-  /// correctness rests on. Every accepted configuration replays
-  /// deterministically (the slot watchdog counts pivots, never a clock).
-  /// dedup_submissions is forced on so client retries across the failover
-  /// apply exactly once.
-  runtime::RuntimeOptions runtime;
   /// Silence longer than this on the replication socket counts as a
   /// missed heartbeat (SO_RCVTIMEO).
   int heartbeat_timeout_ms = 1000;
@@ -80,13 +74,10 @@ struct StandbyStats {
 
 class ReplicationStandby {
  public:
-  /// `backends` lists the options of each Postcard backend, in the
-  /// primary's registration order: the mirror and the promoted server
-  /// register exactly this sequence, or snapshot restore refuses the seed.
-  /// Throws std::invalid_argument when `backends` is empty.
-  ReplicationStandby(net::Topology topology,
-                     std::vector<core::PostcardOptions> backends,
-                     StandbyOptions options);
+  /// The mirror and the promoted server run under each seed's recorded
+  /// RuntimeOptions, with dedup_submissions forced on so client retries
+  /// across the failover apply exactly once.
+  explicit ReplicationStandby(StandbyOptions options);
   ~ReplicationStandby();
 
   ReplicationStandby(const ReplicationStandby&) = delete;
@@ -124,11 +115,7 @@ class ReplicationStandby {
   /// Applies one frame; returns false when the connection must drop.
   bool handle_frame(int fd, const server::Frame& frame);
   void promote_or_fail();
-  std::unique_ptr<runtime::ControllerRuntime> build_mirror();
-  void register_backends(server::PostcardServer& srv) const;
 
-  net::Topology topology_;
-  std::vector<core::PostcardOptions> backends_;
   StandbyOptions options_;
 
   std::thread run_thread_;

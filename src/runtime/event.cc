@@ -1,13 +1,13 @@
 #include "runtime/event.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace postcard::runtime {
 
 int event_phase(const EventPayload& payload) {
-  if (std::holds_alternative<FileArrival>(payload)) return 1;
-  if (std::holds_alternative<SlotTick>(payload)) return 2;
-  return 0;  // LinkDown / LinkUp / CapacityChange / SolverStall / SolverFault
+  // LinkDown / LinkUp / CapacityChange / SolverStall / SolverFault are 0.
+  return std::holds_alternative<FileArrival>(payload) ? 1 : 0;
 }
 
 std::string link_event_error(const EventPayload& payload, int num_links) {
@@ -37,24 +37,27 @@ void EventQueue::set_push_tap(PushTap tap) {
   tap_ = std::move(tap);
 }
 
-std::uint64_t EventQueue::push(int slot, EventPayload payload) {
+Event EventQueue::push(int slot, EventPayload payload) {
   base::MutexLock lock(mu_);
-  const std::uint64_t seq = next_seq_++;
-  const int phase = event_phase(payload);
-  if (tap_) {
-    // The tap sees the payload before the heap consumes it; holding mu_
-    // keeps the tap's observation order identical to the seq order.
-    heap_.push(Entry{slot, phase, seq, payload});
-    tap_(Event{slot, seq, std::move(payload)});
-  } else {
-    heap_.push(Entry{slot, phase, seq, std::move(payload)});
+  Event event{std::max(slot, open_slot_), next_seq_++, std::move(payload)};
+  if (auto* arrival = std::get_if<FileArrival>(&event.payload)) {
+    arrival->file.release_slot = event.slot;
   }
-  return seq;
+  heap_.push(Entry{event.slot, event_phase(event.payload), event.seq,
+                   event.payload});
+  // Holding mu_ keeps the tap's observation order identical to the seq
+  // order, and the tapped slot is the one the event fires at.
+  if (tap_) tap_(event);
+  return event;
 }
 
 bool EventQueue::pop_due(int slot, Event* out) {
   base::MutexLock lock(mu_);
-  if (heap_.empty() || heap_.top().slot > slot) return false;
+  if (heap_.empty() || heap_.top().slot > slot) {
+    // The cut: a push that loses the race for mu_ lands in the next slot.
+    open_slot_ = std::max(open_slot_, slot + 1);
+    return false;
+  }
   const Entry& top = heap_.top();
   out->slot = top.slot;
   out->seq = top.seq;
@@ -63,19 +66,19 @@ bool EventQueue::pop_due(int slot, Event* out) {
   return true;
 }
 
-int EventQueue::next_slot() const {
+int EventQueue::open_slot() const {
   base::MutexLock lock(mu_);
-  return heap_.empty() ? -1 : heap_.top().slot;
+  return open_slot_;
+}
+
+void EventQueue::reopen(int slot) {
+  base::MutexLock lock(mu_);
+  open_slot_ = slot;
 }
 
 std::size_t EventQueue::depth() const {
   base::MutexLock lock(mu_);
   return heap_.size();
-}
-
-std::uint64_t EventQueue::pushed_total() const {
-  base::MutexLock lock(mu_);
-  return next_seq_;
 }
 
 std::vector<Event> EventQueue::pending(std::uint64_t* next_seq_out) const {

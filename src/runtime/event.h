@@ -2,12 +2,13 @@
 //
 // The runtime is slot-clocked: every event carries the slot at which it
 // takes effect, and within a slot events are totally ordered by phase
-// (network changes first, then file arrivals, then the slot tick that
-// triggers the solve) and by submission sequence number. The sequence
-// number is assigned under the queue lock, so any fixed submission order
-// yields a bit-for-bit identical drain order — the foundation of the
-// runtime's determinism guarantee (see DESIGN.md, "Online controller
-// runtime").
+// (network and solver-chaos changes first, then file arrivals) and by
+// submission sequence number. The queue owns the one slot clock: it closes
+// a slot when the driver finds nothing more due there, and a push for a
+// closed slot fires at the open one. Sequence numbers and the cut are both
+// decided under the queue lock, so any fixed submission order yields a
+// bit-for-bit identical drain order — the foundation of the runtime's
+// determinism guarantee (see DESIGN.md, "Online controller runtime").
 #pragma once
 
 #include <cstddef>
@@ -25,7 +26,7 @@
 namespace postcard::runtime {
 
 /// A file request enters the system; it joins the batch K(slot) of the
-/// event's slot (the request's release slot, as adjusted by the ingress).
+/// event's slot. The queue stamps the request's release slot to that slot.
 struct FileArrival {
   net::FileRequest file;
 };
@@ -46,12 +47,6 @@ struct LinkUp {
 struct CapacityChange {
   int link = -1;
   double capacity = 0.0;
-};
-
-/// The slot clock advances: the batch accumulated for this slot is solved
-/// and committed. Ordered after every other event of the same slot.
-struct SlotTick {
-  int slot = 0;
 };
 
 /// Chaos injection: the slot's solve on `backend` (-1 = every backend)
@@ -75,12 +70,11 @@ struct SolverFault {
 };
 
 using EventPayload = std::variant<LinkDown, LinkUp, CapacityChange,
-                                  FileArrival, SlotTick, SolverStall,
-                                  SolverFault>;
+                                  FileArrival, SolverStall, SolverFault>;
 
 /// Intra-slot ordering class: 0 network and solver-chaos events, 1
-/// arrivals, 2 the tick (so injected stalls/faults always precede the
-/// solve they are meant to hit).
+/// arrivals. Every event of a slot drains before the slot's solve, so an
+/// injected stall or fault always precedes the solve it is meant to hit.
 int event_phase(const EventPayload& payload);
 
 /// Why `payload` cannot enter the queue of a runtime whose topology has
@@ -98,32 +92,41 @@ struct Event {
   EventPayload payload;
 };
 
-/// Thread-safe priority queue over (slot, phase, seq). Producers push from
-/// any thread; the runtime's driver thread pops everything due at the
-/// current slot. Events are never reordered relative to an identical
-/// submission history.
+/// Thread-safe priority queue over (slot, phase, seq) and the runtime's
+/// slot clock. Producers push from any thread; the runtime's driver thread
+/// pops everything due at the open slot, and the pop that finds nothing
+/// more due closes that slot. Events are never reordered relative to an
+/// identical submission history.
 class EventQueue {
  public:
-  /// Observer invoked under the queue lock for every push, with the
-  /// assigned sequence number. The replication primary taps pushes here to
-  /// ship them to its standby in exactly the order determinism depends on.
-  /// The tap must be cheap and must not re-enter the queue; install it
-  /// before any producer exists, uninstall by passing nullptr.
+  /// Observer invoked under the queue lock for every push, with the event
+  /// as queued: its firing slot, sequence number and stamped payload. The
+  /// replication primary taps pushes here to ship them to its standby in
+  /// exactly the order determinism depends on. The tap must be cheap and
+  /// must not re-enter the queue; install it before any producer exists,
+  /// uninstall by passing nullptr.
   using PushTap = std::function<void(const Event&)>;
   void set_push_tap(PushTap tap) EXCLUDES(mu_);
 
-  /// Enqueues `payload` to fire at `slot`; returns its sequence number.
-  std::uint64_t push(int slot, EventPayload payload) EXCLUDES(mu_);
+  /// Enqueues `payload` to fire at max(`slot`, open_slot()) and returns
+  /// the event as queued. A FileArrival's release slot is stamped to the
+  /// firing slot, so a file can never join a batch that was already cut.
+  Event push(int slot, EventPayload payload) EXCLUDES(mu_);
 
   /// Pops the least (slot, phase, seq) event with slot <= `slot` into
-  /// `*out`. Returns false when nothing is due yet.
+  /// `*out`. When nothing is due, closes `slot` in the same critical
+  /// section and returns false: from then on a push for `slot` or earlier
+  /// fires at `slot` + 1.
   bool pop_due(int slot, Event* out) EXCLUDES(mu_);
 
-  /// Slot of the earliest pending event, or -1 when empty.
-  int next_slot() const EXCLUDES(mu_);
+  /// The earliest slot not yet closed: the slot the next drain solves.
+  int open_slot() const EXCLUDES(mu_);
+
+  /// Snapshot restore: reopens the clock at `slot`, the captured runtime's
+  /// open slot (the runtime restores only into a runtime that never ticked).
+  void reopen(int slot) EXCLUDES(mu_);
 
   std::size_t depth() const EXCLUDES(mu_);
-  std::uint64_t pushed_total() const EXCLUDES(mu_);
 
   /// Every event still queued, in (slot, phase, seq) drain order — the
   /// snapshot path serializes these so a restored runtime replays future
@@ -155,6 +158,7 @@ class EventQueue {
   mutable base::Mutex mu_;
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_ GUARDED_BY(mu_);
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 0;
+  int open_slot_ GUARDED_BY(mu_) = 0;
   PushTap tap_ GUARDED_BY(mu_);
 };
 

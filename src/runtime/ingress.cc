@@ -55,17 +55,14 @@ AdmissionResult RequestIngress::submit(const net::FileRequest& file) {
     return result;
   }
 
-  net::FileRequest stamped = file;
-  stamped.release_slot =
-      std::max(stamped.release_slot, now_.load(std::memory_order_relaxed));
-  queue_.push(stamped.release_slot, FileArrival{stamped});
+  const Event queued = queue_.push(file.release_slot, FileArrival{file});
   admitted_.fetch_add(1, std::memory_order_relaxed);
   {
     base::MutexLock lock(mu_);
-    if (dedup_) admitted_ids_.insert(stamped.id);
+    if (dedup_) admitted_ids_.insert(file.id);
   }
   result.admitted = true;
-  result.slot = stamped.release_slot;
+  result.slot = queued.slot;
   return result;
 }
 

@@ -4,8 +4,8 @@
 // requests concurrently; the ingress validates each against the live
 // topology, applies a cheap *necessary* schedulability test against the
 // file's deadline, and forwards admitted requests into the event queue as
-// FileArrival events for their release slot. Requests whose release slot
-// has already been ticked are re-stamped to the next slot — a request can
+// FileArrival events for their release slot. The queue re-stamps a request
+// whose release slot was already closed to the open slot — a request can
 // never join a batch in the past.
 //
 // The structural test is deliberately conservative (it must never reject a
@@ -57,10 +57,11 @@ class RequestIngress {
   void enable_dedup() EXCLUDES(mu_);
 
   /// Replication replay: applies an already-stamped admission from the
-  /// primary without re-validating or re-stamping (re-running the
-  /// admission test against the standby's capacity view could diverge).
-  /// Bumps submitted/admitted, registers the id for dedup, and pushes the
-  /// FileArrival exactly as the primary's queue saw it.
+  /// primary without re-validating it (re-running the admission test
+  /// against the standby's capacity view could diverge). Bumps
+  /// submitted/admitted, registers the id for dedup, and pushes the
+  /// FileArrival at its stamped release slot: the slot the primary's queue
+  /// fired it at, which the mirror has not closed yet.
   void replicate_admit(const net::FileRequest& stamped) EXCLUDES(mu_);
 
   /// Admitted-id set in sorted order, for deterministic snapshot bytes.
@@ -71,10 +72,6 @@ class RequestIngress {
 
   /// Mirrors a network event into the admission capacity view.
   void set_link_capacity(int link, double capacity) EXCLUDES(mu_);
-
-  /// The runtime advances this as slots complete; submissions with an
-  /// earlier release slot are re-stamped to `now`.
-  void set_now(int slot) { now_.store(slot, std::memory_order_relaxed); }
 
   /// Snapshot restore: overwrites the admission counters so a restarted
   /// server's accounting identity (accepted+rejected+failed == admitted)
@@ -89,7 +86,6 @@ class RequestIngress {
 
  private:
   EventQueue& queue_;
-  std::atomic<int> now_{0};
   std::atomic<long> submitted_{0};
   std::atomic<long> admitted_{0};
   std::atomic<long> rejected_{0};

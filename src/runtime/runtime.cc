@@ -22,6 +22,18 @@ overloaded(Ts...) -> overloaded<Ts...>;
 // Stranded holdings below this volume are dust and not replanned.
 constexpr double kVolumeEpsilon = 1e-9;
 
+/// The first field in which two backends' options differ, or nullptr. A
+/// restored backend must solve exactly as the captured one did, and every
+/// field steers the solve.
+const char* first_difference(const core::PostcardOptions& a,
+                             const core::PostcardOptions& b) {
+  if (a.allow_storage != b.allow_storage) return "allow_storage";
+  if (a.cg_relative_gap != b.cg_relative_gap) return "cg_relative_gap";
+  if (a.cg_stall_rounds != b.cg_stall_rounds) return "cg_stall_rounds";
+  if (a.use_sparse_graph != b.use_sparse_graph) return "use_sparse_graph";
+  return nullptr;
+}
+
 // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
 double elapsed_seconds(std::chrono::steady_clock::time_point start) {
   // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
@@ -153,15 +165,12 @@ void ControllerRuntime::requeue_remainder(Backend& b,
 }
 
 void ControllerRuntime::tick() {
-  const int slot = next_slot_;
+  const int slot = queue_.open_slot();
   // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
   const auto start = std::chrono::steady_clock::now();
   retire_completed(slot);
-  queue_.push(slot, SlotTick{slot});
 
   std::vector<net::FileRequest> arrivals;
-  std::vector<net::FileRequest> late;  // arrived after this slot's solve
-  bool solved = false;
   long link_events = 0;
   long solver_stalls = 0;
   long solver_faults = 0;
@@ -186,12 +195,7 @@ void ControllerRuntime::tick() {
                 apply_capacity(e.link, e.capacity);
               }
             },
-            [&](const FileArrival& e) {
-              // A producer can race an arrival into the queue after this
-              // slot's SlotTick has already been popped and solved; such
-              // stragglers join the next slot's batch instead of vanishing.
-              (solved ? late : arrivals).push_back(e.file);
-            },
+            [&](const FileArrival& e) { arrivals.push_back(e.file); },
             [&](const SolverStall& e) {
               ++solver_stalls;
               for (std::size_t i = 0; i < backends_.size(); ++i) {
@@ -209,19 +213,12 @@ void ControllerRuntime::tick() {
                 }
               }
             },
-            [&](const SlotTick&) {
-              if (!solved) {
-                solve_slot(slot, arrivals);
-                solved = true;
-              }
-            },
         },
         event.payload);
   }
-  for (const net::FileRequest& f : late) queue_.push(slot + 1, FileArrival{f});
+  // The drain ended with the queue closing `slot`: K(slot) is fixed.
+  solve_slot(slot, arrivals);
 
-  next_slot_ = slot + 1;
-  ingress_.set_now(next_slot_);
   base::MutexLock lock(stats_mu_);
   ++slots_processed_;
   link_events_ += link_events;
@@ -417,7 +414,7 @@ void ControllerRuntime::flush_in_flight() {
 }
 
 void ControllerRuntime::run(int num_slots) {
-  while (next_slot_ < num_slots) tick();
+  while (current_slot() < num_slots) tick();
   flush_in_flight();
 }
 
@@ -445,11 +442,12 @@ bool ControllerRuntime::query_plan(int backend, int file_id,
 
 RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
   RuntimeSnapshot snap;
+  snap.options = options_;
   snap.num_datacenters = live_topology_.num_datacenters();
   snap.links = live_topology_.links();
   snap.base_capacity = base_capacity_;
   snap.link_down.assign(link_down_.begin(), link_down_.end());
-  snap.next_slot = next_slot_;
+  snap.next_slot = queue_.open_slot();
   snap.next_synthetic_id = next_synthetic_id_;
   snap.submitted = ingress_.submitted();
   snap.admitted = ingress_.admitted();
@@ -470,6 +468,7 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
   for (const auto& bp : backends_) {
     const Backend& b = *bp;
     BackendSnapshot bs;
+    bs.options = b.controller.options();
     const charging::ChargeState& charge = b.controller.charge_state();
     const charging::PercentileRecorder& rec = charge.recorder();
     bs.series.reserve(static_cast<std::size_t>(rec.num_links()));
@@ -498,14 +497,13 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
       base::MutexLock lock(stats_mu_);
       bs.stats = b.stats;
     }
-    bs.name = bs.stats.name;
     snap.backends.push_back(std::move(bs));
   }
   return snap;
 }
 
 void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
-  if (next_slot_ != 0) {
+  if (queue_.open_slot() != 0) {
     throw std::logic_error("restore_snapshot: runtime has already ticked");
   }
   // --- Validate everything before mutating anything (all-or-nothing). ---
@@ -553,22 +551,22 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     const Backend& b = *backends_[i];
     const BackendSnapshot& bs = snap.backends[i];
-    if (b.controller.name() != bs.name) {
-      throw std::invalid_argument("restore_snapshot: backend " +
-                                  std::to_string(i) + " is '" +
-                                  b.controller.name() + "', snapshot holds '" +
-                                  bs.name + "'");
+    const char* field = first_difference(b.controller.options(), bs.options);
+    if (field != nullptr) {
+      throw std::invalid_argument(
+          "restore_snapshot: backend " + std::to_string(i) + " ('" +
+          b.controller.name() + "') differs from the snapshot's in " + field);
     }
     if (static_cast<int>(bs.series.size()) != live_topology_.num_links()) {
-      throw std::invalid_argument("restore_snapshot: charge ledger of '" +
-                                  bs.name + "' has wrong link count");
+      throw std::invalid_argument("restore_snapshot: charge ledger of backend " +
+                                  std::to_string(i) + " has wrong link count");
     }
     charges.push_back(charging::ChargeState::restore(
         charging::PercentileRecorder::from_series(bs.series, bs.series_slots,
                                                   bs.reduce_violations)));
   }
   // --- Apply. Nothing below throws on snapshot contents. ---
-  next_slot_ = snap.next_slot;
+  queue_.reopen(snap.next_slot);
   next_synthetic_id_ = snap.next_synthetic_id;
   base_capacity_ = snap.base_capacity;
   link_down_.assign(snap.link_down.begin(), snap.link_down.end());
@@ -579,7 +577,6 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
                             snap.ingress_rejected,
                             snap.ingress_rejected_volume);
   ingress_.restore_admitted_ids(snap.admitted_ids);
-  ingress_.set_now(next_slot_);
   // pending() captured drain order; re-pushing in that order reassigns
   // fresh sequence numbers with the same relative ordering.
   for (const Event& e : snap.pending_events) queue_.push(e.slot, e.payload);

@@ -43,31 +43,13 @@
 #include "net/topology.h"
 #include "runtime/event.h"
 #include "runtime/ingress.h"
+#include "runtime/options.h"
 #include "runtime/snapshot_state.h"
 #include "runtime/stats.h"
 #include "sim/policy.h"
 #include "sim/workload.h"
 
 namespace postcard::runtime {
-
-struct RuntimeOptions {
-  /// Slot watchdog (degradation ladder; see DESIGN.md §9). A positive
-  /// budget caps the lp::SolveBudget units each backend may spend per
-  /// slot, one per simplex iteration step: every pivot, and also each
-  /// pass that proves a phase optimal (lp/budget.h). A count, not a
-  /// clock, so replays degrade identically. 0 disables.
-  long slot_pivot_budget = 0;
-  /// Plan auditor (src/audit), armed on every backend at registration.
-  /// Fail-fast by default: an operational engine must never run on an
-  /// invalid plan, and the audit's cost is a few percent of a slot solve.
-  /// Set audit.mode = kOff to benchmark the bare solver.
-  sim::AuditControls audit{sim::AuditControls::Mode::kFailFast};
-  /// Idempotent submissions: a SubmitFile whose id was already admitted is
-  /// acknowledged without re-enqueuing (AdmissionResult.duplicate). Needed
-  /// for exactly-once client retry across a replicated-controller failover;
-  /// off by default because standalone callers may legitimately reuse ids.
-  bool dedup_submissions = false;
-};
 
 class ControllerRuntime {
  public:
@@ -113,9 +95,10 @@ class ControllerRuntime {
 
   // --- Driving (one thread) ---------------------------------------------
 
-  /// Processes the next slot: pushes its SlotTick, drains every due event
-  /// in (slot, phase, seq) order, then solves the accumulated batch on each
-  /// backend in registration order and commits its plans.
+  /// Processes the open slot: drains every due event in (slot, phase, seq)
+  /// order until the queue closes the slot, then solves the batch on each
+  /// backend in registration order and commits its plans. An arrival that
+  /// loses the race against the close joins the next slot's batch.
   void tick() EXCLUDES(stats_mu_);
 
   /// Ticks slots [current, num_slots) and then flushes the in-flight
@@ -143,8 +126,9 @@ class ControllerRuntime {
       EXCLUDES(stats_mu_, ledger_mu_);
 
   /// Restores a snapshot into a freshly constructed runtime. The topology
-  /// shape and the backend registration sequence (names, in order) must
-  /// match the captured runtime's, and every capacity, charge ledger and
+  /// shape and the backend registration sequence (each backend's
+  /// PostcardOptions, in order) must match the captured runtime's; the
+  /// runtime keeps its own RuntimeOptions. Every capacity, charge ledger and
   /// pending link event (link_event_error) must be one the runtime can
   /// apply; anything else throws std::invalid_argument before any state
   /// changes. Must run before the first tick. A restored runtime
@@ -166,7 +150,10 @@ class ControllerRuntime {
   const core::PostcardController& policy(int backend) const {
     return backends_[static_cast<std::size_t>(backend)]->controller;
   }
-  int current_slot() const { return next_slot_; }
+  /// The open slot: the one the next tick() solves. Any thread.
+  int current_slot() const { return queue_.open_slot(); }
+  /// Fixed at construction, so any thread may read it.
+  int num_links() const { return live_topology_.num_links(); }
 
  private:
   struct InFlightPlan {
@@ -238,7 +225,6 @@ class ControllerRuntime {
   EventQueue queue_;
   RequestIngress ingress_;
   std::vector<std::unique_ptr<Backend>> backends_;
-  int next_slot_ = 0;
   int next_synthetic_id_ = kSyntheticIdBase;
 
   // Guards every Backend::plans ledger: the driver

@@ -1,5 +1,6 @@
 // Plain-data mirror of everything a ControllerRuntime needs to resume a
-// charging period after a restart.
+// charging period after a restart, and of the configuration that produced
+// it: a replication standby builds its mirror from these fields alone.
 //
 // The split of responsibilities: ControllerRuntime::capture_snapshot()
 // fills these structs and restore_snapshot() applies them (both touch the
@@ -12,13 +13,14 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/plan.h"
+#include "core/postcard.h"
 #include "net/file_request.h"
 #include "net/topology.h"
 #include "runtime/event.h"
+#include "runtime/options.h"
 #include "runtime/stats.h"
 
 namespace postcard::runtime {
@@ -33,9 +35,9 @@ struct PlanLedgerEntry {
 
 /// Everything one registered Postcard backend carries across slots.
 struct BackendSnapshot {
-  // The controller's name(), which tells a storage-enabled backend from a
-  // no-storage one: restore refuses a target registered differently.
-  std::string name;
+  // The options the backend was registered with: restore refuses a target
+  // whose backend differs in any field (the name lives in `stats`).
+  core::PostcardOptions options;
 
   // Charge ledger: raw per-link per-slot committed volumes, the observed
   // slot count and the reduce() mismatch counter. X_ij is not stored: it
@@ -58,6 +60,10 @@ struct BackendSnapshot {
 
 /// Full controller state between two ticks.
 struct RuntimeSnapshot {
+  // The options the captured runtime ran under. Restore keeps the
+  // target's own, so a restart may change them; a standby adopts these.
+  RuntimeOptions options;
+
   // Topology fingerprint: restore refuses a runtime whose link structure
   // (endpoints, unit costs) differs. Capacities are live values and are
   // applied, not compared — LinkDown/CapacityChange survive the restart.
@@ -66,7 +72,7 @@ struct RuntimeSnapshot {
   std::vector<double> base_capacity;
   std::vector<bool> link_down;
 
-  // Slot clock and id allocator.
+  // Slot clock (the event queue's open slot) and id allocator.
   int next_slot = 0;
   int next_synthetic_id = 0;
 

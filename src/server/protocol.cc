@@ -38,12 +38,12 @@ SubmitVerdict decode_verdict(ByteReader& r) {
 // Event payload discriminants, shared by the snapshot file and the
 // replication stream. Kept independent of the std::variant index so
 // reordering EventPayload alternatives cannot silently change the format.
+// Tag 4 belonged to the deleted slot-tick event and stays unassigned.
 enum class EventTag : std::uint8_t {
   kLinkDown = 0,
   kLinkUp = 1,
   kCapacityChange = 2,
   kFileArrival = 3,
-  kSlotTick = 4,
   kSolverStall = 5,
   kSolverFault = 6,
 };
@@ -247,9 +247,6 @@ void encode_event(ByteWriter& w, const runtime::Event& e) {
   } else if (const auto* a = std::get_if<runtime::FileArrival>(&e.payload)) {
     w.u8(static_cast<std::uint8_t>(EventTag::kFileArrival));
     encode_file_request(w, a->file);
-  } else if (const auto* t = std::get_if<runtime::SlotTick>(&e.payload)) {
-    w.u8(static_cast<std::uint8_t>(EventTag::kSlotTick));
-    w.i32(t->slot);
   } else if (const auto* s = std::get_if<runtime::SolverStall>(&e.payload)) {
     w.u8(static_cast<std::uint8_t>(EventTag::kSolverStall));
     w.i32(s->backend);
@@ -284,9 +281,6 @@ runtime::Event decode_event(ByteReader& r) {
     }
     case EventTag::kFileArrival:
       e.payload = runtime::FileArrival{decode_file_request(r)};
-      break;
-    case EventTag::kSlotTick:
-      e.payload = runtime::SlotTick{r.i32()};
       break;
     case EventTag::kSolverStall: {
       runtime::SolverStall s;

@@ -1,6 +1,7 @@
 #include "server/snapshot.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <fcntl.h>
 #include <unistd.h>
@@ -38,8 +39,48 @@ std::vector<std::vector<double>> decode_series(ByteReader& r) {
   return s;
 }
 
+void encode_runtime_options(ByteWriter& w, const runtime::RuntimeOptions& o) {
+  w.i64(o.slot_pivot_budget);
+  w.u8(static_cast<std::uint8_t>(o.audit.mode));
+  w.boolean(o.dedup_submissions);
+}
+
+runtime::RuntimeOptions decode_runtime_options(ByteReader& r) {
+  runtime::RuntimeOptions o;
+  o.slot_pivot_budget = r.i64();
+  const std::uint8_t mode = r.u8();
+  if (mode > static_cast<std::uint8_t>(sim::AuditControls::Mode::kFailFast)) {
+    throw WireError("unknown audit mode " + std::to_string(mode));
+  }
+  o.audit.mode = static_cast<sim::AuditControls::Mode>(mode);
+  o.dedup_submissions = r.boolean();
+  return o;
+}
+
+void encode_postcard_options(ByteWriter& w, const core::PostcardOptions& o) {
+  w.boolean(o.allow_storage);
+  w.f64(o.cg_relative_gap);
+  w.i32(o.cg_stall_rounds);
+  w.boolean(o.use_sparse_graph);
+}
+
+core::PostcardOptions decode_postcard_options(ByteReader& r) {
+  core::PostcardOptions o;
+  o.allow_storage = r.boolean();
+  o.cg_relative_gap = r.f64();
+  // The controller refuses such a gap, and restore compares gaps with ==,
+  // which a NaN never satisfies.
+  if (!std::isfinite(o.cg_relative_gap) || o.cg_relative_gap < 0.0) {
+    throw WireError("cg_relative_gap " + std::to_string(o.cg_relative_gap) +
+                    " is not finite and non-negative");
+  }
+  o.cg_stall_rounds = r.i32();
+  o.use_sparse_graph = r.boolean();
+  return o;
+}
+
 void encode_backend(ByteWriter& w, const runtime::BackendSnapshot& b) {
-  w.str(b.name);
+  encode_postcard_options(w, b.options);
   encode_series(w, b.series);
   w.i32(b.series_slots);
   w.i64(b.reduce_violations);
@@ -61,7 +102,7 @@ void encode_backend(ByteWriter& w, const runtime::BackendSnapshot& b) {
 
 runtime::BackendSnapshot decode_backend(ByteReader& r) {
   runtime::BackendSnapshot b;
-  b.name = r.str();
+  b.options = decode_postcard_options(r);
   b.series = decode_series(r);
   b.series_slots = r.i32();
   b.reduce_violations = r.i64();
@@ -92,6 +133,7 @@ runtime::BackendSnapshot decode_backend(ByteReader& r) {
 }
 
 void encode_body(ByteWriter& w, const runtime::RuntimeSnapshot& snap) {
+  encode_runtime_options(w, snap.options);
   w.i32(snap.num_datacenters);
   w.u32(static_cast<std::uint32_t>(snap.links.size()));
   for (const net::Link& l : snap.links) {
@@ -127,6 +169,7 @@ void encode_body(ByteWriter& w, const runtime::RuntimeSnapshot& snap) {
 
 runtime::RuntimeSnapshot decode_body(ByteReader& r) {
   runtime::RuntimeSnapshot snap;
+  snap.options = decode_runtime_options(r);
   snap.num_datacenters = r.i32();
   const std::size_t links = r.length(4 + 4 + 8 + 8);
   snap.links.reserve(links);
@@ -175,12 +218,6 @@ runtime::RuntimeSnapshot decode_body(ByteReader& r) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
-  // Same hash the replication divergence fingerprint uses; one
-  // implementation, one set of constants (src/audit/fingerprint.h).
-  return audit::fnv1a64(data, n);
-}
-
 std::vector<std::uint8_t> encode_snapshot(
     const runtime::RuntimeSnapshot& snap) {
   ByteWriter body;
@@ -191,7 +228,9 @@ std::vector<std::uint8_t> encode_snapshot(
   file.u32(kSnapshotVersion);
   file.u64(static_cast<std::uint64_t>(body.size()));
   file.raw(body.data().data(), body.size());
-  const std::uint64_t checksum = fnv1a64(file.data().data(), file.size());
+  // The replication divergence fingerprint's hash (audit/fingerprint.h).
+  const std::uint64_t checksum =
+      audit::fnv1a64(file.data().data(), file.size());
   file.u64(checksum);
   return file.take();
 }
@@ -224,7 +263,7 @@ runtime::RuntimeSnapshot decode_snapshot(
   ByteReader trailer(bytes.data() + bytes.size() - 8, 8);
   const std::uint64_t stored = trailer.u64();
   trailer.require_done();
-  const std::uint64_t actual = fnv1a64(bytes.data(), bytes.size() - 8);
+  const std::uint64_t actual = audit::fnv1a64(bytes.data(), bytes.size() - 8);
   if (stored != actual) {
     throw WireError("snapshot checksum mismatch (file corrupt or tampered)");
   }

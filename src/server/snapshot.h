@@ -42,10 +42,10 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x50534E50;  // "PSNP"
 // its kind tag and its flow-baseline ledger count (8 bytes per backend).
 // v10: a backend section lost its running maxima X_ij, a u32 count and
 // 8 bytes per link (4 + 8L bytes): restore derives each from its series.
-inline constexpr std::uint32_t kSnapshotVersion = 10;
-
-/// FNV-1a 64-bit over a byte range.
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);
+// v11: the body opens with the RuntimeOptions that produced it (10
+// bytes), and a backend section holds its PostcardOptions (14 bytes) in
+// place of its name (4 + length bytes; the name stays in the stats).
+inline constexpr std::uint32_t kSnapshotVersion = 11;
 
 /// Serializes a snapshot into the full file image (header + body +
 /// checksum trailer).
@@ -53,7 +53,8 @@ std::vector<std::uint8_t> encode_snapshot(const runtime::RuntimeSnapshot& snap);
 
 /// Parses and validates a full file image. Throws WireError on a bad
 /// magic, unsupported version, length mismatch, checksum mismatch, or any
-/// malformed body field.
+/// malformed body field — an unknown audit mode or a cg_relative_gap that
+/// is NaN, infinite or negative included.
 runtime::RuntimeSnapshot decode_snapshot(const std::vector<std::uint8_t>& bytes);
 
 /// Atomically and durably replaces `path` with the serialized snapshot

@@ -34,7 +34,9 @@ namespace postcard::server {
 // BackendStats its DCRoute rung counter.
 // v8: BackendStats lost its audit report lines (fail-fast throws before a
 // report could reach them).
-inline constexpr std::uint16_t kProtocolVersion = 8;
+// v9: ReplHello and ReplHeartbeat carry no payload, and ReplAck only its
+// slot; the replication stream's events no longer include slot ticks.
+inline constexpr std::uint16_t kProtocolVersion = 9;
 
 /// Default cap on a single frame's payload. SubmitBatch with tens of
 /// thousands of files and a full stats reply both fit comfortably.
@@ -87,12 +89,12 @@ enum class MessageType : std::uint16_t {
   kError = 73,         // protocol violation; the session closes after this
   // Replication channel (primary <-> standby), DESIGN.md §14. Numbered
   // from 100 so client-facing types can grow without colliding.
-  kReplHello = 100,      // standby -> primary: introduce + last commit slot
+  kReplHello = 100,      // standby -> primary: introduce, ask for a seed
   kReplSnapshot = 101,   // primary -> standby: full PSNP bootstrap image
   kReplEvents = 102,     // primary -> standby: ordered event-push batch
   kReplCommit = 103,     // primary -> standby: slot commit + fingerprint
   kReplHeartbeat = 104,  // primary -> standby: liveness between commits
-  kReplAck = 105,        // standby -> primary: applied commit + own digest
+  kReplAck = 105,        // standby -> primary: applied commit
   kReplReseed = 106,     // standby -> primary: diverged, ship fresh snapshot
 };
 

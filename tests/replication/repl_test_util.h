@@ -32,8 +32,8 @@ inline sim::WorkloadParams repl_workload(std::uint64_t seed) {
   return p;
 }
 
-/// Runtime options both sides of a replicated pair must share, with
-/// idempotent submissions on.
+/// Runtime options of a replicated primary: idempotent submissions on, so
+/// a client retry across the failover applies exactly once.
 inline runtime::RuntimeOptions replicated_runtime_options() {
   runtime::RuntimeOptions options;
   options.dedup_submissions = true;
@@ -46,7 +46,6 @@ inline runtime::RuntimeOptions replicated_runtime_options() {
 inline StandbyOptions test_standby_options(int primary_port) {
   StandbyOptions options;
   options.primary_port = primary_port;
-  options.runtime = replicated_runtime_options();
   options.heartbeat_timeout_ms = 400;
   options.reconnect_attempts = 2;
   options.backoff_base_ms = 10;

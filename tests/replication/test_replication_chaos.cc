@@ -1,12 +1,15 @@
 // Replication chaos: injected divergence must be caught within one slot
-// commit and healed by a reseed; a stalled (non-draining) standby must be
+// commit and healed by one reseed; submissions racing the primary's slot
+// cut must replay without any; a stalled (non-draining) standby must be
 // dropped without wedging the primary's slot clock; reconnects and
 // standby turnover must reseed cleanly; a link event the standby's
 // topology lacks, in an event batch or a seed, is refused where it enters.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <netinet/in.h>
 #include <poll.h>
@@ -124,17 +127,16 @@ class ScriptedPrimary {
   int port_ = 0;
 };
 
-/// A slot-0 seed image of a fresh one-backend runtime on `topology`, with
-/// `pending` appended to its event queue.
+/// A slot-0 seed image of a fresh one-backend runtime on `topology`,
+/// altered by `craft` before it is encoded.
 std::vector<std::uint8_t> seed_image(
     const net::Topology& topology,
-    const std::vector<runtime::Event>& pending = {}) {
+    const std::function<void(runtime::RuntimeSnapshot&)>& craft = {}) {
   runtime::ControllerRuntime seed{net::Topology(topology),
                                   replicated_runtime_options()};
   seed.add_postcard_backend();
   runtime::RuntimeSnapshot snap = seed.capture_snapshot();
-  snap.pending_events.insert(snap.pending_events.end(), pending.begin(),
-                             pending.end());
+  if (craft) craft(snap);
   return ReplSnapshot{server::encode_snapshot(snap)}.encode();
 }
 
@@ -145,9 +147,7 @@ TEST(ReplicationChaos, OutOfRangeLinkEventBatchIsRefusedWhole) {
   const sim::UniformWorkload w(repl_workload(75));
   ScriptedPrimary primary;
   ASSERT_GT(primary.port(), 0);
-  ReplicationStandby standby(net::Topology(w.topology()),
-                             {core::PostcardOptions{}},
-                             test_standby_options(primary.port()));
+  ReplicationStandby standby(test_standby_options(primary.port()));
   standby.start();
   ASSERT_TRUE(primary.accept_standby());
   primary.send(server::MessageType::kReplSnapshot, seed_image(w.topology()));
@@ -179,13 +179,36 @@ TEST(ReplicationChaos, OutOfRangeLinkEventInASeedIsRefusedNotFatal) {
   const sim::UniformWorkload w(repl_workload(76));
   ScriptedPrimary primary;
   ASSERT_GT(primary.port(), 0);
-  ReplicationStandby standby(net::Topology(w.topology()),
-                             {core::PostcardOptions{}},
-                             test_standby_options(primary.port()));
+  ReplicationStandby standby(test_standby_options(primary.port()));
   standby.start();
   ASSERT_TRUE(primary.accept_standby());
   primary.send(server::MessageType::kReplSnapshot,
-               seed_image(w.topology(), {{2, 0, runtime::LinkDown{4000}}}));
+               seed_image(w.topology(), [](runtime::RuntimeSnapshot& snap) {
+                 snap.pending_events.push_back({2, 0, runtime::LinkDown{4000}});
+               }));
+  ASSERT_TRUE(primary.standby_hung_up());
+
+  primary.close_listener();
+  ASSERT_TRUE(standby.wait_failed(kWaitMs));
+  EXPECT_FALSE(standby.promoted());
+  EXPECT_EQ(standby.stats().snapshots_applied, 0);
+  standby.stop();
+}
+
+TEST(ReplicationChaos, SeedNamingTooManyDatacentersIsRefusedNotFatal) {
+  // The seed decides the standby's topology, whose dense link index holds
+  // n² entries: a crafted datacenter count must be refused before that
+  // allocation, on the malformed-frame path, not kill the run thread.
+  const sim::UniformWorkload w(repl_workload(77));
+  ScriptedPrimary primary;
+  ASSERT_GT(primary.port(), 0);
+  ReplicationStandby standby(test_standby_options(primary.port()));
+  standby.start();
+  ASSERT_TRUE(primary.accept_standby());
+  primary.send(server::MessageType::kReplSnapshot,
+               seed_image(w.topology(), [](runtime::RuntimeSnapshot& snap) {
+                 snap.num_datacenters = 1 << 20;
+               }));
   ASSERT_TRUE(primary.standby_hung_up());
 
   primary.close_listener();
@@ -198,9 +221,7 @@ TEST(ReplicationChaos, OutOfRangeLinkEventInASeedIsRefusedNotFatal) {
 TEST(ReplicationChaos, InjectedDivergenceIsCaughtWithinOneCommitAndReseeded) {
   const sim::UniformWorkload w(repl_workload(71));
   ReplicatedPair pair(w.topology());
-  ReplicationStandby standby(net::Topology(w.topology()),
-                             {core::PostcardOptions{}},
-                             test_standby_options(pair.primary->port()));
+  ReplicationStandby standby(test_standby_options(pair.primary->port()));
   standby.start();
   ASSERT_TRUE(wait_standby_connected(*pair.primary));
 
@@ -236,8 +257,81 @@ TEST(ReplicationChaos, InjectedDivergenceIsCaughtWithinOneCommitAndReseeded) {
   client.submit_batch(w.batch(3));
   client.advance(1);
   ASSERT_TRUE(standby.wait_for_commit(3, kWaitMs));
+  // One divergence costs one reseed request and one snapshot: while the
+  // seed is on its way, the unseeded standby drops events and commits
+  // instead of asking again for each frame.
   const StandbyStats healed = standby.stats();
   EXPECT_EQ(healed.fingerprint_mismatches, 1);
+  EXPECT_EQ(healed.reseeds_sent, 1);
+  EXPECT_EQ(healed.snapshots_applied, clean_seeds + 1);
+  EXPECT_EQ(pair.primary->stats().reseeds_requested, 1);
+  standby.stop();
+}
+
+TEST(ReplicationChaos, SubmissionsRacingTheSlotCutReplayWithoutReseeds) {
+  // One client submits a small file every 200 us while another drives 60
+  // slots, each with a batch of the workload, so pushes race each slot's
+  // cut and solve on the primary. The queue fires a push that loses the
+  // race in the next slot and the tap ships that slot, so the mirror cuts
+  // every batch where the primary did.
+  constexpr int kSlots = 60;
+  sim::WorkloadParams params = repl_workload(61);
+  params.num_slots = kSlots;
+  const sim::UniformWorkload w(params);
+  ReplicatedPair pair(w.topology());
+  ReplicationStandby standby(test_standby_options(pair.primary->port()));
+  standby.start();
+  ASSERT_TRUE(wait_standby_connected(*pair.primary));
+
+  // At most this many submissions per slot: a sanitizer build solves
+  // slowly enough that an unthrottled submitter grows every batch, and
+  // with it the next solve, without end.
+  constexpr int kPerSlot = 8;
+  std::atomic<bool> done{false};
+  std::atomic<long> admitted{0};
+  std::thread submitter([&] {
+    PostcardClient client("127.0.0.1", pair.server->port());
+    int slot = -1;
+    int in_slot = 0;
+    for (int id = 0; !done.load();) {
+      const int now = pair.server->stats().slots_processed;
+      if (now != slot) {
+        slot = now;
+        in_slot = 0;
+      }
+      if (in_slot < kPerSlot) {
+        net::FileRequest f;
+        f.id = 1'000'000 + id;  // clear of the workload's ids
+        f.source = id % 5;
+        f.destination = (id + 1) % 5;
+        f.size = 1.0;
+        f.max_transfer_slots = 2;
+        if (client.submit_file(f).admitted) admitted.fetch_add(1);
+        ++id;
+        ++in_slot;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  // Start the clock once submissions flow, so the two overlap.
+  ASSERT_TRUE(poll_until([&] { return admitted.load() > 0; }));
+  {
+    PostcardClient driver("127.0.0.1", pair.server->port());
+    for (int slot = 0; slot < kSlots; ++slot) {
+      driver.submit_batch(w.batch(slot));
+      driver.advance(1);
+    }
+  }
+  done.store(true);
+  submitter.join();
+
+  ASSERT_TRUE(standby.wait_for_commit(kSlots - 1, kWaitMs))
+      << "standby stopped at commit " << standby.stats().last_commit_slot;
+  const StandbyStats s = standby.stats();
+  EXPECT_EQ(s.fingerprint_mismatches, 0);
+  EXPECT_EQ(s.reseeds_sent, 0);
+  EXPECT_EQ(s.last_commit_slot, kSlots - 1);
+  EXPECT_EQ(pair.primary->stats().reseeds_requested, 0);
   standby.stop();
 }
 
@@ -296,9 +390,7 @@ TEST(ReplicationChaos, StalledStandbyIsDroppedSlowNotWedgingTheSlotClock) {
   // ship at slot commits only, so the connection must be up before the
   // final advance — otherwise the standby would wait for a commit that
   // never comes.
-  ReplicationStandby standby(net::Topology(w.topology()),
-                             {core::PostcardOptions{}},
-                             test_standby_options(pair.primary->port()));
+  ReplicationStandby standby(test_standby_options(pair.primary->port()));
   standby.start();
   ASSERT_TRUE(poll_until([&] { return pair.primary->standby_connected(); }));
   client.advance(1);
@@ -315,9 +407,7 @@ TEST(ReplicationChaos, StandbyTurnoverReseedsEachNewFollower) {
   client.advance(1);
 
   {
-    ReplicationStandby first(net::Topology(w.topology()),
-                             {core::PostcardOptions{}},
-                             test_standby_options(pair.primary->port()));
+    ReplicationStandby first(test_standby_options(pair.primary->port()));
     first.start();
     ASSERT_TRUE(wait_standby_connected(*pair.primary));
     client.submit_batch(w.batch(1));
@@ -326,9 +416,7 @@ TEST(ReplicationChaos, StandbyTurnoverReseedsEachNewFollower) {
     first.stop();  // clean departure, not a failover
   }
 
-  ReplicationStandby second(net::Topology(w.topology()),
-                            {core::PostcardOptions{}},
-                            test_standby_options(pair.primary->port()));
+  ReplicationStandby second(test_standby_options(pair.primary->port()));
   second.start();
   // Wait for the primary to accept the second follower itself: until its
   // I/O loop notices the first one left, standby_connected() still reports
@@ -351,8 +439,7 @@ TEST(ReplicationChaos, PartitionedStandbyReconnectsAndResumes) {
   ReplicatedPair pair(w.topology());
   StandbyOptions sopts = test_standby_options(pair.primary->port());
   sopts.reconnect_attempts = 100;  // partition heals before attempts run out
-  ReplicationStandby standby(net::Topology(w.topology()),
-                             {core::PostcardOptions{}}, sopts);
+  ReplicationStandby standby(sopts);
   standby.start();
   ASSERT_TRUE(wait_standby_connected(*pair.primary));
 

@@ -132,9 +132,7 @@ TEST(ReplicationCrash, SigkilledPrimaryFailsOverBitForBit) {
   ASSERT_GT(child.server_port, 0) << "child never published its ports";
   ASSERT_GT(child.repl_port, 0);
 
-  ReplicationStandby standby(net::Topology(w.topology()),
-                             {core::PostcardOptions{}},
-                             test_standby_options(child.repl_port));
+  ReplicationStandby standby(test_standby_options(child.repl_port));
   standby.start();
   // Seeds ship at slot commits only: before driving any, make sure the
   // child primary has accepted the standby (its first heartbeat proves

@@ -1,7 +1,8 @@
 // Deterministic-mode failover: a primary killed abruptly mid-run hands
 // over to its standby, and the survivor's remaining cost series is
 // bit-for-bit identical to an unfailed run, with and without a slot pivot
-// budget — plus exactly-once client resubmission across the failover and
+// budget — the standby given only the primary's address, its seed carrying
+// the rest — plus exactly-once client resubmission across the failover and
 // the standby's refusal to promote when it was never seeded.
 #include <gtest/gtest.h>
 
@@ -65,10 +66,9 @@ void expect_survivor_reproduces_unfailed_run(long pivot_budget) {
   primary.start();
   const int primary_port = primary_server->port();
 
-  StandbyOptions standby_options = test_standby_options(primary.port());
-  standby_options.runtime = runtime_options;
-  ReplicationStandby standby(net::Topology(w.topology()),
-                             {core::PostcardOptions{}}, standby_options);
+  // Only the primary's address: the seed carries the topology, the budget
+  // and the backend sequence.
+  ReplicationStandby standby(test_standby_options(primary.port()));
   standby.start();
   ASSERT_TRUE(wait_standby_connected(primary));
 
@@ -180,10 +180,7 @@ TEST(ReplicationFailover, NeverSeededStandbyFailsInsteadOfPromoting) {
     probe.request_shutdown();
     probe.wait();
   }
-  const sim::UniformWorkload w(repl_workload(62));
-  ReplicationStandby standby(net::Topology(w.topology()),
-                             {core::PostcardOptions{}},
-                             test_standby_options(dead_port));
+  ReplicationStandby standby(test_standby_options(dead_port));
   standby.start();
   ASSERT_TRUE(standby.wait_failed(kWaitMs));
   EXPECT_FALSE(standby.promoted());

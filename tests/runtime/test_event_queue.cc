@@ -1,4 +1,4 @@
-// Event queue ordering and thread-safety.
+// Event queue ordering, the slot cut and thread-safety.
 #include "runtime/event.h"
 
 #include <gtest/gtest.h>
@@ -22,29 +22,50 @@ net::FileRequest file(int id) {
 
 TEST(EventQueue, OrdersBySlotThenPhaseThenSequence) {
   EventQueue q;
-  // Push deliberately out of order: tick first, then arrivals, then a link
-  // failure, all at slot 0, plus a slot-1 arrival.
-  q.push(0, SlotTick{0});
+  // Push deliberately out of order: a slot-1 arrival, then slot-0
+  // arrivals, then a slot-0 chaos stall and link failure.
   q.push(1, FileArrival{file(9)});
   q.push(0, FileArrival{file(1)});
   q.push(0, FileArrival{file(2)});
+  q.push(0, SolverStall{-1, 5});
   q.push(0, LinkDown{3});
 
   Event e;
   ASSERT_TRUE(q.pop_due(0, &e));
-  EXPECT_TRUE(std::holds_alternative<LinkDown>(e.payload));  // phase 0 first
+  EXPECT_TRUE(std::holds_alternative<SolverStall>(e.payload));  // phase 0
+  ASSERT_TRUE(q.pop_due(0, &e));
+  EXPECT_TRUE(std::holds_alternative<LinkDown>(e.payload));  // then by seq
   ASSERT_TRUE(q.pop_due(0, &e));
   ASSERT_TRUE(std::holds_alternative<FileArrival>(e.payload));
   EXPECT_EQ(std::get<FileArrival>(e.payload).file.id, 1);  // submission order
   ASSERT_TRUE(q.pop_due(0, &e));
   EXPECT_EQ(std::get<FileArrival>(e.payload).file.id, 2);
-  ASSERT_TRUE(q.pop_due(0, &e));
-  EXPECT_TRUE(std::holds_alternative<SlotTick>(e.payload));  // tick last
   EXPECT_FALSE(q.pop_due(0, &e));  // slot-1 arrival is not due yet
-  EXPECT_EQ(q.next_slot(), 1);
+  EXPECT_EQ(q.open_slot(), 1);
   ASSERT_TRUE(q.pop_due(1, &e));
   EXPECT_EQ(std::get<FileArrival>(e.payload).file.id, 9);
   EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(EventQueue, PushAfterTheCutFiresInTheNextSlot) {
+  // The pop that finds nothing due closes the slot under the queue lock,
+  // so a push that arrives after it can only join the next slot's batch,
+  // and the arrival's release slot says so.
+  EventQueue q;
+  net::FileRequest late = file(7);
+  late.release_slot = 3;
+  Event e;
+  EXPECT_FALSE(q.pop_due(3, &e));
+  EXPECT_EQ(q.open_slot(), 4);
+  const Event queued = q.push(3, FileArrival{late});
+  EXPECT_EQ(queued.slot, 4);
+  EXPECT_EQ(std::get<FileArrival>(queued.payload).file.release_slot, 4);
+  EXPECT_FALSE(q.pop_due(3, &e)) << "a closed slot received an event";
+  ASSERT_TRUE(q.pop_due(4, &e));
+  EXPECT_EQ(e.slot, 4);
+  EXPECT_EQ(std::get<FileArrival>(e.payload).file.release_slot, 4);
+  // A push for a slot still open keeps its slot.
+  EXPECT_EQ(q.push(9, LinkDown{0}).slot, 9);
 }
 
 TEST(EventQueue, PastSlotEventsAreStillPopped) {
@@ -64,7 +85,8 @@ TEST(EventQueue, SequenceNumbersAreUniqueUnderConcurrentPush) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&q, &seqs, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        seqs[t].push_back(q.push(i % 4, FileArrival{file(t * kPerThread + i)}));
+        seqs[t].push_back(
+            q.push(i % 4, FileArrival{file(t * kPerThread + i)}).seq);
       }
     });
   }
@@ -76,7 +98,9 @@ TEST(EventQueue, SequenceNumbersAreUniqueUnderConcurrentPush) {
   EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kPerThread));
   EXPECT_TRUE(std::adjacent_find(all.begin(), all.end()) == all.end());
   EXPECT_EQ(q.depth(), all.size());
-  EXPECT_EQ(q.pushed_total(), all.size());
+  std::uint64_t next_seq = 0;
+  EXPECT_EQ(q.pending(&next_seq).size(), all.size());
+  EXPECT_EQ(next_seq, all.size());
 
   // Per-thread sequences must be increasing (each push happens-after the
   // previous one on that thread).

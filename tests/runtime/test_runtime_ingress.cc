@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,10 +59,13 @@ TEST(RequestIngress, LinkFailureTightensAdmission) {
 TEST(RequestIngress, PastReleaseSlotsAreRestamped) {
   EventQueue queue;
   RequestIngress ingress(square(), queue);
-  ingress.set_now(5);
+  Event drained;
+  ASSERT_FALSE(queue.pop_due(4, &drained));  // slots 0..4 are now closed
   const AdmissionResult r = ingress.submit(file(1, 0, 1, 5.0, 1, 2));
   ASSERT_TRUE(r.admitted);
   EXPECT_EQ(r.slot, 5);  // never joins a batch in the past
+  ASSERT_TRUE(queue.pop_due(5, &drained));
+  EXPECT_EQ(std::get<FileArrival>(drained.payload).file.release_slot, 5);
 }
 
 TEST(RequestIngress, CountersAreExactUnderConcurrentProducers) {
@@ -93,40 +97,78 @@ TEST(RequestIngress, CountersAreExactUnderConcurrentProducers) {
   EXPECT_EQ(queue.depth(), static_cast<std::size_t>(ingress.admitted()));
 }
 
-TEST(RuntimeIngress, ProducersSubmitWhileDriverTicks) {
-  // The end-to-end concurrency scenario: producers hammer the ingress while
-  // the driver thread ticks slots and runs the real controller's solves.
-  // One-GB files are far below any link's capacity, so every one fits;
-  // after the queue drains, every admitted file is accounted exactly once.
-  ControllerRuntime runtime{square(), RuntimeOptions{}};
+/// Producers hammer the ingress while the driver thread ticks slots and
+/// runs the real controller's solves under `pivot_budget` (0: none).
+/// Returns the stats after the queue drained; `tick_error` receives what a
+/// tick threw, if one did.
+RuntimeStats submit_while_ticking(long pivot_budget, std::string* tick_error) {
+  RuntimeOptions options;
+  options.slot_pivot_budget = pivot_budget;
+  ControllerRuntime runtime{square(), options};
   runtime.add_postcard_backend();
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 250;
+  std::atomic<int> finished{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < kThreads; ++p) {
-    producers.emplace_back([&runtime, p] {
+    producers.emplace_back([&runtime, &finished, p] {
       for (int i = 0; i < kPerThread; ++i) {
         const int id = p * kPerThread + i;
         runtime.ingress().submit(file(id, id % 4, (id + 1) % 4, 1.0, 2, i % 8));
       }
+      finished.fetch_add(1);
     });
   }
-  // Tick concurrently with the producers, then drain what is left.
-  for (int slot = 0; slot < 8; ++slot) runtime.tick();
+  // Tick for as long as the producers submit, then drain what is left. A
+  // fail-fast audit throws out of tick(); the producers still join.
+  try {
+    for (int slot = 0; slot < 8 || finished.load() < kThreads; ++slot) {
+      runtime.tick();
+    }
+  } catch (const std::exception& e) {
+    *tick_error = e.what();
+  }
   for (auto& p : producers) p.join();
-  while (runtime.events().depth() > 0) runtime.tick();
+  if (!tick_error->empty()) return runtime.stats();
+  try {
+    while (runtime.events().depth() > 0) runtime.tick();
+  } catch (const std::exception& e) {
+    *tick_error = e.what();
+  }
   runtime.flush_in_flight();
+  return runtime.stats();
+}
 
-  const RuntimeStats stats = runtime.stats();
-  EXPECT_EQ(stats.submitted, kThreads * kPerThread);
-  EXPECT_EQ(stats.admitted, stats.submitted);  // all requests well-formed
-  EXPECT_EQ(stats.queue_depth, 0u);
-  const BackendStats& b = stats.backends[0];
-  EXPECT_EQ(b.accepted_files, stats.admitted);
-  EXPECT_EQ(b.rejected_files, 0);
-  EXPECT_GT(stats.slots_processed, 7);
-  EXPECT_GT(stats.slot_latency.count(), 0);
+TEST(RuntimeIngress, ProducersSubmitWhileDriverTicks) {
+  // The end-to-end concurrency scenario. One-GB files are far below any
+  // link's capacity; after the queue drains, every admitted file is
+  // accounted exactly once. With a budget of 2 every slot degrades to the
+  // greedy rung, whose window starts at the file's release slot while the
+  // audit's starts at the batch slot: a file whose release slot were
+  // older than the slot solving it would fail the fail-fast audit.
+  for (const long pivot_budget : {0L, 2L}) {
+    SCOPED_TRACE("slot_pivot_budget " + std::to_string(pivot_budget));
+    std::string tick_error;
+    const RuntimeStats stats = submit_while_ticking(pivot_budget, &tick_error);
+    ASSERT_EQ(tick_error, "");
+    EXPECT_EQ(stats.submitted, 4 * 250);
+    EXPECT_EQ(stats.admitted, stats.submitted);  // all requests well-formed
+    EXPECT_EQ(stats.queue_depth, 0u);
+    const BackendStats& b = stats.backends[0];
+    EXPECT_EQ(b.accepted_files + b.rejected_files + b.failed_files,
+              stats.admitted);
+    EXPECT_EQ(b.audit_violations, 0);
+    EXPECT_GT(b.audit_checks, 0);
+    EXPECT_GT(stats.slots_processed, 7);
+    EXPECT_GT(stats.slot_latency.count(), 0);
+    if (pivot_budget == 0) {
+      EXPECT_EQ(b.accepted_files, stats.admitted);
+      EXPECT_EQ(b.rejected_files, 0);
+    } else {
+      EXPECT_GT(b.rung_greedy, 0);
+    }
+  }
 }
 
 TEST(RuntimeIngress, RealPostcardBackendUnderConcurrentSubmission) {

@@ -185,7 +185,7 @@ TEST(Server, ShutdownWritesFinalSnapshotAndDrains) {
   const runtime::RuntimeSnapshot snap = read_snapshot_file(path);
   EXPECT_EQ(snap.next_slot, 3);
   ASSERT_EQ(snap.backends.size(), 1u);
-  EXPECT_EQ(snap.backends[0].name, "postcard");
+  EXPECT_EQ(snap.backends[0].stats.name, "postcard");
   std::remove(path.c_str());
 }
 

@@ -291,6 +291,58 @@ TEST(SnapshotRestore, EachCorruptionClassFailsWithItsOwnError) {
   EXPECT_NO_THROW(decode_snapshot(bytes));
 }
 
+TEST(SnapshotRestore, RecordedOptionsRoundTripAndAreValidated) {
+  // The image records the configuration that produced it, and the decoder
+  // refuses a configuration no runtime could run: an unknown audit mode, a
+  // NaN, infinite or negative column-generation gap.
+  const sim::UniformWorkload w(small_workload(28));
+  RuntimeOptions options;
+  options.slot_pivot_budget = 12;
+  options.audit.mode = sim::AuditControls::Mode::kOff;
+  options.dedup_submissions = true;
+  ControllerRuntime runtime{net::Topology(w.topology()), options};
+  core::PostcardOptions tuned = no_storage();
+  tuned.cg_relative_gap = 3e-3;
+  tuned.cg_stall_rounds = 9;
+  tuned.use_sparse_graph = false;
+  runtime.add_postcard_backend(tuned);
+  drive(runtime, w, 0, 2);
+  const RuntimeSnapshot good = runtime.capture_snapshot();
+
+  const RuntimeSnapshot back = decode_snapshot(encode_snapshot(good));
+  EXPECT_EQ(back.options.slot_pivot_budget, 12);
+  EXPECT_EQ(back.options.audit.mode, sim::AuditControls::Mode::kOff);
+  EXPECT_TRUE(back.options.dedup_submissions);
+  ASSERT_EQ(back.backends.size(), 1u);
+  EXPECT_FALSE(back.backends[0].options.allow_storage);
+  EXPECT_EQ(back.backends[0].options.cg_relative_gap, 3e-3);
+  EXPECT_EQ(back.backends[0].options.cg_stall_rounds, 9);
+  EXPECT_FALSE(back.backends[0].options.use_sparse_graph);
+  EXPECT_EQ(back.backends[0].stats.name, "postcard (no storage)");
+
+  std::vector<std::function<void(RuntimeSnapshot&)>> crafted;
+  crafted.push_back([](RuntimeSnapshot& snap) {
+    snap.options.audit.mode = static_cast<sim::AuditControls::Mode>(2);
+  });
+  for (const double gap : {std::nan(""),
+                           std::numeric_limits<double>::infinity(), -1e-4}) {
+    crafted.push_back([gap](RuntimeSnapshot& snap) {
+      snap.backends[0].options.cg_relative_gap = gap;
+    });
+  }
+  for (std::size_t c = 0; c < crafted.size(); ++c) {
+    RuntimeSnapshot snap = good;
+    crafted[c](snap);
+    EXPECT_THROW(decode_snapshot(encode_snapshot(snap)), WireError)
+        << "case " << c;
+  }
+  // The controller refuses the same gaps, so every image it writes decodes.
+  core::PostcardOptions nan_gap;
+  nan_gap.cg_relative_gap = std::nan("");
+  ControllerRuntime fresh{net::Topology(w.topology()), RuntimeOptions{}};
+  EXPECT_THROW(fresh.add_postcard_backend(nan_gap), std::invalid_argument);
+}
+
 TEST(SnapshotRestore, MismatchedRestoreTargetsAreRefused) {
   const sim::UniformWorkload w(small_workload(24));
   ControllerRuntime source{net::Topology(w.topology()), RuntimeOptions{}};
@@ -310,6 +362,38 @@ TEST(SnapshotRestore, MismatchedRestoreTargetsAreRefused) {
     ControllerRuntime target{net::Topology(w.topology()), RuntimeOptions{}};
     target.add_postcard_backend();
     EXPECT_THROW(target.restore_snapshot(snap), std::invalid_argument);
+  }
+  // Same storage flag (so the same name), another column-generation gap:
+  // the restored backend would solve differently, so the field is named.
+  {
+    ControllerRuntime target{net::Topology(w.topology()), RuntimeOptions{}};
+    core::PostcardOptions looser;
+    looser.cg_relative_gap = 2e-3;
+    target.add_postcard_backend(looser);
+    target.add_postcard_backend(no_storage());
+    try {
+      target.restore_snapshot(snap);
+      ADD_FAILURE() << "a backend with another cg_relative_gap restored";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("backend 0"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("cg_relative_gap"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(target.current_slot(), 0);
+  }
+  // The target keeps its own RuntimeOptions: a restart may change the
+  // budget (the image records the captured runtime's, for the standby).
+  {
+    RuntimeOptions budgeted;
+    budgeted.slot_pivot_budget = 7;
+    ControllerRuntime target{net::Topology(w.topology()), budgeted};
+    add_two_backends(target);
+    EXPECT_NO_THROW(target.restore_snapshot(snap));
+    EXPECT_EQ(target.current_slot(), 2);
+    EXPECT_EQ(target.capture_snapshot().options.slot_pivot_budget, 7);
+    EXPECT_EQ(snap.options.slot_pivot_budget, 0);
   }
   // Different topology shape.
   {
