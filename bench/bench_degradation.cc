@@ -1,19 +1,12 @@
 // Cost of graceful degradation (DESIGN.md §9) on the Fig. 4 workload.
 //
-// Two families:
-//
-//   * DegradationCost/budget:B — replay the workload with a per-slot pivot
-//     budget of B (0 = unlimited, the full-LP reference). As B shrinks the
-//     watchdog cuts column generation earlier and more slots land on the
-//     truncated-CG / greedy rungs; counters report where the ladder settled
-//     and what the degradation cost relative to the slots' entry charge
-//     (`cost_delta` = BackendStats::degraded_cost_delta). Budgets are pure
-//     pivot counts, so every reading is deterministic.
-//   * DegradationChaos/slots:K — a clean run except for K injected one-shot
-//     stalls (pivot budget 0 at evenly spaced slots): the price of riding
-//     the greedy rung through K solver outages while every file stays
-//     accounted (accepted + rejected + failed == admitted, asserted in the
-//     chaos test suite; the bench reports the delta against the clean run).
+// DegradationCost/budget:B replays the workload with a per-slot pivot
+// budget of B (0 = unlimited, the full-LP reference). As B shrinks the
+// watchdog cuts column generation earlier and more slots land on the
+// truncated-CG / greedy rungs; counters report where the ladder settled and
+// what the degradation cost relative to the slots' entry charge
+// (`cost_delta` = BackendStats::degraded_cost_delta). Budgets are pure
+// pivot counts, so every reading is deterministic.
 //
 // Build & run:  cmake --build build && ./build/bench/bench_degradation
 #include <benchmark/benchmark.h>
@@ -77,46 +70,9 @@ void BM_DegradationCost(benchmark::State& state) {
   record_json_metric(key + "_cost_delta", b.degraded_cost_delta);
 }
 
-void BM_DegradationChaos(benchmark::State& state) {
-  const int stalls = static_cast<int>(state.range(0));
-  const sim::UniformWorkload workload(fig4_params(42));
-  const int num_slots = workload.num_slots();
-
-  // Clean reference once, outside the timed loop.
-  double clean_cost = 0.0;
-  {
-    runtime::ControllerRuntime engine{net::Topology(workload.topology()),
-                                      runtime::RuntimeOptions{}};
-    engine.add_postcard_backend();
-    clean_cost = engine.replay(workload).backends[0].cost_series.back();
-  }
-
-  runtime::RuntimeStats stats;
-  for (auto _ : state) {
-    runtime::ControllerRuntime engine{net::Topology(workload.topology()),
-                                      runtime::RuntimeOptions{}};
-    engine.add_postcard_backend();
-    for (int k = 0; k < stalls; ++k) {
-      engine.stall_solver(1 + k * num_slots / (stalls + 1), 0);
-    }
-    stats = engine.replay(workload);
-    benchmark::DoNotOptimize(stats.slots_processed);
-  }
-
-  const runtime::BackendStats& b = stats.backends[0];
-  state.counters["cost_per_interval"] = b.cost_series.back();
-  state.counters["cost_vs_clean"] = b.cost_series.back() - clean_cost;
-  state.counters["rung_greedy"] = static_cast<double>(b.rung_greedy);
-  state.counters["carryover"] = static_cast<double>(b.carryover_files);
-  state.counters["failed"] = static_cast<double>(b.failed_files);
-  record_json_metric("chaos" + std::to_string(stalls) + "_cost_vs_clean",
-                     b.cost_series.back() - clean_cost);
-}
-
 BENCHMARK(BM_DegradationCost)
     ->Arg(0)->Arg(10)->Arg(25)->Arg(50)->Arg(100)->Arg(400)
     ->ArgName("budget");
-BENCHMARK(BM_DegradationChaos)->Arg(1)->Arg(3)->Arg(6)->ArgName("slots");
 
 }  // namespace
 }  // namespace postcard::bench

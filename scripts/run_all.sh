@@ -19,8 +19,7 @@ ctest --test-dir build --output-on-failure -j "${JOBS}" 2>&1 | tee test_output.t
 
 # Concurrency suite under TSAN: the preset configures build-tsan/ with
 # -DPOSTCARD_TSAN=ON; any data race fails the run. `chaos` labels the
-# fault-injection suites (link failures, solver stalls/faults, the
-# degradation ladder).
+# fault-injection suites (link failures and the degradation ladder).
 cmake --preset tsan
 cmake --build build-tsan -j "${JOBS}"
 ctest --test-dir build-tsan -L "runtime|chaos|server|scale|replication" --output-on-failure \

@@ -28,9 +28,9 @@ Thresholds by metric-name suffix/kind:
     1.5; growth is always fine.
   * warm_accept_rate (suffix match, so hotpath_warm_accept_rate gates too):
     fail if it drops by more than 0.15 absolute.
-  * cost (contains cost_mean / cost_per_interval / cost_delta /
-    cost_vs_clean): fail if new > 1.10x old + 1e-9 (deterministic solves;
-    any real growth is a behavior change).
+  * cost (contains cost_mean / cost_per_interval / cost_delta): fail if
+    new > 1.10x old + 1e-9 (deterministic solves; any real growth is a
+    behavior change).
   * counts (degraded_slots / audit_violations / protocol_errors /
     rejected_files; rejected_share as a rate): fail if new > old + 1
     (rates: + 0.02).
@@ -80,7 +80,7 @@ def summarize_text(path):
             cells.append(f"rej {100*rej:.1f}%")
         for extra in ("delivered_gb", "objective", "percentile", "budget",
                       "cost_delta", "degraded_slots", "rung_truncated",
-                      "rung_greedy", "carryover", "cost_vs_clean",
+                      "rung_greedy", "carryover",
                       "audit_checks", "audit_violations", "audit_ms",
                       "audit_share_pct", "audit_us_per_slot",
                       "rtt_mean_ms", "rtt_p99_ms", "slot_mean_ms",
@@ -102,7 +102,7 @@ COST_RATIO = 1.10
 COUNT_SLACK = 1
 RATE_SLACK = 0.02
 
-COST_KEYS = ("cost_mean", "cost_per_interval", "cost_delta", "cost_vs_clean")
+COST_KEYS = ("cost_mean", "cost_per_interval", "cost_delta")
 COUNT_KEYS = ("degraded_slots", "audit_violations", "protocol_errors",
               "rejected_files")
 RATE_KEYS = ("rejected_share",)

@@ -338,8 +338,8 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   };
 
   lp::RevisedSimplex simplex;
-  // Reused across pricing rounds; round 0 starts from the canonical basis.
-  lp::RevisedSimplex::WarmStart warm =
+  // Round 0 starts from the canonical basis; later rounds resume in place.
+  const lp::RevisedSimplex::WarmStart seed =
       canonical_warm_basis(master, zv, demand_row);
 
   lp::Solution sol;
@@ -350,35 +350,24 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   linalg::Vector incumbent_duals;  // duals at the best Lagrangian bound
   double best_objective = std::numeric_limits<double>::infinity();
   int stalled = 0;
-  // In-place master resumes (RevisedSimplex::resolve) are sound only while
-  // the master grows append-only from a solved-to-optimality state; any
-  // other outcome forces the next round back through a full solve.
-  bool resume_ready = false;
 
   for (result.rounds = 0; result.rounds < kMaxRounds; ++result.rounds) {
     // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
     const auto t0 = std::chrono::steady_clock::now();
     // Direct simplex call (no presolve): exact duals for every master row.
-    // Rounds after an optimal one resume in place — same basis, same LU
-    // factorization, no phase 1 — since the master only gained columns;
-    // otherwise the solve warm-starts from the previous round's basis.
-    const bool resume = resume_ready && simplex.can_resume(master);
-    // The warm basis is only ever read by a full solve, so it is extracted
-    // lazily right before one — the simplex still holds the state the
-    // per-round snapshot would have recorded, and resumed rounds skip the
-    // copy entirely.
-    if (!resume && result.rounds > 0) warm = simplex.extract_warm_start();
-    sol = resume
-              ? simplex.resolve(master, budget)
-              : simplex.solve(master, warm.basis.empty() ? nullptr : &warm,
-                              budget);
+    // Every round after the first follows an optimal one (any other outcome
+    // leaves the loop) on a master that only gained columns, so it resumes
+    // in place — same basis, same LU factorization, no phase 1. resolve()
+    // solves cold when it cannot (an artificial stayed basic).
+    const bool resume = result.rounds > 0 && simplex.can_resume(master);
+    sol = result.rounds == 0 ? simplex.solve(master, &seed, budget)
+                             : simplex.resolve(master, budget);
     result.master_seconds +=
         // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     if (resume) ++result.resumed_solves;
     if (result.rounds == 0) result.warm_accepted = sol.warm_started;
-    resume_ready = sol.optimal();
     result.lp_iterations += sol.iterations;
     result.master_status = sol.status;
     if (sol.status == lp::SolveStatus::kDeadlineExceeded) {

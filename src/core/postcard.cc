@@ -44,22 +44,12 @@ sim::ScheduleOutcome PostcardController::schedule(
 
   // Watchdog budget for the whole slot: one SolveBudget shared by every
   // master solve and admission retry, so the slot as a whole respects the
-  // limit. With inactive controls (`ladder` false) everything below is the
-  // legacy drop-and-retry admission, bit for bit.
-  const bool ladder = controls_.active();
-  lp::SolveBudget budget = lp::SolveBudget::pivot_limit(controls_.max_pivots);
+  // limit.
+  lp::SolveBudget budget = lp::SolveBudget::pivot_limit(pivot_budget_);
   lp::SolveBudget* bp = budget.limited() ? &budget : nullptr;
 
   // Files the LP rungs could not place; handed to the greedy rung below.
   std::vector<net::FileRequest> pending;
-
-  if (ladder && controls_.disable_rungs >= 1) {
-    // Injected solver fault: the CG rungs are gone before the first solve.
-    ++outcome.solver_failures;
-    outcome.solver_status = "fault_injected";
-    pending = std::move(batch);
-    batch.clear();
-  }
 
   while (!batch.empty()) {
     std::vector<FilePlan> plans;
@@ -94,30 +84,23 @@ sim::ScheduleOutcome PostcardController::schedule(
         outcome.accepted_ids.push_back(plan.file_id);
       }
       last_plans_ = std::move(plans);
-      if (ladder) {
-        if (truncated) {
-          ++outcome.rung_truncated;
-        } else {
-          ++outcome.rung_full;
-        }
+      if (truncated) {
+        ++outcome.rung_truncated;
+      } else {
+        ++outcome.rung_full;
       }
       break;
     }
-    // The master failed outright. Under the ladder, anything that is not a
-    // capacity verdict (kOptimal with z > 0 reports unroutable files) walks
-    // the whole batch down to the greedy rung instead of re-burning the
-    // exhausted budget.
-    if (ladder && unroutable.empty()) {
+    // The master failed outright: the budget ran out before round 0 was
+    // optimal, or the simplex hit its iteration cap or a numerical
+    // failure. None of these is a capacity verdict, so the whole batch
+    // walks down to the greedy rung instead of re-running the solver.
+    if (unroutable.empty()) {
       pending.insert(pending.end(), batch.begin(), batch.end());
-      batch.clear();
       break;
     }
-    // Admission: drop exactly the files the relaxed master could not route;
-    // a master that failed outright names none, so drop the file with the
-    // steepest rate requirement instead.
-    if (unroutable.empty()) {
-      unroutable.push_back(batch[net::heaviest_file(batch)].id);
-    }
+    // Admission: the master's capacity verdict names the files it could
+    // not route; drop exactly those and retry with the rest.
     for (int id : unroutable) {
       const auto it = std::find_if(batch.begin(), batch.end(),
                                    [id](const net::FileRequest& f) {
@@ -134,31 +117,24 @@ sim::ScheduleOutcome PostcardController::schedule(
   // the live charge state (same graph, same marginal-charge arc costs).
   // Files it cannot place are deferred — neither accepted nor rejected —
   // for the runtime to carry over or fail loudly.
-  if (!pending.empty()) {
-    GreedyOptions gopts;
-    gopts.allow_storage = options_.allow_storage;
-    for (const net::FileRequest& file : pending) {
-      if (controls_.disable_rungs >= 2) {
-        outcome.deferred_ids.push_back(file.id);
-        outcome.deferred_volume += file.size;
-        continue;
+  GreedyOptions gopts;
+  gopts.allow_storage = options_.allow_storage;
+  for (const net::FileRequest& file : pending) {
+    FilePlan plan;
+    double gave_up = 0.0;
+    const GreedyRoute r =
+        greedy_route_file(topology_, gopts, file, charge_, plan, &gave_up);
+    if (r == GreedyRoute::kRouted) {
+      outcome.accepted_ids.push_back(file.id);
+      ++outcome.rung_greedy;
+      last_plans_.push_back(std::move(plan));
+    } else {
+      if (r == GreedyRoute::kChunkLimit) {
+        ++outcome.gave_up_files;
+        outcome.gave_up_volume += gave_up;
       }
-      FilePlan plan;
-      double gave_up = 0.0;
-      const GreedyRoute r =
-          greedy_route_file(topology_, gopts, file, charge_, plan, &gave_up);
-      if (r == GreedyRoute::kRouted) {
-        outcome.accepted_ids.push_back(file.id);
-        ++outcome.rung_greedy;
-        last_plans_.push_back(std::move(plan));
-      } else {
-        if (r == GreedyRoute::kChunkLimit) {
-          ++outcome.gave_up_files;
-          outcome.gave_up_volume += gave_up;
-        }
-        outcome.deferred_ids.push_back(file.id);
-        outcome.deferred_volume += file.size;
-      }
+      outcome.deferred_ids.push_back(file.id);
+      outcome.deferred_volume += file.size;
     }
   }
 

@@ -11,7 +11,9 @@
 //
 // The paper assumes every batch is schedulable; when a batch is not (tight
 // capacities + deadlines), the controller drops the files the master could
-// not route and retries, reporting the rejected volume.
+// not route and retries, reporting the rejected volume. A master that
+// cannot finish (pivot budget spent, iteration cap, numerical failure)
+// walks the degradation ladder instead (DESIGN.md §9).
 #pragma once
 
 #include <stdexcept>
@@ -81,15 +83,10 @@ class PostcardController : public sim::SchedulingPolicy {
     topology_.set_capacity(link, capacity);
   }
 
-  /// Arms the slot watchdog: every subsequent schedule() builds a
-  /// SolveBudget from these controls and walks the degradation ladder on
-  /// exhaustion (full CG -> truncated CG -> greedy fallback -> deferral,
-  /// reported through ScheduleOutcome::deferred_ids). With inactive
-  /// controls (the default) behavior is the legacy drop-and-retry
-  /// admission, bit for bit.
-  void set_solve_controls(const sim::SolveControls& controls) {
-    controls_ = controls;
-  }
+  /// Arms the slot watchdog: every subsequent schedule() runs under an
+  /// lp::SolveBudget of `max_pivots` units (negative: unlimited, the
+  /// default). A count, never a clock, so a replay degrades identically.
+  void set_pivot_budget(long max_pivots) { pivot_budget_ = max_pivots; }
 
   /// Arms the plan auditor: every subsequent schedule() re-verifies the
   /// committed plans against the paper invariants (src/audit) and reports
@@ -141,7 +138,7 @@ class PostcardController : public sim::SchedulingPolicy {
   // Persistent arena for the incremental time-expanded graph; advanced in
   // place by each solve.
   net::SparseTimeGraph sparse_graph_;
-  sim::SolveControls controls_;
+  long pivot_budget_ = -1;  // lp::SolveBudget units per slot; -1 unlimited
   sim::AuditControls audit_controls_;
 };
 

@@ -193,32 +193,6 @@ bool RevisedSimplex::warm_point_feasible() {
   return true;
 }
 
-RevisedSimplex::WarmStart RevisedSimplex::extract_warm_start() const {
-  WarmStart w;
-  if (basis_.empty() && m_ > 0) return w;
-  w.col_status.resize(static_cast<std::size_t>(n_));
-  for (int j = 0; j < n_; ++j) {
-    w.col_status[j] = static_cast<signed char>(vstat_[j]);
-  }
-  w.row_status.resize(static_cast<std::size_t>(m_));
-  for (int i = 0; i < m_; ++i) {
-    w.row_status[i] = static_cast<signed char>(vstat_[n_ + i]);
-  }
-  w.basis.resize(static_cast<std::size_t>(m_));
-  for (int i = 0; i < m_; ++i) {
-    const int b = basis_[i];
-    if (b < n_) {
-      w.basis[i] = b;
-    } else if (b < n_ + m_) {
-      w.basis[i] = -(b - n_ + 1);
-    } else {
-      w.basis.clear();  // an artificial is still basic: snapshot unusable
-      break;
-    }
-  }
-  return w;
-}
-
 Solution RevisedSimplex::solve(const LpModel& model, const WarmStart* warm,
                                SolveBudget* budget) {
   budget_ = budget && budget->limited() ? budget : nullptr;
@@ -389,8 +363,7 @@ bool RevisedSimplex::can_resume(const LpModel& model) const {
   if (new_n < n_) return false;
   // An artificial still basic (degenerate phase-1 leftover at zero) would
   // have to survive the resume; dropping to a cold start instead keeps the
-  // resumed state artificial-free, matching what a round-to-round warm
-  // start reconstructs.
+  // resumed state artificial-free.
   for (int i = 0; i < m_; ++i) {
     if (basis_[i] >= n_ + m_) return false;
   }
@@ -436,8 +409,8 @@ Solution RevisedSimplex::resolve(const LpModel& model, SolveBudget* budget) {
   rebuild_rows();
   matrix_entries_ = model.num_entries();
 
-  // Drop the (all-nonbasic, fixed-at-zero) artificials so the resumed
-  // variable set matches what a round-to-round warm start would rebuild.
+  // Drop the (all-nonbasic, fixed-at-zero) artificials: the resumed
+  // variable set is the model's structurals and logicals only.
   art_row_.clear();
   art_sign_.clear();
   lower_.resize(static_cast<std::size_t>(old_n + m_));

@@ -52,14 +52,13 @@ class RevisedSimplex {
     int refactor_interval = 100;
   };
 
-  /// Basis snapshot for warm starts. Valid to reuse on a model with the SAME
-  /// rows (same bounds and coefficients for existing columns) and possibly
-  /// MORE columns appended at the end — the column-generation pattern. An
-  /// empty `basis` means "no usable snapshot". Snapshots may also be
-  /// constructed externally (the cross-slot remap in core/column_generation
-  /// does); solve() verifies nonsingularity and primal feasibility before
-  /// trusting any snapshot, so a stale or hand-built basis can only cost a
-  /// cold fallback, never a wrong answer.
+  /// Basis snapshot for warm starts, built by the caller (the canonical
+  /// round-0 seed in core/column_generation is one). It names a basis of a
+  /// model with the SAME rows and possibly MORE columns appended at the end;
+  /// an empty `basis` means "no usable snapshot". solve() verifies
+  /// nonsingularity and primal feasibility before trusting any snapshot, so
+  /// a stale or wrong basis can only cost a cold fallback, never a wrong
+  /// answer.
   struct WarmStart {
     /// Status codes stored in col_status/row_status (the solver's internal
     /// VarStatus encoding, public so external builders can speak it).
@@ -108,11 +107,6 @@ class RevisedSimplex {
   /// resumed tail prices the true costs in a single phase — no perturbation
   /// cycle, whose anti-degeneracy role the EXPAND minimum step covers.
   Solution resolve(const LpModel& model, SolveBudget* budget = nullptr);
-
-  /// Captures the final basis of the last solve() for reuse. Returns an
-  /// unusable (empty-basis) snapshot when an artificial variable is still
-  /// basic or no solve has run.
-  WarmStart extract_warm_start() const;
 
  private:
   enum class VarStatus : unsigned char { kBasic, kAtLower, kAtUpper, kFree };

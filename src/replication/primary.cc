@@ -58,6 +58,10 @@ void ReplicationPrimary::start() {
   if (server_ == nullptr) {
     throw WireError("ReplicationPrimary::start() before attach()");
   }
+  {
+    base::MutexLock lock(seed_gate_->mu);
+    seed_gate_->primary = this;
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     throw WireError("replication socket() failed: errno " +
@@ -98,6 +102,12 @@ void ReplicationPrimary::start() {
 }
 
 void ReplicationPrimary::stop() {
+  {
+    // Waits out a seed task already running on the driver; later ones find
+    // the gate closed.
+    base::MutexLock lock(seed_gate_->mu);
+    seed_gate_->primary = nullptr;
+  }
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   {
     base::MutexLock lock(mu_);
@@ -206,32 +216,7 @@ void ReplicationPrimary::on_slot_committed(int slot) {
     overflowed_ = false;
     return;
   }
-  if (needs_seed_) {
-    runtime::RuntimeSnapshot snap;
-    try {
-      snap = server_->runtime().capture_snapshot();
-    } catch (const std::exception& e) {
-      std::cerr << "replication: snapshot capture failed: " << e.what()
-                << "\n";
-      drop_standby_locked(/*slow=*/false);
-      return;
-    }
-    watermark_ = snap.event_seq_watermark;
-    ReplSnapshot seed;
-    seed.image = server::encode_snapshot(snap);
-    try {
-      server::write_frame(conn_fd_, MessageType::kReplSnapshot, seed.encode(),
-                          options_.send_timeout_ms);
-    } catch (const WireTimeout&) {
-      drop_standby_locked(/*slow=*/true);
-      return;
-    } catch (const WireError&) {
-      drop_standby_locked(/*slow=*/false);
-      return;
-    }
-    needs_seed_ = false;
-    stats_.snapshots_shipped++;
-  }
+  if (needs_seed_ && !ship_seed_locked()) return;
   if (!flush_events_locked()) return;
   ReplCommit commit;
   commit.slot = slot;
@@ -247,6 +232,52 @@ void ReplicationPrimary::on_slot_committed(int slot) {
     return;
   }
   stats_.commits_shipped++;
+}
+
+bool ReplicationPrimary::ship_seed_locked() {
+  runtime::RuntimeSnapshot snap;
+  try {
+    snap = server_->runtime().capture_snapshot();
+  } catch (const std::exception& e) {
+    std::cerr << "replication: snapshot capture failed: " << e.what() << "\n";
+    drop_standby_locked(/*slow=*/false);
+    return false;
+  }
+  watermark_ = snap.event_seq_watermark;
+  ReplSnapshot seed;
+  seed.image = server::encode_snapshot(snap);
+  try {
+    server::write_frame(conn_fd_, MessageType::kReplSnapshot, seed.encode(),
+                        options_.send_timeout_ms);
+  } catch (const WireTimeout&) {
+    drop_standby_locked(/*slow=*/true);
+    return false;
+  } catch (const WireError&) {
+    drop_standby_locked(/*slow=*/false);
+    return false;
+  }
+  needs_seed_ = false;
+  stats_.snapshots_shipped++;
+  return true;
+}
+
+void ReplicationPrimary::post_seed() {
+  server_->post_to_driver([gate = seed_gate_] {
+    base::MutexLock lock(gate->mu);
+    if (gate->primary != nullptr) gate->primary->seed_between_ticks();
+  });
+}
+
+void ReplicationPrimary::seed_between_ticks() {
+  if (!running_.load(std::memory_order_acquire) ||
+      killed_.load(std::memory_order_acquire)) {
+    return;
+  }
+  base::MutexLock lock(mu_);
+  if (conn_fd_ < 0 || conn_failed_ || !needs_seed_) return;
+  // Events pushed after the capture are past the new watermark; the next
+  // heartbeat or commit ships them.
+  ship_seed_locked();
 }
 
 void ReplicationPrimary::heartbeat_loop() {
@@ -349,8 +380,11 @@ void ReplicationPrimary::io_loop() {
           switch (frame.type) {
             case MessageType::kReplHello: {
               ReplHello::decode(frame.payload);
-              base::MutexLock lock(mu_);
-              needs_seed_ = true;
+              {
+                base::MutexLock lock(mu_);
+                needs_seed_ = true;
+              }
+              post_seed();
               break;
             }
             case MessageType::kReplAck: {
@@ -365,9 +399,12 @@ void ReplicationPrimary::io_loop() {
               const ReplReseed req = ReplReseed::decode(frame.payload);
               std::cerr << "replication: standby requested reseed: "
                         << req.reason << "\n";
-              base::MutexLock lock(mu_);
-              needs_seed_ = true;
-              stats_.reseeds_requested++;
+              {
+                base::MutexLock lock(mu_);
+                needs_seed_ = true;
+                stats_.reseeds_requested++;
+              }
+              post_seed();
               break;
             }
             default:

@@ -8,16 +8,20 @@
 //   post-tick hook      ──► on the driver thread at each slot commit:
 //                           seed (snapshot) if needed, flush buffered
 //                           events, send ReplCommit{slot, fingerprint}
+//   seed task           ──► on the driver thread between ticks, posted
+//                           when a standby asks for a seed: ships it at
+//                           once, so no further tick is needed
 //   heartbeat thread    ──► ReplHeartbeat between commits; also flushes
 //                           buffered arrivals so a slow slot clock does
 //                           not grow the buffer unboundedly
 //   io thread           ──► accepts the standby, reads Hello/Ack/Reseed
 //
-// Lock order: mu_ (connection + send serialization) before buf_mu_ (tap
-// buffer) before the queue's internal lock — the tap runs under the queue
-// lock and takes only buf_mu_, so no cycle exists. Sends hold mu_ for
-// their duration, bounded by send_timeout_ms; only the io thread closes
-// fds, so a send never races a close.
+// Lock order: the seed gate's lock before mu_ (connection + send
+// serialization) before buf_mu_ (tap buffer) before the queue's internal
+// lock — the tap runs under the queue lock and takes only buf_mu_, so no
+// cycle exists. Sends hold mu_ for their duration, bounded by
+// send_timeout_ms; only the io thread closes fds, so a send never races a
+// close.
 //
 // Failure policy: any send error or timeout DROPS the standby (it will
 // reconnect and be reseeded from a fresh snapshot) — the primary never
@@ -26,6 +30,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,7 +84,8 @@ class ReplicationPrimary {
   void start();
 
   /// Graceful stop: detaches nothing on the server side (the hook checks
-  /// a flag), closes the listener and connection, joins threads.
+  /// a flag, a queued seed task the seed gate), closes the listener and
+  /// connection, joins threads.
   void stop();
 
   /// Chaos hook: emulates the process dying mid-stream — stops shipping
@@ -96,14 +102,32 @@ class ReplicationPrimary {
   void heartbeat_loop();
   /// Driver-thread hook: seed/flush/commit for `slot`.
   void on_slot_committed(int slot);
+  /// Io thread: queues seed_between_ticks() on the server's driver behind
+  /// the seed gate. Returns at once, also before the server has started.
+  void post_seed();
+  /// Driver-thread task between ticks: ships the seed a standby asked for.
+  void seed_between_ticks();
+  /// Captures the runtime and sends it as the standby's seed; returns
+  /// false (and drops the standby) on error. Driver thread; caller holds
+  /// mu_.
+  bool ship_seed_locked() REQUIRES(mu_);
   /// Sends buffered events past the watermark; returns false (and drops
   /// the standby) on error. Caller holds mu_.
   bool flush_events_locked() REQUIRES(mu_);
   /// Marks the connection for close by the io thread. Caller holds mu_.
   void drop_standby_locked(bool slow) REQUIRES(mu_);
 
+  /// Shared with every seed task queued on the server's driver: stop()
+  /// clears `primary`, so a task that runs after the primary stopped, or
+  /// was destroyed, seeds nothing.
+  struct SeedGate {
+    base::Mutex mu;
+    ReplicationPrimary* primary GUARDED_BY(mu) = nullptr;
+  };
+
   PrimaryOptions options_;
   server::PostcardServer* server_ = nullptr;
+  std::shared_ptr<SeedGate> seed_gate_ = std::make_shared<SeedGate>();
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> running_{false};

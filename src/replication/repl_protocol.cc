@@ -25,8 +25,6 @@ std::uint64_t runtime_fingerprint(const runtime::RuntimeStats& s) {
   // Engine counters the driver alone mutates, at tick boundaries.
   h.i32(s.slots_processed);
   h.i64(s.link_events);
-  h.i64(s.solver_stalls);
-  h.i64(s.solver_faults);
   h.u32(static_cast<std::uint32_t>(s.backends.size()));
   for (const runtime::BackendStats& b : s.backends) {
     h.str(b.name);

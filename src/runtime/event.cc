@@ -6,7 +6,7 @@
 namespace postcard::runtime {
 
 int event_phase(const EventPayload& payload) {
-  // LinkDown / LinkUp / CapacityChange / SolverStall / SolverFault are 0.
+  // LinkDown / LinkUp / CapacityChange are 0.
   return std::holds_alternative<FileArrival>(payload) ? 1 : 0;
 }
 

@@ -2,7 +2,7 @@
 //
 // The runtime is slot-clocked: every event carries the slot at which it
 // takes effect, and within a slot events are totally ordered by phase
-// (network and solver-chaos changes first, then file arrivals) and by
+// (network changes first, then file arrivals) and by
 // submission sequence number. The queue owns the one slot clock: it closes
 // a slot when the driver finds nothing more due there, and a push for a
 // closed slot fires at the open one. Sequence numbers and the cut are both
@@ -49,32 +49,12 @@ struct CapacityChange {
   double capacity = 0.0;
 };
 
-/// Chaos injection: the slot's solve on `backend` (-1 = every backend)
-/// runs under a pivot budget of `pivot_budget`, simulating a solver that
-/// stalled and was cut off by the watchdog. Pivot budgets are
-/// deterministic, so a replay with the same stall schedule reproduces the
-/// degradation — and the cost series — bit for bit. One-shot: the override
-/// clears after the slot's solve.
-struct SolverStall {
-  int backend = -1;
-  long pivot_budget = 0;
-};
+using EventPayload =
+    std::variant<LinkDown, LinkUp, CapacityChange, FileArrival>;
 
-/// Chaos injection: the slot's solve on `backend` (-1 = every backend)
-/// skips the leading degradation-ladder rungs (SolveControls::disable_rungs
-/// semantics: >= 1 forces the greedy fallback, >= 2 forces deferral).
-/// One-shot, like SolverStall.
-struct SolverFault {
-  int backend = -1;
-  int disable_rungs = 1;
-};
-
-using EventPayload = std::variant<LinkDown, LinkUp, CapacityChange,
-                                  FileArrival, SolverStall, SolverFault>;
-
-/// Intra-slot ordering class: 0 network and solver-chaos events, 1
-/// arrivals. Every event of a slot drains before the slot's solve, so an
-/// injected stall or fault always precedes the solve it is meant to hit.
+/// Intra-slot ordering class: 0 network events, 1 arrivals. Every event of
+/// a slot drains before the slot's solve, so a link change always shapes
+/// the solve of the slot it fires at.
 int event_phase(const EventPayload& payload);
 
 /// Why `payload` cannot enter the queue of a runtime whose topology has

@@ -63,6 +63,9 @@ int ControllerRuntime::add_postcard_backend(core::PostcardOptions options) {
   auto backend =
       std::make_unique<Backend>(net::Topology(live_topology_), options);
   backend->controller.set_audit_controls(options_.audit);
+  if (options_.slot_pivot_budget > 0) {
+    backend->controller.set_pivot_budget(options_.slot_pivot_budget);
+  }
   backend->stats.name = backend->controller.name();
   backend->stats.audit_armed = options_.audit.active();
   backends_.push_back(std::move(backend));
@@ -172,8 +175,6 @@ void ControllerRuntime::tick() {
 
   std::vector<net::FileRequest> arrivals;
   long link_events = 0;
-  long solver_stalls = 0;
-  long solver_faults = 0;
   Event event;
   while (queue_.pop_due(slot, &event)) {
     std::visit(
@@ -196,23 +197,6 @@ void ControllerRuntime::tick() {
               }
             },
             [&](const FileArrival& e) { arrivals.push_back(e.file); },
-            [&](const SolverStall& e) {
-              ++solver_stalls;
-              for (std::size_t i = 0; i < backends_.size(); ++i) {
-                if (e.backend < 0 || e.backend == static_cast<int>(i)) {
-                  backends_[i]->injected_stall = std::max(0L, e.pivot_budget);
-                }
-              }
-            },
-            [&](const SolverFault& e) {
-              ++solver_faults;
-              for (std::size_t i = 0; i < backends_.size(); ++i) {
-                if (e.backend < 0 || e.backend == static_cast<int>(i)) {
-                  backends_[i]->injected_fault =
-                      std::max(backends_[i]->injected_fault, e.disable_rungs);
-                }
-              }
-            },
         },
         event.payload);
   }
@@ -222,8 +206,6 @@ void ControllerRuntime::tick() {
   base::MutexLock lock(stats_mu_);
   ++slots_processed_;
   link_events_ += link_events;
-  solver_stalls_ += solver_stalls;
-  solver_faults_ += solver_faults;
   slot_latency_.add(elapsed_seconds(start));
 }
 
@@ -240,17 +222,6 @@ void ControllerRuntime::solve_slot(int slot,
       b.prior_carry_ids.insert(f.id);
     }
     b.carry_batch.clear();
-    // Arm the slot watchdog. Called every slot (even when inactive) so
-    // one-shot chaos overrides from the previous slot are cleared.
-    sim::SolveControls controls;
-    if (options_.slot_pivot_budget > 0) {
-      controls.max_pivots = options_.slot_pivot_budget;
-    }
-    if (b.injected_stall >= 0) controls.max_pivots = b.injected_stall;
-    if (b.injected_fault > 0) controls.disable_rungs = b.injected_fault;
-    b.injected_stall = -1;
-    b.injected_fault = 0;
-    b.controller.set_solve_controls(controls);
     const double cost_before = b.controller.cost_per_interval();
 
     // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
@@ -459,8 +430,6 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
     base::MutexLock lock(stats_mu_);
     snap.slots_processed = slots_processed_;
     snap.link_events = link_events_;
-    snap.solver_stalls = solver_stalls_;
-    snap.solver_faults = solver_faults_;
     snap.slot_latency = slot_latency_;
     snap.solve_latency = solve_latency_;
   }
@@ -491,8 +460,6 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
     // same ordering; tests/runtime/test_replan_order.cc pins it).
     bs.replan_batch = b.replan_batch;
     bs.carry_batch = b.carry_batch;
-    bs.injected_stall = b.injected_stall;
-    bs.injected_fault = b.injected_fault;
     {
       base::MutexLock lock(stats_mu_);
       bs.stats = b.stats;
@@ -595,16 +562,12 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
     }
     b.replan_batch = bs.replan_batch;
     b.carry_batch = bs.carry_batch;
-    b.injected_stall = bs.injected_stall;
-    b.injected_fault = bs.injected_fault;
     base::MutexLock lock(stats_mu_);
     b.stats = bs.stats;
   }
   base::MutexLock lock(stats_mu_);
   slots_processed_ = snap.slots_processed;
   link_events_ = snap.link_events;
-  solver_stalls_ = snap.solver_stalls;
-  solver_faults_ = snap.solver_faults;
   slot_latency_ = snap.slot_latency;
   solve_latency_ = snap.solve_latency;
 }
@@ -619,8 +582,6 @@ RuntimeStats ControllerRuntime::stats() const {
   base::MutexLock lock(stats_mu_);
   s.slots_processed = slots_processed_;
   s.link_events = link_events_;
-  s.solver_stalls = solver_stalls_;
-  s.solver_faults = solver_faults_;
   s.slot_latency = slot_latency_;
   s.solve_latency = solve_latency_;
   s.backends.reserve(backends_.size());

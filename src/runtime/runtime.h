@@ -27,7 +27,7 @@
 // sequence that sim::run_simulation would issue, so with the watchdog
 // unarmed its cost series is bit-for-bit identical to the offline replay.
 // Every configuration the runtime accepts is reproducible for a fixed
-// submission order, event-driven runs (failures, chaos, pivot budgets)
+// submission order, event-driven runs (link failures, pivot budgets)
 // included: no input to a slot's plan reads a clock.
 #pragma once
 
@@ -81,16 +81,6 @@ class ControllerRuntime {
   void restore_link(int slot, int link) { push_link_event(slot, LinkUp{link}); }
   void change_capacity(int slot, int link, double capacity) {
     push_link_event(slot, CapacityChange{link, capacity});
-  }
-  /// Chaos: run `slot`'s solve under `pivot_budget` pivots (one-shot,
-  /// backend -1 = all). Deterministic — replays degrade identically.
-  void stall_solver(int slot, long pivot_budget, int backend = -1) {
-    queue_.push(slot, SolverStall{backend, pivot_budget});
-  }
-  /// Chaos: skip ladder rungs at `slot` (one-shot; disable_rungs >= 1
-  /// forces the greedy fallback, >= 2 forces store-in-place deferral).
-  void fault_solver(int slot, int disable_rungs = 1, int backend = -1) {
-    queue_.push(slot, SolverFault{backend, disable_rungs});
   }
 
   // --- Driving (one thread) ---------------------------------------------
@@ -186,10 +176,6 @@ class ControllerRuntime {
     // chain length never re-counts a file. Driver-thread only; derived
     // state, reconstructed each slot (not snapshotted).
     std::unordered_set<int> prior_carry_ids;
-    // One-shot chaos overrides armed by SolverStall / SolverFault events;
-    // consumed (reset) by the next solve_slot.
-    long injected_stall = -1;  // pivot budget, -1 = none
-    int injected_fault = 0;    // disable_rungs, 0 = none
   };
 
   /// Checks a link event against the topology (throws
@@ -243,8 +229,6 @@ class ControllerRuntime {
   mutable base::Mutex stats_mu_;
   int slots_processed_ GUARDED_BY(stats_mu_) = 0;
   long link_events_ GUARDED_BY(stats_mu_) = 0;
-  long solver_stalls_ GUARDED_BY(stats_mu_) = 0;
-  long solver_faults_ GUARDED_BY(stats_mu_) = 0;
   LatencyHistogram slot_latency_ GUARDED_BY(stats_mu_);
   LatencyHistogram solve_latency_ GUARDED_BY(stats_mu_);
 };

@@ -51,10 +51,6 @@ struct BackendSnapshot {
   std::vector<net::FileRequest> replan_batch;
   std::vector<net::FileRequest> carry_batch;
 
-  // One-shot chaos overrides armed but not yet consumed.
-  long injected_stall = -1;
-  int injected_fault = 0;
-
   BackendStats stats;
 };
 
@@ -79,8 +75,6 @@ struct RuntimeSnapshot {
   // Engine-level counters and latency histograms.
   int slots_processed = 0;
   long link_events = 0;
-  long solver_stalls = 0;
-  long solver_faults = 0;
   LatencyHistogram slot_latency;
   LatencyHistogram solve_latency;
 
@@ -102,7 +96,7 @@ struct RuntimeSnapshot {
   std::uint64_t event_seq_watermark = 0;
 
   // Events still queued at capture time (future arrivals, scheduled
-  // failures, armed chaos), in drain order.
+  // link changes), in drain order.
   std::vector<Event> pending_events;
 
   std::vector<BackendSnapshot> backends;

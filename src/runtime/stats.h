@@ -83,9 +83,8 @@ struct BackendStats {
   // nonzero pinpoints a double-uncommit or a commit/uncommit mismatch.
   long charge_reduce_violations = 0;
   // ---- Degradation ladder (slot watchdog; see DESIGN.md §9). Per-rung
-  // slot counts: full LP optimum committed / budget-truncated incumbent
-  // committed / files placed by the greedy fallback. All zero unless a
-  // budget or injected fault is active.
+  // counts: slots that committed the full LP optimum / slots that committed
+  // a budget-truncated incumbent / files placed by the greedy fallback.
   long rung_full = 0;
   long rung_truncated = 0;
   long rung_greedy = 0;
@@ -108,7 +107,7 @@ struct BackendStats {
   long degraded_slots = 0;
   double degraded_cost_delta = 0.0;
   // Solver-failure visibility: slot solves that ended non-optimal, with
-  // the most recent status string (lp::to_string / "fault_injected").
+  // the most recent status string (lp::to_string).
   long solver_failures = 0;
   std::string last_solver_status;
   // Greedy chunk-budget exhaustion (max_chunks_per_file ran out).
@@ -156,9 +155,6 @@ struct RuntimeStats {
   double ingress_rejected_volume = 0.0;
   // Network dynamics.
   long link_events = 0;
-  // Chaos injection: SolverStall / SolverFault events processed.
-  long solver_stalls = 0;
-  long solver_faults = 0;
   // Latency: whole-slot processing and individual solve tasks.
   LatencyHistogram slot_latency;
   LatencyHistogram solve_latency;

@@ -56,8 +56,6 @@ std::string format_metrics(const runtime::RuntimeStats& s) {
   line(os, "postcard_ingress_rejected", s.ingress_rejected);
   line(os, "postcard_ingress_rejected_volume_gb", s.ingress_rejected_volume);
   line(os, "postcard_link_events", s.link_events);
-  line(os, "postcard_solver_stalls_injected", s.solver_stalls);
-  line(os, "postcard_solver_faults_injected", s.solver_faults);
 
   histogram_lines(os, "postcard_slot_latency", s.slot_latency);
   histogram_lines(os, "postcard_solve_latency", s.solve_latency);

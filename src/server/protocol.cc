@@ -38,14 +38,13 @@ SubmitVerdict decode_verdict(ByteReader& r) {
 // Event payload discriminants, shared by the snapshot file and the
 // replication stream. Kept independent of the std::variant index so
 // reordering EventPayload alternatives cannot silently change the format.
-// Tag 4 belonged to the deleted slot-tick event and stays unassigned.
+// Tag 4 belonged to the deleted slot-tick event and tags 5 and 6 to the
+// deleted solver stall and fault events; all three stay unassigned.
 enum class EventTag : std::uint8_t {
   kLinkDown = 0,
   kLinkUp = 1,
   kCapacityChange = 2,
   kFileArrival = 3,
-  kSolverStall = 5,
-  kSolverFault = 6,
 };
 
 }  // namespace
@@ -210,8 +209,6 @@ void encode_runtime_stats(ByteWriter& w, const runtime::RuntimeStats& s) {
   w.i64(s.ingress_rejected);
   w.f64(s.ingress_rejected_volume);
   w.i64(s.link_events);
-  w.i64(s.solver_stalls);
-  w.i64(s.solver_faults);
   encode_histogram(w, s.slot_latency);
   encode_histogram(w, s.solve_latency);
   w.i64(s.server.sessions_opened);
@@ -247,14 +244,6 @@ void encode_event(ByteWriter& w, const runtime::Event& e) {
   } else if (const auto* a = std::get_if<runtime::FileArrival>(&e.payload)) {
     w.u8(static_cast<std::uint8_t>(EventTag::kFileArrival));
     encode_file_request(w, a->file);
-  } else if (const auto* s = std::get_if<runtime::SolverStall>(&e.payload)) {
-    w.u8(static_cast<std::uint8_t>(EventTag::kSolverStall));
-    w.i32(s->backend);
-    w.i64(s->pivot_budget);
-  } else if (const auto* f = std::get_if<runtime::SolverFault>(&e.payload)) {
-    w.u8(static_cast<std::uint8_t>(EventTag::kSolverFault));
-    w.i32(f->backend);
-    w.i32(f->disable_rungs);
   } else {
     throw WireError("unknown event payload variant");
   }
@@ -282,20 +271,6 @@ runtime::Event decode_event(ByteReader& r) {
     case EventTag::kFileArrival:
       e.payload = runtime::FileArrival{decode_file_request(r)};
       break;
-    case EventTag::kSolverStall: {
-      runtime::SolverStall s;
-      s.backend = r.i32();
-      s.pivot_budget = r.i64();
-      e.payload = s;
-      break;
-    }
-    case EventTag::kSolverFault: {
-      runtime::SolverFault f;
-      f.backend = r.i32();
-      f.disable_rungs = r.i32();
-      e.payload = f;
-      break;
-    }
     default:
       throw WireError("unknown event tag " +
                       std::to_string(static_cast<int>(tag)));
@@ -312,8 +287,6 @@ runtime::RuntimeStats decode_runtime_stats(ByteReader& r) {
   s.ingress_rejected = r.i64();
   s.ingress_rejected_volume = r.f64();
   s.link_events = r.i64();
-  s.solver_stalls = r.i64();
-  s.solver_faults = r.i64();
   s.slot_latency = decode_histogram(r);
   s.solve_latency = decode_histogram(r);
   s.server.sessions_opened = r.i64();

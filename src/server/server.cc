@@ -373,6 +373,18 @@ std::string PostcardServer::enqueue_command(Command::Kind kind, int slots,
   return done.get();
 }
 
+void PostcardServer::post_to_driver(std::function<void()> task) {
+  {
+    base::MutexLock lock(cmd_mu_);
+    if (drained_.load(std::memory_order_acquire)) return;
+    Command cmd;
+    cmd.kind = Command::Kind::kTask;
+    cmd.task = std::move(task);
+    commands_.push_back(std::move(cmd));
+  }
+  cmd_cv_.notify_all();
+}
+
 // --- Driver side ----------------------------------------------------------
 
 std::string PostcardServer::write_snapshot(const std::string& path) {
@@ -414,6 +426,16 @@ std::string PostcardServer::run_command(Command& cmd) {
       return write_snapshot(cmd.path);
     case Command::Kind::kShutdown:
       shutdown_requested_.store(true, std::memory_order_release);
+      return "";
+    case Command::Kind::kTask:
+      // Nobody waits on a task's promise, so its failure is reported here.
+      try {
+        cmd.task();
+      } catch (const std::exception& e) {
+        std::cerr << "postcard_server: driver task failed: " << e.what()
+                  << "\n";
+        return e.what();
+      }
       return "";
   }
   return "unreachable";

@@ -88,6 +88,15 @@ class PostcardServer {
     post_tick_hook_ = std::move(hook);
   }
 
+  /// Queues `task` to run on the driver thread between ticks, as soon as
+  /// the driver is free, and returns at once. Any thread may call it, also
+  /// before start() (the task then waits for the driver). A task still
+  /// queued at the drain is dropped unrun. The replication primary ships a
+  /// standby's seed this way. A task runs on the driver, so it may use the
+  /// runtime's driver-only API, but must not wait on a command of this
+  /// server: the driver would wait on itself.
+  void post_to_driver(std::function<void()> task) EXCLUDES(cmd_mu_);
+
   // --- Lifecycle ---------------------------------------------------------
 
   /// Binds, listens and spawns the accept + driver threads.
@@ -124,10 +133,11 @@ class PostcardServer {
 
  private:
   struct Command {
-    enum class Kind { kAdvance, kSnapshot, kShutdown };
+    enum class Kind { kAdvance, kSnapshot, kShutdown, kTask };
     Kind kind = Kind::kAdvance;
     int slots = 1;             // kAdvance
     std::string path;          // kSnapshot ("" = options_.snapshot_path)
+    std::function<void()> task;  // kTask (post_to_driver; nobody waits)
     std::promise<std::string> done;  // error text, empty on success
   };
   struct Session {

@@ -95,8 +95,6 @@ void encode_backend(ByteWriter& w, const runtime::BackendSnapshot& b) {
   for (const net::FileRequest& f : b.replan_batch) encode_file_request(w, f);
   w.u32(static_cast<std::uint32_t>(b.carry_batch.size()));
   for (const net::FileRequest& f : b.carry_batch) encode_file_request(w, f);
-  w.i64(b.injected_stall);
-  w.i32(b.injected_fault);
   encode_backend_stats(w, b.stats);
 }
 
@@ -126,8 +124,6 @@ runtime::BackendSnapshot decode_backend(ByteReader& r) {
   for (std::size_t i = 0; i < carries; ++i) {
     b.carry_batch.push_back(decode_file_request(r));
   }
-  b.injected_stall = r.i64();
-  b.injected_fault = r.i32();
   b.stats = decode_backend_stats(r);
   return b;
 }
@@ -150,8 +146,6 @@ void encode_body(ByteWriter& w, const runtime::RuntimeSnapshot& snap) {
   w.i32(snap.next_synthetic_id);
   w.i32(snap.slots_processed);
   w.i64(snap.link_events);
-  w.i64(snap.solver_stalls);
-  w.i64(snap.solver_faults);
   encode_histogram(w, snap.slot_latency);
   encode_histogram(w, snap.solve_latency);
   w.i64(snap.submitted);
@@ -191,8 +185,6 @@ runtime::RuntimeSnapshot decode_body(ByteReader& r) {
   snap.next_synthetic_id = r.i32();
   snap.slots_processed = r.i32();
   snap.link_events = r.i64();
-  snap.solver_stalls = r.i64();
-  snap.solver_faults = r.i64();
   snap.slot_latency = decode_histogram(r);
   snap.solve_latency = decode_histogram(r);
   snap.submitted = r.i64();

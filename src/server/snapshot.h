@@ -45,7 +45,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x50534E50;  // "PSNP"
 // v11: the body opens with the RuntimeOptions that produced it (10
 // bytes), and a backend section holds its PostcardOptions (14 bytes) in
 // place of its name (4 + length bytes; the name stays in the stats).
-inline constexpr std::uint32_t kSnapshotVersion = 11;
+// v12: no solver stall/fault counters (16 bytes) and no armed per-backend
+// stall/fault overrides (12 bytes per backend); tags 5 and 6 are refused.
+inline constexpr std::uint32_t kSnapshotVersion = 12;
 
 /// Serializes a snapshot into the full file image (header + body +
 /// checksum trailer).

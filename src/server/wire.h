@@ -36,7 +36,9 @@ namespace postcard::server {
 // report could reach them).
 // v9: ReplHello and ReplHeartbeat carry no payload, and ReplAck only its
 // slot; the replication stream's events no longer include slot ticks.
-inline constexpr std::uint16_t kProtocolVersion = 9;
+// v10: RuntimeStats lost its solver stall/fault counters (16 bytes), and
+// the replication stream carries no solver stall or fault events.
+inline constexpr std::uint16_t kProtocolVersion = 10;
 
 /// Default cap on a single frame's payload. SubmitBatch with tens of
 /// thousands of files and a full stats reply both fit comfortably.

@@ -36,11 +36,11 @@ struct ScheduleOutcome {
   int resumed_solves = 0;
 
   // ---- Degradation-ladder accounting (policies without a ladder leave
-  // everything below zero/empty; active only under SolveControls).
-  // Rung reached this slot: full LP optimum / budget-truncated CG committing
-  // the incumbent master / greedy shortest-path fallback for files the
-  // truncated master left unrouted. At most one of rung_full/rung_truncated
-  // is set per slot; rung_greedy counts files routed by the fallback.
+  // everything below zero/empty). Rung reached this slot: full LP optimum /
+  // budget-truncated CG committing the incumbent master / greedy
+  // shortest-path fallback for files no master routed. At most one of
+  // rung_full/rung_truncated is set per slot; rung_greedy counts files
+  // routed by the fallback.
   int rung_full = 0;
   int rung_truncated = 0;
   int rung_greedy = 0;
@@ -65,23 +65,6 @@ struct ScheduleOutcome {
   long audit_checks = 0;
   long audit_violations = 0;
   double audit_seconds = 0.0;
-};
-
-/// Per-slot solve budget and ladder controls, pushed by the runtime's
-/// watchdog into core::PostcardController before each schedule() call.
-/// The budget is a count (lp/budget.h), never a clock, so a replay with
-/// the same controls degrades identically, bit for bit.
-struct SolveControls {
-  long max_pivots = -1;  // lp::SolveBudget units per slot; -1 unlimited
-  // Fault injection / chaos: disable the leading ladder rungs. >= 1
-  // disables the column-generation rungs (as if the solver faulted before
-  // its first master solve, forcing the greedy fallback), >= 2 disables
-  // the greedy fallback too, leaving only store-in-place deferral.
-  int disable_rungs = 0;
-
-  bool active() const {
-    return max_pivots >= 0 || disable_rungs > 0;
-  }
 };
 
 /// Plan-audit knob (src/audit): under kFailFast, after every commit the

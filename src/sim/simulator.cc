@@ -13,8 +13,12 @@ RunResult run_simulation(SchedulingPolicy& policy,
     const std::vector<net::FileRequest> files = workload.batch(slot);
     for (const net::FileRequest& f : files) result.total_volume += f.size;
     const ScheduleOutcome outcome = policy.schedule(slot, files);
-    result.rejected_volume += outcome.rejected_volume;
-    result.rejected_files += static_cast<int>(outcome.rejected_ids.size());
+    // An offline replay has no next-slot carryover, so a file the
+    // degradation ladder deferred is never scheduled: it counts as
+    // rejected.
+    result.rejected_volume += outcome.rejected_volume + outcome.deferred_volume;
+    result.rejected_files += static_cast<int>(outcome.rejected_ids.size() +
+                                              outcome.deferred_ids.size());
     result.lp_iterations += outcome.lp_iterations;
     result.lp_solves += outcome.lp_solves;
     result.cost_series.push_back(policy.cost_per_interval());

@@ -20,7 +20,7 @@ struct RunResult {
   double mean_cost_per_interval = 0.0;  // time-average of the series
   double total_volume = 0.0;            // GB offered
   double rejected_volume = 0.0;         // GB the policy could not schedule
-  int rejected_files = 0;
+  int rejected_files = 0;               // rejected or deferred files
   long lp_iterations = 0;
   int lp_solves = 0;
   double wall_seconds = 0.0;

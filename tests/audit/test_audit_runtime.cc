@@ -73,21 +73,40 @@ TEST(AuditRuntime, CleanUnderLinkFailuresAndRecovery) {
 }
 
 TEST(AuditRuntime, CleanAcrossEveryForcedDegradationRung) {
-  // One run per rung: budget-truncated CG (stall), greedy fallback
-  // (fault >= 1), store-in-place deferral (fault >= 2). Plans committed by
-  // ANY rung must satisfy the same invariants as the full LP's.
+  // One run per rung, each reached through the pivot budget: a 25-unit
+  // budget truncates column generation, a 1-unit one fails every master
+  // outright into the greedy fallback, and a 2-unit one plus an outage of
+  // every link at slot 3 leaves the greedy rung no path, so it defers.
+  // Plans committed by ANY rung must satisfy the same invariants as the
+  // full LP's.
   for (int scenario = 0; scenario < 3; ++scenario) {
     const sim::UniformWorkload w(fig4_shaped(21));
-    ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
+    RuntimeOptions options;
+    options.slot_pivot_budget = scenario == 0 ? 25 : scenario;
+    ControllerRuntime runtime{net::Topology(w.topology()), options};
     runtime.add_postcard_backend();
-    switch (scenario) {
-      case 0: runtime.stall_solver(/*slot=*/3, /*pivot_budget=*/0); break;
-      case 1: runtime.fault_solver(/*slot=*/3, /*disable_rungs=*/1); break;
-      case 2: runtime.fault_solver(/*slot=*/3, /*disable_rungs=*/2); break;
+    // Admit everything before the outage can shrink the ingress's view.
+    for (int slot = 0; slot < w.num_slots(); ++slot) {
+      for (const net::FileRequest& f : w.batch(slot)) {
+        ASSERT_TRUE(runtime.ingress().submit(f).admitted);
+      }
     }
-    const RuntimeStats stats = runtime.replay(w);
+    if (scenario == 2) {
+      for (int l = 0; l < w.topology().num_links(); ++l) {
+        runtime.change_capacity(/*slot=*/3, l, 0.0);
+        runtime.change_capacity(/*slot=*/4, l, w.topology().link(l).capacity);
+      }
+    }
+    runtime.run(w.num_slots());
+    const RuntimeStats stats = runtime.stats();
     expect_audited_clean(stats);
-    EXPECT_GE(stats.backends[0].degraded_slots, 1) << "scenario " << scenario;
+    const BackendStats& b = stats.backends[0];
+    EXPECT_GE(b.degraded_slots, 1) << "scenario " << scenario;
+    switch (scenario) {
+      case 0: EXPECT_GT(b.rung_truncated, 0); break;
+      case 1: EXPECT_GT(b.rung_greedy, 0); break;
+      case 2: EXPECT_GT(b.carryover_files + b.failed_files, 0); break;
+    }
   }
 }
 

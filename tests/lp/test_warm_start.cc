@@ -1,6 +1,7 @@
-// Warm starts: reusing a basis on an extended model (the column-generation
-// pattern) must reach the same optimum, typically in far fewer iterations,
-// and incompatible snapshots must fall back to the cold start silently.
+// Warm starts: a hand-built basis reused on an extended model (the
+// column-generation pattern) must reach the same optimum, typically in far
+// fewer iterations, and incompatible snapshots must fall back to the cold
+// start silently.
 #include <gtest/gtest.h>
 
 #include "lp/simplex.h"
@@ -23,13 +24,24 @@ LpModel base_model() {
   return m;
 }
 
+using WS = RevisedSimplex::WarmStart;
+
+/// The optimal basis of base_model(), written out by hand: x = 2 and y = 6
+/// basic, row 0 (x <= 4) slack on its own logical, rows 1 and 2 binding.
+WS base_optimum() {
+  WS w;
+  w.col_status = {WS::kBasic, WS::kBasic};
+  w.row_status = {WS::kBasic, WS::kAtUpper, WS::kAtUpper};
+  w.basis = {-1, 0, 1};
+  return w;
+}
+
 TEST(WarmStart, ReuseOnIdenticalModelCostsNoPivots) {
   LpModel m = base_model();
   RevisedSimplex solver;
   const Solution cold = solver.solve(m);
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  const auto warm = solver.extract_warm_start();
-  ASSERT_FALSE(warm.basis.empty());
+  const WS warm = base_optimum();
 
   RevisedSimplex second;
   const Solution hot = second.solve(m, &warm);
@@ -42,7 +54,7 @@ TEST(WarmStart, ExtendedModelWithNewColumn) {
   LpModel m = base_model();
   RevisedSimplex solver;
   ASSERT_EQ(solver.solve(m).status, SolveStatus::kOptimal);
-  const auto warm = solver.extract_warm_start();
+  const WS warm = base_optimum();
 
   // Append an attractive new column touching row 3.
   const int z = m.add_variable(0.0, 2.0, -10.0);
@@ -61,9 +73,7 @@ TEST(WarmStart, ExtendedModelWithNewColumn) {
 
 TEST(WarmStart, IncompatibleSnapshotFallsBackToColdStart) {
   LpModel m = base_model();
-  RevisedSimplex solver;
-  ASSERT_EQ(solver.solve(m).status, SolveStatus::kOptimal);
-  auto warm = solver.extract_warm_start();
+  WS warm = base_optimum();
   warm.basis.pop_back();  // wrong row count -> rejected
 
   RevisedSimplex second;
@@ -74,9 +84,7 @@ TEST(WarmStart, IncompatibleSnapshotFallsBackToColdStart) {
 
 TEST(WarmStart, GarbageBasisIsRejectedNotTrusted) {
   LpModel m = base_model();
-  RevisedSimplex solver;
-  ASSERT_EQ(solver.solve(m).status, SolveStatus::kOptimal);
-  auto warm = solver.extract_warm_start();
+  WS warm = base_optimum();
   // Duplicate the first basic variable across all rows: invalid.
   for (auto& b : warm.basis) b = warm.basis[0];
   RevisedSimplex second;
@@ -100,7 +108,7 @@ TEST(WarmStart, SolutionReportsWarmStartedFlag) {
   const Solution cold = solver.solve(m);
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
   EXPECT_FALSE(cold.warm_started);
-  const auto warm = solver.extract_warm_start();
+  const WS warm = base_optimum();
 
   RevisedSimplex second;
   const Solution hot = second.solve(m, &warm);
@@ -142,10 +150,7 @@ TEST(WarmStart, InfeasibleWarmPointFallsBackCleanly) {
   // point violate its bounds. Phase 1 is skipped on warm starts, so the
   // solver must detect the infeasibility up front and start cold.
   LpModel m = base_model();
-  RevisedSimplex solver;
-  ASSERT_EQ(solver.solve(m).status, SolveStatus::kOptimal);
-  const auto warm = solver.extract_warm_start();
-  ASSERT_FALSE(warm.basis.empty());
+  const WS warm = base_optimum();
 
   // Raise x's lower bound above its restored basic value: the snapshot
   // still restores and factorizes, but the implied point has x = 2 < 3.
@@ -164,10 +169,14 @@ TEST(WarmStart, SnapshotFromWiderModelIsRejected) {
   LpModel wide = base_model();
   const int extra = wide.add_variable(0.0, 2.0, -10.0);
   wide.add_coefficient(2, extra, 1.0);
+  // The wide model's optimum: extra at its upper bound 2, x = 4/3, y = 6.
+  WS warm = base_optimum();
+  warm.col_status.push_back(WS::kAtUpper);
   RevisedSimplex solver;
-  ASSERT_EQ(solver.solve(wide).status, SolveStatus::kOptimal);
-  const auto warm = solver.extract_warm_start();
-  ASSERT_GT(warm.col_status.size(), 2u);
+  const Solution w = solver.solve(wide, &warm);
+  ASSERT_EQ(w.status, SolveStatus::kOptimal);
+  ASSERT_TRUE(w.warm_started);
+  EXPECT_NEAR(w.objective, -54.0, 1e-8);
 
   LpModel narrow = base_model();
   RevisedSimplex second;
@@ -178,24 +187,32 @@ TEST(WarmStart, SnapshotFromWiderModelIsRejected) {
 }
 
 TEST(WarmStart, SequenceOfExtensionsTracksOptimum) {
-  // Repeatedly add columns (CG pattern) and check the warm-started optimum
-  // matches a cold solve every time.
+  // Repeatedly add columns (CG pattern), warm-start each solve from the
+  // previous optimum, and check it matches a cold solve every time.
   LpModel m;
   const int r = m.add_constraint(10.0, 10.0);
   const int x0 = m.add_variable(0.0, kInfinity, 5.0);
   m.add_coefficient(r, x0, 1.0);
 
-  RevisedSimplex warm_solver;
-  ASSERT_EQ(warm_solver.solve(m).status, SolveStatus::kOptimal);
-  auto warm = warm_solver.extract_warm_start();
+  // The one-column optimum: x0 = 10 basic in the equality row, whose fixed
+  // logical sits at its bound.
+  WS warm;
+  warm.col_status = {WS::kBasic};
+  warm.row_status = {WS::kAtLower};
+  warm.basis = {x0};
 
+  RevisedSimplex warm_solver;
   for (int step = 0; step < 5; ++step) {
     const double cost = 4.0 - step;  // each new column is cheaper
     const int v = m.add_variable(0.0, kInfinity, cost);
     m.add_coefficient(r, v, 1.0);
 
     const Solution hot = warm_solver.solve(m, &warm);
-    warm = warm_solver.extract_warm_start();
+    EXPECT_TRUE(hot.warm_started) << "step " << step;
+    // The new column is the cheapest, so it replaces the basic one.
+    for (signed char& st : warm.col_status) st = WS::kAtLower;
+    warm.col_status.push_back(WS::kBasic);
+    warm.basis = {v};
     ASSERT_EQ(hot.status, SolveStatus::kOptimal) << "step " << step;
     EXPECT_NEAR(hot.objective, cost * 10.0, 1e-8) << "step " << step;
 

@@ -69,11 +69,11 @@ bool poll_until(Pred&& pred, int timeout_ms = kWaitMs) {
   return pred();
 }
 
-/// Blocks until the primary has accepted a standby connection. Seeds ship
-/// only at slot commits, so every test must ensure the follower is
-/// CONNECTED before driving the slots it expects the follower to see —
-/// otherwise, under load, the last commit can pass before the connect
-/// and the standby waits forever for a seed that never ships.
+/// Blocks until the primary has accepted a standby connection. A seed
+/// ships as soon as the standby asks for it, between ticks or at a commit,
+/// so a late standby is still seeded; but a slot committed before the
+/// connect reaches it only inside that seed, never as a commit. Tests that
+/// count the commits a follower applies therefore connect it first.
 inline bool wait_standby_connected(const ReplicationPrimary& primary,
                                    int timeout_ms = kWaitMs) {
   return poll_until([&] { return primary.standby_connected(); }, timeout_ms);

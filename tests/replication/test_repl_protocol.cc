@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "audit/fingerprint.h"
 #include "runtime/runtime.h"
+#include "server/snapshot.h"
+#include "server/wire.h"
 #include "sim/workload.h"
 
 namespace postcard::replication {
@@ -42,8 +47,6 @@ TEST(ReplCodec, EventsRoundTripAllPayloadKinds) {
   msg.events.push_back({5, 11, runtime::LinkDown{3}});
   msg.events.push_back({6, 12, runtime::LinkUp{3}});
   msg.events.push_back({7, 13, runtime::CapacityChange{2, 42.25}});
-  msg.events.push_back({8, 14, runtime::SolverStall{-1, 100}});
-  msg.events.push_back({9, 15, runtime::SolverFault{0, 2}});
 
   const ReplEvents back = ReplEvents::decode(msg.encode());
   ASSERT_EQ(back.events.size(), msg.events.size());
@@ -55,10 +58,77 @@ TEST(ReplCodec, EventsRoundTripAllPayloadKinds) {
   EXPECT_EQ(std::get<runtime::LinkDown>(back.events[1].payload).link, 3);
   EXPECT_EQ(std::get<runtime::CapacityChange>(back.events[3].payload).capacity,
             42.25);
-  EXPECT_EQ(std::get<runtime::SolverStall>(back.events[4].payload).pivot_budget,
-            100);
-  EXPECT_EQ(std::get<runtime::SolverFault>(back.events[5].payload).disable_rungs,
-            2);
+}
+
+/// Expects `fn` to throw WireError naming `tag` as an unknown event tag.
+template <typename Fn>
+void expect_unknown_tag(Fn&& fn, int tag) {
+  try {
+    fn();
+    ADD_FAILURE() << "event tag " << tag << " was accepted";
+  } catch (const server::WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown event tag " +
+                                         std::to_string(tag)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Tag 4 carried the deleted slot-tick event, tags 5 and 6 the deleted
+// solver stall and fault events. None may decode into anything.
+constexpr int kRetiredEventTags[] = {4, 5, 6};
+
+TEST(ReplCodec, EventsWithARetiredTagAreRefused) {
+  for (const int tag : kRetiredEventTags) {
+    // One event as an older primary framed it: slot, seq, tag, then the
+    // stall event's payload (backend, pivot budget).
+    server::ByteWriter w;
+    w.u32(1);
+    w.i32(8);
+    w.u64(14);
+    w.u8(static_cast<std::uint8_t>(tag));
+    w.i32(-1);
+    w.i64(100);
+    const std::vector<std::uint8_t> payload = w.take();
+    expect_unknown_tag([&] { ReplEvents::decode(payload); }, tag);
+  }
+}
+
+TEST(ReplCodec, SeedWithARetiredPendingEventTagIsRefused) {
+  // A seed image whose pending-event section holds one event, its tag
+  // rewritten to a retired one and the checksum recomputed, so only the
+  // tag is wrong.
+  net::Topology topology(2);
+  topology.set_link(0, 1, 10.0, 1.0);
+  topology.set_link(1, 0, 10.0, 1.0);
+  runtime::ControllerRuntime seed{topology};
+  seed.add_postcard_backend();
+  runtime::RuntimeSnapshot snap = seed.capture_snapshot();
+  const int slot = 0x3abcdef1;
+  const std::uint64_t seq = 0x0102030405060708ULL;
+  snap.pending_events.push_back({slot, seq, runtime::LinkDown{1}});
+  const std::vector<std::uint8_t> image = server::encode_snapshot(snap);
+  ASSERT_NO_THROW(server::decode_snapshot(image));
+
+  server::ByteWriter head;
+  head.i32(slot);
+  head.u64(seq);
+  const std::vector<std::uint8_t> prefix = head.take();
+  const auto at = std::search(image.begin(), image.end(), prefix.begin(),
+                              prefix.end());
+  ASSERT_NE(at, image.end());
+  const std::size_t tag_at =
+      static_cast<std::size_t>(at - image.begin()) + prefix.size();
+  for (const int tag : kRetiredEventTags) {
+    std::vector<std::uint8_t> crafted = image;
+    crafted[tag_at] = static_cast<std::uint8_t>(tag);
+    std::uint64_t sum = audit::fnv1a64(crafted.data(), crafted.size() - 8);
+    for (std::size_t i = crafted.size() - 8; i < crafted.size(); ++i) {
+      crafted[i] = static_cast<std::uint8_t>(sum & 0xff);
+      sum >>= 8;
+    }
+    expect_unknown_tag([&] { server::decode_snapshot(crafted); }, tag);
+  }
 }
 
 TEST(ReplCodec, CommitAckHeartbeatReseedRoundTrip) {

@@ -2,8 +2,9 @@
 // over to its standby, and the survivor's remaining cost series is
 // bit-for-bit identical to an unfailed run, with and without a slot pivot
 // budget — the standby given only the primary's address, its seed carrying
-// the rest — plus exactly-once client resubmission across the failover and
-// the standby's refusal to promote when it was never seeded.
+// the rest — plus exactly-once client resubmission across the failover, a
+// standby that connects after the last commit being seeded between ticks,
+// and the standby's refusal to promote when it was never seeded.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -163,6 +164,61 @@ TEST(ReplicationFailover, SurvivorReproducesTheUnfailedRunBitForBit) {
     SCOPED_TRACE("slot_pivot_budget " + std::to_string(pivot_budget));
     expect_survivor_reproduces_unfailed_run(pivot_budget);
   }
+}
+
+TEST(ReplicationFailover, StandbyStartedAfterTheLastCommitIsSeededBetweenTicks) {
+  // A manually driven primary commits every slot before its standby
+  // exists. The standby's Hello must be answered by a seed shipped between
+  // ticks, with no further AdvanceSlot; when the primary then dies, the
+  // standby promotes holding the primary's cost series.
+  const sim::UniformWorkload w(repl_workload(63));
+  ServerOptions options;
+  options.runtime = replicated_runtime_options();
+  auto primary_server = std::make_unique<PostcardServer>(
+      net::Topology(w.topology()), options);
+  primary_server->add_postcard_backend();
+  PrimaryOptions popts;
+  popts.heartbeat_every_ms = 50;
+  ReplicationPrimary primary(popts);
+  primary.attach(*primary_server);
+  primary_server->start();
+  primary.start();
+  {
+    PostcardClient client("127.0.0.1", primary_server->port());
+    for (int slot = 0; slot < w.num_slots(); ++slot) {
+      client.submit_batch(w.batch(slot));
+      client.advance(1);
+    }
+  }
+  const runtime::RuntimeStats driven = primary_server->stats();
+  ASSERT_EQ(driven.slots_processed, w.num_slots());
+
+  ReplicationStandby standby(test_standby_options(primary.port()));
+  standby.start();
+  ASSERT_TRUE(poll_until([&] { return standby.stats().snapshots_applied >= 1; }))
+      << "standby was never seeded";
+  EXPECT_EQ(primary_server->stats().server.slots_advanced, w.num_slots());
+  EXPECT_EQ(primary.stats().commits_shipped, 0);
+
+  primary.kill_abruptly();
+  primary_server->request_shutdown();
+  primary_server->wait();
+  primary.stop();
+  primary_server.reset();
+
+  ASSERT_TRUE(standby.wait_promoted(kWaitMs)) << "standby did not promote";
+  ASSERT_FALSE(standby.failed());
+  PostcardClient client("127.0.0.1", standby.serve_port());
+  const runtime::RuntimeStats got = client.query_stats();
+  EXPECT_EQ(got.slots_processed, driven.slots_processed);
+  ASSERT_EQ(got.backends.size(), driven.backends.size());
+  const std::vector<double>& want = driven.backends[0].cost_series;
+  const std::vector<double>& have = got.backends[0].cost_series;
+  ASSERT_EQ(have.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(have[i], want[i]) << "slot " << i;
+  }
+  standby.stop();
 }
 
 TEST(ReplicationFailover, NeverSeededStandbyFailsInsteadOfPromoting) {

@@ -23,16 +23,16 @@ net::FileRequest file(int id) {
 TEST(EventQueue, OrdersBySlotThenPhaseThenSequence) {
   EventQueue q;
   // Push deliberately out of order: a slot-1 arrival, then slot-0
-  // arrivals, then a slot-0 chaos stall and link failure.
+  // arrivals, then a slot-0 capacity change and link failure.
   q.push(1, FileArrival{file(9)});
   q.push(0, FileArrival{file(1)});
   q.push(0, FileArrival{file(2)});
-  q.push(0, SolverStall{-1, 5});
+  q.push(0, CapacityChange{2, 50.0});
   q.push(0, LinkDown{3});
 
   Event e;
   ASSERT_TRUE(q.pop_due(0, &e));
-  EXPECT_TRUE(std::holds_alternative<SolverStall>(e.payload));  // phase 0
+  EXPECT_TRUE(std::holds_alternative<CapacityChange>(e.payload));  // phase 0
   ASSERT_TRUE(q.pop_due(0, &e));
   EXPECT_TRUE(std::holds_alternative<LinkDown>(e.payload));  // then by seq
   ASSERT_TRUE(q.pop_due(0, &e));

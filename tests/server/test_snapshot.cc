@@ -81,11 +81,18 @@ void add_two_backends(ControllerRuntime& runtime) {
   runtime.add_postcard_backend(no_storage());
 }
 
-/// Schedules the failure/chaos script both runs share.
-void inject_chaos(ControllerRuntime& runtime) {
+/// Schedules the link failure script both runs share.
+void schedule_failure(ControllerRuntime& runtime) {
   runtime.fail_link(6, 2);
   runtime.restore_link(8, 2);
-  runtime.stall_solver(7, 50);
+}
+
+/// Every runtime of the kill/restore test runs under this slot pivot
+/// budget, so the watchdog degrades slots on both sides of the kill.
+RuntimeOptions budgeted() {
+  RuntimeOptions options;
+  options.slot_pivot_budget = 50;
+  return options;
 }
 
 TEST(SnapshotRestore, KillAndRestoreReproducesCostSeriesBitForBit) {
@@ -93,21 +100,21 @@ TEST(SnapshotRestore, KillAndRestoreReproducesCostSeriesBitForBit) {
   const int kill_at = 5;
 
   // Uninterrupted reference run (deterministic mode, fail-fast audits on
-  // by default), with scheduled chaos crossing the kill point.
-  ControllerRuntime reference{net::Topology(w.topology()), RuntimeOptions{}};
+  // by default), with a scheduled link failure crossing the kill point.
+  ControllerRuntime reference{net::Topology(w.topology()), budgeted()};
   add_two_backends(reference);
-  inject_chaos(reference);
+  schedule_failure(reference);
   drive(reference, w, 0, w.num_slots());
   reference.flush_in_flight();
   const RuntimeStats ref_stats = reference.stats();
 
-  // Interrupted run: same setup, killed at slot `kill_at` with the chaos
+  // Interrupted run: same setup, killed at slot `kill_at` with the link
   // events still pending in the queue.
   const std::string path = temp_snapshot_path("restore");
   {
-    ControllerRuntime victim{net::Topology(w.topology()), RuntimeOptions{}};
+    ControllerRuntime victim{net::Topology(w.topology()), budgeted()};
     add_two_backends(victim);
-    inject_chaos(victim);
+    schedule_failure(victim);
     drive(victim, w, 0, kill_at);
     write_snapshot_file(path, victim.capture_snapshot());
     // The victim is destroyed here — the abrupt-kill half of the story is
@@ -116,7 +123,7 @@ TEST(SnapshotRestore, KillAndRestoreReproducesCostSeriesBitForBit) {
 
   // Restored run: fresh runtime, same registration sequence, state from
   // disk, then the remaining slots.
-  ControllerRuntime restored{net::Topology(w.topology()), RuntimeOptions{}};
+  ControllerRuntime restored{net::Topology(w.topology()), budgeted()};
   add_two_backends(restored);
   restored.restore_snapshot(read_snapshot_file(path));
   EXPECT_EQ(restored.current_slot(), kill_at);
@@ -148,11 +155,15 @@ TEST(SnapshotRestore, KillAndRestoreReproducesCostSeriesBitForBit) {
     // basis the reference did, so it makes the same pivots.
     EXPECT_EQ(got.lp_iterations, ref.lp_iterations) << ref.name;
     EXPECT_EQ(got.cold_starts, ref.cold_starts) << ref.name;
+    // The watchdog cut the same slots the same way.
+    EXPECT_EQ(got.degraded_slots, ref.degraded_slots) << ref.name;
+    EXPECT_EQ(got.rung_truncated, ref.rung_truncated) << ref.name;
+    EXPECT_EQ(got.rung_greedy, ref.rung_greedy) << ref.name;
   }
+  EXPECT_GT(ref_stats.backends[0].degraded_slots, 0);
   EXPECT_EQ(new_stats.submitted, ref_stats.submitted);
   EXPECT_EQ(new_stats.admitted, ref_stats.admitted);
   EXPECT_EQ(new_stats.link_events, ref_stats.link_events);
-  EXPECT_EQ(new_stats.solver_stalls, ref_stats.solver_stalls);
   std::remove(path.c_str());
 }
 

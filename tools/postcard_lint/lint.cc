@@ -27,7 +27,7 @@ const std::map<std::string, int> kLayerRank = {
 };
 
 /// Interface headers exempt from the back-edge rule: sim/policy.h is the
-/// scheduling-policy interface (SchedulingPolicy, SolveControls,
+/// scheduling-policy interface (SchedulingPolicy, ScheduleOutcome,
 /// AuditControls). It only includes downward (charging/, net/) — which the
 /// layering rules themselves verify — and exists precisely so that the
 /// policies in src/core can implement it without src/core depending on
