@@ -125,9 +125,7 @@ void HotpathSlotSolve(benchmark::State& state) {
   record_json_metric("hotpath_master_seconds", total.master_seconds);
   record_json_metric("hotpath_pricing_share",
                      lp_wall > 0.0 ? total.pricing_seconds / lp_wall : 0.0);
-  const double starts = total.warm_accepts + total.cold_starts;
-  record_json_metric("hotpath_warm_accept_rate",
-                     starts > 0 ? total.warm_accepts / starts : 0.0);
+  record_json_metric("hotpath_warm_accept_rate", total.warm_accept_rate());
   record_json_metric("hotpath_resumed_solves",
                      static_cast<double>(total.resumed_solves));
 }

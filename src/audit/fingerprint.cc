@@ -1,7 +1,5 @@
 #include "audit/fingerprint.h"
 
-#include <cstring>
-
 namespace postcard::audit {
 
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
@@ -11,25 +9,6 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
     hash *= kFnv1a64Prime;
   }
   return hash;
-}
-
-void Fnv1a64::bytes(const std::uint8_t* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    hash_ ^= data[i];
-    hash_ *= kFnv1a64Prime;
-  }
-}
-
-void Fnv1a64::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void Fnv1a64::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
 }  // namespace postcard::audit

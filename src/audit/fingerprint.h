@@ -4,16 +4,15 @@
 // divergence fingerprint (src/replication) both need the same tiny,
 // dependency-free hash; it lives here in src/audit because the auditor is
 // the lowest layer concerned with state integrity and links nothing above
-// postcard_net/postcard_charging. One-shot hashing over a byte range uses
-// fnv1a64(); incremental hashing over typed fields (counters, doubles as
-// IEEE-754 bit patterns, strings) uses the streaming Fnv1a64 class — two
-// states that hashed the same field sequence produce the same digest, so a
-// digest mismatch pinpoints real divergence, never encoding noise.
+// postcard_net/postcard_charging. Both hash bytes that the wire codec
+// wrote (little-endian integers, doubles as IEEE-754 bit patterns,
+// length-prefixed strings), so two states that encode to the same bytes
+// produce the same digest and a mismatch pinpoints real divergence, never
+// encoding noise.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace postcard::audit {
 
@@ -22,36 +21,5 @@ inline constexpr std::uint64_t kFnv1a64Prime = 0x100000001b3ULL;
 
 /// One-shot FNV-1a 64 over a byte range.
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);
-
-/// Streaming FNV-1a 64 over typed fields. Integers hash as fixed-width
-/// little-endian bytes, doubles as their IEEE-754 bit patterns (so a
-/// bit-for-bit identical cost series hashes identically and any ULP of
-/// divergence flips the digest), strings as length + bytes (so "ab","c"
-/// and "a","bc" never collide).
-class Fnv1a64 {
- public:
-  void bytes(const std::uint8_t* data, std::size_t n);
-  void u8(std::uint8_t v) { bytes(&v, 1); }
-  void u32(std::uint32_t v) { fixed(v); }
-  void u64(std::uint64_t v) { fixed(v); }
-  void i32(std::int32_t v) { fixed(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { fixed(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void str(const std::string& s);
-
-  std::uint64_t digest() const { return hash_; }
-
- private:
-  template <typename T>
-  void fixed(T v) {
-    std::uint8_t buf[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-    bytes(buf, sizeof(T));
-  }
-
-  std::uint64_t hash_ = kFnv1a64Offset;
-};
 
 }  // namespace postcard::audit

@@ -1,10 +1,11 @@
 #include "replication/failover_client.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
+
+#include "replication/retry.h"
 
 namespace postcard::replication {
 
@@ -45,11 +46,8 @@ void FailoverClient::on_failure() {
   failovers_++;
   consecutive_failures_++;
   active_ = (active_ + 1) % static_cast<int>(options_.endpoints.size());
-  const int shift = std::min(consecutive_failures_ - 1, 10);
-  const int base = std::min(kBackoffMaxMs, kBackoffBaseMs << shift);
-  const int jitter =
-      static_cast<int>(rng_() % static_cast<unsigned>(base / 2 + 1));
-  std::this_thread::sleep_for(std::chrono::milliseconds(base + jitter));
+  std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms(
+      consecutive_failures_, kBackoffBaseMs, kBackoffMaxMs, rng_)));
 }
 
 template <typename Op>

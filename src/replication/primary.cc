@@ -1,13 +1,10 @@
 #include "replication/primary.h"
 
-#include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -62,40 +59,8 @@ void ReplicationPrimary::start() {
     base::MutexLock lock(seed_gate_->mu);
     seed_gate_->primary = this;
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw WireError("replication socket() failed: errno " +
-                    std::to_string(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw WireError("invalid replication listen address " + options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw WireError("replication bind failed: errno " + std::to_string(err));
-  }
-  if (::listen(listen_fd_, 4) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw WireError("replication listen failed: errno " + std::to_string(err));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  listen_fd_ = server::listen_tcp(options_.host, options_.port,
+                                  /*backlog=*/4, &port_);
   running_.store(true, std::memory_order_release);
   io_thread_ = std::thread([this] { io_loop(); });
   heartbeat_thread_ = std::thread([this] { heartbeat_loop(); });
@@ -347,10 +312,7 @@ void ReplicationPrimary::io_loop() {
       if (fd >= 0) {
         // A short SO_SNDTIMEO makes blocking sends surface EAGAIN, which
         // write_all() converts into its poll()-based deadline loop.
-        struct timeval tv;
-        tv.tv_sec = 0;
-        tv.tv_usec = 100 * 1000;
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+        server::set_socket_timeout(fd, SO_SNDTIMEO, 100);
         if (options_.sndbuf_bytes > 0) {
           ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf_bytes,
                        sizeof(options_.sndbuf_bytes));

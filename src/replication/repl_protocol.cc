@@ -21,51 +21,9 @@ Struct decode_payload(const std::vector<std::uint8_t>& payload,
 }  // namespace
 
 std::uint64_t runtime_fingerprint(const runtime::RuntimeStats& s) {
-  audit::Fnv1a64 h;
-  // Engine counters the driver alone mutates, at tick boundaries.
-  h.i32(s.slots_processed);
-  h.i64(s.link_events);
-  h.u32(static_cast<std::uint32_t>(s.backends.size()));
-  for (const runtime::BackendStats& b : s.backends) {
-    h.str(b.name);
-    // The committed cost series is the paper's headline output; hash
-    // every double's exact bit pattern so one ULP of divergence is loud.
-    h.u32(static_cast<std::uint32_t>(b.cost_series.size()));
-    for (double c : b.cost_series) h.f64(c);
-    h.i64(b.accepted_files);
-    h.f64(b.accepted_volume);
-    h.i64(b.rejected_files);
-    h.f64(b.rejected_volume);
-    h.i64(b.delivered_files);
-    h.f64(b.delivered_volume);
-    h.i64(b.failed_files);
-    h.f64(b.failed_volume);
-    h.i64(b.replans);
-    h.f64(b.replanned_volume);
-    h.i32(b.lp_solves);
-    h.i64(b.lp_iterations);
-    h.i64(b.warm_accepts);
-    h.i64(b.cold_starts);
-    h.i64(b.resumed_solves);
-    h.i64(b.charge_reduce_violations);
-    h.i64(b.rung_full);
-    h.i64(b.rung_truncated);
-    h.i64(b.rung_greedy);
-    h.i64(b.carryover_files);
-    h.f64(b.carryover_volume);
-    h.i64(b.carryover_entered_files);
-    h.f64(b.carryover_entered_volume);
-    h.i64(b.degraded_slots);
-    h.f64(b.degraded_cost_delta);
-    h.i64(b.solver_failures);
-    h.i64(b.gave_up_files);
-    h.f64(b.gave_up_volume);
-    h.i64(b.audit_checks);
-    // Deliberately excluded: pricing/master/audit seconds, latency
-    // histograms (wall clock), last_solver_status (free text), and the
-    // ingress counters (submissions race the commit boundary).
-  }
-  return h.digest();
+  ByteWriter w;
+  server::encode_deterministic_stats(w, s);
+  return audit::fnv1a64(w.data().data(), w.size());
 }
 
 std::vector<std::uint8_t> ReplHello::encode() const { return {}; }

@@ -12,12 +12,14 @@
 //   standby  -> primary : ReplAck        (applied commit)
 //   standby  -> primary : ReplReseed     (diverged or gapped; ship snapshot)
 //
-// The fingerprint is FNV-1a 64 (audit/fingerprint.h) over the committed
-// cost series and backend counters — exactly the state deterministic
-// replay must reproduce. It deliberately EXCLUDES wall-clock timings
-// (pricing/master/audit seconds, latency histograms) and ingress counters
-// (submissions race the commit boundary on a live primary), so a digest
-// mismatch always means real divergence, never timing noise.
+// The fingerprint is FNV-1a 64 (audit/fingerprint.h) over the stats
+// fields runtime/stats.h tags deterministic — the committed cost series and
+// backend counters, exactly the state deterministic replay must reproduce
+// — in their wire encoding. The fields tagged telemetry (wall-clock
+// seconds, latency histograms, the last solver status, and the ingress,
+// queue-depth and server counters that race the commit boundary on a live
+// primary) stay out, so a digest mismatch always means real divergence,
+// never timing noise.
 #pragma once
 
 #include <cstdint>

@@ -1,20 +1,16 @@
 #include "replication/standby.h"
 
-#include <arpa/inet.h>
-#include <cerrno>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <random>
 #include <stdexcept>
 #include <utility>
 
+#include "replication/retry.h"
 #include "server/snapshot.h"
 
 namespace postcard::replication {
@@ -59,16 +55,6 @@ runtime::RuntimeOptions seed_options(const runtime::RuntimeSnapshot& snap) {
   return options;
 }
 
-/// Sleeps in small increments so stop() stays responsive mid-backoff.
-template <typename Alive>
-void interruptible_sleep_ms(int ms, Alive&& alive) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(ms);
-  while (alive() && Clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
 }  // namespace
 
 ReplicationStandby::ReplicationStandby(StandbyOptions options)
@@ -111,62 +97,24 @@ StandbyStats ReplicationStandby::stats() const {
 }
 
 bool ReplicationStandby::wait_for_commit(int slot, int timeout_ms) const {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (Clock::now() < deadline) {
-    {
-      base::MutexLock lock(mu_);
-      if (stats_.last_commit_slot >= slot) return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  base::MutexLock lock(mu_);
-  return stats_.last_commit_slot >= slot;
+  return poll_until(
+      [&] {
+        base::MutexLock lock(mu_);
+        return stats_.last_commit_slot >= slot;
+      },
+      timeout_ms);
 }
 
 bool ReplicationStandby::wait_promoted(int timeout_ms) const {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!promoted() && Clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return promoted();
+  return poll_until([this] { return promoted(); }, timeout_ms);
 }
 
 bool ReplicationStandby::wait_failed(int timeout_ms) const {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!failed() && Clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return failed();
+  return poll_until([this] { return failed(); }, timeout_ms);
 }
 
 void ReplicationStandby::corrupt_next_event() {
   corrupt_next_.store(true, std::memory_order_release);
-}
-
-int ReplicationStandby::connect_once() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.primary_port));
-  if (::inet_pton(AF_INET, options_.primary_host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  // Silence beyond the heartbeat timeout surfaces as WireTimeout from
-  // read_frame — the standby's missed-heartbeat detector.
-  struct timeval tv;
-  tv.tv_sec = options_.heartbeat_timeout_ms / 1000;
-  tv.tv_usec = (options_.heartbeat_timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  return fd;
 }
 
 bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
@@ -289,19 +237,22 @@ void ReplicationStandby::run() {
   const auto alive = [this] {
     return running_.load(std::memory_order_acquire);
   };
+  // Waits out the backoff in 2 ms polls, so stop() stays responsive.
   const auto backoff = [&](int failures) {
-    const int shift = std::min(failures > 0 ? failures - 1 : 0, 10);
-    const int base = std::min(options_.backoff_max_ms,
-                              options_.backoff_base_ms << shift);
-    const int jitter =
-        static_cast<int>(rng() % static_cast<unsigned>(base / 2 + 1));
-    interruptible_sleep_ms(base + jitter, alive);
+    poll_until([&] { return !alive(); },
+               backoff_ms(failures, options_.backoff_base_ms,
+                          options_.backoff_max_ms, rng));
   };
 
   int failures = 0;
   while (alive()) {
-    const int fd = connect_once();
-    if (fd < 0) {
+    int fd = -1;
+    try {
+      // Silence beyond the heartbeat timeout surfaces as WireTimeout from
+      // read_frame — the standby's missed-heartbeat detector.
+      fd = server::connect_tcp(options_.primary_host, options_.primary_port,
+                               options_.heartbeat_timeout_ms);
+    } catch (const WireError&) {
       failures++;
       if (failures > options_.reconnect_attempts) break;
       backoff(failures);

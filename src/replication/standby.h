@@ -111,7 +111,6 @@ class ReplicationStandby {
 
  private:
   void run();
-  int connect_once();
   /// Applies one frame; returns false when the connection must drop.
   bool handle_frame(int fd, const server::Frame& frame);
   void promote_or_fail();

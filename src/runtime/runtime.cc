@@ -232,7 +232,7 @@ void ControllerRuntime::solve_slot(int slot,
     record_outcome(b, slot, batch, outcome);
     track_plans(b, slot, b.controller.last_plans(), batch);
     // Did this outcome reach any rung below the full LP optimum?
-    const int lower_rungs = outcome.rung_truncated + outcome.rung_greedy;
+    const long lower_rungs = outcome.rung_truncated + outcome.rung_greedy;
     const bool degraded = lower_rungs > 0 || !outcome.deferred_ids.empty();
     base::MutexLock lock(stats_mu_);
     solve_latency_.add(seconds);
@@ -287,25 +287,10 @@ void ControllerRuntime::record_outcome(
     }
   }
   base::MutexLock lock(stats_mu_);
-  b.stats.lp_iterations += outcome.lp_iterations;
-  b.stats.lp_solves += outcome.lp_solves;
-  b.stats.warm_accepts += outcome.warm_accepts;
-  b.stats.cold_starts += outcome.cold_starts;
-  b.stats.pricing_seconds += outcome.pricing_seconds;
-  b.stats.master_seconds += outcome.master_seconds;
-  b.stats.resumed_solves += outcome.resumed_solves;
-  b.stats.rung_full += outcome.rung_full;
-  b.stats.rung_truncated += outcome.rung_truncated;
-  b.stats.rung_greedy += outcome.rung_greedy;
-  b.stats.solver_failures += outcome.solver_failures;
+  b.stats += outcome;
   if (!outcome.solver_status.empty()) {
     b.stats.last_solver_status = outcome.solver_status;
   }
-  b.stats.gave_up_files += outcome.gave_up_files;
-  b.stats.gave_up_volume += outcome.gave_up_volume;
-  b.stats.audit_checks += outcome.audit_checks;
-  b.stats.audit_violations += outcome.audit_violations;
-  b.stats.audit_seconds += outcome.audit_seconds;
   b.stats.carryover_files += carried;
   b.stats.carryover_volume += carried_volume;
   b.stats.carryover_entered_files += entered;

@@ -9,7 +9,11 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
+
+#include "sim/policy.h"
 
 namespace postcard::runtime {
 
@@ -53,8 +57,9 @@ class LatencyHistogram {
   double max_seconds_ = 0.0;
 };
 
-/// Per-backend (per registered Postcard controller) counters.
-struct BackendStats {
+/// Per-backend (per registered Postcard controller) counters. The solver
+/// counters come from sim::SolveCounters, summed over every slot.
+struct BackendStats : sim::SolveCounters {
   std::string name;
   long accepted_files = 0;
   double accepted_volume = 0.0;  // GB admitted by the solver
@@ -66,31 +71,14 @@ struct BackendStats {
   double replanned_volume = 0.0;
   long failed_files = 0;         // accepted, then unsalvageable after failure
   double failed_volume = 0.0;
-  long lp_iterations = 0;
-  int lp_solves = 0;
-  // Canonical-seed outcomes: solves whose seeded round-0 basis was verified
-  // and accepted vs. solves whose seed was rejected and ran phase 1.
-  long warm_accepts = 0;
-  long cold_starts = 0;
-  // Solver hot-path split (column-generation backends only): wall time in
-  // the pricing DP vs. the restricted-master solves, and master solves
-  // resumed in place on the incumbent factorization.
-  double pricing_seconds = 0.0;
-  double master_seconds = 0.0;
-  long resumed_solves = 0;
   // Percentile ledger integrity: uncommits that asked for more volume than
   // the slot held (beyond rounding noise). Always 0 in a correct engine;
   // nonzero pinpoints a double-uncommit or a commit/uncommit mismatch.
   long charge_reduce_violations = 0;
-  // ---- Degradation ladder (slot watchdog; see DESIGN.md §9). Per-rung
-  // counts: slots that committed the full LP optimum / slots that committed
-  // a budget-truncated incumbent / files placed by the greedy fallback.
-  long rung_full = 0;
-  long rung_truncated = 0;
-  long rung_greedy = 0;
-  // Store-in-place carryover (the last rung): deferred files re-enqueued
-  // into the next slot's batch with one slot less deadline slack. Files
-  // deferred with no slack left land in failed_files/failed_volume.
+  // Store-in-place carryover (the last rung of the degradation ladder,
+  // DESIGN.md §9): deferred files re-enqueued into the next slot's batch
+  // with one slot less deadline slack. Files deferred with no slack left
+  // land in failed_files/failed_volume.
   long carryover_files = 0;
   double carryover_volume = 0.0;
   // Distinct files that entered a carry chain, counted on the FIRST
@@ -106,22 +94,11 @@ struct BackendStats {
   // what the degradation cost relative to the charge level it started at).
   long degraded_slots = 0;
   double degraded_cost_delta = 0.0;
-  // Solver-failure visibility: slot solves that ended non-optimal, with
-  // the most recent status string (lp::to_string).
-  long solver_failures = 0;
+  // The most recent non-optimal solve status (lp::to_string).
   std::string last_solver_status;
-  // Greedy chunk-budget exhaustion (max_chunks_per_file ran out).
-  long gave_up_files = 0;
-  double gave_up_volume = 0.0;
-  // ---- Plan audits (src/audit; armed via RuntimeOptions::audit). Whether
-  // the audit was armed at registration, how many commits were
-  // re-verified (controller-side self-audits), violations found and wall
-  // time spent auditing. A violation throws (fail-fast) before
-  // reaching these counters, so a completed run shows zero violations.
+  // Whether the plan audit was armed at registration
+  // (RuntimeOptions::audit).
   bool audit_armed = false;
-  long audit_checks = 0;
-  long audit_violations = 0;
-  double audit_seconds = 0.0;
   std::vector<double> cost_series;  // cost per interval after each slot
 };
 
@@ -162,5 +139,132 @@ struct RuntimeStats {
   ServerCounters server;
   std::vector<BackendStats> backends;
 };
+
+// ---- The field lists. Each stats struct lists every field once, in wire
+// order, and the stats codec (server/protocol.cc), the replication
+// fingerprint (replication/repl_protocol.cc), the metrics text
+// (server/metrics.cc) and the per-slot merge below all loop over these
+// lists. Adding or deleting a field means editing its declaration, its
+// producer and its one entry here.
+
+/// Whether a standby that replays the committed event log reproduces a
+/// field bit for bit. The divergence fingerprint hashes exactly the
+/// deterministic fields. Telemetry fields carry wall-clock time, race the
+/// commit boundary (ingress, queue depth, server traffic), so two replicas
+/// of one run may disagree on them, or are free text meant for people.
+enum class FieldKind { kDeterministic, kTelemetry };
+
+/// One list entry: the member, its metric name (after the exporter's
+/// `postcard_`, `postcard_server_` or `postcard_backend_` prefix; nullptr
+/// for a field with no metric line of its own) and its kind.
+template <typename Member>
+struct StatsField {
+  Member member;
+  const char* metric;
+  FieldKind kind;
+};
+
+template <typename Member>
+constexpr StatsField<Member> deterministic(Member member, const char* metric) {
+  return {member, metric, FieldKind::kDeterministic};
+}
+
+template <typename Member>
+constexpr StatsField<Member> telemetry(Member member, const char* metric) {
+  return {member, metric, FieldKind::kTelemetry};
+}
+
+/// RuntimeStats' own scalars and histograms; `server` and `backends`
+/// follow them on the wire, each through its own list.
+inline constexpr auto kRuntimeFields = std::tuple{
+    deterministic(&RuntimeStats::slots_processed, "slots_processed"),
+    telemetry(&RuntimeStats::queue_depth, "queue_depth"),
+    telemetry(&RuntimeStats::submitted, "ingress_submitted"),
+    telemetry(&RuntimeStats::admitted, "ingress_admitted"),
+    telemetry(&RuntimeStats::ingress_rejected, "ingress_rejected"),
+    telemetry(&RuntimeStats::ingress_rejected_volume,
+              "ingress_rejected_volume_gb"),
+    deterministic(&RuntimeStats::link_events, "link_events"),
+    telemetry(&RuntimeStats::slot_latency, "slot_latency"),
+    telemetry(&RuntimeStats::solve_latency, "solve_latency"),
+};
+
+inline constexpr auto kServerFields = std::tuple{
+    telemetry(&ServerCounters::sessions_opened, "sessions_opened"),
+    telemetry(&ServerCounters::sessions_closed, "sessions_closed"),
+    telemetry(&ServerCounters::frames_received, "frames_received"),
+    telemetry(&ServerCounters::frames_sent, "frames_sent"),
+    telemetry(&ServerCounters::submits, "submits"),
+    telemetry(&ServerCounters::submit_admitted, "submit_admitted"),
+    telemetry(&ServerCounters::backpressure_replies, "backpressure_replies"),
+    telemetry(&ServerCounters::queries, "queries"),
+    telemetry(&ServerCounters::protocol_errors, "protocol_errors"),
+    telemetry(&ServerCounters::snapshots_written, "snapshots_written"),
+    telemetry(&ServerCounters::slots_advanced, "slots_advanced"),
+    telemetry(&ServerCounters::sessions_reaped, "sessions_reaped"),
+};
+
+inline constexpr auto kBackendFields = std::tuple{
+    deterministic(&BackendStats::name, nullptr),  // the metrics' label
+    deterministic(&BackendStats::accepted_files, "accepted_files"),
+    deterministic(&BackendStats::accepted_volume, "accepted_volume_gb"),
+    deterministic(&BackendStats::rejected_files, "rejected_files"),
+    deterministic(&BackendStats::rejected_volume, "rejected_volume_gb"),
+    deterministic(&BackendStats::delivered_files, "delivered_files"),
+    deterministic(&BackendStats::delivered_volume, "delivered_volume_gb"),
+    deterministic(&BackendStats::replans, "replans"),
+    deterministic(&BackendStats::replanned_volume, "replanned_volume_gb"),
+    deterministic(&BackendStats::failed_files, "failed_files"),
+    deterministic(&BackendStats::failed_volume, "failed_volume_gb"),
+    deterministic(&BackendStats::lp_iterations, "lp_iterations"),
+    deterministic(&BackendStats::lp_solves, "lp_solves"),
+    deterministic(&BackendStats::warm_accepts, "warm_accepts"),
+    deterministic(&BackendStats::cold_starts, "cold_starts"),
+    telemetry(&BackendStats::pricing_seconds, "pricing_seconds"),
+    telemetry(&BackendStats::master_seconds, "master_seconds"),
+    deterministic(&BackendStats::resumed_solves, "resumed_solves"),
+    deterministic(&BackendStats::charge_reduce_violations,
+                  "charge_reduce_violations"),
+    deterministic(&BackendStats::rung_full, "rung_full_slots"),
+    deterministic(&BackendStats::rung_truncated, "rung_truncated_slots"),
+    deterministic(&BackendStats::rung_greedy, "rung_greedy_files"),
+    deterministic(&BackendStats::carryover_files, "carryover_files"),
+    deterministic(&BackendStats::carryover_volume, "carryover_volume_gb"),
+    deterministic(&BackendStats::carryover_entered_files,
+                  "carryover_entered_files"),
+    deterministic(&BackendStats::carryover_entered_volume,
+                  "carryover_entered_volume_gb"),
+    deterministic(&BackendStats::degraded_slots, "degraded_slots"),
+    deterministic(&BackendStats::degraded_cost_delta, "degraded_cost_delta"),
+    deterministic(&BackendStats::solver_failures, "solver_failures"),
+    telemetry(&BackendStats::last_solver_status, nullptr),  // free text
+    deterministic(&BackendStats::gave_up_files, "gave_up_files"),
+    deterministic(&BackendStats::gave_up_volume, "gave_up_volume_gb"),
+    deterministic(&BackendStats::audit_armed, "audit_armed"),
+    deterministic(&BackendStats::audit_checks, "audit_checks"),
+    deterministic(&BackendStats::audit_violations, "audit_violations"),
+    telemetry(&BackendStats::audit_seconds, "audit_seconds"),
+    deterministic(&BackendStats::cost_series, nullptr),  // see the exporter
+};
+
+/// Calls `visit` on each entry of a field list, in list order.
+template <typename Fields, typename Visit>
+constexpr void for_each_field(const Fields& fields, Visit&& visit) {
+  std::apply([&](const auto&... field) { (visit(field), ...); }, fields);
+}
+
+/// The per-slot merge: adds one slot's solver counters to a backend's
+/// totals. It loops over kBackendFields and takes the entries whose member
+/// a sim::SolveCounters holds, i.e. the block BackendStats inherits.
+inline BackendStats& operator+=(BackendStats& total,
+                                const sim::SolveCounters& slot) {
+  for_each_field(kBackendFields, [&](const auto& field) {
+    if constexpr (std::is_invocable_v<decltype(field.member),
+                                      const sim::SolveCounters&>) {
+      total.*field.member += slot.*field.member;
+    }
+  });
+  return total;
+}
 
 }  // namespace postcard::runtime

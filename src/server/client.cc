@@ -1,42 +1,14 @@
 #include "server/client.h"
 
-#include <arpa/inet.h>
-#include <cerrno>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 namespace postcard::server {
 
 PostcardClient::PostcardClient(const std::string& host, int port,
-                               int io_timeout_ms) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    throw WireError("socket() failed: errno " + std::to_string(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd_);
-    fd_ = -1;
-    throw WireError("invalid server address " + host);
-  }
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd_);
-    fd_ = -1;
-    throw WireError("connect to " + host + ":" + std::to_string(port) +
-                    " failed: errno " + std::to_string(err));
-  }
-  if (io_timeout_ms > 0) {
-    struct timeval tv;
-    tv.tv_sec = io_timeout_ms / 1000;
-    tv.tv_usec = (io_timeout_ms % 1000) * 1000;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
+                               int io_timeout_ms)
+    : fd_(connect_tcp(host, port, io_timeout_ms)) {
+  set_socket_timeout(fd_, SO_SNDTIMEO, io_timeout_ms);
 }
 
 PostcardClient::~PostcardClient() {

@@ -47,6 +47,66 @@ enum class EventTag : std::uint8_t {
   kFileArrival = 3,
 };
 
+// One writer and one reader per stats field type; the field lists in
+// runtime/stats.h pick the overload through each member's type.
+void put(ByteWriter& w, int v) { w.i32(v); }
+void put(ByteWriter& w, long v) { w.i64(v); }
+void put(ByteWriter& w, std::size_t v) { w.u64(v); }
+void put(ByteWriter& w, double v) { w.f64(v); }
+void put(ByteWriter& w, bool v) { w.boolean(v); }
+void put(ByteWriter& w, const std::string& v) { w.str(v); }
+void put(ByteWriter& w, const std::vector<double>& v) {
+  w.u32(static_cast<std::uint32_t>(v.size()));
+  for (double x : v) w.f64(x);
+}
+void put(ByteWriter& w, const runtime::LatencyHistogram& h) {
+  encode_histogram(w, h);
+}
+
+void get(ByteReader& r, int& v) { v = r.i32(); }
+void get(ByteReader& r, long& v) { v = r.i64(); }
+void get(ByteReader& r, std::size_t& v) { v = r.u64(); }
+void get(ByteReader& r, double& v) { v = r.f64(); }
+void get(ByteReader& r, bool& v) { v = r.boolean(); }
+void get(ByteReader& r, std::string& v) { v = r.str(); }
+void get(ByteReader& r, std::vector<double>& v) {
+  const std::size_t n = r.length(8);
+  v.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) v.push_back(r.f64());
+}
+void get(ByteReader& r, runtime::LatencyHistogram& h) {
+  h = decode_histogram(r);
+}
+
+/// Writes the fields of `s` that `fields` lists, in list order; with
+/// `deterministic_only`, just the deterministic ones.
+template <typename Stats, typename Fields>
+void encode_fields(ByteWriter& w, const Stats& s, const Fields& fields,
+                   bool deterministic_only) {
+  runtime::for_each_field(fields, [&](const auto& field) {
+    if (!deterministic_only ||
+        field.kind == runtime::FieldKind::kDeterministic) {
+      put(w, s.*field.member);
+    }
+  });
+}
+
+template <typename Stats, typename Fields>
+void decode_fields(ByteReader& r, Stats& s, const Fields& fields) {
+  runtime::for_each_field(fields,
+                          [&](const auto& field) { get(r, s.*field.member); });
+}
+
+void encode_stats(ByteWriter& w, const runtime::RuntimeStats& s,
+                  bool deterministic_only) {
+  encode_fields(w, s, runtime::kRuntimeFields, deterministic_only);
+  encode_fields(w, s.server, runtime::kServerFields, deterministic_only);
+  w.u32(static_cast<std::uint32_t>(s.backends.size()));
+  for (const runtime::BackendStats& b : s.backends) {
+    encode_fields(w, b, runtime::kBackendFields, deterministic_only);
+  }
+}
+
 }  // namespace
 
 // --- Shared domain-type codecs ------------------------------------------
@@ -117,114 +177,34 @@ runtime::LatencyHistogram decode_histogram(ByteReader& r) {
 }
 
 void encode_backend_stats(ByteWriter& w, const runtime::BackendStats& s) {
-  w.str(s.name);
-  w.i64(s.accepted_files);
-  w.f64(s.accepted_volume);
-  w.i64(s.rejected_files);
-  w.f64(s.rejected_volume);
-  w.i64(s.delivered_files);
-  w.f64(s.delivered_volume);
-  w.i64(s.replans);
-  w.f64(s.replanned_volume);
-  w.i64(s.failed_files);
-  w.f64(s.failed_volume);
-  w.i64(s.lp_iterations);
-  w.i32(s.lp_solves);
-  w.i64(s.warm_accepts);
-  w.i64(s.cold_starts);
-  w.f64(s.pricing_seconds);
-  w.f64(s.master_seconds);
-  w.i64(s.resumed_solves);
-  w.i64(s.charge_reduce_violations);
-  w.i64(s.rung_full);
-  w.i64(s.rung_truncated);
-  w.i64(s.rung_greedy);
-  w.i64(s.carryover_files);
-  w.f64(s.carryover_volume);
-  w.i64(s.carryover_entered_files);
-  w.f64(s.carryover_entered_volume);
-  w.i64(s.degraded_slots);
-  w.f64(s.degraded_cost_delta);
-  w.i64(s.solver_failures);
-  w.str(s.last_solver_status);
-  w.i64(s.gave_up_files);
-  w.f64(s.gave_up_volume);
-  w.boolean(s.audit_armed);
-  w.i64(s.audit_checks);
-  w.i64(s.audit_violations);
-  w.f64(s.audit_seconds);
-  w.u32(static_cast<std::uint32_t>(s.cost_series.size()));
-  for (double c : s.cost_series) w.f64(c);
+  encode_fields(w, s, runtime::kBackendFields, /*deterministic_only=*/false);
 }
 
 runtime::BackendStats decode_backend_stats(ByteReader& r) {
   runtime::BackendStats s;
-  s.name = r.str();
-  s.accepted_files = r.i64();
-  s.accepted_volume = r.f64();
-  s.rejected_files = r.i64();
-  s.rejected_volume = r.f64();
-  s.delivered_files = r.i64();
-  s.delivered_volume = r.f64();
-  s.replans = r.i64();
-  s.replanned_volume = r.f64();
-  s.failed_files = r.i64();
-  s.failed_volume = r.f64();
-  s.lp_iterations = r.i64();
-  s.lp_solves = r.i32();
-  s.warm_accepts = r.i64();
-  s.cold_starts = r.i64();
-  s.pricing_seconds = r.f64();
-  s.master_seconds = r.f64();
-  s.resumed_solves = r.i64();
-  s.charge_reduce_violations = r.i64();
-  s.rung_full = r.i64();
-  s.rung_truncated = r.i64();
-  s.rung_greedy = r.i64();
-  s.carryover_files = r.i64();
-  s.carryover_volume = r.f64();
-  s.carryover_entered_files = r.i64();
-  s.carryover_entered_volume = r.f64();
-  s.degraded_slots = r.i64();
-  s.degraded_cost_delta = r.f64();
-  s.solver_failures = r.i64();
-  s.last_solver_status = r.str();
-  s.gave_up_files = r.i64();
-  s.gave_up_volume = r.f64();
-  s.audit_armed = r.boolean();
-  s.audit_checks = r.i64();
-  s.audit_violations = r.i64();
-  s.audit_seconds = r.f64();
-  const std::size_t costs = r.length(8);
-  s.cost_series.reserve(costs);
-  for (std::size_t i = 0; i < costs; ++i) s.cost_series.push_back(r.f64());
+  decode_fields(r, s, runtime::kBackendFields);
   return s;
 }
 
 void encode_runtime_stats(ByteWriter& w, const runtime::RuntimeStats& s) {
-  w.i32(s.slots_processed);
-  w.u64(static_cast<std::uint64_t>(s.queue_depth));
-  w.i64(s.submitted);
-  w.i64(s.admitted);
-  w.i64(s.ingress_rejected);
-  w.f64(s.ingress_rejected_volume);
-  w.i64(s.link_events);
-  encode_histogram(w, s.slot_latency);
-  encode_histogram(w, s.solve_latency);
-  w.i64(s.server.sessions_opened);
-  w.i64(s.server.sessions_closed);
-  w.i64(s.server.frames_received);
-  w.i64(s.server.frames_sent);
-  w.i64(s.server.submits);
-  w.i64(s.server.submit_admitted);
-  w.i64(s.server.backpressure_replies);
-  w.i64(s.server.queries);
-  w.i64(s.server.protocol_errors);
-  w.i64(s.server.snapshots_written);
-  w.i64(s.server.slots_advanced);
-  w.i64(s.server.sessions_reaped);
-  w.u32(static_cast<std::uint32_t>(s.backends.size()));
-  for (const runtime::BackendStats& b : s.backends) encode_backend_stats(w, b);
+  encode_stats(w, s, /*deterministic_only=*/false);
+}
+
+void encode_deterministic_stats(ByteWriter& w,
+                                const runtime::RuntimeStats& s) {
+  encode_stats(w, s, /*deterministic_only=*/true);
+}
+
+runtime::RuntimeStats decode_runtime_stats(ByteReader& r) {
+  runtime::RuntimeStats s;
+  decode_fields(r, s, runtime::kRuntimeFields);
+  decode_fields(r, s.server, runtime::kServerFields);
+  const std::size_t backends = r.length(4);
+  s.backends.reserve(backends);
+  for (std::size_t i = 0; i < backends; ++i) {
+    s.backends.push_back(decode_backend_stats(r));
+  }
+  return s;
 }
 
 void encode_event(ByteWriter& w, const runtime::Event& e) {
@@ -276,37 +256,6 @@ runtime::Event decode_event(ByteReader& r) {
                       std::to_string(static_cast<int>(tag)));
   }
   return e;
-}
-
-runtime::RuntimeStats decode_runtime_stats(ByteReader& r) {
-  runtime::RuntimeStats s;
-  s.slots_processed = r.i32();
-  s.queue_depth = static_cast<std::size_t>(r.u64());
-  s.submitted = r.i64();
-  s.admitted = r.i64();
-  s.ingress_rejected = r.i64();
-  s.ingress_rejected_volume = r.f64();
-  s.link_events = r.i64();
-  s.slot_latency = decode_histogram(r);
-  s.solve_latency = decode_histogram(r);
-  s.server.sessions_opened = r.i64();
-  s.server.sessions_closed = r.i64();
-  s.server.frames_received = r.i64();
-  s.server.frames_sent = r.i64();
-  s.server.submits = r.i64();
-  s.server.submit_admitted = r.i64();
-  s.server.backpressure_replies = r.i64();
-  s.server.queries = r.i64();
-  s.server.protocol_errors = r.i64();
-  s.server.snapshots_written = r.i64();
-  s.server.slots_advanced = r.i64();
-  s.server.sessions_reaped = r.i64();
-  const std::size_t backends = r.length(4);
-  s.backends.reserve(backends);
-  for (std::size_t i = 0; i < backends; ++i) {
-    s.backends.push_back(decode_backend_stats(r));
-  }
-  return s;
 }
 
 // --- Requests ------------------------------------------------------------

@@ -35,12 +35,16 @@ runtime::LatencyHistogram decode_histogram(ByteReader& r);
 void encode_backend_stats(ByteWriter& w, const runtime::BackendStats& s);
 runtime::BackendStats decode_backend_stats(ByteReader& r);
 
-/// Full-fidelity RuntimeStats codec: every counter, the slot and solve
-/// latency histograms, server counters, per-backend stats including cost
-/// series and audit counters. Used by both the StatsReply frame and
+/// Full-fidelity RuntimeStats codec: every field of the lists in
+/// runtime/stats.h, in list order — RuntimeStats' own fields, the server
+/// counters, then each backend. Used by both the StatsReply frame and
 /// `--metrics-dump`.
 void encode_runtime_stats(ByteWriter& w, const runtime::RuntimeStats& s);
 runtime::RuntimeStats decode_runtime_stats(ByteReader& r);
+
+/// The same layout with the telemetry fields left out: the bytes the
+/// replication divergence fingerprint hashes.
+void encode_deterministic_stats(ByteWriter& w, const runtime::RuntimeStats& s);
 
 /// Runtime-event codec, shared by the snapshot pending-event section and
 /// the replication kReplEvents stream — one byte layout, so an event round

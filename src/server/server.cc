@@ -1,13 +1,10 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <iostream>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include "server/protocol.h"
@@ -48,43 +45,7 @@ void PostcardServer::restore_from(const std::string& snapshot_path) {
 }
 
 void PostcardServer::start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw WireError("socket() failed: errno " + std::to_string(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw WireError("invalid listen address " + options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw WireError("bind to " + options_.host + ":" +
-                    std::to_string(options_.port) + " failed: errno " +
-                    std::to_string(err));
-  }
-  if (::listen(listen_fd_, kListenBacklog) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw WireError("listen failed: errno " + std::to_string(err));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
-
+  listen_fd_ = listen_tcp(options_.host, options_.port, kListenBacklog, &port_);
   started_.store(true, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   driver_thread_ = std::thread([this] { driver_loop(); });
@@ -165,14 +126,9 @@ void PostcardServer::accept_loop() {
       ::close(fd);
       return;
     }
-    if (options_.session_idle_timeout_ms > 0) {
-      // Arm the idle reaper: recv() on this session returns EAGAIN after
-      // the deadline, which read_exact maps to WireTimeout.
-      struct timeval tv;
-      tv.tv_sec = options_.session_idle_timeout_ms / 1000;
-      tv.tv_usec = (options_.session_idle_timeout_ms % 1000) * 1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    }
+    // Arm the idle reaper: recv() on this session returns EAGAIN after
+    // the deadline, which read_exact maps to WireTimeout.
+    set_socket_timeout(fd, SO_RCVTIMEO, options_.session_idle_timeout_ms);
     auto session = std::make_unique<Session>();
     session->fd = fd;
     Session* raw = session.get();
@@ -225,6 +181,20 @@ void PostcardServer::session_loop(Session* session) {
   session->finished.store(true, std::memory_order_release);
 }
 
+SubmitVerdict PostcardServer::submit(const net::FileRequest& file) {
+  submits_.fetch_add(1, std::memory_order_relaxed);
+  const runtime::AdmissionResult result = runtime_.ingress().submit(file);
+  if (!result.admitted) {
+    backpressure_replies_.fetch_add(1, std::memory_order_relaxed);
+  } else if (!result.duplicate) {
+    // A dedup hit is acknowledged as success but is not a fresh
+    // admission — submit_admitted counts files entering the system.
+    submit_admitted_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return SubmitVerdict{result.admitted, result.slot, result.reason,
+                       result.duplicate};
+}
+
 void PostcardServer::reply(int fd, MessageType type,
                            const std::vector<std::uint8_t>& payload) {
   write_frame(fd, type, payload);
@@ -234,26 +204,12 @@ void PostcardServer::reply(int fd, MessageType type,
 bool PostcardServer::handle_frame(int fd, const Frame& frame) {
   switch (frame.type) {
     case MessageType::kSubmitFile: {
-      const SubmitFileRequest req = SubmitFileRequest::decode(frame.payload);
-      submits_.fetch_add(1, std::memory_order_relaxed);
-      const runtime::AdmissionResult result =
-          runtime_.ingress().submit(req.file);
-      SubmitReply out;
-      out.verdict.admitted = result.admitted;
-      out.verdict.slot = result.slot;
-      out.verdict.reason = result.reason;
-      out.verdict.duplicate = result.duplicate;
-      if (result.admitted) {
-        // A dedup hit is acknowledged as success but is not a fresh
-        // admission — submit_admitted counts files entering the system.
-        if (!result.duplicate) {
-          submit_admitted_.fetch_add(1, std::memory_order_relaxed);
-        }
-        reply(fd, MessageType::kSubmitReply, out.encode());
-      } else {
-        backpressure_replies_.fetch_add(1, std::memory_order_relaxed);
-        reply(fd, MessageType::kBackpressure, out.encode());
-      }
+      const SubmitReply out{
+          submit(SubmitFileRequest::decode(frame.payload).file)};
+      reply(fd,
+            out.verdict.admitted ? MessageType::kSubmitReply
+                                 : MessageType::kBackpressure,
+            out.encode());
       return true;
     }
     case MessageType::kSubmitBatch: {
@@ -266,22 +222,7 @@ bool PostcardServer::handle_frame(int fd, const Frame& frame) {
       BatchReply out;
       out.verdicts.reserve(req.files.size());
       for (const net::FileRequest& file : req.files) {
-        submits_.fetch_add(1, std::memory_order_relaxed);
-        const runtime::AdmissionResult result =
-            runtime_.ingress().submit(file);
-        SubmitVerdict v;
-        v.admitted = result.admitted;
-        v.slot = result.slot;
-        v.reason = result.reason;
-        v.duplicate = result.duplicate;
-        if (result.admitted) {
-          if (!result.duplicate) {
-            submit_admitted_.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          backpressure_replies_.fetch_add(1, std::memory_order_relaxed);
-        }
-        out.verdicts.push_back(std::move(v));
+        out.verdicts.push_back(submit(file));
       }
       reply(fd, MessageType::kBatchReply, out.encode());
       return true;

@@ -35,6 +35,7 @@
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "runtime/runtime.h"
+#include "server/protocol.h"
 #include "server/wire.h"
 
 namespace postcard::server {
@@ -152,6 +153,9 @@ class PostcardServer {
   /// Dispatches one decoded frame; returns false when the session must
   /// close (after Shutdown's reply).
   bool handle_frame(int fd, const Frame& frame);
+  /// Submits one file (a SubmitFile frame or one SubmitBatch entry) to the
+  /// ingress and counts it; returns the verdict to send back.
+  SubmitVerdict submit(const net::FileRequest& file);
   std::string enqueue_command(Command::Kind kind, int slots,
                               const std::string& path) EXCLUDES(cmd_mu_);
   /// Executes a drained command on the driver thread; returns error text.

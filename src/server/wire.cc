@@ -1,9 +1,12 @@
 #include "server/wire.h"
 
+#include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 namespace postcard::server {
@@ -36,8 +39,7 @@ bool read_exact(int fd, std::uint8_t* out, std::size_t n) {
       // SO_RCVTIMEO expired. At got == 0 the peer is merely idle; mid-read
       // it stalled inside a frame (half-open or wedged).
       throw WireTimeout("recv deadline expired after " + std::to_string(got) +
-                            " of " + std::to_string(n) + " bytes",
-                        /*at_frame_boundary=*/got == 0);
+                        " of " + std::to_string(n) + " bytes");
     }
     throw WireError("recv failed: errno " + std::to_string(errno));
   }
@@ -73,9 +75,8 @@ void write_all(int fd, const std::uint8_t* data, std::size_t n,
             deadline - std::chrono::steady_clock::now());
         if (left.count() <= 0) {
           throw WireTimeout("send deadline expired after " +
-                                std::to_string(sent) + " of " +
-                                std::to_string(n) + " bytes",
-                            /*at_frame_boundary=*/sent == 0);
+                            std::to_string(sent) + " of " +
+                            std::to_string(n) + " bytes");
         }
         wait_ms = static_cast<int>(left.count());
       }
@@ -89,9 +90,8 @@ void write_all(int fd, const std::uint8_t* data, std::size_t n,
       }
       if (p == 0 && timeout_ms >= 0) {
         throw WireTimeout("send deadline expired after " +
-                              std::to_string(sent) + " of " +
-                              std::to_string(n) + " bytes",
-                          /*at_frame_boundary=*/sent == 0);
+                          std::to_string(sent) + " of " + std::to_string(n) +
+                          " bytes");
       }
       continue;
     }
@@ -130,6 +130,76 @@ void write_frame(int fd, MessageType type,
                  const std::vector<std::uint8_t>& payload, int timeout_ms) {
   const std::vector<std::uint8_t> frame = encode_frame(type, payload);
   write_all(fd, frame.data(), frame.size(), timeout_ms);
+}
+
+namespace {
+
+/// A fresh TCP socket and the IPv4 address of host:port; throws WireError
+/// naming `address` when the host does not parse or no socket is left.
+int tcp_socket(const std::string& host, int port, const std::string& address,
+               sockaddr_in* addr) {
+  *addr = sockaddr_in{};
+  addr->sin_family = AF_INET;
+  addr->sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &addr->sin_addr) != 1) {
+    throw WireError("invalid address " + address);
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    throw WireError("socket() for " + address + " failed: errno " +
+                    std::to_string(errno));
+  }
+  return fd;
+}
+
+/// Closes `fd` and throws WireError for the failed `step` on `address`,
+/// with the errno that step left.
+[[noreturn]] void fail_socket(int fd, const char* step,
+                              const std::string& address) {
+  const int err = errno;
+  ::close(fd);
+  throw WireError(std::string(step) + " " + address + " failed: errno " +
+                  std::to_string(err));
+}
+
+}  // namespace
+
+int listen_tcp(const std::string& host, int port, int backlog,
+               int* bound_port) {
+  const std::string address = host + ":" + std::to_string(port);
+  sockaddr_in addr;
+  const int fd = tcp_socket(host, port, address, &addr);
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    fail_socket(fd, "bind to", address);
+  }
+  if (::listen(fd, backlog) != 0) fail_socket(fd, "listen on", address);
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    fail_socket(fd, "getsockname on", address);
+  }
+  *bound_port = ntohs(addr.sin_port);
+  return fd;
+}
+
+int connect_tcp(const std::string& host, int port, int recv_timeout_ms) {
+  const std::string address = host + ":" + std::to_string(port);
+  sockaddr_in addr;
+  const int fd = tcp_socket(host, port, address, &addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    fail_socket(fd, "connect to", address);
+  }
+  set_socket_timeout(fd, SO_RCVTIMEO, recv_timeout_ms);
+  return fd;
+}
+
+void set_socket_timeout(int fd, int option, int ms) {
+  if (ms <= 0) return;
+  timeval tv{};
+  tv.tv_sec = ms / 1000;
+  tv.tv_usec = (ms % 1000) * 1000;
+  ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
 }
 
 }  // namespace postcard::server

@@ -38,7 +38,10 @@ namespace postcard::server {
 // slot; the replication stream's events no longer include slot ticks.
 // v10: RuntimeStats lost its solver stall/fault counters (16 bytes), and
 // the replication stream carries no solver stall or fault events.
-inline constexpr std::uint16_t kProtocolVersion = 10;
+// v11: ReplCommit's fingerprint hashes the stats fields tagged
+// deterministic in their wire order and encoding, audit_armed and
+// audit_violations included; StatsReply bytes are unchanged.
+inline constexpr std::uint16_t kProtocolVersion = 11;
 
 /// Default cap on a single frame's payload. SubmitBatch with tens of
 /// thousands of files and a full stats reply both fit comfortably.
@@ -54,20 +57,13 @@ class WireError : public std::runtime_error {
 
 /// A deadline expired mid-read or mid-write (SO_RCVTIMEO/SO_SNDTIMEO or an
 /// explicit timeout_ms). Distinct from WireError so callers can tell a
-/// *slow* peer from a *broken* one: the idle-session reaper closes quietly
-/// on a boundary timeout instead of counting a protocol error, and the
-/// replication primary drops a stalled standby for reseeding rather than
-/// treating it as malformed input.
+/// *slow* peer from a *broken* one: the idle-session reaper closes a timed
+/// out session quietly, idle or stalled mid-frame alike, instead of
+/// counting a protocol error, and the replication primary drops a stalled
+/// standby for reseeding rather than treating it as malformed input.
 class WireTimeout : public WireError {
  public:
-  explicit WireTimeout(const std::string& what, bool at_frame_boundary)
-      : WireError(what), at_frame_boundary_(at_frame_boundary) {}
-  /// True when no byte of the current unit had been transferred yet — the
-  /// peer is idle, not mid-frame, so closing loses nothing.
-  bool at_frame_boundary() const { return at_frame_boundary_; }
-
- private:
-  bool at_frame_boundary_;
+  using WireError::WireError;
 };
 
 enum class MessageType : std::uint16_t {
@@ -251,5 +247,21 @@ bool read_frame(int fd, Frame* out,
 void write_frame(int fd, MessageType type,
                  const std::vector<std::uint8_t>& payload,
                  int timeout_ms = -1);
+
+/// Opens a TCP listener on host:port with SO_REUSEADDR; port 0 lets the
+/// kernel pick one. Returns the fd and stores the bound port in
+/// `*bound_port`. Throws WireError naming the address when a step fails.
+int listen_tcp(const std::string& host, int port, int backlog,
+               int* bound_port);
+
+/// Connects to host:port and arms a receive deadline of
+/// `recv_timeout_ms` (see set_socket_timeout). Throws WireError naming the
+/// address when a step fails.
+int connect_tcp(const std::string& host, int port, int recv_timeout_ms);
+
+/// Arms SO_RCVTIMEO or SO_SNDTIMEO (`option`) on `fd`: a blocked receive or
+/// send gives up after `ms`, which read_exact and write_all report as
+/// WireTimeout. `ms <= 0` leaves the socket without a deadline.
+void set_socket_timeout(int fd, int option, int ms);
 
 }  // namespace postcard::server

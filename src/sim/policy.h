@@ -17,54 +17,65 @@
 
 namespace postcard::sim {
 
-struct ScheduleOutcome {
-  std::vector<int> accepted_ids;
-  std::vector<int> rejected_ids;
-  double rejected_volume = 0.0;  // GB that could not be scheduled
-  long lp_iterations = 0;        // summed over the LPs solved this slot
+/// The solver counters a policy reports for each schedule() call. The
+/// runtime's per-backend stats inherit the same block and sum it slot by
+/// slot (runtime/stats.h), so each counter is declared here only.
+struct SolveCounters {
+  long lp_iterations = 0;  // summed over the LPs solved
   int lp_solves = 0;
   // Canonical-seed accounting (policies without a column-generation master
   // leave both zero): solves whose seeded round-0 basis passed the solver's
   // verification vs. solves whose seed was rejected and ran phase 1.
-  int warm_accepts = 0;
-  int cold_starts = 0;
+  long warm_accepts = 0;
+  long cold_starts = 0;
   // Solver hot-path split (column-generation backends; others leave zero):
   // wall time inside the pricing DP vs. the restricted-master solves, and
   // master solves resumed in place on the incumbent factorization.
   double pricing_seconds = 0.0;
   double master_seconds = 0.0;
-  int resumed_solves = 0;
+  long resumed_solves = 0;
+  // Degradation-ladder rungs (DESIGN.md §9; policies without a ladder leave
+  // zero): slots that committed the full LP optimum / a budget-truncated
+  // incumbent master, and files routed by the greedy shortest-path
+  // fallback. At most one of rung_full/rung_truncated is set per slot.
+  long rung_full = 0;
+  long rung_truncated = 0;
+  long rung_greedy = 0;
+  // Solver-failure visibility ("no silent drop" rule): slot solves that
+  // ended non-optimal.
+  long solver_failures = 0;
+  // Greedy chunk-budget exhaustion: volume abandoned because
+  // max_chunks_per_file ran out, not because the network was full.
+  long gave_up_files = 0;
+  double gave_up_volume = 0.0;
+  // Plan audits (src/audit; active only under AuditControls): commits
+  // audited, violations found and wall time spent auditing. A violation
+  // throws (fail-fast) before the outcome is returned, so a returned
+  // outcome, and a completed run's stats, always read zero violations.
+  long audit_checks = 0;
+  long audit_violations = 0;
+  double audit_seconds = 0.0;
 
-  // ---- Degradation-ladder accounting (policies without a ladder leave
-  // everything below zero/empty). Rung reached this slot: full LP optimum /
-  // budget-truncated CG committing the incumbent master / greedy
-  // shortest-path fallback for files no master routed. At most one of
-  // rung_full/rung_truncated is set per slot; rung_greedy counts files
-  // routed by the fallback.
-  int rung_full = 0;
-  int rung_truncated = 0;
-  int rung_greedy = 0;
+  /// Share of seeded solves whose seed was accepted; 0 before any solve.
+  double warm_accept_rate() const {
+    const long starts = warm_accepts + cold_starts;
+    return starts > 0 ? static_cast<double>(warm_accepts) /
+                            static_cast<double>(starts)
+                      : 0.0;
+  }
+};
+
+struct ScheduleOutcome : SolveCounters {
+  std::vector<int> accepted_ids;
+  std::vector<int> rejected_ids;
+  double rejected_volume = 0.0;  // GB that could not be scheduled
   // Files neither the (truncated) LP nor the greedy fallback could place
   // this slot. They were NOT accepted and NOT rejected-for-capacity: the
   // caller decides between store-in-place carryover and loud failure.
   std::vector<int> deferred_ids;
   double deferred_volume = 0.0;
-  // Solver-failure visibility ("no silent drop" rule): count of slot solves
-  // that ended non-optimal, and the last such status (lp::to_string form).
-  long solver_failures = 0;
+  // The last non-optimal solve status this slot (lp::to_string form).
   std::string solver_status;
-  // Greedy chunk-budget exhaustion: volume abandoned because
-  // max_chunks_per_file ran out, not because the network was full.
-  long gave_up_files = 0;
-  double gave_up_volume = 0.0;
-
-  // ---- Plan-audit accounting (src/audit; active only under AuditControls).
-  // Commits audited this schedule() call, violations found and wall time
-  // spent auditing. A violation throws before the outcome is returned, so
-  // a returned outcome always reads zero violations.
-  long audit_checks = 0;
-  long audit_violations = 0;
-  double audit_seconds = 0.0;
 };
 
 /// Plan-audit knob (src/audit): under kFailFast, after every commit the

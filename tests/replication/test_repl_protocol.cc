@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "audit/fingerprint.h"
@@ -234,50 +235,124 @@ TEST(Fingerprint, OneUlpOfCostDivergenceFlipsTheDigest) {
   EXPECT_NE(runtime_fingerprint(stats), before);
 }
 
+/// One named edit of a stats snapshot.
+struct Mutation {
+  const char* field;
+  std::function<void(runtime::RuntimeStats&)> apply;
+};
+
+/// Applies each mutation to its own copy of `base`; returns the fields
+/// whose edit changed the digest (`flips`) or left it alone (!flips).
+std::vector<std::string> fields_whose_edit(bool flips,
+                                           const runtime::RuntimeStats& base,
+                                           const std::vector<Mutation>& ms) {
+  const std::uint64_t before = runtime_fingerprint(base);
+  std::vector<std::string> fields;
+  for (const Mutation& m : ms) {
+    runtime::RuntimeStats s = base;
+    m.apply(s);
+    if ((runtime_fingerprint(s) != before) == flips) fields.push_back(m.field);
+  }
+  return fields;
+}
+
 TEST(Fingerprint, CounterDivergenceFlipsTheDigest) {
-  runtime::RuntimeStats stats = driven_stats(80, 4);
-  const std::uint64_t before = runtime_fingerprint(stats);
-  stats.backends[0].accepted_files++;
-  EXPECT_NE(runtime_fingerprint(stats), before);
+  // Every deterministic field: replay reproduces it bit for bit, so any
+  // edit of it is divergence.
+  using S = runtime::RuntimeStats;
+  const std::vector<Mutation> deterministic = {
+      {"slots_processed", [](S& s) { s.slots_processed++; }},
+      {"link_events", [](S& s) { s.link_events++; }},
+      {"backends", [](S& s) { s.backends.emplace_back(); }},
+      {"name", [](S& s) { s.backends[0].name += "'"; }},
+      {"accepted_files", [](S& s) { s.backends[0].accepted_files++; }},
+      {"accepted_volume", [](S& s) { s.backends[0].accepted_volume += 1; }},
+      {"rejected_files", [](S& s) { s.backends[0].rejected_files++; }},
+      {"rejected_volume", [](S& s) { s.backends[0].rejected_volume += 1; }},
+      {"delivered_files", [](S& s) { s.backends[0].delivered_files++; }},
+      {"delivered_volume", [](S& s) { s.backends[0].delivered_volume += 1; }},
+      {"replans", [](S& s) { s.backends[0].replans++; }},
+      {"replanned_volume", [](S& s) { s.backends[0].replanned_volume += 1; }},
+      {"failed_files", [](S& s) { s.backends[0].failed_files++; }},
+      {"failed_volume", [](S& s) { s.backends[0].failed_volume += 1; }},
+      {"lp_iterations", [](S& s) { s.backends[0].lp_iterations++; }},
+      {"lp_solves", [](S& s) { s.backends[0].lp_solves++; }},
+      {"warm_accepts", [](S& s) { s.backends[0].warm_accepts++; }},
+      {"cold_starts", [](S& s) { s.backends[0].cold_starts++; }},
+      {"resumed_solves", [](S& s) { s.backends[0].resumed_solves++; }},
+      {"charge_reduce_violations",
+       [](S& s) { s.backends[0].charge_reduce_violations++; }},
+      {"rung_full", [](S& s) { s.backends[0].rung_full++; }},
+      {"rung_truncated", [](S& s) { s.backends[0].rung_truncated++; }},
+      {"rung_greedy", [](S& s) { s.backends[0].rung_greedy++; }},
+      {"carryover_files", [](S& s) { s.backends[0].carryover_files++; }},
+      {"carryover_volume", [](S& s) { s.backends[0].carryover_volume += 1; }},
+      {"carryover_entered_files",
+       [](S& s) { s.backends[0].carryover_entered_files++; }},
+      {"carryover_entered_volume",
+       [](S& s) { s.backends[0].carryover_entered_volume += 1; }},
+      {"degraded_slots", [](S& s) { s.backends[0].degraded_slots++; }},
+      {"degraded_cost_delta",
+       [](S& s) { s.backends[0].degraded_cost_delta += 1; }},
+      {"solver_failures", [](S& s) { s.backends[0].solver_failures++; }},
+      {"gave_up_files", [](S& s) { s.backends[0].gave_up_files++; }},
+      {"gave_up_volume", [](S& s) { s.backends[0].gave_up_volume += 1; }},
+      {"audit_armed",
+       [](S& s) { s.backends[0].audit_armed = !s.backends[0].audit_armed; }},
+      {"audit_checks", [](S& s) { s.backends[0].audit_checks++; }},
+      {"audit_violations", [](S& s) { s.backends[0].audit_violations++; }},
+      {"cost_series", [](S& s) { s.backends[0].cost_series.push_back(0.0); }},
+  };
+  EXPECT_EQ(fields_whose_edit(false, driven_stats(80, 4), deterministic),
+            std::vector<std::string>{});
 }
 
 TEST(Fingerprint, WallClockAndIngressNoiseAreExcluded) {
-  runtime::RuntimeStats stats = driven_stats(81, 4);
-  const std::uint64_t before = runtime_fingerprint(stats);
-  // Timing varies run to run even in deterministic mode; a digest that
-  // hashed it would reseed on every commit.
-  stats.backends[0].pricing_seconds += 1.5;
-  stats.backends[0].master_seconds += 0.5;
-  stats.backends[0].last_solver_status = "something else";
-  // Submissions race the commit boundary on a live primary.
-  stats.submitted += 10;
-  stats.admitted += 10;
-  stats.queue_depth += 3;
-  EXPECT_EQ(runtime_fingerprint(stats), before);
+  // Every telemetry field. Timing varies run to run even in deterministic
+  // mode, and submissions, queue depth and server traffic race the commit
+  // boundary on a live primary; a digest that hashed any of them would
+  // reseed on every commit.
+  using S = runtime::RuntimeStats;
+  const std::vector<Mutation> telemetry = {
+      {"queue_depth", [](S& s) { s.queue_depth += 3; }},
+      {"submitted", [](S& s) { s.submitted += 10; }},
+      {"admitted", [](S& s) { s.admitted += 10; }},
+      {"ingress_rejected", [](S& s) { s.ingress_rejected++; }},
+      {"ingress_rejected_volume", [](S& s) { s.ingress_rejected_volume += 1; }},
+      {"slot_latency", [](S& s) { s.slot_latency.add(0.25); }},
+      {"solve_latency", [](S& s) { s.solve_latency.add(0.25); }},
+      {"sessions_opened", [](S& s) { s.server.sessions_opened++; }},
+      {"sessions_closed", [](S& s) { s.server.sessions_closed++; }},
+      {"frames_received", [](S& s) { s.server.frames_received++; }},
+      {"frames_sent", [](S& s) { s.server.frames_sent++; }},
+      {"submits", [](S& s) { s.server.submits++; }},
+      {"submit_admitted", [](S& s) { s.server.submit_admitted++; }},
+      {"backpressure_replies", [](S& s) { s.server.backpressure_replies++; }},
+      {"queries", [](S& s) { s.server.queries++; }},
+      {"protocol_errors", [](S& s) { s.server.protocol_errors++; }},
+      {"snapshots_written", [](S& s) { s.server.snapshots_written++; }},
+      {"slots_advanced", [](S& s) { s.server.slots_advanced++; }},
+      {"sessions_reaped", [](S& s) { s.server.sessions_reaped++; }},
+      {"pricing_seconds", [](S& s) { s.backends[0].pricing_seconds += 1.5; }},
+      {"master_seconds", [](S& s) { s.backends[0].master_seconds += 0.5; }},
+      {"last_solver_status",
+       [](S& s) { s.backends[0].last_solver_status = "something else"; }},
+      {"audit_seconds", [](S& s) { s.backends[0].audit_seconds += 0.5; }},
+  };
+  EXPECT_EQ(fields_whose_edit(true, driven_stats(81, 4), telemetry),
+            std::vector<std::string>{});
 }
 
-TEST(Fnv1a, KnownVectorsAndStreamingEquivalence) {
+TEST(Fnv1a, KnownVectors) {
   // FNV-1a 64 reference values.
   EXPECT_EQ(audit::fnv1a64(nullptr, 0), 0xcbf29ce484222325ULL);
   const std::uint8_t a = 'a';
   EXPECT_EQ(audit::fnv1a64(&a, 1), 0xaf63dc4c8601ec8cULL);
-
-  audit::Fnv1a64 h;
-  h.u32(0x12345678u);
-  h.f64(2.5);
-  h.str("postcard");
-  audit::Fnv1a64 manual;
-  manual.u8(0x78);
-  manual.u8(0x56);
-  manual.u8(0x34);
-  manual.u8(0x12);
-  // f64 hashes the little-endian bit pattern; 2.5 = 0x4004000000000000.
-  const std::uint8_t bits[] = {0, 0, 0, 0, 0, 0, 0x04, 0x40};
-  manual.bytes(bits, 8);
-  manual.u32(8);  // str() prefixes its length
-  const std::string s = "postcard";
-  manual.bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
-  EXPECT_EQ(h.digest(), manual.digest());
+  const std::string foobar = "foobar";
+  EXPECT_EQ(audit::fnv1a64(
+                reinterpret_cast<const std::uint8_t*>(foobar.data()),
+                foobar.size()),
+            0x85944171f73967e8ULL);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <thread>
 #include <unistd.h>
 
@@ -63,18 +62,7 @@ struct ReplicatedPair {
 class ScriptedPrimary {
  public:
   ScriptedPrimary() {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0;
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    socklen_t len = sizeof(addr);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) == 0 &&
-        ::listen(listen_fd_, 4) == 0 &&
-        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-            0) {
-      port_ = ntohs(addr.sin_port);
-    }
+    listen_fd_ = server::listen_tcp("127.0.0.1", 0, /*backlog=*/4, &port_);
   }
   ~ScriptedPrimary() {
     if (conn_fd_ >= 0) ::close(conn_fd_);
@@ -89,8 +77,7 @@ class ScriptedPrimary {
     if (::poll(&p, 1, kWaitMs) != 1) return false;
     conn_fd_ = ::accept(listen_fd_, nullptr, nullptr);
     if (conn_fd_ < 0) return false;
-    timeval tv{kWaitMs / 1000, 0};
-    ::setsockopt(conn_fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    server::set_socket_timeout(conn_fd_, SO_RCVTIMEO, kWaitMs);
     server::Frame hello;
     return server::read_frame(conn_fd_, &hello) &&
            hello.type == server::MessageType::kReplHello;
@@ -454,14 +441,8 @@ TEST(ReplicationChaos, PartitionedStandbyReconnectsAndResumes) {
   // and must reconnect and get reseeded on its own.
   ASSERT_TRUE(poll_until([&] { return pair.primary->standby_connected(); }));
   {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(pair.primary->port()));
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
+    const int fd = server::connect_tcp("127.0.0.1", pair.primary->port(),
+                                       /*recv_timeout_ms=*/0);
     // The primary keeps ONE standby: the new connection evicts the old —
     // the followed standby experiences exactly a partition (hard EOF).
     std::this_thread::sleep_for(std::chrono::milliseconds(50));

@@ -5,10 +5,12 @@
 // snapshot finishes the workload with the identical cost series).
 #include "server/server.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cstdio>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -41,6 +43,84 @@ sim::WorkloadParams small_workload(std::uint64_t seed) {
 std::string temp_snapshot_path(const char* tag) {
   return testing::TempDir() + "postcard_server_" + tag + "_" +
          std::to_string(::getpid()) + ".psnp";
+}
+
+/// Every metric name format_metrics writes for a runtime with one backend
+/// and a non-empty cost series.
+constexpr const char* kMetricNames[] = {
+    "postcard_slots_processed",
+    "postcard_queue_depth",
+    "postcard_ingress_submitted",
+    "postcard_ingress_admitted",
+    "postcard_ingress_rejected",
+    "postcard_ingress_rejected_volume_gb",
+    "postcard_link_events",
+    "postcard_slot_latency_count",
+    "postcard_slot_latency_mean_seconds",
+    "postcard_slot_latency_p99_seconds",
+    "postcard_slot_latency_max_seconds",
+    "postcard_solve_latency_count",
+    "postcard_solve_latency_mean_seconds",
+    "postcard_solve_latency_p99_seconds",
+    "postcard_solve_latency_max_seconds",
+    "postcard_server_sessions_opened",
+    "postcard_server_sessions_closed",
+    "postcard_server_frames_received",
+    "postcard_server_frames_sent",
+    "postcard_server_submits",
+    "postcard_server_submit_admitted",
+    "postcard_server_backpressure_replies",
+    "postcard_server_queries",
+    "postcard_server_protocol_errors",
+    "postcard_server_snapshots_written",
+    "postcard_server_slots_advanced",
+    "postcard_server_sessions_reaped",
+    "postcard_backend_accepted_files",
+    "postcard_backend_accepted_volume_gb",
+    "postcard_backend_rejected_files",
+    "postcard_backend_rejected_volume_gb",
+    "postcard_backend_delivered_files",
+    "postcard_backend_delivered_volume_gb",
+    "postcard_backend_replans",
+    "postcard_backend_replanned_volume_gb",
+    "postcard_backend_failed_files",
+    "postcard_backend_failed_volume_gb",
+    "postcard_backend_lp_iterations",
+    "postcard_backend_lp_solves",
+    "postcard_backend_warm_accepts",
+    "postcard_backend_cold_starts",
+    "postcard_backend_warm_accept_rate",
+    "postcard_backend_pricing_seconds",
+    "postcard_backend_master_seconds",
+    "postcard_backend_resumed_solves",
+    "postcard_backend_charge_reduce_violations",
+    "postcard_backend_rung_full_slots",
+    "postcard_backend_rung_truncated_slots",
+    "postcard_backend_rung_greedy_files",
+    "postcard_backend_carryover_files",
+    "postcard_backend_carryover_volume_gb",
+    "postcard_backend_carryover_entered_files",
+    "postcard_backend_carryover_entered_volume_gb",
+    "postcard_backend_degraded_slots",
+    "postcard_backend_degraded_cost_delta",
+    "postcard_backend_solver_failures",
+    "postcard_backend_gave_up_files",
+    "postcard_backend_gave_up_volume_gb",
+    "postcard_backend_audit_armed",
+    "postcard_backend_audit_checks",
+    "postcard_backend_audit_violations",
+    "postcard_backend_audit_seconds",
+    "postcard_backend_cost_per_interval",
+};
+
+/// The metric name of each line of a metrics text, labels stripped.
+std::vector<std::string> metric_names(const std::string& text) {
+  std::vector<std::string> names;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    names.push_back(line.substr(0, line.find_first_of("{ ")));
+  }
+  return names;
 }
 
 TEST(Server, SubmitAdvanceQueryShutdown) {
@@ -108,11 +188,17 @@ TEST(Server, SubmitAdvanceQueryShutdown) {
   ASSERT_EQ(stats.backends.size(), 1u);
   EXPECT_TRUE(stats.backends[0].audit_armed);
 
-  // The metrics text renders the same snapshot.
+  // The metrics text renders the same snapshot, one line per name below
+  // and no other line.
   const std::string metrics = format_metrics(stats);
   EXPECT_NE(metrics.find("postcard_server_submits 4"), std::string::npos);
-  EXPECT_NE(metrics.find("postcard_backend_accepted_files"),
+  EXPECT_NE(metrics.find("postcard_backend_accepted_files{backend="),
             std::string::npos);
+  const std::vector<std::string> written = metric_names(metrics);
+  for (const char* name : kMetricNames) {
+    EXPECT_EQ(std::count(written.begin(), written.end(), name), 1) << name;
+  }
+  EXPECT_EQ(written.size(), std::size(kMetricNames));
 
   client.shutdown();
   server.wait();

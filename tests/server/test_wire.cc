@@ -12,6 +12,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "audit/fingerprint.h"
 #include "server/protocol.h"
 
 namespace postcard::server {
@@ -147,6 +148,100 @@ TEST(ProtocolCodec, PlanReplyRoundTrip) {
   EXPECT_TRUE(back.plan.transfers[1].storage());
 }
 
+// Every field of a backend's stats set to a value no other field holds,
+// offset by `k` so two backends differ too.
+runtime::BackendStats distinct_backend(const std::string& name, long k) {
+  runtime::BackendStats b;
+  b.name = name;
+  b.accepted_files = k + 1;
+  b.accepted_volume = static_cast<double>(k) + 2.5;
+  b.rejected_files = k + 3;
+  b.rejected_volume = static_cast<double>(k) + 4.5;
+  b.delivered_files = k + 5;
+  b.delivered_volume = static_cast<double>(k) + 6.5;
+  b.replans = k + 7;
+  b.replanned_volume = static_cast<double>(k) + 8.5;
+  b.failed_files = k + 9;
+  b.failed_volume = static_cast<double>(k) + 10.5;
+  b.lp_iterations = k + 11;
+  b.lp_solves = static_cast<int>(k) + 12;
+  b.warm_accepts = k + 13;
+  b.cold_starts = k + 14;
+  b.pricing_seconds = static_cast<double>(k) + 15.5;
+  b.master_seconds = static_cast<double>(k) + 16.5;
+  b.resumed_solves = k + 17;
+  b.charge_reduce_violations = k + 18;
+  b.rung_full = k + 19;
+  b.rung_truncated = k + 20;
+  b.rung_greedy = k + 21;
+  b.carryover_files = k + 22;
+  b.carryover_volume = static_cast<double>(k) + 23.5;
+  b.carryover_entered_files = k + 24;
+  b.carryover_entered_volume = static_cast<double>(k) + 25.5;
+  b.degraded_slots = k + 26;
+  b.degraded_cost_delta = static_cast<double>(k) + 27.5;
+  b.solver_failures = k + 28;
+  b.last_solver_status = name + " status";
+  b.gave_up_files = k + 29;
+  b.gave_up_volume = static_cast<double>(k) + 30.5;
+  b.audit_armed = k % 2 == 0;
+  b.audit_checks = k + 31;
+  b.audit_violations = k + 32;
+  b.audit_seconds = static_cast<double>(k) + 33.5;
+  b.cost_series = {static_cast<double>(k) + 0.125,
+                   static_cast<double>(k) + 0.25};
+  return b;
+}
+
+void expect_backend_eq(const runtime::BackendStats& a,
+                       const runtime::BackendStats& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.accepted_files, b.accepted_files);
+  EXPECT_EQ(a.accepted_volume, b.accepted_volume);
+  EXPECT_EQ(a.rejected_files, b.rejected_files);
+  EXPECT_EQ(a.rejected_volume, b.rejected_volume);
+  EXPECT_EQ(a.delivered_files, b.delivered_files);
+  EXPECT_EQ(a.delivered_volume, b.delivered_volume);
+  EXPECT_EQ(a.replans, b.replans);
+  EXPECT_EQ(a.replanned_volume, b.replanned_volume);
+  EXPECT_EQ(a.failed_files, b.failed_files);
+  EXPECT_EQ(a.failed_volume, b.failed_volume);
+  EXPECT_EQ(a.lp_iterations, b.lp_iterations);
+  EXPECT_EQ(a.lp_solves, b.lp_solves);
+  EXPECT_EQ(a.warm_accepts, b.warm_accepts);
+  EXPECT_EQ(a.cold_starts, b.cold_starts);
+  EXPECT_EQ(a.pricing_seconds, b.pricing_seconds);
+  EXPECT_EQ(a.master_seconds, b.master_seconds);
+  EXPECT_EQ(a.resumed_solves, b.resumed_solves);
+  EXPECT_EQ(a.charge_reduce_violations, b.charge_reduce_violations);
+  EXPECT_EQ(a.rung_full, b.rung_full);
+  EXPECT_EQ(a.rung_truncated, b.rung_truncated);
+  EXPECT_EQ(a.rung_greedy, b.rung_greedy);
+  EXPECT_EQ(a.carryover_files, b.carryover_files);
+  EXPECT_EQ(a.carryover_volume, b.carryover_volume);
+  EXPECT_EQ(a.carryover_entered_files, b.carryover_entered_files);
+  EXPECT_EQ(a.carryover_entered_volume, b.carryover_entered_volume);
+  EXPECT_EQ(a.degraded_slots, b.degraded_slots);
+  EXPECT_EQ(a.degraded_cost_delta, b.degraded_cost_delta);
+  EXPECT_EQ(a.solver_failures, b.solver_failures);
+  EXPECT_EQ(a.last_solver_status, b.last_solver_status);
+  EXPECT_EQ(a.gave_up_files, b.gave_up_files);
+  EXPECT_EQ(a.gave_up_volume, b.gave_up_volume);
+  EXPECT_EQ(a.audit_armed, b.audit_armed);
+  EXPECT_EQ(a.audit_checks, b.audit_checks);
+  EXPECT_EQ(a.audit_violations, b.audit_violations);
+  EXPECT_EQ(a.audit_seconds, b.audit_seconds);
+  EXPECT_EQ(a.cost_series, b.cost_series);
+}
+
+void expect_histogram_eq(const runtime::LatencyHistogram& a,
+                         const runtime::LatencyHistogram& b) {
+  EXPECT_EQ(a.buckets(), b.buckets());
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.total_seconds(), b.total_seconds());
+  EXPECT_EQ(a.max_seconds(), b.max_seconds());
+}
+
 TEST(ProtocolCodec, StatsReplyRoundTrip) {
   runtime::RuntimeStats stats;
   stats.slots_processed = 12;
@@ -155,35 +250,58 @@ TEST(ProtocolCodec, StatsReplyRoundTrip) {
   stats.admitted = 95;
   stats.ingress_rejected = 5;
   stats.ingress_rejected_volume = 123.75;
-  stats.server.sessions_opened = 8;
-  stats.server.backpressure_replies = 5;
+  stats.link_events = 6;
   stats.slot_latency.add(0.001);
   stats.slot_latency.add(0.01);
-  runtime::BackendStats b;
-  b.name = "postcard";
-  b.accepted_files = 90;
-  b.warm_accepts = 11;
-  b.cold_starts = 1;
-  b.audit_armed = true;
-  b.audit_checks = 90;
-  b.cost_series = {1.0, 2.5, 2.5, 3.0};
-  b.last_solver_status = "optimal";
-  stats.backends.push_back(b);
+  stats.solve_latency.add(0.0005);
+  stats.server.sessions_opened = 8;
+  stats.server.sessions_closed = 9;
+  stats.server.frames_received = 10;
+  stats.server.frames_sent = 11;
+  stats.server.submits = 13;
+  stats.server.submit_admitted = 14;
+  stats.server.backpressure_replies = 15;
+  stats.server.queries = 16;
+  stats.server.protocol_errors = 17;
+  stats.server.snapshots_written = 18;
+  stats.server.slots_advanced = 19;
+  stats.server.sessions_reaped = 20;
+  stats.backends.push_back(distinct_backend("postcard", 100));
+  stats.backends.push_back(distinct_backend("no-storage", 201));
 
   StatsReply reply;
   reply.stats = stats;
-  const StatsReply back = StatsReply::decode(reply.encode());
+  const std::vector<std::uint8_t> bytes = reply.encode();
+  const StatsReply back = StatsReply::decode(bytes);
   EXPECT_EQ(back.stats.slots_processed, 12);
   EXPECT_EQ(back.stats.queue_depth, 3u);
+  EXPECT_EQ(back.stats.submitted, 100);
+  EXPECT_EQ(back.stats.admitted, 95);
+  EXPECT_EQ(back.stats.ingress_rejected, 5);
   EXPECT_EQ(back.stats.ingress_rejected_volume, 123.75);
+  EXPECT_EQ(back.stats.link_events, 6);
+  expect_histogram_eq(back.stats.slot_latency, stats.slot_latency);
+  expect_histogram_eq(back.stats.solve_latency, stats.solve_latency);
   EXPECT_EQ(back.stats.server.sessions_opened, 8);
-  EXPECT_EQ(back.stats.slot_latency.count(), 2);
-  EXPECT_EQ(back.stats.slot_latency.mean_seconds(),
-            stats.slot_latency.mean_seconds());
-  ASSERT_EQ(back.stats.backends.size(), 1u);
-  EXPECT_EQ(back.stats.backends[0].name, "postcard");
-  EXPECT_EQ(back.stats.backends[0].cost_series, b.cost_series);
-  EXPECT_TRUE(back.stats.backends[0].audit_armed);
+  EXPECT_EQ(back.stats.server.sessions_closed, 9);
+  EXPECT_EQ(back.stats.server.frames_received, 10);
+  EXPECT_EQ(back.stats.server.frames_sent, 11);
+  EXPECT_EQ(back.stats.server.submits, 13);
+  EXPECT_EQ(back.stats.server.submit_admitted, 14);
+  EXPECT_EQ(back.stats.server.backpressure_replies, 15);
+  EXPECT_EQ(back.stats.server.queries, 16);
+  EXPECT_EQ(back.stats.server.protocol_errors, 17);
+  EXPECT_EQ(back.stats.server.snapshots_written, 18);
+  EXPECT_EQ(back.stats.server.slots_advanced, 19);
+  EXPECT_EQ(back.stats.server.sessions_reaped, 20);
+  ASSERT_EQ(back.stats.backends.size(), 2u);
+  expect_backend_eq(back.stats.backends[0], stats.backends[0]);
+  expect_backend_eq(back.stats.backends[1], stats.backends[1]);
+
+  // The byte layout itself is pinned: a reordered, retyped or dropped
+  // field changes this digest even when encoder and decoder agree.
+  EXPECT_EQ(audit::fnv1a64(bytes.data(), bytes.size()), 0x2f3a233ab25a817eULL)
+      << bytes.size() << " bytes";
 }
 
 TEST(ProtocolCodec, EveryTruncationOfEveryMessageThrows) {
@@ -320,28 +438,43 @@ TEST(Framing, ReceiveDeadlineSurfacesAsWireTimeout) {
   tv.tv_usec = 50 * 1000;
   ASSERT_EQ(::setsockopt(p.b, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
 
-  // A peer that is merely idle: the deadline trips ON the frame boundary,
-  // which the session loop treats as "check idle budget, maybe keep
-  // waiting" — not a protocol error.
+  // A peer that is merely idle: the deadline trips on the frame boundary
+  // as a WireTimeout, which the session reaper closes quietly — not a
+  // protocol error.
   Frame frame;
-  try {
-    read_frame(p.b, &frame);
-    FAIL() << "silent peer never timed out";
-  } catch (const WireTimeout& t) {
-    EXPECT_TRUE(t.at_frame_boundary());
-  }
+  EXPECT_THROW(read_frame(p.b, &frame), WireTimeout)
+      << "silent peer never timed out";
 
-  // A peer that stalls INSIDE a frame (half-open or wedged): same
-  // exception, but flagged mid-frame — resuming is not an option because
-  // the stream position is torn.
+  // A peer that stalls INSIDE a frame (half-open or wedged): the same
+  // exception, and the reaper closes it the same way — resuming is not an
+  // option because the stream position is torn.
   const std::vector<std::uint8_t> full =
       encode_frame(MessageType::kQueryStats, {1, 2, 3, 4});
   write_all(p.a, full.data(), 3);  // a fragment of the header, then silence
+  EXPECT_THROW(read_frame(p.b, &frame), WireTimeout)
+      << "mid-frame stall never timed out";
+}
+
+TEST(Framing, UnparsableHostThrowsFromListenAndConnect) {
+  // Both socket helpers refuse a host inet_pton cannot parse, before any
+  // socket exists, and name the address they were given.
+  int port = -1;
   try {
-    read_frame(p.b, &frame);
-    FAIL() << "mid-frame stall never timed out";
-  } catch (const WireTimeout& t) {
-    EXPECT_FALSE(t.at_frame_boundary());
+    listen_tcp("not-an-address", 0, /*backlog=*/4, &port);
+    FAIL() << "listen_tcp accepted an unparsable host";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("not-an-address:0"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(port, -1);
+  try {
+    connect_tcp("not-an-address", 7421, /*recv_timeout_ms=*/0);
+    FAIL() << "connect_tcp accepted an unparsable host";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("not-an-address:7421"),
+              std::string::npos)
+        << e.what();
   }
 }
 
