@@ -1,7 +1,6 @@
 #include "core/column_generation.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -11,6 +10,7 @@
 #include <utility>
 
 #include "lp/simplex.h"
+#include "lp/stopwatch.h"
 #include "net/sparse_time_expanded.h"
 #include "net/time_expanded.h"
 
@@ -352,8 +352,7 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   int stalled = 0;
 
   for (result.rounds = 0; result.rounds < kMaxRounds; ++result.rounds) {
-    // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-    const auto t0 = std::chrono::steady_clock::now();
+    const lp::Stopwatch master_time;
     // Direct simplex call (no presolve): exact duals for every master row.
     // Every round after the first follows an optimal one (any other outcome
     // leaves the loop) on a master that only gained columns, so it resumes
@@ -362,10 +361,7 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     const bool resume = result.rounds > 0 && simplex.can_resume(master);
     sol = result.rounds == 0 ? simplex.solve(master, &seed, budget)
                              : simplex.resolve(master, budget);
-    result.master_seconds +=
-        // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    result.master_seconds += master_time.seconds();
     if (resume) ++result.resumed_solves;
     if (result.rounds == 0) result.warm_accepted = sol.warm_started;
     result.lp_iterations += sol.iterations;
@@ -390,8 +386,7 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     // and appends any new (deduplicated) improving columns in ascending file
     // index.
     auto price = [&](const linalg::Vector& duals, bool* any_added) {
-      // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-      const auto tp = std::chrono::steady_clock::now();
+      const lp::Stopwatch pricing_time;
       double dual_scale = 1.0;
       for (double y : duals) dual_scale = std::max(dual_scale, std::abs(y));
       for (int a = 0; a < num_arcs; ++a) {
@@ -409,10 +404,7 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
         if (reduced_cost >= threshold) continue;
         if (append_column(k, reconstruct(k))) *any_added = true;
       }
-      result.pricing_seconds +=
-          // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - tp)
-              .count();
+      result.pricing_seconds += pricing_time.seconds();
       return slack;
     };
 

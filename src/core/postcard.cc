@@ -1,7 +1,6 @@
 #include "core/postcard.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,6 +8,7 @@
 #include "audit/audit.h"
 #include "core/column_generation.h"
 #include "core/greedy.h"
+#include "lp/stopwatch.h"
 
 namespace postcard::core {
 
@@ -145,8 +145,7 @@ sim::ScheduleOutcome PostcardController::schedule(
 void PostcardController::run_audit(int slot,
                                    const std::vector<net::FileRequest>& files,
                                    sim::ScheduleOutcome& outcome) const {
-  // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-  const auto t0 = std::chrono::steady_clock::now();
+  const lp::Stopwatch audit_time;
   std::vector<audit::PlannedFile> planned;
   planned.reserve(last_plans_.size());
   for (const FilePlan& plan : last_plans_) {
@@ -163,10 +162,7 @@ void PostcardController::run_audit(int slot,
 
   ++outcome.audit_checks;
   outcome.audit_violations += static_cast<long>(report.violations.size());
-  outcome.audit_seconds +=
-      // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  outcome.audit_seconds += audit_time.seconds();
   if (!report.ok()) {
     throw std::logic_error(name() + " slot " + std::to_string(slot) + " " +
                            report.summary());

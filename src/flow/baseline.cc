@@ -1,12 +1,12 @@
 #include "flow/baseline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
 #include "audit/flow_audit.h"
 #include "lp/solver.h"
+#include "lp/stopwatch.h"
 
 namespace postcard::flow {
 
@@ -27,8 +27,7 @@ double FlowBaseline::residual_capacity(int link, int slot) const {
 void FlowBaseline::run_audit(int slot,
                              const std::vector<net::FileRequest>& files,
                              sim::ScheduleOutcome& outcome) const {
-  // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-  const auto t0 = std::chrono::steady_clock::now();
+  const lp::Stopwatch audit_time;
   std::vector<audit::PlannedFlow> planned;
   planned.reserve(last_assignments_.size());
   for (const FlowAssignment& a : last_assignments_) {
@@ -45,10 +44,7 @@ void FlowBaseline::run_audit(int slot,
 
   ++outcome.audit_checks;
   outcome.audit_violations += static_cast<long>(report.violations.size());
-  outcome.audit_seconds +=
-      // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  outcome.audit_seconds += audit_time.seconds();
   if (!report.ok()) {
     throw std::logic_error(name() + " slot " + std::to_string(slot) + " " +
                            report.summary());

@@ -13,6 +13,9 @@ namespace {
 // past it the reach search and sort cost more than the rows they skip.
 constexpr double kDenseDensity = 0.10;
 
+constexpr double kPivotTol = 1e-11;    // smallest acceptable pivot magnitude
+constexpr double kEtaPivotTol = 1e-7;  // smallest acceptable eta pivot |w_p|
+
 // Transposes the off-diagonal pattern of a triangular factor stored by
 // columns: column j's entries idx[ptr[j] + skip_front .. ptr[j + 1] -
 // skip_back) become entries of rows. Columns are visited ascending, so each
@@ -223,7 +226,7 @@ FactorStatus LuFactorization::factorize(const SparseMatrix& b) {
         }
       }
     }
-    if (ipiv < 0 || best <= options_.pivot_tol) {
+    if (ipiv < 0 || best <= kPivotTol) {
       // Clean scratch before bailing out.
       for (Index i : order) {
         x[i] = 0.0;
@@ -550,7 +553,7 @@ bool LuFactorization::update(const Vector& w, const std::vector<Index>& pattern,
   assert(static_cast<Index>(w.size()) == n_);
   assert(pos >= 0 && pos < n_);
   const double pivot = w[pos];
-  if (std::abs(pivot) < options_.eta_pivot_tol) return false;
+  if (std::abs(pivot) < kEtaPivotTol) return false;
   Eta e;
   e.pos = pos;
   e.pivot = pivot;

@@ -47,9 +47,7 @@ enum class FactorStatus {
 class LuFactorization {
  public:
   struct Options {
-    double pivot_tol = 1e-11;      // smallest acceptable pivot magnitude
-    double eta_pivot_tol = 1e-7;   // smallest acceptable eta pivot |w_p|
-    int max_updates = 64;          // advise refactorization after this many etas
+    int max_updates = 64;  // advise refactorization after this many etas
   };
 
   LuFactorization() : LuFactorization(Options{}) {}

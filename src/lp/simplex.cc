@@ -10,6 +10,9 @@ namespace postcard::lp {
 
 namespace {
 constexpr double kDevexReset = 1e8;  // reference-weight cap before reset
+constexpr double kFeasTol = 1e-7;    // bound violation tolerance
+constexpr double kOptTol = 1e-7;     // reduced-cost tolerance
+constexpr double kPivotTol = 1e-7;   // smallest ratio-test |w_i|
 
 bool is_fixed(double lo, double hi) {
   return std::isfinite(lo) && std::isfinite(hi) && hi - lo <= 0.0;
@@ -65,7 +68,7 @@ void RevisedSimplex::cold_start() {
     const double scale =
         1.0 + std::max(std::isfinite(lo) ? std::abs(lo) : 0.0,
                        std::isfinite(hi) ? std::abs(hi) : 0.0);
-    if (g >= lo - options_.feas_tol * scale && g <= hi + options_.feas_tol * scale) {
+    if (g >= lo - kFeasTol * scale && g <= hi + kFeasTol * scale) {
       basis_[i] = lj;
       vstat_[lj] = VarStatus::kBasic;
       basic_pos_[lj] = i;
@@ -185,8 +188,8 @@ bool RevisedSimplex::warm_point_feasible() {
     const double scale =
         1.0 + std::max(std::isfinite(lo) ? std::abs(lo) : 0.0,
                        std::isfinite(hi) ? std::abs(hi) : 0.0);
-    if (x_[j] < lo - options_.feas_tol * scale ||
-        x_[j] > hi + options_.feas_tol * scale) {
+    if (x_[j] < lo - kFeasTol * scale ||
+        x_[j] > hi + kFeasTol * scale) {
       return false;
     }
   }
@@ -282,7 +285,7 @@ Solution RevisedSimplex::solve(const LpModel& model, const WarmStart* warm,
     for (std::size_t k = 0; k < art_row_.size(); ++k) {
       infeasibility += std::abs(x_[n_ + m_ + k]);
     }
-    if (infeasibility > options_.feas_tol * (1.0 + infeasibility)) {
+    if (infeasibility > kFeasTol * (1.0 + infeasibility)) {
       return finish_solution(model, SolveStatus::kInfeasible, iterations,
                              phase1_iterations, started);
     }
@@ -555,7 +558,7 @@ void RevisedSimplex::recompute_reduced_costs() {
     d_[j] = vstat_[j] == VarStatus::kBasic ? 0.0
                                            : cost_[j] - column_dot(j, work_y_);
   }
-  dual_tol_ = options_.opt_tol * cost_scale;
+  dual_tol_ = kOptTol * cost_scale;
   infeasible_.assign((static_cast<std::size_t>(total) + 63) / 64, 0);
   for (int j = 0; j < total; ++j) refresh_price(j);
 }
@@ -648,16 +651,16 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
   double t_max = t_flip;
   for (const linalg::Index i : w_pattern_) {
     const double wbar = sigma * work_w_[i];
-    if (std::abs(wbar) <= options_.pivot_tol) continue;
+    if (std::abs(wbar) <= kPivotTol) continue;
     const int bj = basis_[i];
     double t_rel;
     if (wbar > 0.0) {
       if (!std::isfinite(lower_[bj])) continue;
-      const double tau = options_.feas_tol * (1.0 + std::abs(lower_[bj]));
+      const double tau = kFeasTol * (1.0 + std::abs(lower_[bj]));
       t_rel = (x_[bj] - lower_[bj] + tau) / wbar;
     } else {
       if (!std::isfinite(upper_[bj])) continue;
-      const double tau = options_.feas_tol * (1.0 + std::abs(upper_[bj]));
+      const double tau = kFeasTol * (1.0 + std::abs(upper_[bj]));
       t_rel = (x_[bj] - upper_[bj] - tau) / wbar;
     }
     if (t_rel < 0.0) t_rel = 0.0;
@@ -669,7 +672,7 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
   double t_exact_chosen = kInfinity;
   for (const linalg::Index i : w_pattern_) {
     const double wbar = sigma * work_w_[i];
-    if (std::abs(wbar) <= options_.pivot_tol) continue;
+    if (std::abs(wbar) <= kPivotTol) continue;
     const int bj = basis_[i];
     double t_exact;
     if (wbar > 0.0) {
@@ -714,12 +717,12 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
 
   // EXPAND-style anti-degeneracy: force a minimum step so the entering
   // variable always moves. The leaving variable overshoots its bound by at
-  // most kMinStepFraction * feas_tol; it is snapped back below, and the tiny
+  // most kMinStepFraction * kFeasTol; it is snapped back below, and the tiny
   // conservation error is flushed by recompute_basic_values() at the next
   // refactorization. Without this, the time-expanded network LPs stall on
   // >90% degenerate pivots.
   const double min_step =
-      0.01 * options_.feas_tol / std::abs(leave_pivot);
+      0.01 * kFeasTol / std::abs(leave_pivot);
   const double t =
       std::min(std::max(t_exact_chosen, min_step), std::max(t_max, 0.0));
   if (t_exact_chosen <= 1e-12) ++stat_degenerate_;

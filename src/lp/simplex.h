@@ -44,9 +44,6 @@ namespace postcard::lp {
 class RevisedSimplex {
  public:
   struct Options {
-    double feas_tol = 1e-7;    // bound violation tolerance
-    double opt_tol = 1e-7;     // reduced-cost tolerance
-    double pivot_tol = 1e-7;   // smallest |w_i| eligible in the ratio test
     double perturbation = 1e-7;  // relative cost perturbation (0 disables)
     long max_iterations = -1;  // -1: 2000 + 100 * (rows + cols)
     int refactor_interval = 100;

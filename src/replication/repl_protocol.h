@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "runtime/stats.h"
@@ -43,45 +44,78 @@ std::uint64_t runtime_fingerprint(const runtime::RuntimeStats& s);
 
 /// Empty payload: the primary seeds every standby that says hello.
 struct ReplHello {
-  std::vector<std::uint8_t> encode() const;
-  static ReplHello decode(const std::vector<std::uint8_t>& payload);
+  friend constexpr auto wire_fields(const ReplHello*) { return std::tuple{}; }
+  std::vector<std::uint8_t> encode() const { return server::encode(*this); }
+  static ReplHello decode(const std::vector<std::uint8_t>& payload) {
+    return server::decode<ReplHello>(payload);
+  }
 };
 
 struct ReplSnapshot {
   std::vector<std::uint8_t> image;  // complete PSNP file bytes (snapshot.h)
-  std::vector<std::uint8_t> encode() const;
-  static ReplSnapshot decode(const std::vector<std::uint8_t>& payload);
+  friend constexpr auto wire_fields(const ReplSnapshot*) {
+    return std::tuple{&ReplSnapshot::image};
+  }
+  std::vector<std::uint8_t> encode() const { return server::encode(*this); }
+  static ReplSnapshot decode(const std::vector<std::uint8_t>& payload) {
+    return server::decode<ReplSnapshot>(payload);
+  }
 };
 
 struct ReplEvents {
   std::vector<runtime::Event> events;  // primary queue-push order
-  std::vector<std::uint8_t> encode() const;
-  static ReplEvents decode(const std::vector<std::uint8_t>& payload);
+  friend constexpr auto wire_fields(const ReplEvents*) {
+    return std::tuple{&ReplEvents::events};
+  }
+  std::vector<std::uint8_t> encode() const { return server::encode(*this); }
+  static ReplEvents decode(const std::vector<std::uint8_t>& payload) {
+    return server::decode<ReplEvents>(payload);
+  }
 };
 
 struct ReplCommit {
   int slot = 0;                   // slot whose tick just committed
   std::uint64_t fingerprint = 0;  // primary's post-tick digest
-  std::vector<std::uint8_t> encode() const;
-  static ReplCommit decode(const std::vector<std::uint8_t>& payload);
+  friend constexpr auto wire_fields(const ReplCommit*) {
+    return std::tuple{&ReplCommit::slot, &ReplCommit::fingerprint};
+  }
+  std::vector<std::uint8_t> encode() const { return server::encode(*this); }
+  static ReplCommit decode(const std::vector<std::uint8_t>& payload) {
+    return server::decode<ReplCommit>(payload);
+  }
 };
 
 /// Empty payload: the standby reads a heartbeat as liveness only.
 struct ReplHeartbeat {
-  std::vector<std::uint8_t> encode() const;
-  static ReplHeartbeat decode(const std::vector<std::uint8_t>& payload);
+  friend constexpr auto wire_fields(const ReplHeartbeat*) {
+    return std::tuple{};
+  }
+  std::vector<std::uint8_t> encode() const { return server::encode(*this); }
+  static ReplHeartbeat decode(const std::vector<std::uint8_t>& payload) {
+    return server::decode<ReplHeartbeat>(payload);
+  }
 };
 
 struct ReplAck {
   int slot = 0;  // the commit whose fingerprint the mirror reproduced
-  std::vector<std::uint8_t> encode() const;
-  static ReplAck decode(const std::vector<std::uint8_t>& payload);
+  friend constexpr auto wire_fields(const ReplAck*) {
+    return std::tuple{&ReplAck::slot};
+  }
+  std::vector<std::uint8_t> encode() const { return server::encode(*this); }
+  static ReplAck decode(const std::vector<std::uint8_t>& payload) {
+    return server::decode<ReplAck>(payload);
+  }
 };
 
 struct ReplReseed {
   std::string reason;
-  std::vector<std::uint8_t> encode() const;
-  static ReplReseed decode(const std::vector<std::uint8_t>& payload);
+  friend constexpr auto wire_fields(const ReplReseed*) {
+    return std::tuple{&ReplReseed::reason};
+  }
+  std::vector<std::uint8_t> encode() const { return server::encode(*this); }
+  static ReplReseed decode(const std::vector<std::uint8_t>& payload) {
+    return server::decode<ReplReseed>(payload);
+  }
 };
 
 }  // namespace postcard::replication

@@ -125,15 +125,20 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
           server::decode_snapshot(seed.image);
       // Reseed = rebuild, configured by the seed alone: restore_snapshot
       // only accepts a fresh runtime, and a diverged mirror has nothing
-      // worth keeping anyway.
-      std::unique_ptr<runtime::ControllerRuntime> mirror;
+      // worth keeping anyway. The mirror is the server a promotion starts.
+      std::unique_ptr<server::PostcardServer> mirror;
       try {
-        mirror = std::make_unique<runtime::ControllerRuntime>(
-            seed_topology(snap), seed_options(snap));
+        server::ServerOptions sopts;
+        sopts.host = options_.serve_host;
+        sopts.port = options_.serve_port;
+        sopts.runtime = seed_options(snap);
+        sopts.snapshot_path = options_.promoted_snapshot_path;
+        mirror = std::make_unique<server::PostcardServer>(seed_topology(snap),
+                                                          sopts);
         for (const runtime::BackendSnapshot& b : snap.backends) {
           mirror->add_postcard_backend(b.options);
         }
-        mirror->restore_snapshot(snap);
+        mirror->runtime().restore_snapshot(snap);
       } catch (const std::logic_error& e) {
         // A seed the standby cannot build from is a malformed frame: drop
         // the connection like any other, never the run thread.
@@ -152,12 +157,13 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
       // events (and commits, below) are dropped until it lands — asking
       // again would only cost the primary another snapshot.
       if (mirror_ == nullptr) return true;
+      runtime::ControllerRuntime& mirror = mirror_->runtime();
       // The whole batch is checked before any of it lands: a link event
       // naming a link this topology lacks would index past the mirror's
       // per-link state when it fires.
       for (const runtime::Event& e : batch.events) {
         const std::string error =
-            runtime::link_event_error(e.payload, mirror_->num_links());
+            runtime::link_event_error(e.payload, mirror.num_links());
         if (!error.empty()) {
           throw WireError("replicated event at slot " +
                           std::to_string(e.slot) + " refused: " + error);
@@ -169,9 +175,9 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
           if (corrupt_next_.exchange(false, std::memory_order_acq_rel)) {
             file.size += 1.0;  // chaos: one bit of divergence, loudly caught
           }
-          mirror_->ingress().replicate_admit(file);
+          mirror.ingress().replicate_admit(file);
         } else {
-          mirror_->events().push(e.slot, e.payload);
+          mirror.events().push(e.slot, e.payload);
         }
       }
       base::MutexLock lock(mu_);
@@ -181,7 +187,8 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
     case MessageType::kReplCommit: {
       const ReplCommit commit = ReplCommit::decode(frame.payload);
       if (mirror_ == nullptr) return true;  // unseeded: see kReplEvents
-      const int cur = mirror_->current_slot();
+      runtime::ControllerRuntime& mirror = mirror_->runtime();
+      const int cur = mirror.current_slot();
       std::string divergence;
       if (commit.slot > cur) {
         // A commit we never saw the events for — the stream gapped.
@@ -189,7 +196,7 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
                      " ahead of mirror slot " + std::to_string(cur);
       } else if (commit.slot == cur) {
         try {
-          mirror_->tick();
+          mirror.tick();
         } catch (const std::exception& e) {
           // A fail-fast audit abort on replayed events IS divergence.
           divergence = std::string("mirror tick failed: ") + e.what();
@@ -198,7 +205,7 @@ bool ReplicationStandby::handle_frame(int fd, const Frame& frame) {
       // commit.slot < cur: the seed snapshot already contains this slot's
       // effects; the fingerprint comparison below still validates it.
       if (divergence.empty()) {
-        if (runtime_fingerprint(mirror_->stats()) != commit.fingerprint) {
+        if (runtime_fingerprint(mirror.stats()) != commit.fingerprint) {
           divergence = "fingerprint mismatch at slot " +
                        std::to_string(commit.slot);
         }
@@ -302,22 +309,10 @@ void ReplicationStandby::promote_or_fail() {
     return;
   }
   try {
-    const runtime::RuntimeSnapshot snap = mirror_->capture_snapshot();
-    server::ServerOptions sopts;
-    sopts.host = options_.serve_host;
-    sopts.port = options_.serve_port;
-    sopts.runtime = seed_options(snap);
-    sopts.snapshot_path = options_.promoted_snapshot_path;
-    auto srv =
-        std::make_unique<server::PostcardServer>(seed_topology(snap), sopts);
-    for (const runtime::BackendSnapshot& b : snap.backends) {
-      srv->add_postcard_backend(b.options);
-    }
-    srv->runtime().restore_snapshot(snap);
-    srv->start();
+    mirror_->start();
     {
       base::MutexLock lock(mu_);
-      server_ = std::move(srv);
+      server_ = std::move(mirror_);
     }
     promoted_.store(true, std::memory_order_release);
   } catch (const std::exception& e) {

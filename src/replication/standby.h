@@ -2,9 +2,10 @@
 // snapshot, stays current by deterministic replay of the primary's event
 // stream, and promotes itself to a serving PostcardServer when the
 // primary goes silent (DESIGN.md §14). The seed configures it: the mirror
-// and the promoted server take their topology, RuntimeOptions and backend
-// sequence from the snapshot image, so the standby needs only the
-// primary's address.
+// takes its topology, RuntimeOptions and backend sequence from the
+// snapshot image, so the standby needs only the primary's address. The
+// mirror is an unstarted PostcardServer whose runtime replays the stream;
+// promotion starts it.
 //
 // Failover state machine (single run thread):
 //
@@ -16,9 +17,9 @@
 //       │       timeout / EOF / error  │ mismatch → ReplReseed (stay;
 //       └──────────────────────────────┘   drop events and commits
 //                                          until the next snapshot)
-//   attempts exhausted + mirror seeded ──► PROMOTED (serving server,
-//   restored from the mirror; partial slots stay pending and solve at
-//   the next tick — client retries + submission dedup give exactly-once)
+//   attempts exhausted + mirror seeded ──► PROMOTED (the mirror server
+//   starts serving; partial slots stay pending and solve at the next
+//   tick — client retries + submission dedup give exactly-once)
 //   attempts exhausted + never seeded  ──► FAILED (loud, no serving)
 //
 // Every replayed slot is checked against the primary's divergence
@@ -74,9 +75,9 @@ struct StandbyStats {
 
 class ReplicationStandby {
  public:
-  /// The mirror and the promoted server run under each seed's recorded
-  /// RuntimeOptions, with dedup_submissions forced on so client retries
-  /// across the failover apply exactly once.
+  /// The mirror runs under each seed's recorded RuntimeOptions, with
+  /// dedup_submissions forced on so client retries across the failover
+  /// apply exactly once.
   explicit ReplicationStandby(StandbyOptions options);
   ~ReplicationStandby();
 
@@ -129,7 +130,10 @@ class ReplicationStandby {
   /// close so stop() never touches a recycled descriptor.
   int conn_fd_ GUARDED_BY(mu_) = -1;
   StandbyStats stats_ GUARDED_BY(mu_);
-  std::unique_ptr<runtime::ControllerRuntime> mirror_;  // run thread only
+  /// The server a promotion starts, unstarted until then; its runtime
+  /// replays the stream. Run thread only.
+  std::unique_ptr<server::PostcardServer> mirror_;
+  /// The started mirror, once promoted.
   std::unique_ptr<server::PostcardServer> server_ GUARDED_BY(mu_);
 };
 

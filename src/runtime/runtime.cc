@@ -1,13 +1,14 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
+
+#include "lp/stopwatch.h"
 
 namespace postcard::runtime {
 namespace {
@@ -32,13 +33,6 @@ const char* first_difference(const core::PostcardOptions& a,
   if (a.cg_stall_rounds != b.cg_stall_rounds) return "cg_stall_rounds";
   if (a.use_sparse_graph != b.use_sparse_graph) return "use_sparse_graph";
   return nullptr;
-}
-
-// NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-double elapsed_seconds(std::chrono::steady_clock::time_point start) {
-  // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
 }
 
 }  // namespace
@@ -103,7 +97,7 @@ void ControllerRuntime::invalidate_plans(Backend& b, int slot, int link) {
     }
   }
   for (int id : affected) {
-    InFlightPlan entry = std::move(b.plans.at(id));
+    PlanLedgerEntry entry = std::move(b.plans.at(id));
     b.plans.erase(id);
     b.controller.uncommit_future(entry.plan, slot);
     // Replay the executed prefix (slots < `slot`) to locate the file's
@@ -169,8 +163,7 @@ void ControllerRuntime::requeue_remainder(Backend& b,
 
 void ControllerRuntime::tick() {
   const int slot = queue_.open_slot();
-  // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-  const auto start = std::chrono::steady_clock::now();
+  const lp::Stopwatch slot_time;
   retire_completed(slot);
 
   std::vector<net::FileRequest> arrivals;
@@ -206,7 +199,7 @@ void ControllerRuntime::tick() {
   base::MutexLock lock(stats_mu_);
   ++slots_processed_;
   link_events_ += link_events;
-  slot_latency_.add(elapsed_seconds(start));
+  slot_latency_.add(slot_time.seconds());
 }
 
 void ControllerRuntime::solve_slot(int slot,
@@ -224,10 +217,9 @@ void ControllerRuntime::solve_slot(int slot,
     b.carry_batch.clear();
     const double cost_before = b.controller.cost_per_interval();
 
-    // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-    const auto t0 = std::chrono::steady_clock::now();
+    const lp::Stopwatch solve_time;
     const sim::ScheduleOutcome outcome = b.controller.schedule(slot, batch);
-    const double seconds = elapsed_seconds(t0);
+    const double seconds = solve_time.seconds();
 
     record_outcome(b, slot, batch, outcome);
     track_plans(b, slot, b.controller.last_plans(), batch);
@@ -325,7 +317,7 @@ void ControllerRuntime::track_plans(Backend& b, int slot,
                                    return f.id == plan.file_id;
                                  });
     if (it == batch.end()) continue;
-    InFlightPlan entry;
+    PlanLedgerEntry entry;
     entry.request = *it;
     entry.deadline_slot = slot + it->max_transfer_slots;
     entry.last_transfer_slot = slot;
@@ -434,10 +426,7 @@ RuntimeSnapshot ControllerRuntime::capture_snapshot() const {
     {
       base::MutexLock ledger(ledger_mu_);
       bs.plans.reserve(b.plans.size());
-      for (const auto& [id, entry] : b.plans) {
-        bs.plans.push_back({entry.request, entry.deadline_slot,
-                            entry.last_transfer_slot, entry.plan});
-      }
+      for (const auto& [id, entry] : b.plans) bs.plans.push_back(entry);
     }
     // The ledger is a std::map, so the vector is already ascending by
     // request id and identical state serializes to identical bytes (the
@@ -540,9 +529,7 @@ void ControllerRuntime::restore_snapshot(const RuntimeSnapshot& snap) {
       base::MutexLock ledger(ledger_mu_);
       b.plans.clear();
       for (const PlanLedgerEntry& entry : bs.plans) {
-        b.plans[entry.plan.file_id] = InFlightPlan{
-            entry.request, entry.deadline_slot, entry.last_transfer_slot,
-            entry.plan};
+        b.plans[entry.plan.file_id] = entry;
       }
     }
     b.replan_batch = bs.replan_batch;

@@ -146,12 +146,6 @@ class ControllerRuntime {
   int num_links() const { return live_topology_.num_links(); }
 
  private:
-  struct InFlightPlan {
-    net::FileRequest request;
-    int deadline_slot = 0;       // release + T, exclusive
-    int last_transfer_slot = 0;  // delivery completes at the end of this slot
-    core::FilePlan plan;
-  };
   struct Backend {
     Backend(net::Topology topology, core::PostcardOptions options)
         : controller(std::move(topology), options) {}
@@ -163,7 +157,7 @@ class ControllerRuntime {
     // retire_completed accumulates stats in walk order, and
     // capture_snapshot serializes it — hash order in any of those would
     // leak into committed state and break bit-for-bit replay.
-    std::map<int, InFlightPlan> plans;
+    std::map<int, PlanLedgerEntry> plans;
     std::vector<net::FileRequest> replan_batch;  // re-injected this slot
     // Store-in-place carryover: files the degradation ladder deferred,
     // re-enqueued into the next slot's batch with one slot less deadline

@@ -6,13 +6,16 @@
 // fills these structs and restore_snapshot() applies them (both touch the
 // runtime's private state, so they live in src/runtime); the binary file
 // format — versioned header, bounds-checked decoding, checksum, atomic
-// replace — lives in src/server/snapshot.h, which serializes exactly the
-// fields below. Every volume and cost is carried as the exact double the
-// live engine held, so a restored run reproduces the remaining cost series
-// bit for bit (tested in tests/server).
+// replace — lives in src/server/snapshot.h. Each struct lists its members
+// once, in wire order, in its `wire_fields`, and the generic codec of
+// server/protocol.h serializes exactly those lists. Every volume and cost
+// is carried as the exact double the live engine held, so a restored run
+// reproduces the remaining cost series bit for bit (tested in
+// tests/server).
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "core/plan.h"
@@ -25,12 +28,19 @@
 
 namespace postcard::runtime {
 
-/// One committed, not-yet-delivered Postcard plan (InFlightPlan mirror).
+/// One committed, not-yet-delivered Postcard plan: an entry of a
+/// backend's in-flight ledger, live and in the snapshot alike.
 struct PlanLedgerEntry {
   net::FileRequest request;
-  int deadline_slot = 0;
-  int last_transfer_slot = 0;
+  int deadline_slot = 0;       // release + T, exclusive
+  int last_transfer_slot = 0;  // delivery completes at the end of this slot
   core::FilePlan plan;
+
+  friend constexpr auto wire_fields(const PlanLedgerEntry*) {
+    using E = PlanLedgerEntry;
+    return std::tuple{&E::request, &E::deadline_slot, &E::last_transfer_slot,
+                      &E::plan};
+  }
 };
 
 /// Everything one registered Postcard backend carries across slots.
@@ -52,6 +62,13 @@ struct BackendSnapshot {
   std::vector<net::FileRequest> carry_batch;
 
   BackendStats stats;
+
+  friend constexpr auto wire_fields(const BackendSnapshot*) {
+    using B = BackendSnapshot;
+    return std::tuple{&B::options, &B::series, &B::series_slots,
+                      &B::reduce_violations, &B::plans, &B::replan_batch,
+                      &B::carry_batch, &B::stats};
+  }
 };
 
 /// Full controller state between two ticks.
@@ -100,6 +117,18 @@ struct RuntimeSnapshot {
   std::vector<Event> pending_events;
 
   std::vector<BackendSnapshot> backends;
+
+  friend constexpr auto wire_fields(const RuntimeSnapshot*) {
+    using S = RuntimeSnapshot;
+    return std::tuple{&S::options, &S::num_datacenters, &S::links,
+                      &S::base_capacity, &S::link_down, &S::next_slot,
+                      &S::next_synthetic_id, &S::slots_processed,
+                      &S::link_events, &S::slot_latency, &S::solve_latency,
+                      &S::submitted, &S::admitted, &S::ingress_rejected,
+                      &S::ingress_rejected_volume, &S::admitted_ids,
+                      &S::event_seq_watermark, &S::pending_events,
+                      &S::backends};
+  }
 };
 
 }  // namespace postcard::runtime

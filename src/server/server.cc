@@ -23,6 +23,8 @@ constexpr std::size_t kMaxBatchFiles = 100000;
 
 constexpr int kListenBacklog = 64;
 
+using Counters = runtime::ServerCounters;
+
 }  // namespace
 
 PostcardServer::PostcardServer(net::Topology topology, ServerOptions options)
@@ -96,21 +98,21 @@ void PostcardServer::wait() {
 
 runtime::RuntimeStats PostcardServer::stats() const {
   runtime::RuntimeStats s = runtime_.stats();
-  s.server.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
-  s.server.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
-  s.server.frames_received = frames_received_.load(std::memory_order_relaxed);
-  s.server.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  s.server.submits = submits_.load(std::memory_order_relaxed);
-  s.server.submit_admitted = submit_admitted_.load(std::memory_order_relaxed);
-  s.server.backpressure_replies =
-      backpressure_replies_.load(std::memory_order_relaxed);
-  s.server.queries = queries_.load(std::memory_order_relaxed);
-  s.server.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.server.snapshots_written =
-      snapshots_written_.load(std::memory_order_relaxed);
-  s.server.slots_advanced = slots_advanced_.load(std::memory_order_relaxed);
-  s.server.sessions_reaped = sessions_reaped_.load(std::memory_order_relaxed);
+  std::size_t i = 0;
+  runtime::for_each_field(runtime::kServerFields, [&](const auto& field) {
+    s.server.*field.member = counters_[i++].load(std::memory_order_relaxed);
+  });
   return s;
+}
+
+void PostcardServer::bump(long Counters::*counter) {
+  std::size_t i = 0;
+  runtime::for_each_field(runtime::kServerFields, [&](const auto& field) {
+    if (field.member == counter) {
+      counters_[i].fetch_add(1, std::memory_order_relaxed);
+    }
+    ++i;
+  });
 }
 
 // --- Accept + session side ------------------------------------------------
@@ -132,7 +134,7 @@ void PostcardServer::accept_loop() {
     auto session = std::make_unique<Session>();
     session->fd = fd;
     Session* raw = session.get();
-    sessions_opened_.fetch_add(1, std::memory_order_relaxed);
+    bump(&Counters::sessions_opened);
     {
       base::MutexLock lock(sessions_mu_);
       // Reap finished sessions so a long-lived server with churning
@@ -157,16 +159,16 @@ void PostcardServer::session_loop(Session* session) {
   try {
     Frame frame;
     while (read_frame(fd, &frame, kDefaultMaxFrameBytes)) {
-      frames_received_.fetch_add(1, std::memory_order_relaxed);
+      bump(&Counters::frames_received);
       if (!handle_frame(fd, frame)) break;
     }
   } catch (const WireTimeout&) {
     // Idle-session reaper: the peer sent nothing (or stalled mid-frame)
     // for session_idle_timeout_ms. Not a protocol violation — close
     // quietly without an Error frame and free the thread.
-    sessions_reaped_.fetch_add(1, std::memory_order_relaxed);
+    bump(&Counters::sessions_reaped);
   } catch (const WireError& e) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    bump(&Counters::protocol_errors);
     std::cerr << "postcard_server: closing session: " << e.what() << "\n";
     try {
       reply(fd, MessageType::kError, ErrorReply{e.what()}.encode());
@@ -177,19 +179,19 @@ void PostcardServer::session_loop(Session* session) {
   // Signal EOF to the peer now; the fd itself is closed by the accept
   // loop's reaper or by wait(), after this thread is joined.
   ::shutdown(fd, SHUT_RDWR);
-  sessions_closed_.fetch_add(1, std::memory_order_relaxed);
+  bump(&Counters::sessions_closed);
   session->finished.store(true, std::memory_order_release);
 }
 
 SubmitVerdict PostcardServer::submit(const net::FileRequest& file) {
-  submits_.fetch_add(1, std::memory_order_relaxed);
+  bump(&Counters::submits);
   const runtime::AdmissionResult result = runtime_.ingress().submit(file);
   if (!result.admitted) {
-    backpressure_replies_.fetch_add(1, std::memory_order_relaxed);
+    bump(&Counters::backpressure_replies);
   } else if (!result.duplicate) {
     // A dedup hit is acknowledged as success but is not a fresh
     // admission — submit_admitted counts files entering the system.
-    submit_admitted_.fetch_add(1, std::memory_order_relaxed);
+    bump(&Counters::submit_admitted);
   }
   return SubmitVerdict{result.admitted, result.slot, result.reason,
                        result.duplicate};
@@ -198,7 +200,7 @@ SubmitVerdict PostcardServer::submit(const net::FileRequest& file) {
 void PostcardServer::reply(int fd, MessageType type,
                            const std::vector<std::uint8_t>& payload) {
   write_frame(fd, type, payload);
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  bump(&Counters::frames_sent);
 }
 
 bool PostcardServer::handle_frame(int fd, const Frame& frame) {
@@ -229,7 +231,7 @@ bool PostcardServer::handle_frame(int fd, const Frame& frame) {
     }
     case MessageType::kQueryPlan: {
       const QueryPlanRequest req = QueryPlanRequest::decode(frame.payload);
-      queries_.fetch_add(1, std::memory_order_relaxed);
+      bump(&Counters::queries);
       PlanReply out;
       out.found =
           runtime_.query_plan(req.backend, req.file_id, &out.plan, &out.request);
@@ -239,7 +241,7 @@ bool PostcardServer::handle_frame(int fd, const Frame& frame) {
     case MessageType::kQueryStats: {
       ByteReader r(frame.payload);
       r.require_done();
-      queries_.fetch_add(1, std::memory_order_relaxed);
+      bump(&Counters::queries);
       StatsReply out;
       out.stats = stats();
       reply(fd, MessageType::kStatsReply, out.encode());
@@ -334,7 +336,7 @@ std::string PostcardServer::write_snapshot(const std::string& path) {
   } catch (const std::exception& e) {
     return e.what();
   }
-  snapshots_written_.fetch_add(1, std::memory_order_relaxed);
+  bump(&Counters::snapshots_written);
   return "";
 }
 
@@ -344,7 +346,7 @@ std::string PostcardServer::run_command(Command& cmd) {
       try {
         for (int i = 0; i < cmd.slots; ++i) {
           runtime_.tick();
-          slots_advanced_.fetch_add(1, std::memory_order_relaxed);
+          bump(&Counters::slots_advanced);
           // Replication: ship the committed slot (events + fingerprint)
           // at exactly the commit boundary, before anything else can
           // interleave with the next tick.

@@ -22,6 +22,7 @@
 // abuse suite under ASan/UBSan).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -30,6 +31,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "base/mutex.h"
@@ -161,6 +163,8 @@ class PostcardServer {
   /// Executes a drained command on the driver thread; returns error text.
   std::string run_command(Command& cmd);
   std::string write_snapshot(const std::string& path);
+  /// Adds one to `counter`, a ServerCounters member.
+  void bump(long runtime::ServerCounters::*counter);
   void reply(int fd, MessageType type, const std::vector<std::uint8_t>& payload);
   void close_listener();
 
@@ -184,19 +188,11 @@ class PostcardServer {
   base::Mutex sessions_mu_;
   std::vector<std::unique_ptr<Session>> sessions_ GUARDED_BY(sessions_mu_);
 
-  // Per-session accounting, folded into every stats() snapshot.
-  std::atomic<long> sessions_opened_{0};
-  std::atomic<long> sessions_closed_{0};
-  std::atomic<long> frames_received_{0};
-  std::atomic<long> frames_sent_{0};
-  std::atomic<long> submits_{0};
-  std::atomic<long> submit_admitted_{0};
-  std::atomic<long> backpressure_replies_{0};
-  std::atomic<long> queries_{0};
-  std::atomic<long> protocol_errors_{0};
-  std::atomic<long> snapshots_written_{0};
-  std::atomic<long> slots_advanced_{0};
-  std::atomic<long> sessions_reaped_{0};
+  // Per-session accounting, one counter per ServerCounters field in
+  // kServerFields order, folded into every stats() snapshot.
+  std::array<std::atomic<long>,
+             std::tuple_size_v<decltype(runtime::kServerFields)>>
+      counters_{};
 };
 
 }  // namespace postcard::server

@@ -158,15 +158,18 @@ class ByteReader {
   bool boolean() { return u8() != 0; }
   std::string str() {
     const std::uint32_t n = u32();
+    return std::string(reinterpret_cast<const char*>(raw(n)), n);
+  }
+  /// The next `n` bytes, bounds-checked: a string or a byte image is one
+  /// copy out of these. Valid while the reader's buffer lives.
+  const std::uint8_t* raw(std::size_t n) {
     if (n > remaining()) {
-      throw WireError("string length " + std::to_string(n) +
-                      " exceeds remaining " + std::to_string(remaining()) +
-                      " bytes");
+      throw WireError("truncated payload: need " + std::to_string(n) +
+                      " bytes, have " + std::to_string(remaining()));
     }
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(n));
+    const std::uint8_t* bytes = data_ + pos_;
     pos_ += n;
-    return s;
+    return bytes;
   }
   /// Element-count prefix for vectors: rejects counts that could not
   /// possibly fit in the remaining payload (each element is at least

@@ -1,14 +1,13 @@
 #include "sim/simulator.h"
 
-#include <chrono>
+#include "lp/stopwatch.h"
 
 namespace postcard::sim {
 
 RunResult run_simulation(SchedulingPolicy& policy,
                          const WorkloadGenerator& workload) {
   RunResult result;
-  // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-  const auto start = std::chrono::steady_clock::now();
+  const lp::Stopwatch wall;
   for (int slot = 0; slot < workload.num_slots(); ++slot) {
     const std::vector<net::FileRequest> files = workload.batch(slot);
     for (const net::FileRequest& f : files) result.total_volume += f.size;
@@ -23,9 +22,7 @@ RunResult run_simulation(SchedulingPolicy& policy,
     result.lp_solves += outcome.lp_solves;
     result.cost_series.push_back(policy.cost_per_interval());
   }
-  // NOLINTNEXTLINE(postcard-determinism: wall-clock read is seconds telemetry for operator stats; it never feeds plans, ids, or serialized bytes)
-  const auto end = std::chrono::steady_clock::now();
-  result.wall_seconds = std::chrono::duration<double>(end - start).count();
+  result.wall_seconds = wall.seconds();
 
   if (!result.cost_series.empty()) {
     result.final_cost_per_interval = result.cost_series.back();

@@ -65,6 +65,7 @@ const FixtureCase kCases[] = {
     {"determinism_clock_budget_exempt.cc",
      {{"postcard-determinism-clock", 2}},
      0},
+    {"determinism_clock_sanctioned.cc", {}, 0},
     {"determinism_rand.cc", {{"postcard-determinism-rand", 3}}, 0},
     {"determinism_unordered_iter.cc",
      {{"postcard-determinism-unordered-iter", 2}},
@@ -89,6 +90,21 @@ TEST(LintFixtures, EachFixtureTriggersExactlyItsIntendedDiagnostics) {
     const LintResult r = lint_fixture(c.file);
     EXPECT_EQ(histogram(r), c.expected) << c.file;
     EXPECT_EQ(r.suppressed, c.suppressed) << c.file;
+  }
+}
+
+TEST(LintFixtures, OnlyTheSanctionedFileMayReadTheClock) {
+  // The sanctioned fixture's clock reads, linted under other paths of the
+  // deterministic core: each of its two steady_clock uses is reported.
+  const std::string content =
+      read_file(fixture_dir() / "determinism_clock_sanctioned.cc");
+  for (const char* vpath : {"src/lp/stopwatch.cc", "src/lp/simplex.h",
+                            "src/core/stopwatch.h", "src/runtime/runtime.cc"}) {
+    Linter linter;
+    linter.add_file("determinism_clock_sanctioned.cc", vpath, content);
+    EXPECT_EQ(histogram(linter.run()),
+              (std::map<std::string, int>{{"postcard-determinism-clock", 2}}))
+        << vpath;
   }
 }
 

@@ -189,6 +189,53 @@ TEST(ReplCodec, EveryTruncationThrows) {
   }
 }
 
+// The FNV-1a 64 digest of `message`'s encoding, after checking that the
+// bytes decode to a message that encodes to the same bytes.
+template <typename Message>
+std::uint64_t layout_digest(const Message& message) {
+  const std::vector<std::uint8_t> bytes = message.encode();
+  EXPECT_EQ(Message::decode(bytes).encode(), bytes);
+  return audit::fnv1a64(bytes.data(), bytes.size());
+}
+
+TEST(ReplCodec, EveryMessageAndEventLayoutIsPinned) {
+  // One value of each replication message and one event of each kind,
+  // built from field values that all differ, with its bytes pinned: a
+  // reordered, retyped or dropped field changes its digest even when
+  // encoder and decoder agree.
+  net::FileRequest file;
+  file.id = 61;
+  file.source = 62;
+  file.destination = 63;
+  file.size = 64.5;
+  file.max_transfer_slots = 65;
+  file.release_slot = 66;
+  const std::vector<runtime::Event> events = {
+      {71, 0x0102030405060708ULL, runtime::LinkDown{72}},
+      {73, 0x1112131415161718ULL, runtime::LinkUp{74}},
+      {75, 0x2122232425262728ULL, runtime::CapacityChange{76, 77.25}},
+      {78, 0x3132333435363738ULL, runtime::FileArrival{file}},
+  };
+  const std::uint64_t event_pins[] = {
+      0x2bae0b8842fa68b9ULL, 0xcc6708ba2831d33eULL, 0x97591ed932792da8ULL,
+      0x15bfcd956f7097d4ULL};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(layout_digest(ReplEvents{{events[i]}}), event_pins[i])
+        << "event kind " << i;
+  }
+
+  EXPECT_EQ(layout_digest(ReplHello{}), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(layout_digest(ReplSnapshot{{0x50, 0x53, 0x4e, 0x50, 0x0c, 0x81}}),
+            0x412b639c091ed61fULL);
+  EXPECT_EQ(layout_digest(ReplEvents{events}), 0xf8a9b9b948bff480ULL);
+  EXPECT_EQ(layout_digest(ReplCommit{81, 0x8182838485868788ULL}),
+            0xe3194ac29867d6acULL);
+  EXPECT_EQ(layout_digest(ReplHeartbeat{}), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(layout_digest(ReplAck{82}), 0x8b70912b3b047a67ULL);
+  EXPECT_EQ(layout_digest(ReplReseed{"fingerprint mismatch at slot 83"}),
+            0x20949096dd6e9082ULL);
+}
+
 // --- Fingerprint contract -------------------------------------------------
 
 runtime::RuntimeStats driven_stats(std::uint64_t seed, int slots) {

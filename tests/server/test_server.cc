@@ -205,6 +205,19 @@ TEST(Server, SubmitAdvanceQueryShutdown) {
   EXPECT_FALSE(server.running());
 }
 
+/// A connected TCP socket to the server with nothing spoken on it yet.
+int connect_raw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
 TEST(Server, IdleSessionsAreReapedWithoutDisturbingActiveOnes) {
   const sim::UniformWorkload w(small_workload(36));
   ServerOptions options;
@@ -216,15 +229,7 @@ TEST(Server, IdleSessionsAreReapedWithoutDisturbingActiveOnes) {
   // A connection that never sends a byte: exactly what a wedged or
   // half-open client looks like. Without the reaper it would pin a
   // session thread forever.
-  const int idle_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(idle_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(idle_fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
+  const int idle_fd = connect_raw(server.port());
 
   // An active client on the same server, polling throughout: its own
   // session must survive the reaper sweeps.
@@ -247,6 +252,59 @@ TEST(Server, IdleSessionsAreReapedWithoutDisturbingActiveOnes) {
 
   client.shutdown();
   server.wait();
+}
+
+TEST(Server, EveryServerCounterCountsThroughALiveServer) {
+  // Drives each of the twelve server counters above zero through a live
+  // server, then reads every one back through the kServerFields list: a
+  // counter that stats() forgot to fold in would read 0 here.
+  const sim::UniformWorkload w(small_workload(37));
+  ServerOptions options;
+  options.session_idle_timeout_ms = 100;
+  PostcardServer server{net::Topology(w.topology()), options};
+  server.add_postcard_backend();
+  server.start();
+
+  PostcardClient client("127.0.0.1", server.port());
+  net::FileRequest file;
+  file.id = 1;
+  file.source = 0;
+  file.destination = 1;
+  file.size = 50.0;
+  file.max_transfer_slots = 2;
+  EXPECT_TRUE(client.submit_file(file).admitted);
+  net::FileRequest huge = file;
+  huge.id = 2;
+  huge.size = 1e9;
+  EXPECT_FALSE(client.submit_file(huge).admitted);  // backpressure
+  EXPECT_EQ(client.advance(1), 1);
+  EXPECT_TRUE(client.query_plan(0, 1).found);
+  const std::string path = temp_snapshot_path("counters");
+  client.snapshot(path);
+
+  // A malformed frame costs its session: a protocol error and a close.
+  const int garbage_fd = connect_raw(server.port());
+  const std::vector<std::uint8_t> garbage = {0xde, 0xad, 0xbe, 0xef,
+                                             0xde, 0xad, 0xbe, 0xef};
+  write_all(garbage_fd, garbage.data(), garbage.size());
+  // A session that never speaks is reaped after the idle timeout.
+  const int idle_fd = connect_raw(server.port());
+
+  runtime::ServerCounters counters;
+  for (int i = 0; i < 3000; ++i) {
+    client.query_stats();  // keeps this session inside its idle timeout
+    counters = server.stats().server;
+    if (counters.sessions_reaped > 0 && counters.sessions_closed > 1) break;
+    ::usleep(10 * 1000);
+  }
+  runtime::for_each_field(runtime::kServerFields, [&](const auto& field) {
+    EXPECT_GT(counters.*field.member, 0) << field.metric;
+  });
+  ::close(garbage_fd);
+  ::close(idle_fd);
+  client.shutdown();
+  server.wait();
+  std::remove(path.c_str());
 }
 
 TEST(Server, ShutdownWritesFinalSnapshotAndDrains) {

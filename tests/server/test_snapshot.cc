@@ -17,6 +17,7 @@
 #include <string>
 #include <unistd.h>
 
+#include "audit/fingerprint.h"
 #include "runtime/runtime.h"
 #include "sim/workload.h"
 
@@ -518,6 +519,87 @@ TEST(SnapshotRestore, AtomicReplaceNeverLeavesATornFile) {
   EXPECT_EQ(read_snapshot_file(path).next_slot, 4);
   std::remove((path + ".tmp").c_str());
   std::remove(path.c_str());
+}
+
+// A backend section whose fields all differ, offset by `k`.
+runtime::BackendSnapshot distinct_backend_section(int k,
+                                                  core::PostcardOptions o) {
+  runtime::BackendSnapshot b;
+  b.options = o;
+  b.series = {{k + 0.5, k + 1.5, k + 2.5}, {k + 3.5}};
+  b.series_slots = k + 4;
+  b.reduce_violations = k + 5;
+  for (int p = 0; p < 2; ++p) {
+    b.plans.emplace_back();
+    b.plans.back().request = {k + 10 * p + 6, 1, 2, k + 7.5, 3, k + 8};
+    b.plans.back().deadline_slot = k + 10 * p + 9;
+    b.plans.back().last_transfer_slot = k + 10 * p + 10;
+    b.plans.back().plan.file_id = k + 10 * p + 6;
+    b.plans.back().plan.transfers = {{k + 11, 1, 0, k + 12.5, 4},
+                                     {k + 13, 0, 0, k + 14.5, -1}};
+  }
+  b.replan_batch = {{k + 30, 0, 2, k + 31.5, 2, k + 32}};
+  b.carry_batch = {{k + 33, 2, 1, k + 34.5, 1, k + 35}};
+  b.stats.name = "backend " + std::to_string(k);
+  b.stats.accepted_files = k + 36;
+  b.stats.accepted_volume = k + 37.5;
+  b.stats.lp_iterations = k + 38;
+  b.stats.pricing_seconds = k + 39.5;
+  b.stats.rung_greedy = k + 40;
+  b.stats.last_solver_status = "iteration limit";
+  b.stats.audit_armed = true;
+  b.stats.cost_series = {k + 41.5, k + 42.5};
+  return b;
+}
+
+TEST(SnapshotRestore, ImageLayoutIsPinned) {
+  // A snapshot built from field values that all differ — two backends with
+  // non-default options, a budgeted configuration, pending events of every
+  // kind, non-empty plans, replans, carries and admitted ids — with its
+  // image pinned: a reordered, retyped or dropped field of any section
+  // changes the digest even when encoder and decoder agree.
+  RuntimeSnapshot snap;
+  snap.options.slot_pivot_budget = 101;
+  snap.options.dedup_submissions = true;
+  snap.num_datacenters = 3;
+  snap.links = {{0, 1, 102.5, 103.25}, {1, 2, 104.5, 105.25}};
+  snap.base_capacity = {106.5, 107.5};
+  snap.link_down = {false, true};
+  snap.next_slot = 108;
+  snap.next_synthetic_id = (1 << 28) + 109;
+  snap.slots_processed = 110;
+  snap.link_events = 111;
+  snap.slot_latency.add(0.002);
+  snap.slot_latency.add(0.03);
+  snap.solve_latency.add(0.0004);
+  snap.submitted = 112;
+  snap.admitted = 113;
+  snap.ingress_rejected = 114;
+  snap.ingress_rejected_volume = 115.75;
+  snap.admitted_ids = {116, 117, 118};
+  snap.event_seq_watermark = 0x0a0b0c0d0e0f1011ULL;
+  snap.pending_events = {
+      {119, 120, runtime::LinkDown{1}},
+      {121, 122, runtime::LinkUp{1}},
+      {123, 124, runtime::CapacityChange{0, 125.5}},
+      {126, 127, runtime::FileArrival{{128, 0, 2, 129.5, 2, 126}}},
+  };
+  core::PostcardOptions first;
+  first.allow_storage = false;
+  first.cg_relative_gap = 2.5e-3;
+  first.cg_stall_rounds = 7;
+  first.use_sparse_graph = false;
+  core::PostcardOptions second;
+  second.cg_relative_gap = 6.25e-5;
+  second.cg_stall_rounds = 13;
+  second.use_sparse_graph = false;
+  snap.backends.push_back(distinct_backend_section(200, first));
+  snap.backends.push_back(distinct_backend_section(300, second));
+
+  const std::vector<std::uint8_t> bytes = encode_snapshot(snap);
+  EXPECT_EQ(encode_snapshot(decode_snapshot(bytes)), bytes);
+  EXPECT_EQ(audit::fnv1a64(bytes.data(), bytes.size()), 0x938b40688fd9736eULL)
+      << bytes.size() << " bytes";
 }
 
 }  // namespace

@@ -304,6 +304,68 @@ TEST(ProtocolCodec, StatsReplyRoundTrip) {
       << bytes.size() << " bytes";
 }
 
+// A file request whose six fields all differ, offset by `k`.
+net::FileRequest distinct_file(int k) {
+  net::FileRequest f;
+  f.id = k + 1;
+  f.source = k + 2;
+  f.destination = k + 3;
+  f.size = k + 4.5;
+  f.max_transfer_slots = k + 5;
+  f.release_slot = k + 6;
+  return f;
+}
+
+// The FNV-1a 64 digest of `message`'s encoding, after checking that the
+// bytes decode to a message that encodes to the same bytes.
+template <typename Message>
+std::uint64_t layout_digest(const Message& message) {
+  const std::vector<std::uint8_t> bytes = message.encode();
+  EXPECT_EQ(Message::decode(bytes).encode(), bytes);
+  return audit::fnv1a64(bytes.data(), bytes.size());
+}
+
+TEST(ProtocolCodec, EveryMessageLayoutIsPinned) {
+  // One value of each client message, built from field values that all
+  // differ, with its bytes pinned: a reordered, retyped or dropped field
+  // of any layout changes its digest even when encoder and decoder agree.
+  core::FilePlan plan;
+  plan.file_id = 31;
+  plan.transfers.push_back(core::Transfer{32, 33, 34, 35.25, 36});
+  plan.transfers.push_back(core::Transfer{37, 38, 38, 39.5, -1});
+  runtime::RuntimeStats stats;
+  stats.slots_processed = 41;
+  stats.queue_depth = 42;
+  stats.link_events = 43;
+  stats.slot_latency.add(0.002);
+  stats.server.frames_received = 44;
+  stats.backends.push_back(distinct_backend("pinned", 45));
+
+  EXPECT_EQ(layout_digest(SubmitFileRequest{distinct_file(10)}),
+            0x45b1fe0c6dc58545ULL);
+  EXPECT_EQ(layout_digest(SubmitBatchRequest{
+                {distinct_file(20), distinct_file(30)}}),
+            0xe962d431333a0368ULL);
+  EXPECT_EQ(layout_digest(QueryPlanRequest{3, 17}), 0x67682bc8ec9b0987ULL);
+  EXPECT_EQ(layout_digest(SnapshotRequest{"/var/lib/postcard/pin.psnp"}),
+            0xf32ab175daa10597ULL);
+  EXPECT_EQ(layout_digest(AdvanceSlotRequest{9}), 0xad002ab9f9463becULL);
+  const SubmitVerdict admitted{true, 21, "queued", false};
+  const SubmitVerdict duplicate{true, 22, "", true};
+  const SubmitVerdict refused{false, 23, "full", false};
+  EXPECT_EQ(layout_digest(SubmitReply{admitted}), 0xd84076d0a5ed48a2ULL);
+  EXPECT_EQ(layout_digest(BatchReply{{duplicate, refused}}),
+            0x2e4bd7387f09eb15ULL);
+  EXPECT_EQ(layout_digest(PlanReply{true, distinct_file(40), plan}),
+            0xb2f6c1f404c50a58ULL);
+  EXPECT_EQ(layout_digest(StatsReply{stats}), 0xd01b2f638534a424ULL);
+  EXPECT_EQ(layout_digest(SnapshotReply{true, "/var/lib/postcard/a.psnp"}),
+            0x15093ecc3381a094ULL);
+  EXPECT_EQ(layout_digest(AdvanceReply{51}), 0xed75620290a80776ULL);
+  EXPECT_EQ(layout_digest(ErrorReply{"unknown message type 7"}),
+            0x447e75d656c6898dULL);
+}
+
 TEST(ProtocolCodec, EveryTruncationOfEveryMessageThrows) {
   // Build one payload per codec, then decode every strict prefix: all must
   // throw WireError (bounds respected), none may crash or succeed.

@@ -7,9 +7,9 @@
 //
 //   postcard-determinism-*  (src/core, lp, linalg, charging, net, sim,
 //                            flow, audit, runtime)
-//     -clock          wall-clock reads (steady_clock/system_clock/...);
-//                     no file is exempt, so a read that only feeds
-//                     telemetry carries a justified NOLINT
+//     -clock          wall-clock reads (steady_clock/system_clock/...)
+//                     anywhere but src/lp/stopwatch.h, the one telemetry
+//                     timer every seconds counter goes through
 //     -rand           rand()/srand()/std::random_device/random_shuffle
 //                     and unseeded random engines
 //     -unordered-iter iteration (range-for, .begin()) over
