@@ -6,9 +6,10 @@
 //
 //   * HotpathSlotSolve — PostcardController::schedule per slot with
 //     PostcardOptions{}, the one configuration every deployed caller runs:
-//     in-place master resumes on the incumbent factorization, the canonical
-//     round-0 seed, serial pricing. The mean/p99 slot solve, the
-//     pricing-vs-master wall split and the warm accept rate land in
+//     in-place master resumes on the incumbent factorization, a round-0
+//     master started from the simplex's crash basis, serial pricing. The
+//     mean/p99 slot solve, the pricing-vs-master wall split and the warm
+//     accept rate (round-0 masters that ran no phase 1) land in
 //     BENCH_solver_hotpath.json.
 //   * HotpathColumnGeneration — solve_postcard_by_paths directly (no
 //     controller admission around it), for the columns/sec rate and the

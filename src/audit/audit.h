@@ -1,10 +1,10 @@
 // Plan auditor: machine-checked paper invariants for committed plans.
 //
-// The controllers commit plans through four degradation rungs, warm-started
-// masters and rollback/replan paths — exactly the code shape where a
-// silently infeasible plan can slip past cost-only tests. This library
-// re-verifies, independently of the LP that produced them, every invariant
-// of formulation (6)-(10) on what was actually committed:
+// The controllers commit plans through a degradation ladder, resumed
+// column-generation masters and rollback/replan paths — the code shape
+// where a silently infeasible plan can slip past cost-only tests. This
+// library re-verifies, independently of the LP that produced them, every
+// invariant of formulation (6)-(10) on what was actually committed:
 //
 //   * flow conservation per node and slot on the time-expanded graph (7)-(8),
 //   * per-arc capacity c_ij(n) * t-bar, checked against the full committed

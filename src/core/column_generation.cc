@@ -41,35 +41,6 @@ struct PathSeenHash {
 };
 }  // namespace
 
-namespace {
-
-/// The basis cold phase 1 terminates in on the round-0 master — every z_k
-/// basic at F_k in its demand row, every other row on its own logical, X at
-/// lower bound — so seeding it changes no downstream pivot, only skips the
-/// phase-1 work.
-lp::RevisedSimplex::WarmStart canonical_warm_basis(
-    const lp::LpModel& master, const std::vector<int>& zv,
-    const std::vector<int>& demand_row) {
-  using WS = lp::RevisedSimplex::WarmStart;
-  WS ws;
-  const int rows = master.num_constraints();
-  ws.col_status.assign(static_cast<std::size_t>(master.num_variables()),
-                       WS::kAtLower);
-  ws.row_status.assign(static_cast<std::size_t>(rows), WS::kBasic);
-  ws.basis.resize(static_cast<std::size_t>(rows));
-  for (int i = 0; i < rows; ++i) ws.basis[i] = -(i + 1);
-  // Demand rows are new every slot: phase 1 always ends with z_k basic
-  // (the only column in an equality row violated at the all-lower point).
-  for (std::size_t k = 0; k < zv.size(); ++k) {
-    ws.col_status[zv[k]] = WS::kBasic;
-    ws.row_status[demand_row[k]] = WS::kAtLower;  // fixed logical (rl == ru)
-    ws.basis[demand_row[k]] = zv[k];
-  }
-  return ws;
-}
-
-}  // namespace
-
 PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
                                         const charging::ChargeState& charge,
                                         int slot,
@@ -337,10 +308,9 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     return true;
   };
 
+  // Round 0 starts from the solver's crash basis, on this master the
+  // canonical one (see the header); later rounds resume in place.
   lp::RevisedSimplex simplex;
-  // Round 0 starts from the canonical basis; later rounds resume in place.
-  const lp::RevisedSimplex::WarmStart seed =
-      canonical_warm_basis(master, zv, demand_row);
 
   lp::Solution sol;
   // Last fully solved restricted master: optimal for its column set, hence
@@ -357,9 +327,10 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     // Every round after the first follows an optimal one (any other outcome
     // leaves the loop) on a master that only gained columns, so it resumes
     // in place — same basis, same LU factorization, no phase 1. resolve()
-    // solves cold when it cannot (an artificial stayed basic).
+    // solves afresh from the crash basis when it cannot (an artificial
+    // stayed basic).
     const bool resume = result.rounds > 0 && simplex.can_resume(master);
-    sol = result.rounds == 0 ? simplex.solve(master, &seed, budget)
+    sol = result.rounds == 0 ? simplex.solve(master, budget)
                              : simplex.resolve(master, budget);
     result.master_seconds += master_time.seconds();
     if (resume) ++result.resumed_solves;

@@ -72,8 +72,9 @@ struct PathSolveResult {
   // ok is still true: the incumbent is primal feasible for the slot
   // problem (unrouted volume sits on the z columns, reported as usual).
   bool truncated = false;
-  // The round-0 master is seeded with the canonical basis; accepted when
-  // the solver's verification kept it, false when it fell back to phase 1.
+  // The round-0 master ran no phase 1: the solver's crash basis (the
+  // canonical one, see below) was primal feasible. False when a row the
+  // crash could not repair sent it through phase 1.
   bool warm_accepted = false;
   // Hot-path split: wall time inside the pricing DP vs. inside the
   // restricted-master solves.
@@ -88,12 +89,12 @@ struct PathSolveResult {
 ///
 /// Every slot's master is new (demand rows, z columns and path columns are
 /// rebuilt for the batch, the capacity/epigraph rows shift with the window),
-/// but cold phase 1 always ends in the same canonical basis: each z_k basic
+/// but its round-0 start is always the same canonical basis: each z_k basic
 /// at F_k in its demand row, every other row on its own logical, X at its
-/// lower bound. The round-0 master is always seeded with that basis, which
-/// skips phase 1 without moving a later pivot. The seed is only a hint:
-/// RevisedSimplex verifies it (nonsingular + primal feasible) and runs
-/// phase 1 when it rejects it, so it can never change the optimum.
+/// lower bound. RevisedSimplex's singleton crash finds that basis from the
+/// model alone: the demand rows are the only rows the start violates, and
+/// z_k is their only column singleton. So no phase 1 runs, and a row the
+/// crash cannot repair only costs a phase 1, never a different optimum.
 ///
 /// A limited `budget` is shared by every master solve (charged per pivot)
 /// and checked between pricing rounds. On exhaustion the incumbent

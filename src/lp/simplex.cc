@@ -17,11 +17,9 @@ constexpr double kPivotTol = 1e-7;   // smallest ratio-test |w_i|
 bool is_fixed(double lo, double hi) {
   return std::isfinite(lo) && std::isfinite(hi) && hi - lo <= 0.0;
 }
-}  // namespace
 
-namespace {
-// Shared default classification used by both start paths: nonbasic at the
-// bound nearest zero, or free at zero.
+// Default classification of a nonbasic column, shared by the start and by
+// the columns a resume appends: at the bound nearest zero, or free at zero.
 template <class Status>
 void classify_default(double lo, double hi, Status& status, double& value,
                       Status at_lower, Status at_upper, Status free_status) {
@@ -59,6 +57,9 @@ void RevisedSimplex::cold_start() {
     }
   }
 
+  // A row the starting point satisfies keeps its logical basic; a violated
+  // row pins its logical at the violated bound and leaves the residual to a
+  // column singleton or an artificial.
   basis_.assign(static_cast<std::size_t>(m_), -1);
   row_art_.assign(static_cast<std::size_t>(m_), -1);
   for (int i = 0; i < m_; ++i) {
@@ -73,23 +74,50 @@ void RevisedSimplex::cold_start() {
       vstat_[lj] = VarStatus::kBasic;
       basic_pos_[lj] = i;
       x_[lj] = g;
-      continue;
-    }
-    // Row infeasible at the starting point: logical pinned at its nearest
-    // bound, artificial absorbs the residual and enters the basis. The row
-    // reads a^T x - s + sign * t = 0, so sign = -1 absorbs a positive
-    // residual (g > hi) and sign = +1 a negative one (g < lo).
-    double sign, value;
-    if (g > hi) {
+    } else if (g > hi) {
       vstat_[lj] = VarStatus::kAtUpper;
       x_[lj] = hi;
-      sign = -1.0;
-      value = g - hi;
     } else {
       vstat_[lj] = VarStatus::kAtLower;
       x_[lj] = lo;
+    }
+  }
+
+  // Singleton crash (Bixby, ORSA J. on Computing 4(3), 1992): a violated
+  // row takes the lowest-index structural column whose only entry lies in
+  // it and which absorbs the row's residual within its own bounds. On a
+  // column-generation round-0 master these are the unrouted columns z_k of
+  // the demand rows, so the crash basis is the one phase 1 would end in.
+  for (int j = 0; j < n_; ++j) {
+    if (a_.col_end(j) - a_.col_begin(j) != 1) continue;
+    const linalg::Index p = a_.col_begin(j);
+    const int i = static_cast<int>(a_.row_idx()[p]);
+    const double a = a_.values()[p];
+    if (basis_[i] >= 0 || a == 0.0) continue;
+    const double value = x_[j] + (x_[n_ + i] - activity[i]) / a;
+    if (!std::isfinite(value) || value < lower_[j] || value > upper_[j]) {
+      continue;
+    }
+    basis_[i] = j;
+    vstat_[j] = VarStatus::kBasic;
+    basic_pos_[j] = i;
+    x_[j] = value;
+  }
+
+  // Every other violated row gets an artificial, which absorbs the residual
+  // and enters the basis. The row reads a^T x - s + sign * t = 0, so
+  // sign = -1 absorbs a positive residual (g > hi) and sign = +1 a negative
+  // one (g < lo).
+  for (int i = 0; i < m_; ++i) {
+    if (basis_[i] >= 0) continue;
+    const int lj = n_ + i;
+    double sign, value;
+    if (vstat_[lj] == VarStatus::kAtUpper) {
+      sign = -1.0;
+      value = activity[i] - x_[lj];
+    } else {
       sign = 1.0;
-      value = lo - g;
+      value = x_[lj] - activity[i];
     }
     row_art_[i] = static_cast<int>(art_row_.size());
     art_row_.push_back(i);
@@ -104,100 +132,7 @@ void RevisedSimplex::cold_start() {
   }
 }
 
-bool RevisedSimplex::try_warm_start(const WarmStart& warm) {
-  static_assert(static_cast<signed char>(VarStatus::kBasic) == WarmStart::kBasic &&
-                static_cast<signed char>(VarStatus::kAtLower) == WarmStart::kAtLower &&
-                static_cast<signed char>(VarStatus::kAtUpper) == WarmStart::kAtUpper &&
-                static_cast<signed char>(VarStatus::kFree) == WarmStart::kFree);
-  if (warm.basis.size() != static_cast<std::size_t>(m_)) return false;
-  if (warm.row_status.size() != static_cast<std::size_t>(m_)) return false;
-  if (warm.col_status.size() > static_cast<std::size_t>(n_)) return false;
-
-  art_row_.clear();
-  art_sign_.clear();
-  lower_.resize(static_cast<std::size_t>(n_ + m_));
-  upper_.resize(static_cast<std::size_t>(n_ + m_));
-  x_.assign(static_cast<std::size_t>(n_ + m_), 0.0);
-  vstat_.assign(static_cast<std::size_t>(n_ + m_), VarStatus::kFree);
-  basic_pos_.assign(static_cast<std::size_t>(n_ + m_), -1);
-
-  // Defaults first (covers columns newer than the snapshot), then restore.
-  for (int j = 0; j < n_; ++j) {
-    classify_default(lower_[j], upper_[j], vstat_[j], x_[j],
-                     VarStatus::kAtLower, VarStatus::kAtUpper, VarStatus::kFree);
-  }
-  auto restore = [&](int j, signed char saved) {
-    const auto st = static_cast<VarStatus>(saved);
-    switch (st) {
-      case VarStatus::kAtLower:
-        if (!std::isfinite(lower_[j])) return false;
-        vstat_[j] = st;
-        x_[j] = lower_[j];
-        return true;
-      case VarStatus::kAtUpper:
-        if (!std::isfinite(upper_[j])) return false;
-        vstat_[j] = st;
-        x_[j] = upper_[j];
-        return true;
-      case VarStatus::kFree:
-        vstat_[j] = st;
-        x_[j] = 0.0;
-        return true;
-      case VarStatus::kBasic:
-        vstat_[j] = st;  // value filled by recompute_basic_values()
-        return true;
-    }
-    return false;
-  };
-  for (std::size_t j = 0; j < warm.col_status.size(); ++j) {
-    if (!restore(static_cast<int>(j), warm.col_status[j])) return false;
-  }
-  for (int i = 0; i < m_; ++i) {
-    if (!restore(n_ + i, warm.row_status[i])) return false;
-  }
-
-  basis_.assign(static_cast<std::size_t>(m_), -1);
-  for (int i = 0; i < m_; ++i) {
-    const int code = warm.basis[i];
-    int var;
-    if (code >= 0) {
-      if (code >= n_) return false;
-      var = code;
-    } else {
-      const int row = -code - 1;
-      if (row < 0 || row >= m_) return false;
-      var = n_ + row;
-    }
-    if (basic_pos_[var] >= 0) return false;  // duplicate basic variable
-    if (vstat_[var] != VarStatus::kBasic) return false;
-    basis_[i] = var;
-    basic_pos_[var] = i;
-  }
-  // Every kBasic-status variable must actually sit in the basis.
-  for (int j = 0; j < n_ + m_; ++j) {
-    if (vstat_[j] == VarStatus::kBasic && basic_pos_[j] < 0) return false;
-  }
-  return true;
-}
-
-bool RevisedSimplex::warm_point_feasible() {
-  recompute_basic_values();
-  for (int i = 0; i < m_; ++i) {
-    const int j = basis_[i];
-    const double lo = lower_[j], hi = upper_[j];
-    const double scale =
-        1.0 + std::max(std::isfinite(lo) ? std::abs(lo) : 0.0,
-                       std::isfinite(hi) ? std::abs(hi) : 0.0);
-    if (x_[j] < lo - kFeasTol * scale ||
-        x_[j] > hi + kFeasTol * scale) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Solution RevisedSimplex::solve(const LpModel& model, const WarmStart* warm,
-                               SolveBudget* budget) {
+Solution RevisedSimplex::solve(const LpModel& model, SolveBudget* budget) {
   budget_ = budget && budget->limited() ? budget : nullptr;
   a_ = model.build_matrix();
   matrix_entries_ = model.num_entries();
@@ -224,25 +159,16 @@ Solution RevisedSimplex::solve(const LpModel& model, const WarmStart* warm,
     upper_[n_ + i] = model.row_upper()[i];
   }
 
-  // A warm basis is accepted only after full verification: the statuses
-  // must restore (try_warm_start), the restored basis must be nonsingular
-  // (refactorize), and the implied basic point must be primal feasible —
-  // phase 1 is skipped for warm starts, so an out-of-bounds basic variable
-  // would otherwise corrupt the phase 2 invariant silently. Any failure
-  // falls back to the cold start.
-  bool started = false;
-  if (warm && !warm->basis.empty()) {
-    started = try_warm_start(*warm) && refactorize() && warm_point_feasible();
+  cold_start();
+  if (!refactorize()) {
+    Solution result;
+    result.status = SolveStatus::kNumericalFailure;
+    last_status_ = result.status;
+    return result;
   }
-  if (!started) {
-    cold_start();
-    if (!refactorize()) {
-      Solution result;
-      result.status = SolveStatus::kNumericalFailure;
-      last_status_ = result.status;
-      return result;
-    }
-  }
+  // No artificial left after the crash: the start is primal feasible and
+  // the solve goes straight to phase 2.
+  const bool feasible_start = art_row_.empty();
 
   const int total = total_variables();
   cost_.assign(static_cast<std::size_t>(total), 0.0);
@@ -273,11 +199,12 @@ Solution RevisedSimplex::solve(const LpModel& model, const WarmStart* warm,
     phase1_stop_when_feasible_ = false;
     if (s1 == SolveStatus::kUnbounded || s1 == SolveStatus::kNumericalFailure) {
       return finish_solution(model, SolveStatus::kNumericalFailure, iterations,
-                             phase1_iterations, started);
+                             phase1_iterations, feasible_start);
     }
     if (s1 == SolveStatus::kIterationLimit ||
         s1 == SolveStatus::kDeadlineExceeded) {
-      return finish_solution(model, s1, iterations, phase1_iterations, started);
+      return finish_solution(model, s1, iterations, phase1_iterations,
+                             feasible_start);
     }
     phase1_iterations = iterations;
 
@@ -287,7 +214,7 @@ Solution RevisedSimplex::solve(const LpModel& model, const WarmStart* warm,
     }
     if (infeasibility > kFeasTol * (1.0 + infeasibility)) {
       return finish_solution(model, SolveStatus::kInfeasible, iterations,
-                             phase1_iterations, started);
+                             phase1_iterations, feasible_start);
     }
     for (std::size_t k = 0; k < art_row_.size(); ++k) {
       const int aj = n_ + m_ + static_cast<int>(k);
@@ -298,14 +225,13 @@ Solution RevisedSimplex::solve(const LpModel& model, const WarmStart* warm,
     }
     // Normalize the numerical state at the phase boundary: a fresh
     // factorization of the end-of-phase-1 basis and basic values recomputed
-    // from it, exactly the state a verified warm start enters phase 2 with.
-    // Without this, phase 2 starts from product-form-updated LU data and
-    // iteratively-updated x, and warm-started solves diverge from cold ones
-    // in the last ulp — breaking the cross-slot guarantee that warm starts
-    // replay cold trajectories bit for bit.
+    // from it, the state a start without artificials enters phase 2 with.
+    // Every LP that still runs phase 1 (the flow baseline's stage 2, the
+    // Sec. VI extensions, the direct formulation) follows this rule, and
+    // dropping it would move their pivot sequences.
     if (!refactorize()) {
       return finish_solution(model, SolveStatus::kNumericalFailure, iterations,
-                             phase1_iterations, started);
+                             phase1_iterations, feasible_start);
     }
     recompute_basic_values();
   }
@@ -314,7 +240,8 @@ Solution RevisedSimplex::solve(const LpModel& model, const WarmStart* warm,
   for (int j = 0; j < n_; ++j) base_cost_[j] = model.objective()[j];
   for (int j = n_; j < total; ++j) base_cost_[j] = 0.0;
   const SolveStatus s2 = run_perturbed_phase(0x7f4a7c15u, &iterations, limit);
-  return finish_solution(model, s2, iterations, phase1_iterations, started);
+  return finish_solution(model, s2, iterations, phase1_iterations,
+                         feasible_start);
 }
 
 Solution RevisedSimplex::finish_solution(const LpModel& model,
@@ -385,7 +312,7 @@ bool RevisedSimplex::can_resume(const LpModel& model) const {
 }
 
 Solution RevisedSimplex::resolve(const LpModel& model, SolveBudget* budget) {
-  if (!can_resume(model)) return solve(model, nullptr, budget);
+  if (!can_resume(model)) return solve(model, budget);
   budget_ = budget && budget->limited() ? budget : nullptr;
 
   const int old_n = n_;
@@ -472,7 +399,7 @@ Solution RevisedSimplex::resolve(const LpModel& model, SolveBudget* budget) {
   if (s == SolveStatus::kNumericalFailure) {
     // The resumed trajectory died (e.g. a refactorization of a drifted
     // basis failed); a cold solve rebuilds everything from scratch.
-    return solve(model, nullptr, budget);
+    return solve(model, budget);
   }
   return finish_solution(model, s, iterations, 0, true);
 }
@@ -698,9 +625,9 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
   // Bound flip when it binds strictly before the best pivot candidate. On
   // an exact tie the pivot wins: in phase 1 the tie is structural (an
   // entering variable whose range equals the row's infeasibility), and
-  // flipping would leave the artificial basic at zero — a different end
-  // basis than the one warm starts reconstruct, which would break the
-  // cold/warm trajectory equivalence.
+  // flipping would leave the artificial basic at zero. Every LP that still
+  // runs phase 1 follows this rule, and dropping it would move their pivot
+  // sequences.
   if (leave_pos < 0 || t_flip < t_exact_chosen) {
     const double t = t_flip;
     for (const linalg::Index i : w_pattern_) {
@@ -820,9 +747,9 @@ SolveStatus RevisedSimplex::run_phase(long* iterations, long iteration_limit) {
   // Phase 1 exists only to reach feasibility: once every artificial sits
   // exactly at zero the basis is primal feasible and further pivots would
   // only chase the perturbed costs of structural variables — wasted work
-  // that also makes the phase-1 end basis drift unpredictably (which would
-  // break the cross-slot warm-start guarantee of replaying cold
-  // trajectories exactly). The exact ==0 test is deliberate: a leaving
+  // that also makes the phase-1 end basis drift unpredictably. Every LP
+  // that still runs phase 1 follows this rule, and dropping it would move
+  // their pivot sequences. The exact ==0 test is deliberate: a leaving
   // artificial is set to its bound exactly, while a lingering basic
   // artificial keeps phase 1 running as before.
   auto artificials_cleared = [&] {

@@ -2,9 +2,11 @@
 //
 // The model  min c^T x,  rl <= Ax <= ru,  l <= x <= u  is solved in the
 // computational form  [A | -I] [x; s] = 0,  l <= x <= u,  rl <= s <= ru:
-// every row gets a logical variable equal to its activity. Phase 1 appends
-// one artificial (+/- unit column) per infeasible row and minimizes their
-// sum; phase 2 minimizes the true objective from the feasible basis.
+// every row gets a logical variable equal to its activity. A singleton
+// crash makes a column basic in each row the start violates and the column
+// alone can repair; phase 1 appends one artificial (+/- unit column) per
+// row still infeasible and minimizes their sum; phase 2 minimizes the true
+// objective from the feasible basis.
 //
 // Techniques (the network LPs Postcard produces are massively degenerate,
 // so the textbook Dantzig iteration stalls):
@@ -49,42 +51,17 @@ class RevisedSimplex {
     int refactor_interval = 100;
   };
 
-  /// Basis snapshot for warm starts, built by the caller (the canonical
-  /// round-0 seed in core/column_generation is one). It names a basis of a
-  /// model with the SAME rows and possibly MORE columns appended at the end;
-  /// an empty `basis` means "no usable snapshot". solve() verifies
-  /// nonsingularity and primal feasibility before trusting any snapshot, so
-  /// a stale or wrong basis can only cost a cold fallback, never a wrong
-  /// answer.
-  struct WarmStart {
-    /// Status codes stored in col_status/row_status (the solver's internal
-    /// VarStatus encoding, public so external builders can speak it).
-    static constexpr signed char kBasic = 0;
-    static constexpr signed char kAtLower = 1;
-    static constexpr signed char kAtUpper = 2;
-    static constexpr signed char kFree = 3;
-
-    std::vector<signed char> col_status;  // per structural column
-    std::vector<signed char> row_status;  // per row (logical variable)
-    // Per row: basic variable. Values >= 0 index structural columns;
-    // value -(row+1) denotes the row's own logical.
-    std::vector<int> basis;
-  };
-
   RevisedSimplex() : RevisedSimplex(Options{}) {}
   explicit RevisedSimplex(Options options) : options_(options) {}
 
-  /// Solves the model. When `warm` holds a basis compatible with the model
-  /// — the statuses restore, the basis factorizes (nonsingular), and the
-  /// implied basic point is primal feasible — phase 1 is skipped entirely;
-  /// otherwise the solver falls back to the cold start. The path taken is
-  /// reported in Solution::warm_started.
+  /// Solves the model from the crash basis (cold_start()). When the crash
+  /// leaves no artificial, phase 1 is skipped entirely and
+  /// Solution::warm_started is set.
   ///
   /// `budget`, when non-null and limited, is charged one unit per pivot;
   /// on exhaustion the solve stops with kDeadlineExceeded and the best
   /// basic point reached so far (objective and duals are still reported).
-  Solution solve(const LpModel& model, const WarmStart* warm = nullptr,
-                 SolveBudget* budget = nullptr);
+  Solution solve(const LpModel& model, SolveBudget* budget = nullptr);
 
   /// True when resolve() can continue in place from the last solve on this
   /// object: it ended kOptimal, `model` has the same rows and at least as
@@ -131,12 +108,10 @@ class RevisedSimplex {
   }
 
   bool refactorize();
-  /// Installs statuses/basis from a snapshot; false when incompatible.
-  bool try_warm_start(const WarmStart& warm);
-  /// After a warm basis factorized: computes the implied basic values and
-  /// verifies every basic variable sits within its bounds (phase 1 is
-  /// skipped for warm starts, so an infeasible start must be rejected).
-  bool warm_point_feasible();
+  /// Builds the starting basis: every structural nonbasic at its bound
+  /// nearest zero, a satisfied row on its logical, a violated row on its
+  /// lowest-index column singleton that absorbs the violation within its
+  /// bounds (a singleton crash), else on an artificial.
   void cold_start();
   void recompute_basic_values();
   /// Recomputes duals y and the full reduced-cost vector d from scratch,

@@ -48,9 +48,9 @@ struct Solution {
   long phase1_iterations = 0;
   long degenerate_pivots = 0;  // pivots with step length ~0
   long bound_flips = 0;
-  // True when a supplied warm-start basis was verified (nonsingular and
-  // primal feasible) and used, skipping phase 1; false means the solve ran
-  // from a cold start (none supplied, or the snapshot was rejected).
+  // True when the solve ran no phase 1: the singleton crash left no
+  // artificial in the starting basis, or the solve was an in-place resume
+  // (RevisedSimplex::resolve). False when phase 1 ran.
   bool warm_started = false;
 
   bool optimal() const { return status == SolveStatus::kOptimal; }

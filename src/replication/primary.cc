@@ -114,6 +114,26 @@ PrimaryStats ReplicationPrimary::stats() const {
   return stats_;
 }
 
+bool ReplicationPrimary::send_locked(MessageType type,
+                                     const std::vector<std::uint8_t>& payload) {
+  try {
+    server::write_frame(conn_fd_, type, payload, options_.send_timeout_ms);
+  } catch (const WireTimeout&) {
+    drop_standby_locked(/*slow=*/true);
+    return false;
+  } catch (const WireError&) {
+    drop_standby_locked(/*slow=*/false);
+    return false;
+  }
+  return true;
+}
+
+void ReplicationPrimary::discard_buffer() {
+  base::MutexLock lock(buf_mu_);
+  buffer_.clear();
+  overflowed_ = false;
+}
+
 void ReplicationPrimary::drop_standby_locked(bool slow) {
   if (conn_fd_ < 0 || conn_failed_) return;
   conn_failed_ = true;
@@ -152,16 +172,7 @@ bool ReplicationPrimary::flush_events_locked() {
   if (batch.empty()) return true;
   ReplEvents msg;
   msg.events = std::move(batch);
-  try {
-    server::write_frame(conn_fd_, MessageType::kReplEvents, msg.encode(),
-                        options_.send_timeout_ms);
-  } catch (const WireTimeout&) {
-    drop_standby_locked(/*slow=*/true);
-    return false;
-  } catch (const WireError&) {
-    drop_standby_locked(/*slow=*/false);
-    return false;
-  }
+  if (!send_locked(MessageType::kReplEvents, msg.encode())) return false;
   stats_.events_shipped += static_cast<long>(msg.events.size());
   return true;
 }
@@ -176,9 +187,7 @@ void ReplicationPrimary::on_slot_committed(int slot) {
   const std::uint64_t fp = runtime_fingerprint(server_->runtime().stats());
   base::MutexLock lock(mu_);
   if (conn_fd_ < 0 || conn_failed_) {
-    base::MutexLock buf_lock(buf_mu_);
-    buffer_.clear();
-    overflowed_ = false;
+    discard_buffer();
     return;
   }
   if (needs_seed_ && !ship_seed_locked()) return;
@@ -186,16 +195,7 @@ void ReplicationPrimary::on_slot_committed(int slot) {
   ReplCommit commit;
   commit.slot = slot;
   commit.fingerprint = fp;
-  try {
-    server::write_frame(conn_fd_, MessageType::kReplCommit, commit.encode(),
-                        options_.send_timeout_ms);
-  } catch (const WireTimeout&) {
-    drop_standby_locked(/*slow=*/true);
-    return;
-  } catch (const WireError&) {
-    drop_standby_locked(/*slow=*/false);
-    return;
-  }
+  if (!send_locked(MessageType::kReplCommit, commit.encode())) return;
   stats_.commits_shipped++;
 }
 
@@ -211,16 +211,7 @@ bool ReplicationPrimary::ship_seed_locked() {
   watermark_ = snap.event_seq_watermark;
   ReplSnapshot seed;
   seed.image = server::encode_snapshot(snap);
-  try {
-    server::write_frame(conn_fd_, MessageType::kReplSnapshot, seed.encode(),
-                        options_.send_timeout_ms);
-  } catch (const WireTimeout&) {
-    drop_standby_locked(/*slow=*/true);
-    return false;
-  } catch (const WireError&) {
-    drop_standby_locked(/*slow=*/false);
-    return false;
-  }
+  if (!send_locked(MessageType::kReplSnapshot, seed.encode())) return false;
   needs_seed_ = false;
   stats_.snapshots_shipped++;
   return true;
@@ -255,9 +246,7 @@ void ReplicationPrimary::heartbeat_loop() {
     if (killed_.load(std::memory_order_acquire)) continue;
     base::MutexLock lock(mu_);
     if (conn_fd_ < 0 || conn_failed_) {
-      base::MutexLock buf_lock(buf_mu_);
-      buffer_.clear();
-      overflowed_ = false;
+      discard_buffer();
       continue;
     }
     // While a seed is pending, ship ONLY the heartbeat: any event sent now
@@ -266,14 +255,7 @@ void ReplicationPrimary::heartbeat_loop() {
     if (!needs_seed_) {
       if (!flush_events_locked()) continue;
     }
-    try {
-      server::write_frame(conn_fd_, MessageType::kReplHeartbeat,
-                          ReplHeartbeat{}.encode(), options_.send_timeout_ms);
-    } catch (const WireTimeout&) {
-      drop_standby_locked(/*slow=*/true);
-      continue;
-    } catch (const WireError&) {
-      drop_standby_locked(/*slow=*/false);
+    if (!send_locked(MessageType::kReplHeartbeat, ReplHeartbeat{}.encode())) {
       continue;
     }
     stats_.heartbeats_sent++;

@@ -114,6 +114,14 @@ class ReplicationPrimary {
   /// Sends buffered events past the watermark; returns false (and drops
   /// the standby) on error. Caller holds mu_.
   bool flush_events_locked() REQUIRES(mu_);
+  /// Writes one frame to the standby under the send deadline; returns
+  /// false after dropping the standby (slow on a timeout) when the write
+  /// fails. Caller holds mu_.
+  bool send_locked(server::MessageType type,
+                   const std::vector<std::uint8_t>& payload) REQUIRES(mu_);
+  /// No standby attached: drops the buffered pushes and the overflow mark
+  /// (a standby that attaches later is seeded past them).
+  void discard_buffer() EXCLUDES(buf_mu_);
   /// Marks the connection for close by the io thread. Caller holds mu_.
   void drop_standby_locked(bool slow) REQUIRES(mu_);
 

@@ -23,9 +23,9 @@ namespace postcard::sim {
 struct SolveCounters {
   long lp_iterations = 0;  // summed over the LPs solved
   int lp_solves = 0;
-  // Canonical-seed accounting (policies without a column-generation master
-  // leave both zero): solves whose seeded round-0 basis passed the solver's
-  // verification vs. solves whose seed was rejected and ran phase 1.
+  // Round-0 start accounting (policies without a column-generation master
+  // leave both zero): solves whose round-0 master started primal feasible
+  // from the solver's crash basis vs. solves whose round 0 ran phase 1.
   long warm_accepts = 0;
   long cold_starts = 0;
   // Solver hot-path split (column-generation backends; others leave zero):

@@ -155,7 +155,7 @@ TEST(ColumnGeneration, EmptyBatch) {
   EXPECT_NEAR(r.objective, 8.0, 1e-9);
 }
 
-// ---- Canonical round-0 seed across slots ----------------------------------
+// ---- Canonical round-0 basis across slots ---------------------------------
 
 void commit_plans(charging::ChargeState& charge,
                   const std::vector<FilePlan>& plans) {
@@ -183,9 +183,9 @@ TEST(ColumnGeneration, EverySlotAcceptsTheCanonicalSeedAtTheDirectOptimum) {
   auto t = net::Topology::complete(4, 60.0, [](int i, int j) {
     return 1.0 + ((3 * i + j) % 6);
   });
-  // One controller history over 4 slots. The canonical basis is feasible
-  // for every round-0 master, slot 0 included, so the solver keeps it and
-  // skips phase 1 on every slot.
+  // One controller history over 4 slots. The simplex's crash finds the
+  // canonical basis on every round-0 master, slot 0 included, and it is
+  // feasible, so phase 1 is skipped on every slot.
   charging::ChargeState charge(t.num_links());
   for (int slot = 0; slot < 4; ++slot) {
     const auto batch = slot_batch(slot);
@@ -199,8 +199,8 @@ TEST(ColumnGeneration, EverySlotAcceptsTheCanonicalSeedAtTheDirectOptimum) {
 
 TEST(ColumnGeneration, CapacityDropBetweenSlotsStillReachesTheDirectOptimum) {
   // A capacity change between slots leaves committed volume above the new
-  // capacity. The seed is still accepted and the slot still reaches the
-  // optimum of the changed network.
+  // capacity. The crash basis still needs no phase 1 and the slot still
+  // reaches the optimum of the changed network.
   net::Topology t(3);
   t.set_link(0, 1, 40.0, 1.0);
   t.set_link(1, 2, 40.0, 2.0);

@@ -29,7 +29,17 @@ struct RandomLpParams {
 
 // Generates a random LP that is feasible by construction: bounds are placed
 // around a known interior point x0 and row bounds bracket A x0.
-LpModel random_feasible_lp(const RandomLpParams& p) {
+//
+// With `singleton_slacks`, every row that the simplex's starting point
+// (each column at its bound nearest zero) violates also gets a column of
+// its own: one entry, signed to move the row toward the violated bound,
+// bounded [0, w], so x0 with the slacks at zero stays feasible. On even
+// seeds every w exceeds the violation, so the slack can absorb it; on odd
+// seeds about half are too narrow to. The slacks are appended after the
+// plain LP's columns and drawn from their own generator, so the plain LP's
+// part is unchanged.
+LpModel random_feasible_lp(const RandomLpParams& p,
+                           bool singleton_slacks = false) {
   std::mt19937 rng(p.seed);
   std::uniform_real_distribution<double> val(-2.0, 2.0);
   std::uniform_real_distribution<double> unif(0.0, 1.0);
@@ -65,6 +75,30 @@ LpModel random_feasible_lp(const RandomLpParams& p) {
       r = m.add_constraint(activity - width(rng), activity + width(rng));
     }
     for (const auto& [j, a] : row) m.add_coefficient(r, j, a);
+  }
+  if (!singleton_slacks) return m;
+
+  std::vector<double> start(static_cast<std::size_t>(p.cols));
+  for (int j = 0; j < p.cols; ++j) {
+    const double lo = m.col_lower()[j], hi = m.col_upper()[j];
+    start[j] = std::abs(lo) <= std::abs(hi) ? lo : hi;
+  }
+  std::vector<double> activity(static_cast<std::size_t>(p.rows), 0.0);
+  for (const linalg::Triplet& t : m.entries()) {
+    activity[t.row] += t.value * start[t.col];
+  }
+  std::mt19937 slack_rng(p.seed ^ 0x5eedu);
+  std::uniform_real_distribution<double> wide(1.5, 3.0);
+  std::uniform_real_distribution<double> narrow(0.2, 0.7);
+  for (int i = 0; i < p.rows; ++i) {
+    const double below = m.row_lower()[i] - activity[i];
+    const double above = activity[i] - m.row_upper()[i];
+    const double violation = std::max(below, above);
+    if (!(violation > 0.0)) continue;
+    const bool fits = p.seed % 2 == 0 || unif(slack_rng) < 0.5;
+    const double w = violation * (fits ? wide(slack_rng) : narrow(slack_rng));
+    const int s = m.add_variable(0.0, w, val(slack_rng));
+    m.add_coefficient(i, s, below > 0.0 ? 1.0 : -1.0);
   }
   return m;
 }
@@ -128,17 +162,33 @@ std::vector<RandomLpParams> sweep_params() {
   return params;
 }
 
+// The second pass adds singleton slacks: the crash makes a slack basic in
+// a row the start violates, instead of an artificial, whenever the slack
+// can absorb the violation, and passes over one that cannot.
 TEST(RandomLpSweep, EverySimplexOptimumIsCertified) {
-  for (const RandomLpParams& p : sweep_params()) {
-    const LpModel m = random_feasible_lp(p);
-    const auto s = RevisedSimplex().solve(m);
-    ASSERT_EQ(s.status, SolveStatus::kOptimal) << "seed " << p.seed;
-    const Certificate cert = certify(m, s);
-    EXPECT_LE(cert.worst(), kCertTol)
-        << "seed " << p.seed << ": primal " << cert.primal_violation
-        << ", dual " << cert.dual_infeasibility << ", gap "
-        << cert.relative_gap;
+  int crash_starts = 0;  // no artificial, where the plain LP ran phase 1
+  int phase1_runs = 0;   // slack LPs that still ran phase 1
+  for (const bool slacks : {false, true}) {
+    for (const RandomLpParams& p : sweep_params()) {
+      const LpModel m = random_feasible_lp(p, slacks);
+      const auto s = RevisedSimplex().solve(m);
+      ASSERT_EQ(s.status, SolveStatus::kOptimal)
+          << "seed " << p.seed << ", slacks " << slacks;
+      const Certificate cert = certify(m, s);
+      EXPECT_LE(cert.worst(), kCertTol)
+          << "seed " << p.seed << ", slacks " << slacks << ": primal "
+          << cert.primal_violation << ", dual " << cert.dual_infeasibility
+          << ", gap " << cert.relative_gap;
+      if (!slacks) continue;
+      if (s.phase1_iterations > 0) ++phase1_runs;
+      if (s.warm_started &&
+          !RevisedSimplex().solve(random_feasible_lp(p)).warm_started) {
+        ++crash_starts;
+      }
+    }
   }
+  EXPECT_GT(crash_starts, 0);
+  EXPECT_GT(phase1_runs, 0);
 }
 
 // The certificate is not vacuous: a solve cut at half its pivots, duals
@@ -151,7 +201,7 @@ TEST(RandomLpSweep, CertificateRejectsNonOptimalSolutions) {
     ASSERT_EQ(s.status, SolveStatus::kOptimal) << "seed " << p.seed;
 
     SolveBudget half = SolveBudget::pivot_limit(s.iterations / 2);
-    const auto truncated = RevisedSimplex().solve(m, nullptr, &half);
+    const auto truncated = RevisedSimplex().solve(m, &half);
     ASSERT_EQ(truncated.status, SolveStatus::kDeadlineExceeded);
     EXPECT_GT(certify(m, truncated).worst(), kCertTol) << "seed " << p.seed;
 

@@ -36,14 +36,47 @@ TEST(SolverDiagnostics, PhaseOneOnlyWhenNeeded) {
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_EQ(s.phase1_iterations, 0);
 
-  // An equality away from the origin does.
+  // An equality away from the origin that no column singleton can repair
+  // does: x also sits in a second row.
   LpModel m;
   const int x = m.add_variable(0.0, kInfinity, 1.0);
   const int r = m.add_constraint(5.0, 5.0);
   m.add_coefficient(r, x, 1.0);
+  const int cap = m.add_constraint(-kInfinity, 10.0);
+  m.add_coefficient(cap, x, 1.0);
   const Solution s2 = RevisedSimplex().solve(m);
   ASSERT_EQ(s2.status, SolveStatus::kOptimal);
   EXPECT_GT(s2.phase1_iterations, 0);
+  EXPECT_FALSE(s2.warm_started);
+
+  // x = 5 alone: x is the row's only column and absorbs the violation
+  // within its bounds, so the singleton crash makes it basic instead of an
+  // artificial.
+  LpModel single;
+  const int xs = single.add_variable(0.0, kInfinity, 1.0);
+  const int rs = single.add_constraint(5.0, 5.0);
+  single.add_coefficient(rs, xs, 1.0);
+  const Solution s3 = RevisedSimplex().solve(single);
+  ASSERT_EQ(s3.status, SolveStatus::kOptimal);
+  EXPECT_EQ(s3.phase1_iterations, 0);
+  EXPECT_TRUE(s3.warm_started);
+  EXPECT_NEAR(s3.x[xs], 5.0, 1e-9);
+
+  // The crash passes over the lowest-index singleton when its bounds cannot
+  // take the violation: y absorbs it, and phase 2 moves volume back to the
+  // cheaper x.
+  LpModel pair;
+  const int xp = pair.add_variable(0.0, 2.0, 1.0);
+  const int yp = pair.add_variable(0.0, kInfinity, 2.0);
+  const int rp = pair.add_constraint(5.0, 5.0);
+  pair.add_coefficient(rp, xp, 1.0);
+  pair.add_coefficient(rp, yp, 1.0);
+  const Solution s4 = RevisedSimplex().solve(pair);
+  ASSERT_EQ(s4.status, SolveStatus::kOptimal);
+  EXPECT_EQ(s4.phase1_iterations, 0);
+  EXPECT_TRUE(s4.warm_started);
+  EXPECT_NEAR(s4.x[xp], 2.0, 1e-9);
+  EXPECT_NEAR(s4.x[yp], 3.0, 1e-9);
 }
 
 TEST(SolverDiagnostics, IterationLimitIsHonored) {
@@ -91,7 +124,7 @@ TEST(SolveBudget, UnlimitedByDefault) {
 
 TEST(SolverDiagnostics, ZeroPivotBudgetCutsSimplexCooperatively) {
   SolveBudget b = SolveBudget::pivot_limit(0);
-  const Solution s = RevisedSimplex().solve(dantzig(), nullptr, &b);
+  const Solution s = RevisedSimplex().solve(dantzig(), &b);
   EXPECT_EQ(s.status, SolveStatus::kDeadlineExceeded);
   EXPECT_EQ(s.iterations, 0);
 }
@@ -99,7 +132,7 @@ TEST(SolverDiagnostics, ZeroPivotBudgetCutsSimplexCooperatively) {
 TEST(SolverDiagnostics, GenerousBudgetLeavesSolveBitForBitIdentical) {
   const Solution reference = RevisedSimplex().solve(dantzig());
   SolveBudget b = SolveBudget::pivot_limit(100000);
-  const Solution s = RevisedSimplex().solve(dantzig(), nullptr, &b);
+  const Solution s = RevisedSimplex().solve(dantzig(), &b);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_EQ(s.objective, reference.objective);
   EXPECT_EQ(s.x, reference.x);
@@ -113,13 +146,13 @@ TEST(SolveBudget, AUnitBuysOneIterationStepNotOnePivot) {
   // step that proves it optimal, so the solve charges 4 units, and 2 or 3
   // units stop it with both pivots done but optimality unproven.
   SolveBudget generous = SolveBudget::pivot_limit(100000);
-  const Solution full = RevisedSimplex().solve(dantzig(), nullptr, &generous);
+  const Solution full = RevisedSimplex().solve(dantzig(), &generous);
   ASSERT_EQ(full.status, SolveStatus::kOptimal);
   ASSERT_EQ(full.iterations, 2);
   EXPECT_EQ(generous.charged(), 4);
   for (const long units : {2L, 3L}) {
     SolveBudget b = SolveBudget::pivot_limit(units);
-    const Solution s = RevisedSimplex().solve(dantzig(), nullptr, &b);
+    const Solution s = RevisedSimplex().solve(dantzig(), &b);
     EXPECT_EQ(s.status, SolveStatus::kDeadlineExceeded) << units << " units";
     EXPECT_EQ(s.iterations, 2) << units << " units";
   }

@@ -88,7 +88,10 @@ void expect_survivor_reproduces_unfailed_run(long pivot_budget) {
     EXPECT_GE(s.snapshots_applied, 1);
     EXPECT_EQ(s.fingerprint_mismatches, 0);
   }
-  EXPECT_GE(primary.stats().acks_received, 1);
+  // The standby acks each commit it applied; the primary's io thread reads
+  // the ack on its own schedule, so wait for it.
+  EXPECT_TRUE(poll_until([&] { return primary.stats().acks_received >= 1; }))
+      << "primary never received an ack";
 
   // SIGKILL-equivalent: the replication stream dies with no goodbye, then
   // the primary process "vanishes" (its port stops answering).

@@ -1,7 +1,7 @@
-// One first-master rule: every Postcard solve seeds its round-0 master with
-// the canonical basis, from a fresh controller's first slot on, and the
-// stats count each seed the solver accepted — on every backend, with or
-// without store-and-forward.
+// One first-master rule: every Postcard solve starts its round-0 master
+// from the simplex's crash basis, which is the canonical one, from a fresh
+// controller's first slot on, and the stats count each round-0 master that
+// ran no phase 1 — on every backend, with or without store-and-forward.
 #include "runtime/runtime.h"
 
 #include <gtest/gtest.h>
@@ -62,7 +62,7 @@ TEST(RuntimeWarmStart, SolveHistogramsSplitByStartType) {
 TEST(RuntimeWarmStart, LinkDownReplanRollsBackCleanly) {
   // Diamond with a detour (test_runtime_failures idiom): the cheap path
   // 0 -> 1 -> 3 carries everything until link 1 -> 3 dies mid-flight and
-  // the replan reroutes via 2. The seeded masters see uncommits, capacity
+  // the replan reroutes via 2. The round-0 masters see uncommits, capacity
   // changes and synthetic re-requests.
   net::Topology t(4);
   t.set_link(0, 1, 100.0, 1.0);

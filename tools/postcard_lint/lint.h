@@ -1,7 +1,7 @@
 // postcard_lint — project-specific invariant checker.
 //
 // Four rule families protect guarantees the repo ships and tests
-// dynamically (warm-vs-cold bit-for-bit replays, sparse-vs-dense
+// dynamically (the pinned simplex trajectory, sparse-vs-dense
 // equivalence, deterministic-replay failover) by making their
 // preconditions machine-checked on every build:
 //
