@@ -3,9 +3,9 @@
 // — complete graph, Fat-Trees, leaf-spine (l2_switch), and random_sparse.
 //
 // Each configuration replays a seeded workload through the full runtime —
-// sparse incremental time-expanded graph, the fail-fast plan auditor
-// armed — under a fixed per-slot pivot budget, the production watchdog
-// posture. Reported per config:
+// reachability-pruned pricing, the fail-fast plan auditor armed — under a
+// fixed per-slot pivot budget, the production watchdog posture. Reported
+// per config:
 //
 //   scale_<cfg>_slot_p50_ms / _slot_p99_ms   whole-slot latency
 //   scale_<cfg>_degraded_slots               slots the ladder fired in

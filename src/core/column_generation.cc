@@ -4,14 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <optional>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
 
 #include "lp/simplex.h"
 #include "lp/stopwatch.h"
-#include "net/sparse_time_expanded.h"
 #include "net/time_expanded.h"
 
 namespace postcard::core {
@@ -47,7 +45,7 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
                                         const std::vector<net::FileRequest>& files,
                                         const PathSolveOptions& options,
                                         lp::SolveBudget* budget,
-                                        net::SparseTimeGraph* sparse_graph) {
+                                        const std::vector<int>* hops) {
   PathSolveResult result;
   if (files.empty()) {
     result.ok = true;
@@ -60,28 +58,12 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   }
 
   const int horizon = net::max_deadline(files);
-  const auto residual_fn = [&](int link, int s) {
-    return std::max(0.0,
-                    topology.link(link).capacity - charge.committed(link, s));
-  };
-  // Graph backend: a caller-owned sparse arena advanced in place, or the
-  // legacy dense rebuild. Both expose the identical arc sequence (same
-  // layer-block layout), so everything below is backend-agnostic.
-  std::optional<net::TimeExpandedGraph> dense;
-  if (sparse_graph != nullptr) {
-    sparse_graph->advance_to(topology, slot, horizon, residual_fn);
-  } else {
-    dense.emplace(topology, slot, horizon, residual_fn);
-  }
-  const std::vector<net::TimeArc>& arcs =
-      sparse_graph != nullptr ? sparse_graph->arcs() : dense->arcs();
-  std::vector<std::pair<int, int>> layer_ranges(
-      static_cast<std::size_t>(horizon));
-  for (int layer = 0; layer < horizon; ++layer) {
-    layer_ranges[layer] = sparse_graph != nullptr
-                              ? sparse_graph->layer_arc_range(layer)
-                              : dense->layer_arc_range(layer);
-  }
+  const net::TimeExpandedGraph graph(
+      topology, slot, horizon, [&](int link, int s) {
+        return std::max(0.0, topology.link(link).capacity -
+                                 charge.committed(link, s));
+      });
+  const std::vector<net::TimeArc>& arcs = graph.arcs();
   const int n = topology.num_datacenters();
   const int num_files = static_cast<int>(files.size());
   const int num_arcs = static_cast<int>(arcs.size());
@@ -121,86 +103,76 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   std::unordered_set<std::pair<int, std::vector<int>>, PathSeenHash>
       seen_paths;
 
-  // ---- Per-commodity reachability pruning (sparse backend only).
+  // ---- Per-commodity arc lists: what each file's pricing DP relaxes.
   //
-  // A commodity is a distinct (source, destination, deadline): its pricing
-  // DP can only ever use an arc at layer L whose tail is reachable from the
-  // source within L links AND whose head can still reach the destination in
-  // the remaining deadline - L - 1 layers (structural hops; storage does
-  // not move). Each commodity gets a compact per-layer arc list holding
-  // exactly those arcs, in the block order of the full sweep, built once
-  // per solve and reused across every pricing round.
+  // A commodity is a distinct (source, destination, deadline). Its list
+  // holds, layer by layer in the graph's block order, every arc of layers
+  // [0, deadline) the storage rule allows (the storage ablation holds data
+  // only at the endpoints); built once per solve and reused across every
+  // pricing round. Without `hops` that is the full sweep.
   //
-  // Bit-for-bit safety: a tail-pruned arc relaxes from a cell the DP can
-  // never make finite (dist stays -inf), and head-pruned arcs only write
-  // cells that are closed under forward arcs away from the destination —
-  // the reconstruction walk from (destination, deadline) never enters
-  // them. Every dist/pred cell the walk reads is therefore identical to
-  // the full sweep's, so the generated columns (and the master, and the
-  // plans) do not change.
-  struct CommodityView {
-    std::vector<int> arc_ids;
-    std::vector<int> layer_begin;  // deadline + 1 offsets into arc_ids
+  // With `hops`, reachability pruning also drops an arc at layer L unless
+  // its tail is reachable from the source within L links AND its head can
+  // still reach the destination in the remaining deadline - L - 1 layers
+  // (structural hops; storage does not move). Bit-for-bit safety: a
+  // tail-pruned arc relaxes from a cell the DP can never make finite (dist
+  // stays -inf), and head-pruned arcs only write cells that are closed
+  // under forward arcs away from the destination — the reconstruction walk
+  // from (destination, deadline) never enters them. Every dist/pred cell
+  // the walk reads is therefore identical to the full sweep's, so the
+  // generated columns (and the master, and the plans) do not change.
+  std::vector<std::vector<int>> commodity_arcs;
+  constexpr int kUnreachable = -1;  // no path within the deadline: skip file
+  std::vector<int> file_commodity(static_cast<std::size_t>(num_files),
+                                  kUnreachable);
+  std::map<std::tuple<int, int, int>, int> by_commodity;
+  const auto hop = [&](int from, int to) {
+    return (*hops)[static_cast<std::size_t>(from) * n + to];
   };
-  std::vector<CommodityView> views;
-  constexpr int kFullSweep = -1;   // dense backend: price over every arc
-  constexpr int kUnreachable = -2; // no path within the deadline: skip file
-  std::vector<int> file_view(static_cast<std::size_t>(num_files), kFullSweep);
-  if (sparse_graph != nullptr) {
-    std::map<std::tuple<int, int, int>, int> by_commodity;
-    for (int k = 0; k < num_files; ++k) {
-      const int src = files[k].source;
-      const int dst = files[k].destination;
-      const int deadline = files[k].max_transfer_slots;
-      if (sparse_graph->hops(src, dst) > deadline) {
-        file_view[k] = kUnreachable;
-        continue;
-      }
-      const auto [it, inserted] =
-          by_commodity.try_emplace({src, dst, deadline},
-                                   static_cast<int>(views.size()));
-      file_view[k] = it->second;
-      if (!inserted) continue;
-      CommodityView view;
-      const int* fwd = sparse_graph->hops_from(src);
-      view.layer_begin.reserve(static_cast<std::size_t>(deadline) + 1);
-      for (int layer = 0; layer < deadline; ++layer) {
-        view.layer_begin.push_back(static_cast<int>(view.arc_ids.size()));
-        const auto [begin, end] = layer_ranges[layer];
-        const int remaining = deadline - layer - 1;
-        for (int a = begin; a < end; ++a) {
-          const net::TimeArc& arc = arcs[a];
-          if (arc.storage() && !options.allow_storage &&
-              arc.from_node != src && arc.from_node != dst) {
-            continue;
-          }
-          if (fwd[arc.from_node] > layer) continue;
-          if (sparse_graph->hops(arc.to_node, dst) > remaining) continue;
-          view.arc_ids.push_back(a);
+  for (int k = 0; k < num_files; ++k) {
+    const int src = files[k].source;
+    const int dst = files[k].destination;
+    const int deadline = files[k].max_transfer_slots;
+    if (hops != nullptr && hop(src, dst) > deadline) continue;
+    const auto [it, inserted] = by_commodity.try_emplace(
+        {src, dst, deadline}, static_cast<int>(commodity_arcs.size()));
+    file_commodity[k] = it->second;
+    if (!inserted) continue;
+    std::vector<int> list;
+    for (int layer = 0; layer < deadline; ++layer) {
+      const auto [begin, end] = graph.layer_arc_range(layer);
+      const int remaining = deadline - layer - 1;
+      for (int a = begin; a < end; ++a) {
+        const net::TimeArc& arc = arcs[a];
+        if (arc.storage() && !options.allow_storage &&
+            arc.from_node != src && arc.from_node != dst) {
+          continue;
         }
+        if (hops != nullptr && (hop(src, arc.from_node) > layer ||
+                                hop(arc.to_node, dst) > remaining)) {
+          continue;
+        }
+        list.push_back(a);
       }
-      view.layer_begin.push_back(static_cast<int>(view.arc_ids.size()));
-      views.push_back(std::move(view));
     }
+    commodity_arcs.push_back(std::move(list));
   }
 
   // ---- Pricing data layout: structure-of-arrays over the arc blocks.
   //
-  // The reduced-cost sweep is the pricing inner loop; pulling the four
-  // fields it reads out of the 40+-byte TimeArc records into flat arrays
-  // lets the relaxation stream through memory, and pre-offsetting tails and
-  // heads into the (layer, node) DP grid removes the index arithmetic from
-  // the loop entirely: arc a relaxes dist[arc_tail[a]] + arc_weight[a]
-  // against dist[arc_head[a]]. The weight array is filled once per pricing
-  // pass — one add per arc instead of one per (arc, file).
+  // The reduced-cost sweep is the pricing inner loop; pulling the fields
+  // it reads out of the 40+-byte TimeArc records into flat arrays lets the
+  // relaxation stream through memory, and pre-offsetting tails and heads
+  // into the (layer, node) DP grid removes the index arithmetic from the
+  // loop entirely: arc a relaxes dist[arc_tail[a]] + arc_weight[a] against
+  // dist[arc_head[a]]. The weight array is filled once per pricing pass —
+  // one add per arc instead of one per (arc, file).
   std::vector<int> arc_tail(num_arcs), arc_head(num_arcs), arc_from(num_arcs);
-  std::vector<unsigned char> arc_storage(num_arcs);
   for (int a = 0; a < num_arcs; ++a) {
     const net::TimeArc& arc = arcs[a];
     arc_tail[a] = arc.layer * n + arc.from_node;
     arc_head[a] = (arc.layer + 1) * n + arc.to_node;
     arc_from[a] = arc.from_node;
-    arc_storage[a] = arc.storage() ? 1 : 0;
   }
   std::vector<double> arc_weight(static_cast<std::size_t>(num_arcs), 0.0);
 
@@ -211,63 +183,20 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   std::vector<double> dist(grid);
   std::vector<int> pred(grid);
 
-  // Longest-path DP for file k against the current arc_weight array.
-  // Returns the best total weight at (destination, deadline), kNegInf when
-  // no path exists within the deadline.
+  // Longest-path DP for file k over its commodity's arc list against the
+  // current arc_weight array. Returns the best total weight at (destination,
+  // deadline), kNegInf when no path exists within the deadline.
   auto run_dp = [&](int k) {
-    const int deadline = files[k].max_transfer_slots;
     std::fill(dist.begin(), dist.end(), kNegInf);
     std::fill(pred.begin(), pred.end(), -1);
     dist[files[k].source] = 0.0;  // (source, layer 0)
-    if (file_view[k] == kFullSweep) {
-      const int src = files[k].source;
-      const int dst = files[k].destination;
-      for (int layer = 0; layer < deadline; ++layer) {
-        const auto [begin, end] = layer_ranges[layer];
-        if (options.allow_storage) {
-          for (int a = begin; a < end; ++a) {
-            const double from = dist[arc_tail[a]];
-            if (from == kNegInf) continue;
-            const double cand = from + arc_weight[a];
-            if (cand > dist[arc_head[a]]) {
-              dist[arc_head[a]] = cand;
-              pred[arc_head[a]] = a;
-            }
-          }
-        } else {
-          // Storage ablation: holding is only allowed at the endpoints.
-          for (int a = begin; a < end; ++a) {
-            if (arc_storage[a] && arc_from[a] != src && arc_from[a] != dst) {
-              continue;
-            }
-            const double from = dist[arc_tail[a]];
-            if (from == kNegInf) continue;
-            const double cand = from + arc_weight[a];
-            if (cand > dist[arc_head[a]]) {
-              dist[arc_head[a]] = cand;
-              pred[arc_head[a]] = a;
-            }
-          }
-        }
-      }
-    } else {
-      // Pruned subproblem: same relaxation order over the commodity's
-      // surviving arcs only (deadline and ablation checks are baked into
-      // the view).
-      const CommodityView& view = views[file_view[k]];
-      for (int layer = 0; layer < deadline; ++layer) {
-        const int vb = view.layer_begin[layer];
-        const int ve = view.layer_begin[layer + 1];
-        for (int i = vb; i < ve; ++i) {
-          const int a = view.arc_ids[i];
-          const double from = dist[arc_tail[a]];
-          if (from == kNegInf) continue;
-          const double cand = from + arc_weight[a];
-          if (cand > dist[arc_head[a]]) {
-            dist[arc_head[a]] = cand;
-            pred[arc_head[a]] = a;
-          }
-        }
+    for (const int a : commodity_arcs[file_commodity[k]]) {
+      const double from = dist[arc_tail[a]];
+      if (from == kNegInf) continue;
+      const double cand = from + arc_weight[a];
+      if (cand > dist[arc_head[a]]) {
+        dist[arc_head[a]] = cand;
+        pred[arc_head[a]] = a;
       }
     }
     return dist[static_cast<std::size_t>(files[k].max_transfer_slots) * n +
@@ -367,7 +296,7 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
       const double threshold = -kPricingTol * dual_scale;
       double slack = 0.0;
       for (int k = 0; k < num_files; ++k) {
-        if (file_view[k] == kUnreachable) continue;  // no path can exist
+        if (file_commodity[k] == kUnreachable) continue;  // no path can exist
         const double best = run_dp(k);
         if (best == kNegInf) continue;  // no path within the deadline
         const double reduced_cost = -duals[demand_row[k]] - best;
@@ -436,6 +365,7 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     result.unrouted[k] = std::max(0.0, sol.x[zv[k]]);
     if (result.unrouted[k] > kFlowEps * (1.0 + files[k].size)) {
       result.feasible = false;
+      result.unrouted_ids.push_back(files[k].id);
     }
   }
   result.objective = 0.0;

@@ -37,10 +37,6 @@
 #include "net/file_request.h"
 #include "net/topology.h"
 
-namespace postcard::net {
-class SparseTimeGraph;
-}  // namespace postcard::net
-
 namespace postcard::core {
 
 struct PathSolveOptions {
@@ -61,6 +57,9 @@ struct PathSolveResult {
   bool feasible = false;       // z == 0 (all files fully routed)
   double objective = 0.0;      // sum a_l X_l at the optimum
   std::vector<double> unrouted;  // per file (input order): z_k volume
+  // Ids of the files left unrouted, z_k > 1e-7 * (1 + F_k), in input order;
+  // empty exactly when feasible.
+  std::vector<int> unrouted_ids;
   std::vector<FilePlan> plans;
   long lp_iterations = 0;      // summed across master solves
   int rounds = 0;
@@ -101,20 +100,19 @@ struct PathSolveResult {
 /// restricted-master optimum is returned with `truncated` set; exhaustion
 /// before any master solved leaves ok false with kDeadlineExceeded.
 ///
-/// With a caller-owned `sparse_graph`, the time-expanded expansion is
-/// advanced incrementally inside the arena instead of rebuilt dense
-/// (net::SparseTimeGraph), and pricing runs over per-commodity
-/// reachability-pruned subproblems: only the arcs a file can traverse
-/// within its deadline window appear in its DP. The arena layout matches
-/// the dense build arc for arc, and pruning removes only arcs that cannot
-/// influence the DP cells the path reconstruction reads, so plans — and
-/// every downstream cost series — are bit-for-bit identical either way.
+/// Every file is priced over its commodity's arc list in one
+/// net::TimeExpandedGraph of the window. With `hops` (net::all_pairs_hops
+/// of `topology`), the lists are reachability-pruned: only the arcs a file
+/// can traverse within its deadline window appear in its DP. Pruning
+/// removes only arcs that cannot influence the DP cells the path
+/// reconstruction reads, so plans — and every downstream cost series — are
+/// bit-for-bit identical to the unpruned full sweep (null `hops`).
 PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
                                         const charging::ChargeState& charge,
                                         int slot,
                                         const std::vector<net::FileRequest>& files,
                                         const PathSolveOptions& options = {},
                                         lp::SolveBudget* budget = nullptr,
-                                        net::SparseTimeGraph* sparse_graph = nullptr);
+                                        const std::vector<int>* hops = nullptr);
 
 }  // namespace postcard::core

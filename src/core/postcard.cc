@@ -179,9 +179,12 @@ bool PostcardController::try_schedule(int slot,
   popts.allow_storage = options_.allow_storage;
   popts.relative_gap = options_.cg_relative_gap;
   popts.stall_rounds = options_.cg_stall_rounds;
+  if (options_.prune_pricing && hops_.empty()) {
+    hops_ = net::all_pairs_hops(topology_);
+  }
   const PathSolveResult r = solve_postcard_by_paths(
       topology_, charge_, slot, files, popts, budget,
-      options_.use_sparse_graph ? &sparse_graph_ : nullptr);
+      options_.prune_pricing ? &hops_ : nullptr);
   outcome.lp_iterations += r.lp_iterations;
   ++outcome.lp_solves;
   outcome.pricing_seconds += r.pricing_seconds;
@@ -201,11 +204,7 @@ bool PostcardController::try_schedule(int slot,
   }
   if (!r.ok) return false;
   if (!r.feasible) {
-    for (std::size_t k = 0; k < files.size(); ++k) {
-      if (r.unrouted[k] > 1e-6 * (1.0 + files[k].size)) {
-        unroutable_ids.push_back(files[k].id);
-      }
-    }
+    unroutable_ids = r.unrouted_ids;
     // A truncated master is still commit-worthy for the files it DID
     // route; the caller filters out the unroutable ones. Re-solving
     // after dropping files would just re-burn the exhausted budget.

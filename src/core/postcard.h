@@ -26,7 +26,6 @@
 #include "core/plan.h"
 #include "lp/budget.h"
 #include "net/file_request.h"
-#include "net/sparse_time_expanded.h"
 #include "net/topology.h"
 #include "sim/policy.h"
 
@@ -44,12 +43,11 @@ struct PostcardOptions {
   // be finite and non-negative; the controller refuses anything else.
   double cg_relative_gap = 1e-4;
   int cg_stall_rounds = 30;
-  // Maintain the time-expanded graph incrementally in a per-controller
-  // sparse arena (net::SparseTimeGraph) with per-commodity reachability
-  // pruning in pricing, instead of rebuilding the dense expansion on every
-  // solve. Plans are bit-for-bit identical either way (see DESIGN.md §12);
-  // the dense path is the reference of the equivalence tests.
-  bool use_sparse_graph = true;
+  // Price each file over its reachability-pruned arc list instead of the
+  // full sweep of the time-expanded graph. Plans are bit-for-bit identical
+  // either way (see DESIGN.md §12); the full sweep is the reference of the
+  // equivalence tests.
+  bool prune_pricing = true;
 };
 
 class PostcardController : public sim::SchedulingPolicy {
@@ -135,9 +133,10 @@ class PostcardController : public sim::SchedulingPolicy {
   PostcardOptions options_;
   charging::ChargeState charge_;
   std::vector<FilePlan> last_plans_;
-  // Persistent arena for the incremental time-expanded graph; advanced in
-  // place by each solve.
-  net::SparseTimeGraph sparse_graph_;
+  // Structural hop matrix of topology_ (net::all_pairs_hops) for pruned
+  // pricing; filled at the first pruned solve. Capacity edits never change
+  // it, and the controller's link set is fixed.
+  std::vector<int> hops_;
   long pivot_budget_ = -1;  // lp::SolveBudget units per slot; -1 unlimited
   sim::AuditControls audit_controls_;
 };

@@ -297,6 +297,15 @@ bool RevisedSimplex::can_resume(const LpModel& model) const {
   for (int i = 0; i < m_; ++i) {
     if (basis_[i] >= n_ + m_) return false;
   }
+  // The matrix may only grow by appended columns: an entry past the
+  // watermark that lands in an existing column changes the columns the
+  // incumbent basis, point and LU factorization were computed from.
+  const auto& entries = model.entries();
+  if (entries.size() < static_cast<std::size_t>(matrix_entries_)) return false;
+  for (std::size_t e = static_cast<std::size_t>(matrix_entries_);
+       e < entries.size(); ++e) {
+    if (entries[e].col < n_) return false;
+  }
   // Appended columns must enter at value zero, or the incumbent basic
   // point (whose activities ignore them) would no longer be feasible.
   for (int j = n_; j < new_n; ++j) {
@@ -319,23 +328,11 @@ Solution RevisedSimplex::resolve(const LpModel& model, SolveBudget* budget) {
   const int delta = model.num_variables() - old_n;
   n_ = model.num_variables();
 
-  // Append only the entry triplets past the watermark: a column-generation
-  // master grows strictly append-only, so rebuilding (and re-bucket-sorting)
-  // the whole CSC matrix every round is wasted work. Any triplet that lands
-  // in a pre-existing column falls back to the full rebuild.
-  const auto& entries = model.entries();
-  bool append_only = a_.rows() == m_ && a_.cols() == old_n &&
-                     matrix_entries_ <= model.num_entries();
-  for (std::size_t e = static_cast<std::size_t>(matrix_entries_);
-       append_only && e < entries.size(); ++e) {
-    if (entries[e].col < old_n) append_only = false;
-  }
-  if (append_only) {
-    a_.append_columns(static_cast<linalg::Index>(delta), entries,
-                      static_cast<std::size_t>(matrix_entries_));
-  } else {
-    a_ = model.build_matrix();
-  }
+  // Append only the entry triplets past the watermark, each of which
+  // can_resume() checked lands in an appended column: rebuilding (and
+  // re-bucket-sorting) the whole CSC matrix every round is wasted work.
+  a_.append_columns(static_cast<linalg::Index>(delta), model.entries(),
+                    static_cast<std::size_t>(matrix_entries_));
   rebuild_rows();
   matrix_entries_ = model.num_entries();
 

@@ -65,9 +65,11 @@ class RevisedSimplex {
 
   /// True when resolve() can continue in place from the last solve on this
   /// object: it ended kOptimal, `model` has the same rows and at least as
-  /// many columns (existing columns and row bounds unchanged — the caller's
-  /// contract), every appended column starts at value zero (so the incumbent
-  /// basic point stays feasible), and no artificial variable is still basic.
+  /// many columns, every coefficient added since lands in an appended
+  /// column, every appended column starts at value zero (so the incumbent
+  /// basic point stays feasible), and no artificial variable is still
+  /// basic. Bounds of existing rows and columns must be unchanged; that
+  /// stays the caller's contract.
   bool can_resume(const LpModel& model) const;
 
   /// Hot restart for the column-generation inner loop: re-optimizes `model`

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace postcard::net {
 
@@ -70,6 +71,33 @@ double Topology::capacity(int from, int to) const {
 double Topology::unit_cost(int from, int to) const {
   const int idx = link_index(from, to);
   return idx >= 0 ? links_[idx].unit_cost : 0.0;
+}
+
+std::vector<int> all_pairs_hops(const Topology& topology) {
+  const int n = topology.num_datacenters();
+  std::vector<int> hops(static_cast<std::size_t>(n) * n, kUnreachableHops);
+  std::vector<int> frontier;
+  frontier.reserve(static_cast<std::size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    int* row = hops.data() + static_cast<std::size_t>(s) * n;
+    row[s] = 0;
+    frontier.assign(1, s);
+    int depth = 0;
+    while (!frontier.empty()) {
+      ++depth;
+      std::vector<int> next;
+      for (const int u : frontier) {
+        for (const int link : topology.out_links(u)) {
+          const int v = topology.link(link).to;
+          if (row[v] != kUnreachableHops) continue;
+          row[v] = depth;
+          next.push_back(v);
+        }
+      }
+      frontier = std::move(next);
+    }
+  }
+  return hops;
 }
 
 }  // namespace postcard::net

@@ -68,4 +68,10 @@ class Topology {
   std::vector<std::vector<int>> out_;  // per DC, link indices by ascending to
 };
 
+/// Structural all-pairs hop counts (minimum number of links on any directed
+/// path, ignoring capacities); kUnreachableHops where no path exists.
+/// Row-major n*n: result[from * n + to].
+inline constexpr int kUnreachableHops = 1 << 29;
+std::vector<int> all_pairs_hops(const Topology& topology);
+
 }  // namespace postcard::net

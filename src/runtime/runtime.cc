@@ -31,7 +31,7 @@ const char* first_difference(const core::PostcardOptions& a,
   if (a.allow_storage != b.allow_storage) return "allow_storage";
   if (a.cg_relative_gap != b.cg_relative_gap) return "cg_relative_gap";
   if (a.cg_stall_rounds != b.cg_stall_rounds) return "cg_stall_rounds";
-  if (a.use_sparse_graph != b.use_sparse_graph) return "use_sparse_graph";
+  if (a.prune_pricing != b.prune_pricing) return "prune_pricing";
   return nullptr;
 }
 

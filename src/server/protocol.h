@@ -97,7 +97,7 @@ constexpr auto wire_fields(const core::FilePlan*) {
 constexpr auto wire_fields(const core::PostcardOptions*) {
   using O = core::PostcardOptions;
   return std::tuple{&O::allow_storage, &O::cg_relative_gap,
-                    &O::cg_stall_rounds, &O::use_sparse_graph};
+                    &O::cg_stall_rounds, &O::prune_pricing};
 }
 
 constexpr auto wire_fields(const runtime::RuntimeOptions*) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <random>
+#include <vector>
 
 #include "core/formulation.h"
 #include "lp/certificate.h"
@@ -115,6 +116,8 @@ TEST(ColumnGeneration, DetectsUnroutableFile) {
   EXPECT_FALSE(r.feasible);
   ASSERT_EQ(r.unrouted.size(), 1u);
   EXPECT_NEAR(r.unrouted[0], 90.0, 1e-4);
+  // The result names the unrouted file by id, by the same rule as feasible.
+  EXPECT_EQ(r.unrouted_ids, std::vector<int>{7});
 }
 
 TEST(ColumnGeneration, NoStorageAblationMatchesDirect) {

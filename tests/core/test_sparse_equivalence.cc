@@ -1,10 +1,11 @@
-// Acceptance gate for the sparse incremental time-expanded graph (DESIGN.md
-// §12): toggling PostcardOptions::use_sparse_graph must not move a single
-// bit of the trajectory — identical cost series, plans, and LP iteration
-// counts — on the paper's 20-DC complete-graph workload, through LinkDown
-// replans, and on the Fat-Tree shapes from net/generators.h. The fail-fast
-// plan auditor stays armed throughout, so any committed-plan divergence
-// throws instead of shifting a cost silently.
+// Acceptance gate for reachability-pruned pricing (DESIGN.md §12):
+// toggling PostcardOptions::prune_pricing must not move a single bit of the
+// trajectory — identical cost series, plans, and LP iteration counts — on
+// the paper's 20-DC complete-graph workload, through LinkDown replans, on
+// the Fat-Tree shapes from net/generators.h, and under the storage ablation,
+// whose endpoint-only holding rule the pruned arc lists apply as well. The
+// fail-fast plan auditor stays armed throughout, so any committed-plan
+// divergence throws instead of shifting a cost silently.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,54 +41,59 @@ struct Fault {
   int link;
 };
 
-/// One replay with the Postcard backend pinned to the requested graph
-/// backend, plus a no-storage Postcard backend on the default graph riding
-/// along as a control, to prove the dispatch path is unperturbed.
-RuntimeStats replay(const sim::WorkloadGenerator& w, bool sparse,
-                    const std::vector<Fault>& faults = {},
-                    bool with_control = true) {
+/// One replay with both Postcard backends on pruned pricing or both on the
+/// full sweep: the paper's Postcard and the storage ablation
+/// (allow_storage = false).
+RuntimeStats replay(const sim::WorkloadGenerator& w, bool pruned,
+                    const std::vector<Fault>& faults = {}) {
   ControllerRuntime runtime{net::Topology(w.topology()), RuntimeOptions{}};
   core::PostcardOptions options;
-  options.use_sparse_graph = sparse;
+  options.prune_pricing = pruned;
   runtime.add_postcard_backend(options);
-  if (with_control) {
-    core::PostcardOptions control;
-    control.allow_storage = false;
-    runtime.add_postcard_backend(control);
-  }
+  core::PostcardOptions ablation = options;
+  ablation.allow_storage = false;
+  runtime.add_postcard_backend(ablation);
   for (const Fault& f : faults) runtime.fail_link(f.slot, f.link);
   return runtime.replay(w);
 }
 
-void expect_identical(const BackendStats& sparse, const BackendStats& dense) {
-  ASSERT_EQ(sparse.cost_series.size(), dense.cost_series.size());
-  for (std::size_t i = 0; i < dense.cost_series.size(); ++i) {
-    EXPECT_EQ(sparse.cost_series[i], dense.cost_series[i]) << "slot " << i;
+void expect_identical(const BackendStats& pruned, const BackendStats& full) {
+  ASSERT_EQ(pruned.cost_series.size(), full.cost_series.size());
+  for (std::size_t i = 0; i < full.cost_series.size(); ++i) {
+    EXPECT_EQ(pruned.cost_series[i], full.cost_series[i]) << "slot " << i;
   }
   // Same plans implies the same everything downstream; pin the solver-side
   // counters too so a lucky cost tie cannot mask a divergent solve path.
-  EXPECT_EQ(sparse.lp_iterations, dense.lp_iterations);
-  EXPECT_EQ(sparse.lp_solves, dense.lp_solves);
-  EXPECT_EQ(sparse.accepted_files, dense.accepted_files);
-  EXPECT_EQ(sparse.rejected_files, dense.rejected_files);
-  EXPECT_EQ(sparse.rejected_volume, dense.rejected_volume);
-  EXPECT_EQ(sparse.replans, dense.replans);
-  EXPECT_EQ(sparse.replanned_volume, dense.replanned_volume);
-  EXPECT_EQ(sparse.failed_files, dense.failed_files);
-  EXPECT_EQ(sparse.warm_accepts, dense.warm_accepts);
-  EXPECT_EQ(sparse.audit_violations, 0);
-  EXPECT_EQ(dense.audit_violations, 0);
+  EXPECT_EQ(pruned.lp_iterations, full.lp_iterations);
+  EXPECT_EQ(pruned.lp_solves, full.lp_solves);
+  EXPECT_EQ(pruned.accepted_files, full.accepted_files);
+  EXPECT_EQ(pruned.rejected_files, full.rejected_files);
+  EXPECT_EQ(pruned.rejected_volume, full.rejected_volume);
+  EXPECT_EQ(pruned.replans, full.replans);
+  EXPECT_EQ(pruned.replanned_volume, full.replanned_volume);
+  EXPECT_EQ(pruned.failed_files, full.failed_files);
+  EXPECT_EQ(pruned.warm_accepts, full.warm_accepts);
+  EXPECT_EQ(pruned.audit_violations, 0);
+  EXPECT_EQ(full.audit_violations, 0);
+}
+
+/// Both backends of a pruned and a full-sweep replay agree bit for bit.
+/// The storage ablation must have accepted a file, or its comparison would
+/// hold vacuously.
+void expect_runs_identical(const RuntimeStats& pruned,
+                           const RuntimeStats& full) {
+  ASSERT_EQ(pruned.backends.size(), 2u);
+  ASSERT_EQ(full.backends.size(), 2u);
+  expect_identical(pruned.backends[0], full.backends[0]);
+  expect_identical(pruned.backends[1], full.backends[1]);
+  EXPECT_GT(pruned.backends[1].accepted_files, 0);
 }
 
 TEST(SparseEquivalence, TwentyDcCostSeriesBitForBit) {
   const sim::UniformWorkload w(twenty_dc(21));
-  const RuntimeStats s = replay(w, /*sparse=*/true);
-  const RuntimeStats d = replay(w, /*sparse=*/false);
-  ASSERT_EQ(s.backends.size(), 2u);
-  expect_identical(s.backends[0], d.backends[0]);
-  // The control runs the same options in both runs, so toggling the first
-  // backend's graph must leave its series byte-identical.
-  EXPECT_EQ(s.backends[1].cost_series, d.backends[1].cost_series);
+  const RuntimeStats s = replay(w, /*pruned=*/true);
+  const RuntimeStats d = replay(w, /*pruned=*/false);
+  expect_runs_identical(s, d);
 }
 
 TEST(SparseEquivalence, LinkDownReplanStaysBitForBit) {
@@ -98,13 +104,12 @@ TEST(SparseEquivalence, LinkDownReplanStaysBitForBit) {
   std::vector<Fault> faults;
   for (int link = 0; link < 40; ++link) faults.push_back({2, link});
   for (int link = 40; link < 80; ++link) faults.push_back({4, link});
-  const RuntimeStats s = replay(w, /*sparse=*/true, faults);
-  const RuntimeStats d = replay(w, /*sparse=*/false, faults);
-  expect_identical(s.backends[0], d.backends[0]);
-  EXPECT_EQ(s.backends[1].cost_series, d.backends[1].cost_series);
+  const RuntimeStats s = replay(w, /*pruned=*/true, faults);
+  const RuntimeStats d = replay(w, /*pruned=*/false, faults);
+  expect_runs_identical(s, d);
   // The faults must have perturbed the trajectory, or this test proves
   // nothing: compare against the fault-free run of the same seed.
-  const RuntimeStats clean = replay(w, /*sparse=*/true);
+  const RuntimeStats clean = replay(w, /*pruned=*/true);
   EXPECT_NE(s.backends[0].cost_series, clean.backends[0].cost_series);
 }
 
@@ -122,18 +127,18 @@ TEST(SparseEquivalence, FatTreeWorkloadBitForBit) {
                     [](int a, int b) { return 1.0 + 0.05 * a + 0.001 * b; }),
       p);
   ASSERT_EQ(w.topology().num_datacenters(), 45);
-  const RuntimeStats s = replay(w, /*sparse=*/true, {}, /*with_control=*/false);
-  const RuntimeStats d =
-      replay(w, /*sparse=*/false, {}, /*with_control=*/false);
-  expect_identical(s.backends[0], d.backends[0]);
+  const RuntimeStats s = replay(w, /*pruned=*/true);
+  const RuntimeStats d = replay(w, /*pruned=*/false);
+  expect_runs_identical(s, d);
 }
 
 TEST(SparseEquivalence, RepeatedSparseRunsAreIdentical) {
-  // The arena is per-controller state (plain vectors, nothing shared):
-  // fresh controllers replaying the same workload may not see each other.
+  // The hop matrix is per-controller state (a plain vector, nothing
+  // shared): fresh controllers replaying the same workload may not see
+  // each other.
   const sim::UniformWorkload w(twenty_dc(24));
-  const RuntimeStats s = replay(w, /*sparse=*/true);
-  const RuntimeStats again = replay(w, /*sparse=*/true);
+  const RuntimeStats s = replay(w, /*pruned=*/true);
+  const RuntimeStats again = replay(w, /*pruned=*/true);
   EXPECT_EQ(s.backends[0].cost_series, again.backends[0].cost_series);
 }
 

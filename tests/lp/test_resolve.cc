@@ -1,7 +1,8 @@
 // In-place resumes (RevisedSimplex::resolve) — the column-generation inner
 // loop's hot restart. A resume must reach the cold solve's optimum while
 // keeping the incumbent basis, LU factorization, and matrix (extended
-// append-only); can_resume() must refuse every state the contract excludes.
+// append-only); can_resume() must refuse every state the contract excludes,
+// and resolve() then solves cold.
 // Also pins the Devex/refactorization interaction: forcing a
 // refactorization every other pivot must not change the pivot trajectory.
 #include <gtest/gtest.h>
@@ -135,20 +136,27 @@ TEST(Resolve, RefusesAfterNonOptimalOutcome) {
   EXPECT_FALSE(solver.can_resume(m));
 }
 
-// A triplet appended into a PRE-EXISTING column (not the append-only
-// column-generation pattern) must take the full-rebuild path inside
-// resolve() and still produce the right optimum.
+// A coefficient added to a PRE-EXISTING column changes a column the
+// incumbent basis, point and LU factorization were computed from, so
+// can_resume() must refuse and resolve() must reach the cold optimum. Row 0
+// (x <= 4) gains -1 or 3 in column x or y, next to an appended column.
 TEST(Resolve, EntryIntoExistingColumnStillCorrect) {
-  LpModel m = base_model();
-  RevisedSimplex solver;
-  ASSERT_EQ(solver.solve(m).status, SolveStatus::kOptimal);
-  const int z = m.add_variable(0.0, 2.0, -10.0);
-  m.add_coefficient(2, z, 1.0);
-  m.add_coefficient(0, 0, 0.0);  // watermark triplet landing in column 0
-  const Solution s = solver.resolve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  RevisedSimplex fresh;
-  EXPECT_NEAR(s.objective, fresh.solve(m).objective, 1e-8);
+  for (const double value : {-1.0, 3.0}) {
+    for (const int col : {0, 1}) {
+      LpModel m = base_model();
+      RevisedSimplex solver;
+      ASSERT_EQ(solver.solve(m).status, SolveStatus::kOptimal);
+      const int z = m.add_variable(0.0, 2.0, -10.0);
+      m.add_coefficient(2, z, 1.0);
+      m.add_coefficient(0, col, value);
+      EXPECT_FALSE(solver.can_resume(m)) << "A[0," << col << "] += " << value;
+      const Solution s = solver.resolve(m);
+      ASSERT_EQ(s.status, SolveStatus::kOptimal);
+      RevisedSimplex fresh;
+      EXPECT_NEAR(s.objective, fresh.solve(m).objective, 1e-8)
+          << "A[0," << col << "] += " << value;
+    }
+  }
 }
 
 // Devex pricing maintains reduced costs incrementally and recomputes them

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "net/sparse_time_expanded.h"
 #include "net/topology.h"
 
 namespace postcard::net {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/file_request.h"
 
 namespace postcard::net {
@@ -63,6 +65,37 @@ TEST(Topology, MissingLinkQueries) {
   EXPECT_DOUBLE_EQ(t.capacity(1, 0), 0.0);
   EXPECT_DOUBLE_EQ(t.unit_cost(1, 0), 0.0);
   EXPECT_EQ(t.link_index(5, 0), -1);  // out of range is just "absent"
+}
+
+TEST(AllPairsHops, CountsLinksAndMarksUnreachablePairs) {
+  Topology t(4);
+  t.set_link(0, 1, 10.0, 1.0);
+  t.set_link(1, 2, 10.0, 1.0);
+  t.set_link(2, 3, 10.0, 1.0);
+  std::vector<int> hops = all_pairs_hops(t);
+  EXPECT_EQ(hops[0 * 4 + 3], 3);
+  EXPECT_EQ(hops[3 * 4 + 0], kUnreachableHops);
+
+  t.set_link(3, 0, 10.0, 1.0);  // closes the ring
+  hops = all_pairs_hops(t);
+  EXPECT_EQ(hops[3 * 4 + 0], 1);
+  EXPECT_EQ(hops[3 * 4 + 1], 2);
+}
+
+TEST(AllPairsHops, CompleteGraphIsOneHopWhateverTheCapacity) {
+  Topology t = Topology::complete(5, 100.0, [](int i, int j) {
+    return 1.0 + 0.1 * i + 0.01 * j;
+  });
+  const std::vector<int> before = all_pairs_hops(t);
+  for (int i = 0; i < 5; ++i) {
+    for (int j = 0; j < 5; ++j) {
+      EXPECT_EQ(before[i * 5 + j], i == j ? 0 : 1);
+    }
+  }
+  // A downed link (capacity 0) keeps its structural hop count: pruning must
+  // not change shape mid-replay, only the LP's residual capacities do.
+  t.set_capacity(0, 0.0);
+  EXPECT_EQ(all_pairs_hops(t), before);
 }
 
 TEST(FileRequest, ValidationCatchesBadRequests) {

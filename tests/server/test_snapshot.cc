@@ -316,7 +316,7 @@ TEST(SnapshotRestore, RecordedOptionsRoundTripAndAreValidated) {
   core::PostcardOptions tuned = no_storage();
   tuned.cg_relative_gap = 3e-3;
   tuned.cg_stall_rounds = 9;
-  tuned.use_sparse_graph = false;
+  tuned.prune_pricing = false;
   runtime.add_postcard_backend(tuned);
   drive(runtime, w, 0, 2);
   const RuntimeSnapshot good = runtime.capture_snapshot();
@@ -329,7 +329,7 @@ TEST(SnapshotRestore, RecordedOptionsRoundTripAndAreValidated) {
   EXPECT_FALSE(back.backends[0].options.allow_storage);
   EXPECT_EQ(back.backends[0].options.cg_relative_gap, 3e-3);
   EXPECT_EQ(back.backends[0].options.cg_stall_rounds, 9);
-  EXPECT_FALSE(back.backends[0].options.use_sparse_graph);
+  EXPECT_FALSE(back.backends[0].options.prune_pricing);
   EXPECT_EQ(back.backends[0].stats.name, "postcard (no storage)");
 
   std::vector<std::function<void(RuntimeSnapshot&)>> crafted;
@@ -588,11 +588,11 @@ TEST(SnapshotRestore, ImageLayoutIsPinned) {
   first.allow_storage = false;
   first.cg_relative_gap = 2.5e-3;
   first.cg_stall_rounds = 7;
-  first.use_sparse_graph = false;
+  first.prune_pricing = false;
   core::PostcardOptions second;
   second.cg_relative_gap = 6.25e-5;
   second.cg_stall_rounds = 13;
-  second.use_sparse_graph = false;
+  second.prune_pricing = false;
   snap.backends.push_back(distinct_backend_section(200, first));
   snap.backends.push_back(distinct_backend_section(300, second));
 

@@ -1,8 +1,8 @@
 // postcard_lint — project-specific invariant checker.
 //
 // Four rule families protect guarantees the repo ships and tests
-// dynamically (the pinned simplex trajectory, sparse-vs-dense
-// equivalence, deterministic-replay failover) by making their
+// dynamically (the pinned simplex trajectory, pruned-vs-full-sweep
+// pricing equivalence, deterministic-replay failover) by making their
 // preconditions machine-checked on every build:
 //
 //   postcard-determinism-*  (src/core, lp, linalg, charging, net, sim,
