@@ -8,9 +8,10 @@
 //     PostcardOptions{}, the one configuration every deployed caller runs:
 //     in-place master resumes on the incumbent factorization, a round-0
 //     master started from the simplex's crash basis, serial pricing. The
-//     mean/p99 slot solve, the pricing-vs-master wall split and the warm
-//     accept rate (round-0 masters that ran no phase 1) land in
-//     BENCH_solver_hotpath.json.
+//     mean/p99 slot solve, the pricing-vs-master wall split, the master
+//     wall time per master solve (what one column-generation round costs
+//     in the simplex) and the warm accept rate (round-0 masters that ran
+//     no phase 1) land in BENCH_solver_hotpath.json.
 //   * HotpathColumnGeneration — solve_postcard_by_paths directly (no
 //     controller admission around it), for the columns/sec rate and the
 //     resumed-solve share of the pure column-generation loop.
@@ -126,6 +127,15 @@ void HotpathSlotSolve(benchmark::State& state) {
   record_json_metric("hotpath_master_seconds", total.master_seconds);
   record_json_metric("hotpath_pricing_share",
                      lp_wall > 0.0 ? total.pricing_seconds / lp_wall : 0.0);
+  // Each column-generation solve runs one round-0 master, and every later
+  // round on this workload resumes in place (hotpath_cg_resumed_share is
+  // 1), so the master solves are the solves plus the resumed ones.
+  const long master_solves = total.lp_solves + total.resumed_solves;
+  record_json_metric(
+      "hotpath_master_ms_per_solve",
+      master_solves > 0
+          ? 1e3 * total.master_seconds / static_cast<double>(master_solves)
+          : 0.0);
   record_json_metric("hotpath_warm_accept_rate", total.warm_accept_rate());
   record_json_metric("hotpath_resumed_solves",
                      static_cast<double>(total.resumed_solves));

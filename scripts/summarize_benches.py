@@ -264,6 +264,9 @@ def self_test():
         ("hotpath_dcroute_rejected_files", 3.0, 4.0, False),
         ("hotpath_dcroute_rejected_files", 3.0, 10.0, True),
         ("hotpath_cg_resumed_share", 0.9, 0.1, False),         # informational
+        # A per-round cost of ~0.1 ms: no latency suffix, so informational
+        # (under the 2 ms floor it could never gate anyway).
+        ("hotpath_master_ms_per_solve", 0.1, 0.3, False),
     ]
     failures = 0
     for key, old, new, expect in cases:

@@ -241,12 +241,12 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
   // canonical one (see the header); later rounds resume in place.
   lp::RevisedSimplex simplex;
 
-  lp::Solution sol;
   // Last fully solved restricted master: optimal for its column set, hence
   // primal feasible for the slot problem (unrouted volume parked on z).
-  // This is what a budget-truncated run commits.
-  lp::Solution incumbent_sol;
+  // Plans are extracted from it, and a budget-truncated run commits it.
+  lp::Solution sol;
   linalg::Vector incumbent_duals;  // duals at the best Lagrangian bound
+  linalg::Vector smoothed;         // Wentges-smoothed duals, reused per alpha
   double best_objective = std::numeric_limits<double>::infinity();
   int stalled = 0;
 
@@ -259,27 +259,26 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     // solves afresh from the crash basis when it cannot (an artificial
     // stayed basic).
     const bool resume = result.rounds > 0 && simplex.can_resume(master);
-    sol = result.rounds == 0 ? simplex.solve(master, budget)
-                             : simplex.resolve(master, budget);
+    lp::Solution next = result.rounds == 0 ? simplex.solve(master, budget)
+                                           : simplex.resolve(master, budget);
     result.master_seconds += master_time.seconds();
     if (resume) ++result.resumed_solves;
-    if (result.rounds == 0) result.warm_accepted = sol.warm_started;
-    result.lp_iterations += sol.iterations;
-    result.master_status = sol.status;
-    if (sol.status == lp::SolveStatus::kDeadlineExceeded) {
+    if (result.rounds == 0) result.warm_accepted = next.warm_started;
+    result.lp_iterations += next.iterations;
+    result.master_status = next.status;
+    if (next.status == lp::SolveStatus::kDeadlineExceeded) {
       // Budget ran out mid-solve. The interrupted iterate may be primal
-      // infeasible (a phase 1 cut short), so discard it and fall back to
-      // the incumbent. Round-0 exhaustion has no incumbent: ok stays
-      // false and the caller walks down its degradation ladder.
-      if (incumbent_sol.optimal()) {
-        sol = std::move(incumbent_sol);
+      // infeasible (a phase 1 cut short), so discard it and keep the
+      // incumbent. Round-0 exhaustion has no incumbent: ok stays false and
+      // the caller walks down its degradation ladder.
+      if (sol.optimal()) {
         result.truncated = true;
         break;
       }
       return result;
     }
-    if (!sol.optimal()) return result;  // ok stays false
-    incumbent_sol = sol;
+    if (!next.optimal()) return result;  // ok stays false
+    sol = std::move(next);
 
     // ---- Pricing: per file, the path maximizing the dual arc weights under
     // the supplied duals. Returns the Lagrangian slack sum_k F_k*min(0,rc_k)
@@ -321,8 +320,8 @@ PathSolveResult solve_postcard_by_paths(const net::Topology& topology,
     if (!incumbent_duals.empty()) {
       // Several smoothing weights per round: each yields a different path
       // family, multiplying the columns gathered per master solve.
+      smoothed.resize(sol.duals.size());
       for (const double alpha : {0.5, 0.8, 0.95}) {
-        linalg::Vector smoothed(sol.duals.size());
         for (std::size_t i = 0; i < smoothed.size(); ++i) {
           smoothed[i] =
               alpha * incumbent_duals[i] + (1.0 - alpha) * sol.duals[i];

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
-#include <numeric>
 
 namespace postcard::linalg {
 namespace {
@@ -162,12 +161,16 @@ FactorStatus LuFactorization::factorize(const SparseMatrix& b) {
   reach_.reserve(static_cast<std::size_t>(n_));
 
   // Column ordering: fewest nonzeros first — a cheap fill-reducing heuristic
-  // that works well for the mostly-triangular bases simplex produces.
+  // that works well for the mostly-triangular bases simplex produces. A
+  // counting sort on the column counts, filled in ascending column order, is
+  // stable: ties keep ascending index, the order std::stable_sort gives.
   q_.resize(static_cast<std::size_t>(n_));
-  std::iota(q_.begin(), q_.end(), 0);
-  std::stable_sort(q_.begin(), q_.end(), [&b](Index x, Index y) {
-    return b.col_end(x) - b.col_begin(x) < b.col_end(y) - b.col_begin(y);
-  });
+  {
+    std::vector<Index> start(static_cast<std::size_t>(n_) + 2, 0);
+    for (Index j = 0; j < n_; ++j) ++start[b.col_end(j) - b.col_begin(j) + 1];
+    for (Index c = 0; c <= n_; ++c) start[c + 1] += start[c];
+    for (Index j = 0; j < n_; ++j) q_[start[b.col_end(j) - b.col_begin(j)]++] = j;
+  }
 
   pinv_.assign(static_cast<std::size_t>(n_), -1);
   l_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
@@ -191,6 +194,25 @@ FactorStatus LuFactorization::factorize(const SparseMatrix& b) {
     l_ptr_[k] = static_cast<Index>(l_idx_.size());
     u_ptr_[k] = static_cast<Index>(u_idx_.size());
     const Index col = q_[k];
+
+    // A singleton in a row not yet pivotal: its reach is the row alone and
+    // the solve leaves the entry as is, so the general path below would
+    // pivot on it and write exactly these factors (U(:,k) the diagonal
+    // alone, L(:,k) the unit diagonal alone). A simplex basis is mostly
+    // logicals, so most columns take this path.
+    if (b.col_end(col) - b.col_begin(col) == 1) {
+      const Index row = b.row_idx()[b.col_begin(col)];
+      if (pinv_[row] < 0) {
+        const double v = b.values()[b.col_begin(col)];
+        if (!(std::abs(v) > kPivotTol)) return FactorStatus::kSingular;
+        u_idx_.push_back(k);
+        u_val_.push_back(v);
+        pinv_[row] = k;
+        l_idx_.push_back(row);
+        l_val_.push_back(1.0);
+        continue;
+      }
+    }
 
     // Pattern of x = L \ B(:,col): DFS reach over current L.
     order.clear();

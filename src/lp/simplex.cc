@@ -13,6 +13,7 @@ constexpr double kDevexReset = 1e8;  // reference-weight cap before reset
 constexpr double kFeasTol = 1e-7;    // bound violation tolerance
 constexpr double kOptTol = 1e-7;     // reduced-cost tolerance
 constexpr double kPivotTol = 1e-7;   // smallest ratio-test |w_i|
+constexpr int kMinRowRoom = 4;       // spare row-view room past 2x a row's count
 
 bool is_fixed(double lo, double hi) {
   return std::isfinite(lo) && std::isfinite(hi) && hi - lo <= 0.0;
@@ -306,6 +307,13 @@ bool RevisedSimplex::can_resume(const LpModel& model) const {
        e < entries.size(); ++e) {
     if (entries[e].col < n_) return false;
   }
+  // The resume keeps the incumbent's costs and the duals finish_solution()
+  // computed from them: an edited cost on an existing column would price
+  // the resumed phase against stale values.
+  const std::vector<double>& objective = model.objective();
+  for (int j = 0; j < n_; ++j) {
+    if (objective[j] != base_cost_[j]) return false;
+  }
   // Appended columns must enter at value zero, or the incumbent basic
   // point (whose activities ignore them) would no longer be feasible.
   for (int j = n_; j < new_n; ++j) {
@@ -329,56 +337,55 @@ Solution RevisedSimplex::resolve(const LpModel& model, SolveBudget* budget) {
   n_ = model.num_variables();
 
   // Append only the entry triplets past the watermark, each of which
-  // can_resume() checked lands in an appended column: rebuilding (and
-  // re-bucket-sorting) the whole CSC matrix every round is wasted work.
+  // can_resume() checked lands in an appended column, to the matrix and to
+  // its row view: the resume costs what was appended, not the whole matrix.
   a_.append_columns(static_cast<linalg::Index>(delta), model.entries(),
                     static_cast<std::size_t>(matrix_entries_));
-  rebuild_rows();
+  append_rows(old_n);
   matrix_entries_ = model.num_entries();
 
-  // Drop the (all-nonbasic, fixed-at-zero) artificials: the resumed
-  // variable set is the model's structurals and logicals only.
+  // Drop the (all-nonbasic, fixed-at-zero) artificials and open a gap for
+  // the appended columns: logicals move from old_n + i to n_ + i, and every
+  // other entry of the variable-indexed state stays where it is.
   art_row_.clear();
   art_sign_.clear();
-  lower_.resize(static_cast<std::size_t>(old_n + m_));
-  upper_.resize(static_cast<std::size_t>(old_n + m_));
-  x_.resize(static_cast<std::size_t>(old_n + m_));
-  vstat_.resize(static_cast<std::size_t>(old_n + m_));
-
-  if (delta > 0) {
-    // Shift the variable-indexed state: logicals move from old_n+i to n_+i.
-    lower_.insert(lower_.begin() + old_n, static_cast<std::size_t>(delta), 0.0);
-    upper_.insert(upper_.begin() + old_n, static_cast<std::size_t>(delta), 0.0);
-    x_.insert(x_.begin() + old_n, static_cast<std::size_t>(delta), 0.0);
-    vstat_.insert(vstat_.begin() + old_n, static_cast<std::size_t>(delta),
-                  VarStatus::kFree);
-    for (int j = old_n; j < n_; ++j) {
-      lower_[j] = model.col_lower()[j];
-      upper_[j] = model.col_upper()[j];
-      classify_default(lower_[j], upper_[j], vstat_[j], x_[j],
-                       VarStatus::kAtLower, VarStatus::kAtUpper,
-                       VarStatus::kFree);
-    }
-    for (int i = 0; i < m_; ++i) {
-      if (basis_[i] >= old_n) basis_[i] += delta;
-    }
+  const auto shift = [&](auto& v, auto gap_value) {
+    v.resize(static_cast<std::size_t>(old_n + m_));
+    v.insert(v.begin() + old_n, static_cast<std::size_t>(delta), gap_value);
+  };
+  shift(lower_, 0.0);
+  shift(upper_, 0.0);
+  shift(x_, 0.0);
+  shift(vstat_, VarStatus::kFree);
+  shift(basic_pos_, -1);
+  shift(base_cost_, 0.0);
+  // The kept costs are unchanged (can_resume()) and logicals cost zero, so
+  // only the appended costs can raise dual_tol_. Rounding is monotone, so
+  // the running max of kOptTol * |c_j| is exactly kOptTol * max |c_j|.
+  for (int j = old_n; j < n_; ++j) {
+    lower_[j] = model.col_lower()[j];
+    upper_[j] = model.col_upper()[j];
+    base_cost_[j] = model.objective()[j];
+    dual_tol_ = std::max(dual_tol_, kOptTol * std::abs(base_cost_[j]));
+    classify_default(lower_[j], upper_[j], vstat_[j], x_[j],
+                     VarStatus::kAtLower, VarStatus::kAtUpper, VarStatus::kFree);
   }
-  basic_pos_.assign(static_cast<std::size_t>(n_ + m_), -1);
-  for (int i = 0; i < m_; ++i) basic_pos_[basis_[i]] = i;
+  for (int i = 0; i < m_; ++i) {
+    if (basis_[i] >= old_n) basis_[i] += delta;
+  }
 
   // The LU factorization and its product-form updates stay valid: the basis
   // holds only pre-existing structural columns and logicals, whose
   // coefficients are untouched by an append-only model change. Phase 1 is
   // unnecessary: the incumbent basic point (new columns at zero) is the
-  // previous optimum, which is feasible.
-  const int total = total_variables();
-  cost_.assign(static_cast<std::size_t>(total), 0.0);
-  base_cost_.assign(static_cast<std::size_t>(total), 0.0);
-  d_.assign(static_cast<std::size_t>(total), 0.0);
-  devex_.assign(static_cast<std::size_t>(total), 1.0);
-  work_alpha_.assign(static_cast<std::size_t>(total), 0.0);
-  in_row_.assign(static_cast<std::size_t>(n_), 0);
-  for (int j = 0; j < n_; ++j) base_cost_[j] = model.objective()[j];
+  // previous optimum, which is feasible. d_ is rewritten and devex_ reset
+  // at phase entry; work_alpha_ and in_row_ are zero between pivots.
+  const std::size_t total = static_cast<std::size_t>(total_variables());
+  cost_ = base_cost_;
+  d_.resize(total);
+  devex_.resize(total);
+  work_alpha_.resize(total, 0.0);
+  in_row_.resize(static_cast<std::size_t>(n_), 0);
 
   stat_degenerate_ = stat_flips_ = 0;
   long iterations = 0;
@@ -390,9 +397,10 @@ Solution RevisedSimplex::resolve(const LpModel& model, SolveBudget* budget) {
   // re-deriving duals and reduced costs from scratch) would roughly double
   // the fixed cost of every master round for anti-degeneracy protection the
   // EXPAND minimum step already provides on these short tails — so a resume
-  // prices the true costs directly in a single phase.
-  cost_ = base_cost_;
-  const SolveStatus s = run_phase(&iterations, limit);
+  // prices the true costs directly in a single phase. Its entry reuses the
+  // duals finish_solution() left in work_y_: basis, LU and c_B are those
+  // they were computed from, so a fresh BTRAN would return the same bits.
+  const SolveStatus s = run_phase(&iterations, limit, /*duals_current=*/true);
   if (s == SolveStatus::kNumericalFailure) {
     // The resumed trajectory died (e.g. a refactorization of a drifted
     // basis failed); a cold solve rebuilds everything from scratch.
@@ -403,37 +411,77 @@ Solution RevisedSimplex::resolve(const LpModel& model, SolveBudget* budget) {
 
 void RevisedSimplex::apply_perturbation(unsigned seed) {
   cost_ = base_cost_;
-  if (options_.perturbation <= 0.0) return;
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> u(0.5, 1.0);
-  for (int j = 0; j < total_variables(); ++j) {
-    if (is_fixed(lower_[j], upper_[j])) continue;
-    cost_[j] += options_.perturbation * (1.0 + std::abs(cost_[j])) * u(rng);
+  if (options_.perturbation > 0.0) {
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> u(0.5, 1.0);
+    for (int j = 0; j < total_variables(); ++j) {
+      if (is_fixed(lower_[j], upper_[j])) continue;
+      cost_[j] += options_.perturbation * (1.0 + std::abs(cost_[j])) * u(rng);
+    }
   }
+  set_dual_tolerance();
 }
 
-void RevisedSimplex::remove_perturbation() { cost_ = base_cost_; }
+void RevisedSimplex::remove_perturbation() {
+  cost_ = base_cost_;
+  set_dual_tolerance();
+}
 
-// Counting-sort transpose of a_. Column order within each row is ascending
-// because the fill pass walks columns ascending, so the scatter in iterate()
-// accumulates per-row contributions in exactly the order the old per-column
-// gather did — the pass is bit-for-bit equivalent. O(nnz), cheap enough to
-// rerun after every append.
+void RevisedSimplex::set_dual_tolerance() {
+  double cost_scale = 1.0;
+  for (const double c : cost_) cost_scale = std::max(cost_scale, std::abs(c));
+  dual_tol_ = kOptTol * cost_scale;
+}
+
+// Counting-sort transpose of a_ with spare room after every row. Column
+// order within each row is ascending because the fill pass walks columns
+// ascending, so the scatters over rows accumulate per-column terms in
+// exactly the order a dot product down the column would.
 void RevisedSimplex::rebuild_rows() {
   const auto& rows = a_.row_idx();
   const auto& vals = a_.values();
-  const std::size_t nnz = vals.size();
-  row_ptr_.assign(static_cast<std::size_t>(m_) + 1, 0);
-  row_col_.resize(nnz);
-  row_val_.resize(nnz);
-  for (std::size_t p = 0; p < nnz; ++p) ++row_ptr_[rows[p] + 1];
-  for (int i = 0; i < m_; ++i) row_ptr_[i + 1] += row_ptr_[i];
-  std::vector<int> next(row_ptr_.begin(), row_ptr_.end() - 1);
+  row_begin_.resize(static_cast<std::size_t>(m_));
+  row_room_.resize(static_cast<std::size_t>(m_));
+  row_end_.assign(static_cast<std::size_t>(m_), 0);
+  for (const linalg::Index i : rows) ++row_end_[i];
+  int at = 0;
+  for (int i = 0; i < m_; ++i) {
+    const int count = row_end_[i];
+    row_begin_[i] = row_end_[i] = at;
+    at += 2 * count + kMinRowRoom;
+    row_room_[i] = at;
+  }
+  row_col_.resize(static_cast<std::size_t>(at));
+  row_val_.resize(static_cast<std::size_t>(at));
   for (int j = 0; j < n_; ++j) {
     for (linalg::Index p = a_.col_begin(j); p < a_.col_end(j); ++p) {
-      const int at = next[rows[p]]++;
-      row_col_[at] = j;
-      row_val_[at] = vals[p];
+      const int slot = row_end_[rows[p]]++;
+      row_col_[slot] = j;
+      row_val_[slot] = vals[p];
+    }
+  }
+}
+
+// Appended columns have the highest indices, so pushing their entries in
+// ascending column order keeps every row ascending. A full row moves to the
+// end of the arena with double its room, so an append is amortized O(1).
+void RevisedSimplex::append_rows(int first_col) {
+  for (int j = first_col; j < n_; ++j) {
+    for (linalg::Index p = a_.col_begin(j); p < a_.col_end(j); ++p) {
+      const int i = static_cast<int>(a_.row_idx()[p]);
+      if (row_end_[i] == row_room_[i]) {
+        const int len = row_end_[i] - row_begin_[i];
+        const int at = static_cast<int>(row_col_.size());
+        row_col_.resize(static_cast<std::size_t>(at + 2 * len));
+        row_val_.resize(static_cast<std::size_t>(at + 2 * len));
+        std::copy_n(row_col_.begin() + row_begin_[i], len, row_col_.begin() + at);
+        std::copy_n(row_val_.begin() + row_begin_[i], len, row_val_.begin() + at);
+        row_begin_[i] = at;
+        row_end_[i] = at + len;
+        row_room_[i] = at + 2 * len;
+      }
+      row_col_[row_end_[i]] = j;
+      row_val_[row_end_[i]++] = a_.values()[p];
     }
   }
 }
@@ -472,19 +520,35 @@ void RevisedSimplex::recompute_basic_values() {
   for (int i = 0; i < m_; ++i) x_[basis_[i]] = work_rhs_[i];
 }
 
-void RevisedSimplex::recompute_reduced_costs() {
-  for (int i = 0; i < m_; ++i) work_y_[i] = cost_[basis_[i]];
-  lu_.btran(work_y_);
-  double cost_scale = 1.0;
-  const int total = total_variables();
-  for (int j = 0; j < total; ++j) {
-    cost_scale = std::max(cost_scale, std::abs(cost_[j]));
-    d_[j] = vstat_[j] == VarStatus::kBasic ? 0.0
-                                           : cost_[j] - column_dot(j, work_y_);
+void RevisedSimplex::recompute_reduced_costs(bool duals_current) {
+  if (!duals_current) {
+    for (int i = 0; i < m_; ++i) work_y_[i] = cost_[basis_[i]];
+    lu_.btran(work_y_);
   }
-  dual_tol_ = kOptTol * cost_scale;
+  // Structural dot products a_j^T y, scattered from y's nonzero rows through
+  // the row view into work_alpha_ (zero between pivots). Rows ascend, so
+  // each column's terms arrive in column_dot()'s order; a row with y_i == 0
+  // adds only +/-0 terms, which never change a sum that starts at +0.
+  for (int i = 0; i < m_; ++i) {
+    const double yi = work_y_[i];
+    if (yi == 0.0) continue;
+    for (int p = row_begin_[i]; p < row_end_[i]; ++p) {
+      work_alpha_[row_col_[p]] += row_val_[p] * yi;
+    }
+  }
+  const int total = total_variables();
   infeasible_.assign((static_cast<std::size_t>(total) + 63) / 64, 0);
-  for (int j = 0; j < total; ++j) refresh_price(j);
+  const auto price_from = [&](int j, double dot) {
+    d_[j] = vstat_[j] == VarStatus::kBasic ? 0.0 : cost_[j] - dot;
+    if (violation(j) > dual_tol_) {
+      infeasible_[j / 64] |= std::uint64_t{1} << (j % 64);
+    }
+  };
+  for (int j = 0; j < n_; ++j) {
+    price_from(j, work_alpha_[j]);
+    work_alpha_[j] = 0.0;
+  }
+  for (int j = n_; j < total; ++j) price_from(j, column_dot(j, work_y_));
 }
 
 void RevisedSimplex::refresh_price(int j) {
@@ -684,7 +748,7 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
   for (const linalg::Index i : rho_pattern_) {
     const double rho = work_rho_[i];
     work_rho_[i] = 0.0;
-    for (int p = row_ptr_[i]; p < row_ptr_[i + 1]; ++p) {
+    for (int p = row_begin_[i]; p < row_end_[i]; ++p) {
       const int j = row_col_[p];
       if (!in_row_[j]) {
         in_row_[j] = 1;
@@ -738,8 +802,9 @@ RevisedSimplex::StepResult RevisedSimplex::iterate() {
   return StepResult::kStep;
 }
 
-SolveStatus RevisedSimplex::run_phase(long* iterations, long iteration_limit) {
-  recompute_reduced_costs();
+SolveStatus RevisedSimplex::run_phase(long* iterations, long iteration_limit,
+                                      bool duals_current) {
+  recompute_reduced_costs(duals_current);
   std::fill(devex_.begin(), devex_.end(), 1.0);
   // Phase 1 exists only to reach feasibility: once every artificial sits
   // exactly at zero the basis is primal feasible and further pivots would

@@ -66,10 +66,11 @@ class RevisedSimplex {
   /// True when resolve() can continue in place from the last solve on this
   /// object: it ended kOptimal, `model` has the same rows and at least as
   /// many columns, every coefficient added since lands in an appended
-  /// column, every appended column starts at value zero (so the incumbent
-  /// basic point stays feasible), and no artificial variable is still
-  /// basic. Bounds of existing rows and columns must be unchanged; that
-  /// stays the caller's contract.
+  /// column, no existing column's objective coefficient changed, every
+  /// appended column starts at value zero (so the incumbent basic point
+  /// stays feasible), and no artificial variable is still basic. Bounds of
+  /// existing rows and columns must be unchanged; that stays the caller's
+  /// contract.
   bool can_resume(const LpModel& model) const;
 
   /// Hot restart for the column-generation inner loop: re-optimizes `model`
@@ -77,11 +78,14 @@ class RevisedSimplex {
   /// product-form updates (the basis columns' coefficients are unchanged
   /// when columns are only appended), so no refactorization and no phase 1
   /// are paid. Falls back to a full cold solve() when can_resume() is false
-  /// or the resumed run hits a numerical failure. The trajectory is
-  /// deterministic but intentionally cheaper than solve()'s: the matrix is
-  /// extended in place (append_columns) instead of rebuilt, and the short
-  /// resumed tail prices the true costs in a single phase — no perturbation
-  /// cycle, whose anti-degeneracy role the EXPAND minimum step covers.
+  /// or the resumed run hits a numerical failure. The set-up costs what was
+  /// appended: the matrix and its row view grow in place, the kept costs
+  /// and bounds shift to open a gap for the new columns, and the first
+  /// reduced costs are priced from the duals the last solve reported
+  /// (same basis, LU and costs, so the same bits). Devex weights restart
+  /// at 1. The short resumed tail prices the true costs in a single phase —
+  /// no perturbation cycle, whose anti-degeneracy role the EXPAND minimum
+  /// step covers.
   Solution resolve(const LpModel& model, SolveBudget* budget = nullptr);
 
  private:
@@ -116,15 +120,19 @@ class RevisedSimplex {
   /// bounds (a singleton crash), else on an artificial.
   void cold_start();
   void recompute_basic_values();
-  /// Recomputes duals y and the full reduced-cost vector d from scratch,
-  /// and rebuilds the dual-infeasibility bitset from them.
-  void recompute_reduced_costs();
+  /// Recomputes the full reduced-cost vector d from the duals y in work_y_
+  /// and rebuilds the dual-infeasibility bitset in the same pass. y is
+  /// recomputed first (one BTRAN) unless `duals_current`: the caller vouches
+  /// that work_y_ already holds B^{-T} c_B for the current basis, LU and
+  /// costs.
+  void recompute_reduced_costs(bool duals_current = false);
   /// Sets bit j of infeasible_ exactly when violation(j) > dual_tol_.
   void refresh_price(int j);
   /// Devex-scored entering variable, or -1 when dual-feasible.
   int price() const;
   StepResult iterate();
-  SolveStatus run_phase(long* iterations, long iteration_limit);
+  SolveStatus run_phase(long* iterations, long iteration_limit,
+                        bool duals_current = false);
   /// Runs one phase with perturbed costs, then re-verifies a claimed
   /// optimum/unbounded ray against the true costs (see solve()).
   SolveStatus run_perturbed_phase(unsigned seed, long* iterations,
@@ -134,8 +142,12 @@ class RevisedSimplex {
   Solution finish_solution(const LpModel& model, SolveStatus status,
                            long iterations, long phase1_iterations,
                            bool warm_started);
+  /// Both set cost_ for a phase, then dual_tol_ (set_dual_tolerance()).
   void apply_perturbation(unsigned seed);
   void remove_perturbation();
+  /// dual_tol_ = kOptTol * max(1, max_j |cost_[j]|): fixed for a phase,
+  /// since cost_ changes only between phases.
+  void set_dual_tolerance();
   int total_variables() const {
     return n_ + m_ + static_cast<int>(art_row_.size());
   }
@@ -150,11 +162,13 @@ class RevisedSimplex {
   // Problem data in computational form.
   linalg::SparseMatrix a_;             // structural columns
   // Row-wise (CSR) view of a_: row i's (column, value) entries live at
-  // [row_ptr_[i], row_ptr_[i+1]), columns ascending. Kept in lockstep with
-  // a_ (rebuilt whenever it changes) so the pivot-row pass can scatter the
-  // btran'd unit vector across the rows it actually touches instead of
-  // gathering a dot product for every column.
-  std::vector<int> row_ptr_, row_col_;
+  // [row_begin_[i], row_end_[i]) of row_col_/row_val_, columns ascending,
+  // with spare room up to row_room_[i]. solve() builds it; resolve() grows
+  // it in place by the appended columns (append_rows()). The pivot-row pass
+  // scatters the btran'd unit vector across the rows it touches, and the
+  // reduced-cost recompute scatters y's nonzero rows, instead of gathering
+  // a dot product for every column.
+  std::vector<int> row_begin_, row_end_, row_room_, row_col_;
   std::vector<double> row_val_;
   // Model entry count already folded into a_; resolve() appends only the
   // triplets past this watermark instead of rebuilding the whole matrix.
@@ -190,8 +204,11 @@ class RevisedSimplex {
   // artificial is exactly zero (feasibility is phase 1's only goal).
   bool phase1_stop_when_feasible_ = false;
 
-  /// Rebuilds the CSR row view (row_ptr_/row_col_/row_val_) from a_.
+  /// Rebuilds the CSR row view from a_, leaving spare room after each row.
   void rebuild_rows();
+  /// Adds a_'s columns [first_col, n_) to the row view; a full row moves to
+  /// the end of the arena with double its room.
+  void append_rows(int first_col);
 
   // Scratch. work_w_, work_rho_ and work_alpha_ are all zero between
   // pivots: each is cleared through its pattern.

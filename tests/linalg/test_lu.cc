@@ -385,5 +385,60 @@ TEST(LuFactorization, PatternSolvesOnTinyAndIdentityBases) {
   EXPECT_TRUE(pattern.empty());
 }
 
+// factorize pivots a column singleton whose row is not yet pivotal without
+// a reach search; every other column takes the general path. The next three
+// bases are singular at a singleton, and each must be refused.
+TEST(LuFactorization, SecondSingletonInAPivotalRowIsSingular) {
+  // Columns 0 and 2 are singletons in row 0 and come first in the count
+  // order; column 2 finds row 0 already pivotal.
+  const auto b = SparseMatrix::from_triplets(
+      3, 3, {{0, 0, 1.0}, {1, 1, 2.0}, {2, 1, 1.0}, {0, 2, 3.0}});
+  LuFactorization lu;
+  EXPECT_EQ(lu.factorize(b), FactorStatus::kSingular);
+}
+
+TEST(LuFactorization, TinySingletonIsSingular) {
+  for (const double v : {1e-11, -1e-11, 5e-12}) {
+    const auto b =
+        SparseMatrix::from_triplets(2, 2, {{0, 0, 1.0}, {1, 1, v}});
+    LuFactorization lu;
+    EXPECT_EQ(lu.factorize(b), FactorStatus::kSingular) << "v = " << v;
+  }
+  // Just above the pivot tolerance the singleton is a pivot.
+  const auto ok = SparseMatrix::from_triplets(2, 2, {{0, 0, 1.0}, {1, 1, 2e-11}});
+  LuFactorization lu;
+  EXPECT_EQ(lu.factorize(ok), FactorStatus::kOk);
+}
+
+TEST(LuFactorization, ZeroSingletonIsSingular) {
+  // from_csc keeps a stored zero (from_triplets would drop it and leave an
+  // empty column).
+  const auto b = SparseMatrix::from_csc(2, 2, {0, 1, 2}, {0, 1}, {1.0, 0.0});
+  LuFactorization lu;
+  EXPECT_EQ(lu.factorize(b), FactorStatus::kSingular);
+}
+
+// Column-count ordering is a stable counting sort: ties keep ascending
+// column index. Simplex-shaped bases tie in almost every column (a logical
+// has one entry, a structural two to four); each must still solve.
+TEST(LuFactorization, ColumnCountTiesStillSolve) {
+  std::mt19937 rng(2030);
+  std::uniform_real_distribution<double> val(-2.0, 2.0);
+  for (int trial = 0; trial < 8; ++trial) {
+    const int n = 40 + 60 * trial;
+    const SparseMatrix b = simplex_like_basis(n, 0.1 + 0.1 * trial, rng);
+    LuFactorization lu;
+    ASSERT_EQ(lu.factorize(b), FactorStatus::kOk) << "n = " << n;
+    Vector rhs(static_cast<std::size_t>(n));
+    for (double& v : rhs) v = val(rng);
+    Vector x = rhs;
+    lu.ftran(x);
+    EXPECT_LT(ftran_residual(b, x, rhs), 1e-12) << "n = " << n;
+    Vector y = rhs;
+    lu.btran(y);
+    EXPECT_LT(btran_residual(b, y, rhs), 1e-12) << "n = " << n;
+  }
+}
+
 }  // namespace
 }  // namespace postcard::linalg

@@ -7,6 +7,10 @@
 // refactorization every other pivot must not change the pivot trajectory.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
+
+#include "lp/certificate.h"
 #include "lp/simplex.h"
 
 namespace postcard::lp {
@@ -156,6 +160,74 @@ TEST(Resolve, EntryIntoExistingColumnStillCorrect) {
       EXPECT_NEAR(s.objective, fresh.solve(m).objective, 1e-8)
           << "A[0," << col << "] += " << value;
     }
+  }
+}
+
+// A resume keeps the incumbent's costs and the duals computed from them, so
+// an edited cost on an existing column must send resolve() cold.
+TEST(Resolve, RefusesEditedObjectiveOnExistingColumn) {
+  for (const int col : {0, 1}) {
+    LpModel m = base_model();
+    RevisedSimplex solver;
+    ASSERT_EQ(solver.solve(m).status, SolveStatus::kOptimal);
+    const int z = m.add_variable(0.0, 2.0, -10.0);
+    m.add_coefficient(2, z, 1.0);
+    m.set_objective(col, -1.0);
+    EXPECT_FALSE(solver.can_resume(m)) << "c[" << col << "] = -1";
+    const Solution s = solver.resolve(m);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    RevisedSimplex fresh;
+    EXPECT_NEAR(s.objective, fresh.solve(m).objective, 1e-8)
+        << "c[" << col << "] = -1";
+  }
+}
+
+// Column-generation shape at length: one solve, then 240 resumes, each
+// appending a column that covers one demand row, two capacity rows every
+// column hits and one random capacity row. The dense rows outgrow their
+// room in the row view again and again, so the chain crosses every
+// relocation; each resumed optimum must certify and match a fresh solve.
+TEST(Resolve, LongAppendChainStaysCertified) {
+  constexpr int kFiles = 6, kResources = 10, kRounds = 240;
+  constexpr double kCertTol = 1e-7;
+  LpModel m;
+  for (int k = 0; k < kFiles; ++k) {
+    const int z = m.add_variable(0.0, kInfinity, 1e3);  // unrouted volume
+    const int row = m.add_constraint(10.0 + k, 10.0 + k);
+    m.add_coefficient(row, z, 1.0);
+  }
+  const int dense_a = m.add_constraint(-kInfinity, 50.0);
+  const int dense_b = m.add_constraint(-kInfinity, 30.0);
+  std::vector<int> other;
+  for (int r = 0; r < kResources; ++r) {
+    other.push_back(m.add_constraint(-kInfinity, 8.0 + r));
+  }
+  RevisedSimplex solver;
+  ASSERT_EQ(solver.solve(m).status, SolveStatus::kOptimal);
+
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> cost(1.0, 20.0);
+  std::uniform_int_distribution<int> pick(0, kResources - 1);
+  for (int round = 0; round < kRounds; ++round) {
+    const int v = m.add_variable(0.0, kInfinity, cost(rng));
+    m.add_coefficient(round % kFiles, v, 1.0);
+    m.add_coefficient(dense_a, v, 1.0);
+    m.add_coefficient(dense_b, v, 0.5);
+    m.add_coefficient(other[pick(rng)], v, 1.0);
+    ASSERT_TRUE(solver.can_resume(m)) << "round " << round;
+    const Solution hot = solver.resolve(m);
+    ASSERT_EQ(hot.status, SolveStatus::kOptimal) << "round " << round;
+    const Certificate cert = certify(m, hot);
+    EXPECT_LE(cert.primal_violation, kCertTol) << "round " << round;
+    EXPECT_LE(cert.dual_infeasibility, kCertTol) << "round " << round;
+    EXPECT_LE(std::abs(cert.relative_gap), kCertTol) << "round " << round;
+
+    RevisedSimplex fresh;
+    const Solution cold = fresh.solve(m);
+    ASSERT_EQ(cold.status, SolveStatus::kOptimal) << "round " << round;
+    EXPECT_NEAR(hot.objective, cold.objective,
+                1e-7 * std::abs(cold.objective))
+        << "round " << round;
   }
 }
 
